@@ -73,11 +73,24 @@ class EnsembleModel:
     def converged(self) -> bool:
         return all(m.converged for m, _, _ in self.members)
 
+    def prefix(self, m: int) -> EnsembleModel:
+        """The first m members as an ensemble of their own.
+
+        Member i depends only on (master_seed, i), so this equals the
+        ensemble that bagging_train trains with members=m.
+        """
+        if not 1 <= m <= len(self.members):
+            raise DataError(f"prefix of {m} members from an ensemble of {len(self.members)}")
+        return EnsembleModel(self.members[:m], self.vote, self.classes, self.class_priors, self.master_seed)
+
     def member_predictions(self, ds: Dataset) -> list[list[str]]:
         return [m.predict_dataset(ds)[0] for m, _, _ in self.members]
 
-    def predict_dataset(self, ds: Dataset) -> tuple[list[str], dict]:
-        per_member = self.member_predictions(ds)
+    def vote_labels(self, per_member) -> tuple[list[str], int]:
+        """Row-wise vote over one label list per member, in member order;
+        returns the voted labels and the number of tied rows."""
+        if len(per_member) != len(self.members):
+            raise DataError(f"{len(per_member)} label lists for {len(self.members)} members")
         weights = None
         if self.vote == "weighted_by_train_accuracy":
             weights = [acc for _, _, acc in self.members]
@@ -87,6 +100,10 @@ class EnsembleModel:
             lab, tie = _vote(row, priors, self.classes, weights)
             labels.append(lab)
             ties += tie
+        return labels, ties
+
+    def predict_dataset(self, ds: Dataset) -> tuple[list[str], dict]:
+        labels, ties = self.vote_labels(self.member_predictions(ds))
         return labels, {"vote_ties": ties}
 
     def predict_values(self, values) -> str:
@@ -163,13 +180,17 @@ def bagging_train(
     return EnsembleModel(members, cfg.vote, train.class_labels, priors, cfg.master_seed)
 
 
-def member_agreement(model: EnsembleModel, ds: Dataset) -> float:
-    """Fraction of rows on which every member emits the same label."""
-    if len(model.members) < 2:
+def agreement(per_member) -> float:
+    """Fraction of rows on which every member's label list holds the same label."""
+    if len(per_member) < 2:
         raise DataError("agreement needs at least 2 members")
-    per_member = model.member_predictions(ds)
     agree = sum(1 for row in zip(*per_member) if len(set(row)) == 1)
-    return agree / ds.n_rows
+    return agree / len(per_member[0])
+
+
+def member_agreement(model: EnsembleModel, ds: Dataset) -> float:
+    """Fraction of rows of ds on which every member emits the same label."""
+    return agreement(model.member_predictions(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +211,39 @@ def save_ensemble(model: EnsembleModel, path) -> None:
 
 
 def load_ensemble(path) -> EnsembleModel:
+    """Read an ensemble file; a truncated or corrupt file raises DataError."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    head = lines[0].split()
-    if head[0] != ENSEMBLE_MAGIC:
+
+    def fields(pos: int, expect: str, n: int | None = None) -> list[str]:
+        if pos >= len(lines):
+            raise DataError(f"truncated ensemble file: expected {expect!r} at line {pos + 1}")
+        parts = lines[pos].split("\t")
+        if parts[0] != expect or (n is not None and len(parts) != n + 1):
+            raise DataError(f"malformed ensemble file: expected {expect!r} at line {pos + 1}")
+        return parts[1:]
+
+    head = lines[0].split() if lines else []
+    if not head or head[0] != ENSEMBLE_MAGIC:
         raise DataError("not an ensemble file")
-    if int(head[1]) != ENSEMBLE_VERSION:
-        raise DataError(f"unsupported ensemble version {head[1]}")
-    manifest = lines[1].split("\t")
-    n_members, master_seed, vote = int(manifest[1]), int(manifest[2]), manifest[3]
-    classes = tuple(lines[2].split("\t")[1:])
-    priors = np.array([float.fromhex(p) for p in lines[3].split("\t")[1:]])
-    pos = 4
-    members = []
-    for _ in range(n_members):
-        mparts = lines[pos].split("\t")
-        if mparts[0] != "member":
-            raise DataError("malformed ensemble file")
-        seed, acc = int(mparts[1]), float.fromhex(mparts[2])
-        pos += 1
-        model, pos = model_from_lines(lines, pos)
-        members.append((model, seed, acc))
+    try:
+        if len(head) != 2 or int(head[1]) != ENSEMBLE_VERSION:
+            raise DataError(f"unsupported ensemble version {' '.join(head[1:])!r}")
+        n_members, master_seed, vote = fields(1, "manifest", 3)
+        n_members, master_seed = int(n_members), int(master_seed)
+        if n_members < 1 or vote not in VOTE_RULES:
+            raise DataError("malformed ensemble file: bad manifest at line 2")
+        classes = tuple(fields(2, "classes"))
+        priors = np.array([float.fromhex(p) for p in fields(3, "priors", len(classes))])
+        pos = 4
+        members = []
+        for _ in range(n_members):
+            seed, acc = fields(pos, "member", 2)
+            model, pos = model_from_lines(lines, pos + 1)
+            members.append((model, int(seed), float.fromhex(acc)))
+    except DataError:
+        raise
+    except ValueError as exc:  # int() or float.fromhex() of a corrupt field
+        raise DataError(f"malformed ensemble file: {exc}") from None
+    if pos != len(lines):
+        raise DataError(f"malformed ensemble file: trailing data at line {pos + 1}")
     return EnsembleModel(members, vote, classes, priors, master_seed)

@@ -179,8 +179,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    first = Path(args.model).read_text(encoding="utf-8").splitlines()[0] if Path(args.model).is_file() else ""
-    if first.startswith("ctgsvm-ensemble"):
+    text = Path(args.model).read_text(encoding="utf-8") if Path(args.model).is_file() else ""
+    if text.startswith("ctgsvm-ensemble"):
         model = load_ensemble(args.model)
     else:
         model = load_model(args.model)

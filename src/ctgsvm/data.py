@@ -260,6 +260,10 @@ def _build_typed(names, raw_rows, cls_pos, declared_nominals) -> Dataset:
                     raise DataError(
                         f"row {i}, column {names[j]!r}: cannot parse {cell!r} as numeric"
                     ) from None
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(f"row {i + 1}, column {names[j]!r}: non-finite value {raw_rows[i][j]!r}")
     return Dataset(schema, matrix, cls_pos)
 
 

@@ -1,9 +1,9 @@
 """The five experiment pipelines behind the command line.
 
 Every experiment is a pure function of (dataset file, configuration, master
-seed): re-running writes byte-identical result CSVs. Wall-clock timings are
-inherently unstable, so they land in separate *_timing_*.csv sidecar files
-and never contaminate the deterministic outputs.
+seed): re-running writes byte-identical result CSVs. Timings (wall and CPU
+seconds) are inherently unstable, so they land in separate *_timing_*.csv
+sidecar files and never contaminate the deterministic outputs.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bagging import EnsembleConfig, bagging_train, member_agreement
+from .bagging import EnsembleConfig, EnsembleModel, agreement, bagging_train
 from .data import (
     DataError,
     Dataset,
@@ -187,6 +187,7 @@ class Pipeline:
     _dmap: object = None
     _selections: dict = field(default_factory=dict)
     _model_cache: dict = field(default_factory=dict)
+    _ensembles: dict = field(default_factory=dict)
 
     @property
     def dmap(self):
@@ -204,15 +205,19 @@ class Pipeline:
 
     def accuracies(self, model) -> dict:
         """train/test/combined percent accuracy plus tie stats."""
+        train_preds, train_stats = model.predict_dataset(self.train)
+        test_preds, test_stats = model.predict_dataset(self.test)
+        ties = train_stats.get("vote_ties", 0) + test_stats.get("vote_ties", 0)
+        return self.label_accuracies(train_preds, test_preds, ties)
+
+    def label_accuracies(self, train_preds, test_preds, ties: int = 0) -> dict:
+        """accuracies() of labels already predicted on train and test."""
         out = {}
         correct = {}
-        ties = 0
-        for tag, ds in (("train", self.train), ("test", self.test)):
-            preds, stats = model.predict_dataset(ds)
+        for tag, ds, preds in (("train", self.train, train_preds), ("test", self.test, test_preds)):
             truth = [ds.class_labels[c] for c in ds.class_codes()]
             correct[tag] = sum(p == t for p, t in zip(preds, truth))
             out[tag] = 100.0 * correct[tag] / ds.n_rows
-            ties += stats.get("vote_ties", 0)
         total = self.train.n_rows + self.test.n_rows
         out["combined"] = 100.0 * (correct["train"] + correct["test"]) / total
         out["vote_ties"] = ties
@@ -230,6 +235,30 @@ class Pipeline:
             )
             self._model_cache[key] = (model, secs)
         return self._model_cache[key]
+
+    def ensemble(
+        self, mask: frozenset, C: float, degree: int, members: int
+    ) -> tuple[EnsembleModel, int, tuple]:
+        """The bagged ensemble of `members` members on `mask`, with the size
+        and the (wall, CPU) seconds of the training that produced it.
+
+        Member i depends only on (master seed, i), and the seed, training
+        partition and vote rule are fixed per pipeline. So the memo keeps
+        the largest ensemble trained per (mask, C, degree) and answers any
+        request up to its size with a prefix of it.
+        """
+        key = (mask, C, degree)
+        if key not in self._ensembles or len(self._ensembles[key][0].members) < members:
+            mask_list = sorted(mask)
+            std = fit_standardizer(select_features(self.train, mask_list))
+            ens_cfg = EnsembleConfig(
+                members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed, vote=self.cfg.vote
+            )
+            self._ensembles[key] = timed(
+                lambda: bagging_train(self.train, ens_cfg, feature_mask=mask_list, standardizer=std)
+            )
+        ens, secs = self._ensembles[key]
+        return ens.prefix(members), len(ens.members), secs
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
@@ -279,8 +308,13 @@ class _Out:
         return path
 
     def timing(self, rows) -> Path:
+        """rows: (label, (wall seconds, CPU seconds)) per timed step."""
         path = self.dir / f"{self.exp_id}_timing_seed{self.seed}.csv"
-        _write_csv(path, ["row", "cpu_seconds"], rows)
+        _write_csv(
+            path,
+            ["row", "wall_seconds", "cpu_seconds"],
+            [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in rows],
+        )
         self.files.append(path)
         return path
 
@@ -298,7 +332,7 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
     out = _Out(cfg, "exp1")
     std = fit_standardizer(pipe.train)
     problems, prep_secs = timed(lambda: pairwise_problems(pipe.train, None, std))
-    rows, timing, models = [], [("prepare", fmt_seconds(prep_secs))], {}
+    rows, timing, models = [], [("prepare", prep_secs)], {}
     all_converged = True
     for degree in cfg.degree_grid:
         for C in cfg.c_grid:
@@ -313,7 +347,7 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
                     fmt_accuracy(acc["combined"]), _conv_flag(model),
                 ]
             )
-            timing.append((f"C={_fmt_c(C)},degree={degree}", fmt_seconds(secs)))
+            timing.append((f"C={_fmt_c(C)},degree={degree}", secs))
     out.table("grid", ["C", "degree", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"], rows)
 
     best_key = max(
@@ -363,7 +397,7 @@ def run_exp2(pipe: Pipeline) -> tuple[_Out, bool]:
     for code, search in EXP2_SELECTORS:
         sel, secs = timed(lambda: pipe.selection(code, search))
         selections[(code, search)] = sel
-        timing.append((f"{code}-{search}", fmt_seconds(secs)))
+        timing.append((f"{code}-{search}", secs))
         feat_rows.append(
             [
                 f"{code}-{search}", str(len(sel.selected)),
@@ -379,7 +413,7 @@ def run_exp2(pipe: Pipeline) -> tuple[_Out, bool]:
         (model, secs) = pipe.fit_svm(None, C, degree)
         acc = pipe.accuracies(model)
         all_converged &= model.converged
-        timing.append((f"none,C={_fmt_c(C)},degree={degree}", fmt_seconds(secs)))
+        timing.append((f"none,C={_fmt_c(C)},degree={degree}", secs))
         rows.append(
             ["none", _fmt_c(C), degree, len(names),
              fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
@@ -390,7 +424,7 @@ def run_exp2(pipe: Pipeline) -> tuple[_Out, bool]:
             model, secs = pipe.fit_svm(frozenset(sel.selected), C, degree)
             acc = pipe.accuracies(model)
             all_converged &= model.converged
-            timing.append((f"{code}-{search},C={_fmt_c(C)},degree={degree}", fmt_seconds(secs)))
+            timing.append((f"{code}-{search},C={_fmt_c(C)},degree={degree}", secs))
             rows.append(
                 [f"{code}-{search}", _fmt_c(C), degree, len(sel.selected),
                  fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
@@ -465,7 +499,7 @@ def run_exp3(pipe: Pipeline) -> tuple[_Out, bool]:
                 model, secs = pipe.fit_svm(feats, C, degree)
                 acc = pipe.accuracies(model)
                 all_converged &= model.converged
-                timing.append((f"{label},{mode},{cut},C={_fmt_c(C)},degree={degree}", fmt_seconds(secs)))
+                timing.append((f"{label},{mode},{cut},C={_fmt_c(C)},degree={degree}", secs))
                 rows.append(
                     [label, mode, cut, _fmt_c(C), degree, len(feats),
                      fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
@@ -508,35 +542,35 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
         ["label", "mode", "n_features", "features"],
         [["EFS41", "union", str(len(feats)), ";".join(names[f] for f in sorted(feats))]],
     )
-    mask_list = sorted(feats)
-    std = fit_standardizer(select_features(pipe.train, mask_list))
-    base = cfg.svm(cfg.exp4_c, cfg.exp4_degree)
     max_members = cfg.exp4_members
-    rows, timing = [], []
-    all_converged = True
-    for m in range(1, max_members + 1):
-        ens, secs = timed(
-            lambda: bagging_train(
-                pipe.train,
-                EnsembleConfig(members=m, base=base, master_seed=cfg.seed, vote=cfg.vote),
-                feature_mask=mask_list,
-                standardizer=std,
-            )
-        )
-        all_converged &= ens.converged
-        member_cols = [""] * max_members
-        for i, (model, _, _) in enumerate(ens.members):
-            member_cols[i] = fmt_accuracy(pipe.accuracies(model)["combined"])
-        acc = pipe.accuracies(ens)
-        agree = ""
-        if m >= 2:
-            agree = fmt_accuracy(100.0 * member_agreement(ens, pipe.work))
-        rows.append(
+    full, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, max_members)
+    timing = [(f"train,members={trained}", secs)]
+    # each member is predicted once per dataset, on the same batches that
+    # predict_dataset and member_agreement use; every prefix votes over these
+    datasets = {"train": pipe.train, "test": pipe.test, "work": pipe.work}
+    labels = {tag: [] for tag in datasets}
+    member_cols = [""] * max_members
+
+    def evaluate(m: int) -> list:
+        model = full.members[m - 1][0]
+        for tag, ds in datasets.items():
+            labels[tag].append(model.predict_dataset(ds)[0])
+        member_acc = pipe.label_accuracies(labels["train"][-1], labels["test"][-1])
+        member_cols[m - 1] = fmt_accuracy(member_acc["combined"])
+        ens = full.prefix(m)
+        acc = pipe.label_accuracies(ens.vote_labels(labels["train"])[0], ens.vote_labels(labels["test"])[0])
+        agree = fmt_accuracy(100.0 * agreement(labels["work"])) if m >= 2 else ""
+        return (
             [str(m)] + member_cols
             + [fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]), fmt_accuracy(acc["combined"]),
-               agree, "" if ens.converged else "non_converged"]
+               agree, _conv_flag(ens)]
         )
-        timing.append((f"members={m}", fmt_seconds(secs)))
+
+    rows = []
+    for m in range(1, max_members + 1):
+        row, secs = timed(lambda: evaluate(m))
+        rows.append(row)
+        timing.append((f"evaluate,members={m}", secs))
     header = (
         ["members"]
         + [f"member_{i}_accuracy" for i in range(1, max_members + 1)]
@@ -544,7 +578,7 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
     )
     out.table("sweep", header, rows)
     out.timing(timing)
-    return out, all_converged
+    return out, full.converged
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +596,7 @@ def run_exp5(pipe: Pipeline) -> tuple[_Out, bool]:
         model, secs = pipe.fit_svm(mask, C, degree)
         acc = pipe.accuracies(model)
         all_converged &= model.converged
-        timing.append((label, fmt_seconds(secs)))
+        timing.append((label, secs))
         rows.append(
             [experiment, label, _fmt_c(C), degree, "",
              fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
@@ -582,26 +616,14 @@ def run_exp5(pipe: Pipeline) -> tuple[_Out, bool]:
     feats = exp4_feature_set(pipe)
     single("3", "EFS41-SVM", feats, cfg.exp4_c, cfg.exp4_degree)
 
-    mask_list = sorted(feats)
-    std = fit_standardizer(select_features(pipe.train, mask_list))
-    ens, secs = timed(
-        lambda: bagging_train(
-            pipe.train,
-            EnsembleConfig(
-                members=cfg.exp5_members, base=cfg.svm(cfg.exp4_c, cfg.exp4_degree),
-                master_seed=cfg.seed, vote=cfg.vote,
-            ),
-            feature_mask=mask_list,
-            standardizer=std,
-        )
-    )
+    ens, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, cfg.exp5_members)
     acc = pipe.accuracies(ens)
     all_converged &= ens.converged
-    timing.append(("EFS41-ESVM", fmt_seconds(secs)))
+    timing.append((f"EFS41-ESVM,train,members={trained}", secs))
     rows.append(
         ["4", "EFS41-ESVM", _fmt_c(cfg.exp4_c), cfg.exp4_degree, str(cfg.exp5_members),
          fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-         fmt_accuracy(acc["combined"]), "" if ens.converged else "non_converged"]
+         fmt_accuracy(acc["combined"]), _conv_flag(ens)]
     )
     out.table(
         "summary",

@@ -44,8 +44,8 @@ class SuCache:
     """Memoized binned columns and symmetric-uncertainty values.
 
     One cache serves one (dataset, discretization map) pair, so a subset
-    search pays the pairwise SU cost once. Reads and inserts are plain dict
-    operations and safe under concurrent evaluation.
+    search pays the pairwise SU cost once. It is not synchronized; nothing
+    in the package shares one between threads.
     """
 
     def __init__(self, ds: Dataset, dmap: DiscretizationMap):

@@ -88,10 +88,10 @@ def fmt_seconds(x: float) -> str:
 
 
 def timed(fn):
-    """Run a closure and return (result, wall-clock seconds)."""
-    start = time.perf_counter()
+    """Run a closure and return (result, (wall seconds, process CPU seconds))."""
+    wall, cpu = time.perf_counter(), time.process_time()
     result = fn()
-    return result, time.perf_counter() - start
+    return result, (time.perf_counter() - wall, time.process_time() - cpu)
 
 
 @dataclass

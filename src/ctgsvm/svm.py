@@ -546,36 +546,50 @@ def save_model(model: SvmModel, path) -> None:
 
 
 def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
+    """Parse one model section starting at lines[pos]; returns the model and
+    the index of the line after its end marker. A truncated or corrupt
+    section raises DataError."""
+    try:
+        return _parse_model(lines, pos)
+    except DataError:
+        raise
+    except ValueError as exc:  # int() or float.fromhex() of a corrupt field
+        raise DataError(f"malformed model file: {exc}") from None
+
+
+def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     from .data import AttributeSpec, NOMINAL, NUMERIC
 
-    head = lines[pos].split()
+    head = lines[pos].split() if pos < len(lines) else []
     if len(head) != 2 or head[0] != MODEL_MAGIC:
         raise DataError("not a model file")
     if int(head[1]) != MODEL_VERSION:
         raise DataError(f"unsupported model version {head[1]}")
     pos += 1
 
-    def fields(expect: str) -> list[str]:
+    def fields(expect: str, n: int | None = None) -> list[str]:
         nonlocal pos
+        if pos >= len(lines):
+            raise DataError(f"truncated model file: expected {expect!r} at line {pos + 1}")
         parts = lines[pos].split("\t")
-        if parts[0] != expect:
+        if parts[0] != expect or (n is not None and len(parts) != n + 1):
             raise DataError(f"malformed model file: expected {expect!r} at line {pos + 1}")
         pos += 1
         return parts[1:]
 
     classes = tuple(fields("classes"))
-    counts = np.array([int(c) for c in fields("counts")])
-    kparts = fields("kernel")
+    counts = np.array([int(c) for c in fields("counts", len(classes))])
+    kparts = fields("kernel", 3)
     kernel = KernelSpec(kparts[0], int(kparts[1]), float.fromhex(kparts[2]))
     mparts = fields("mask")
     mask = None if mparts == ["all"] else tuple(int(i) for i in mparts)
-    sparts = fields("standardizer")
+    sparts = fields("standardizer", 1)
     standardizer = None
     if sparts != ["none"]:
         width = int(sparts[0])
         means, sigmas, fschema = [], [], []
         for _ in range(width):
-            fp = fields("feat")
+            fp = fields("feat", 4)
             # nominal label lists are not persisted; a placeholder keeps the
             # width/kind contract, which is all prediction needs
             if fp[1] == NOMINAL:
@@ -585,13 +599,26 @@ def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
             means.append(float.fromhex(fp[2]))
             sigmas.append(float.fromhex(fp[3]))
         standardizer = Standardizer(np.array(means), np.array(sigmas), tuple(fschema))
+    # support rows live in the masked, standardized feature space
+    if mask is not None:
+        dim = len(mask)
+    elif standardizer is not None:
+        dim = len(standardizer.means)
+    else:
+        dim = None  # the first support row fixes the width
     pairs, machines = [], []
-    while lines[pos].split("\t")[0] == "machine":
-        mp = fields("machine")
+    while pos < len(lines) and lines[pos].startswith("machine\t"):
+        mp = fields("machine", 5)
         ci, cj, n_sv, bias, conv = int(mp[0]), int(mp[1]), int(mp[2]), float.fromhex(mp[3]), bool(int(mp[4]))
+        if not (0 <= ci < len(classes) and 0 <= cj < len(classes)) or n_sv < 1:
+            raise DataError(f"malformed model file: bad machine header at line {pos}")
         labels, alphas, rows = [], [], []
         for _ in range(n_sv):
             sp = fields("sv")
+            if dim is None:
+                dim = len(sp) - 2
+            if len(sp) != dim + 2:
+                raise DataError(f"malformed model file: expected {dim} values at line {pos}")
             labels.append(float(sp[0]))
             alphas.append(float.fromhex(sp[1]))
             rows.append([float.fromhex(v) for v in sp[2:]])
@@ -599,8 +626,8 @@ def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
         machines.append(
             BinarySvm(np.array(rows), np.array(alphas), np.array(labels), bias, kernel, conv)
         )
-    if lines[pos] != "end":
-        raise DataError("malformed model file: missing end marker")
+    if not machines or pos >= len(lines) or lines[pos] != "end":
+        raise DataError(f"malformed model file: expected a machine or the end marker at line {pos + 1}")
     pos += 1
     model = SvmModel(classes, counts, tuple(pairs), machines, mask, standardizer)
     return model, pos
@@ -608,5 +635,7 @@ def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
 
 def load_model(path) -> SvmModel:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    model, _ = model_from_lines(lines)
+    model, pos = model_from_lines(lines)
+    if pos != len(lines):
+        raise DataError(f"malformed model file: trailing data at line {pos + 1}")
     return model

@@ -19,8 +19,9 @@ from ctgsvm.experiments import (
     build_pipeline,
     cmd_experiment,
     exp4_feature_set,
+    run_exp4,
 )
-from ctgsvm.report import timed
+from ctgsvm.report import fmt_accuracy, timed
 from ctgsvm.search import GeneticConfig, SubsetEvaluator, best_first, exhaustive_search, genetic_search
 from ctgsvm.svm import (
     KernelSpec,
@@ -234,7 +235,7 @@ def ensemble_sweep(pipe):
                 standardizer=std,
             )
 
-        ens, secs = timed(build)
+        ens, (secs, _) = timed(build)
         train_secs[m] = secs
         voting[m] = pipe.accuracies(ens)["combined"]
         if m >= 2:
@@ -366,6 +367,71 @@ def test_summary_rows_consistent_with_detail_files(quick_runs):
     exp4 = _csv_rows(out / f"exp4_sweep_seed{SEED}.csv")
     seven = next(r for r in exp4 if r["members"] == "7")
     assert seven["voting_combined"] == summary["EFS41-ESVM"]["combined_accuracy"]
+
+
+def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path):
+    """exp4 votes over prefixes of one memoized ensemble and predicts each
+    member once; every sweep row must equal the row of an ensemble trained
+    afresh with that many members and evaluated the plain way."""
+    _, path, _ = ctg_table
+    members = 4
+    cfg = ExperimentConfig(data=path, seed=SEED, quick=True, exp4_members=members, out_dir=str(tmp_path))
+    memo_pipe = build_pipeline(cfg)
+    run_exp4(memo_pipe)
+    got = _csv_rows(tmp_path / f"exp4_sweep_seed{SEED}.csv")
+    assert [r["members"] for r in got] == [str(m) for m in range(1, members + 1)]
+
+    pipe = build_pipeline(cfg)
+    feats = exp4_feature_set(pipe)
+    mask = sorted(feats)
+    std = fit_standardizer(select_features(pipe.train, mask))
+    base = cfg.svm(cfg.exp4_c, cfg.exp4_degree)
+    for m, row in enumerate(got, start=1):
+        ens = bagging_train(
+            pipe.train,
+            EnsembleConfig(members=m, base=base, master_seed=SEED, vote=cfg.vote),
+            feature_mask=mask,
+            standardizer=std,
+        )
+        acc = pipe.accuracies(ens)
+        want = {"members": str(m)}
+        for i in range(1, members + 1):
+            want[f"member_{i}_accuracy"] = (
+                fmt_accuracy(pipe.accuracies(ens.members[i - 1][0])["combined"]) if i <= m else ""
+            )
+        want.update(
+            voting_train=fmt_accuracy(acc["train"]),
+            voting_test=fmt_accuracy(acc["test"]),
+            voting_combined=fmt_accuracy(acc["combined"]),
+            agreement=fmt_accuracy(100.0 * member_agreement(ens, pipe.work)) if m >= 2 else "",
+            flags="" if ens.converged else "non_converged",
+        )
+        assert row == want, f"sweep row {m}"
+
+    # the memo answers a smaller request with a prefix, without training
+    small, trained, _ = memo_pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, 2)
+    full, _, _ = memo_pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, members)
+    assert trained == members and len(small.members) == 2
+    assert all(a is b for a, b in zip(small.members, full.members))
+
+
+def test_exp5_ensemble_row_same_alone_and_after_exp4(ctg_table, quick_runs, tmp_path):
+    """In an `all` run exp5 reuses a prefix of exp4's ensemble; run alone it
+    trains its own. Both must report the same row."""
+    _, path, _ = ctg_table
+    _, _, all_dir = quick_runs
+    cfg = ExperimentConfig(data=path, seed=SEED, quick=True, out_dir=str(tmp_path))
+    cmd_experiment("exp5", cfg, log=lambda *a: None)
+    name = f"exp5_summary_seed{SEED}.csv"
+    alone = {r["model"]: r for r in _csv_rows(tmp_path / name)}
+    in_all = {r["model"]: r for r in _csv_rows(all_dir / name)}
+    assert alone["EFS41-ESVM"] == in_all["EFS41-ESVM"]
+    assert (tmp_path / name).read_bytes() == (all_dir / name).read_bytes()
+    # the timing sidecars say which training each run's row comes from
+    timing = {r["row"] for r in _csv_rows(all_dir / f"exp5_timing_seed{SEED}.csv")}
+    assert f"EFS41-ESVM,train,members={cfg.exp4_members}" in timing
+    timing = {r["row"] for r in _csv_rows(tmp_path / f"exp5_timing_seed{SEED}.csv")}
+    assert f"EFS41-ESVM,train,members={cfg.exp5_members}" in timing
 
 
 def test_criterion_9_invariant_suites(pipe, grid_models):

@@ -5,6 +5,7 @@ import pytest
 from ctgsvm.bagging import (
     EnsembleConfig,
     EnsembleModel,
+    agreement,
     bagging_train,
     bootstrap_sample,
     load_ensemble,
@@ -13,8 +14,8 @@ from ctgsvm.bagging import (
     save_ensemble,
     split_mix,
 )
-from ctgsvm.data import DataError
-from ctgsvm.svm import KernelSpec, SvmConfig
+from ctgsvm.data import DataError, fit_standardizer
+from ctgsvm.svm import KernelSpec, SvmConfig, model_to_lines
 from conftest import numeric_dataset
 
 
@@ -96,6 +97,27 @@ class TestBaggingTrain:
             assert s1 == s2
             assert np.array_equal(m1.machines[0].alphas, m2.machines[0].alphas)
 
+    @pytest.mark.parametrize("vote", ["unweighted_majority", "weighted_by_train_accuracy"])
+    def test_prefix_equals_fresh_ensemble(self, tmp_path, vote):
+        ds = blobs(seed=4)
+        big = bagging_train(ds, EnsembleConfig(members=4, base=base_cfg(), master_seed=8, vote=vote))
+        for m in range(1, 5):
+            fresh = bagging_train(ds, EnsembleConfig(members=m, base=base_cfg(), master_seed=8, vote=vote))
+            prefix = big.prefix(m)
+            for (p_model, p_seed, p_acc), (f_model, f_seed, f_acc) in zip(prefix.members, fresh.members):
+                assert model_to_lines(p_model) == model_to_lines(f_model)
+                assert (p_seed, p_acc) == (f_seed, f_acc)
+            save_ensemble(prefix, tmp_path / "prefix.txt")
+            save_ensemble(fresh, tmp_path / "fresh.txt")
+            assert (tmp_path / "prefix.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+            assert prefix.predict_dataset(ds) == fresh.predict_dataset(ds)
+
+    def test_prefix_out_of_range(self):
+        ens = bagging_train(blobs(), EnsembleConfig(members=2, base=base_cfg(), master_seed=1))
+        for m in (0, 3):
+            with pytest.raises(DataError):
+                ens.prefix(m)
+
     def test_priors_sum_to_one(self):
         ds = blobs()
         ens = bagging_train(ds, EnsembleConfig(members=2, base=base_cfg(), master_seed=1))
@@ -146,6 +168,15 @@ class TestVoting:
         assert votes == preds
         assert stats["vote_ties"] == 0
 
+    def test_vote_labels_is_predict_dataset(self):
+        ds = blobs(n_per=2)
+        rows = [["lo", "hi", "hi", "lo"], ["lo", "lo", "hi", "hi"], ["hi", "lo", "lo", "hi"]]
+        ens = stub_ensemble(rows, classes=("hi", "lo"), priors=(0.4, 0.6))
+        labels, stats = ens.predict_dataset(ds)
+        assert ens.vote_labels(rows) == (labels, stats["vote_ties"])
+        with pytest.raises(DataError):
+            ens.vote_labels(rows[:2])
+
     def test_vote_invariant_to_member_order(self):
         ds = blobs(n_per=2)
         rows = [["lo", "lo", "hi", "hi"], ["lo", "hi", "hi", "lo"], ["hi", "lo", "hi", "hi"]]
@@ -176,6 +207,13 @@ class TestAgreement:
         with pytest.raises(DataError):
             member_agreement(ens, ds)
 
+    def test_agreement_of_label_lists(self):
+        rows = [["lo", "lo", "hi", "hi"], ["lo", "lo", "hi", "lo"], ["lo", "hi", "hi", "lo"]]
+        assert agreement(rows) == 0.5
+        assert agreement(rows[:2]) == 0.75
+        with pytest.raises(DataError):
+            agreement(rows[:1])
+
 
 class TestEnsemblePersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -195,6 +233,54 @@ class TestEnsemblePersistence:
         path.write_text("nothing\n")
         with pytest.raises(DataError):
             load_ensemble(path)
+
+
+class TestCorruptEnsembleFile:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        ds = blobs()
+        ens = bagging_train(
+            ds, EnsembleConfig(members=3, base=base_cfg(), master_seed=21), standardizer=fit_standardizer(ds)
+        )
+        path = tmp_path_factory.mktemp("ens") / "ens.txt"
+        save_ensemble(ens, path)
+        return path.read_text().splitlines()
+
+    def load_lines(self, tmp_path, lines):
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(ln + "\n" for ln in lines))
+        return load_ensemble(path)
+
+    def test_every_truncation_rejected(self, saved, tmp_path):
+        for n in range(len(saved)):
+            with pytest.raises(DataError):
+                self.load_lines(tmp_path, saved[:n])
+
+    def test_truncated_mid_line_rejected(self, saved, tmp_path):
+        sv = next(i for i, ln in enumerate(saved) if ln.startswith("sv\t"))
+        cut = saved[sv].rsplit("\t", 1)[0]
+        with pytest.raises(DataError):
+            self.load_lines(tmp_path, saved[:sv] + [cut] + saved[sv + 1:])
+
+    @pytest.mark.parametrize("prefix", ["priors\t", "member\t", "machine\t", "sv\t", "feat\t"])
+    def test_corrupt_float_rejected(self, saved, tmp_path, prefix):
+        i = next(i for i, ln in enumerate(saved) if ln.startswith(prefix))
+        parts = saved[i].split("\t")
+        parts[-1] = "0x1.zzp+2"
+        with pytest.raises(DataError, match="malformed"):
+            self.load_lines(tmp_path, saved[:i] + ["\t".join(parts)] + saved[i + 1:])
+
+    def test_trailing_garbage_rejected(self, saved, tmp_path):
+        with pytest.raises(DataError, match="trailing"):
+            self.load_lines(tmp_path, saved + ["junk"])
+
+    def test_bad_manifest_rejected(self, saved, tmp_path):
+        for manifest in ("manifest\t0\t21\tunweighted_majority", "manifest\t3\t21\tnope", "manifest\t3"):
+            with pytest.raises(DataError):
+                self.load_lines(tmp_path, saved[:1] + [manifest] + saved[2:])
+
+    def test_intact_file_loads(self, saved, tmp_path):
+        assert len(self.load_lines(tmp_path, saved).members) == 3
 
 
 def test_config_validation():

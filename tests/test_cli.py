@@ -125,6 +125,43 @@ class TestTrainPredict:
         assert main(["predict", "--model", str(model_path), "--data", small_csv,
                      "--out", str(tmp_path / "p.csv")]) == 0
 
+    @pytest.fixture(scope="class")
+    def saved_ensemble(self, small_csv, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ens") / "ens.txt"
+        assert main(["train", "--data", small_csv, "--members", "2", "--c", "100",
+                     "--degree", "2", "--out", str(path)]) == 0
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("keep", [0, 1, 4, 6, 12, 40, -1])
+    def test_truncated_ensemble_is_data_error(self, saved_ensemble, small_csv, tmp_path, keep):
+        model_path = tmp_path / "ens.txt"
+        model_path.write_text("".join(ln + "\n" for ln in saved_ensemble[:keep]))
+        code = main(["predict", "--model", str(model_path), "--data", small_csv,
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+
+    def test_corrupt_float_in_ensemble_is_data_error(self, saved_ensemble, small_csv, tmp_path):
+        i = next(i for i, ln in enumerate(saved_ensemble) if ln.startswith("sv\t"))
+        lines = list(saved_ensemble)
+        lines[i] = lines[i].replace("0x", "0y", 1)
+        model_path = tmp_path / "ens.txt"
+        model_path.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--model", str(model_path), "--data", small_csv,
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_data_error(self, small_csv, tmp_path, cell, capsys):
+        lines = open(small_csv, encoding="utf-8").read().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = cell
+        lines[5] = ",".join(cells)
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.txt")])
+        assert code == 3
+        assert "row 5" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_missing_data_is_data_error(self, tmp_path):
@@ -146,7 +183,9 @@ class TestExperimentCommand:
         assert grid.is_file()
         lines = grid.read_text().strip().splitlines()
         assert len(lines) == 31  # header + 6 C values x 5 degrees
-        assert (out / "exp1_timing_seed42.csv").is_file()
+        timing = (out / "exp1_timing_seed42.csv").read_text().splitlines()
+        assert timing[0] == "row,wall_seconds,cpu_seconds"
+        assert timing[1].startswith("prepare,") and len(timing) == 32
         assert (out / "exp1_confusion_seed42.csv").is_file()
 
     def test_env_var_sets_output_dir(self, small_csv, tmp_path, monkeypatch):

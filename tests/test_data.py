@@ -47,6 +47,12 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="row 2, column 'a'"):
             load_dataset(p, class_column="cls")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        p = write(tmp_path, "t.csv", f"a,b,cls\n1,2,X\n3,{cell},Y\n")
+        with pytest.raises(DataError, match="row 2, column 'b': non-finite"):
+            load_dataset(p, class_column="cls")
+
     def test_missing_value_rejected(self, tmp_path):
         p = write(tmp_path, "t.csv", "a,cls\n1,X\n?,Y\n")
         with pytest.raises(DataError, match="missing value at row 2"):
@@ -94,6 +100,11 @@ class TestArffLoading:
         p = write(tmp_path, "t.arff", "@relation x\n@attribute a numeric\n")
         with pytest.raises(DataError, match="missing @data"):
             load_dataset(p, class_column="a")
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        bad = ARFF.replace("3.5, red, yes", "inf, red, yes")
+        with pytest.raises(DataError, match="row 3, column 'a': non-finite"):
+            load_dataset(write(tmp_path, "t.arff", bad), class_column="cls")
 
     def test_missing_value_rejected(self, tmp_path):
         bad = ARFF.replace("3.5, red, yes", "?, red, yes")

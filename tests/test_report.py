@@ -1,4 +1,6 @@
 """Confusion matrices, accuracy arithmetic, timing, and rendering."""
+import time
+
 import numpy as np
 import pytest
 
@@ -100,12 +102,16 @@ class TestAccuracy:
 
 class TestTimed:
     def test_noop_under_millisecond(self):
-        _, secs = timed(lambda: None)
-        assert secs < 0.001
+        _, (wall, cpu) = timed(lambda: None)
+        assert wall < 0.001 and cpu < 0.001
 
     def test_returns_result(self):
-        value, secs = timed(lambda: 41 + 1)
-        assert value == 42 and secs >= 0.0
+        value, (wall, cpu) = timed(lambda: 41 + 1)
+        assert value == 42 and wall >= 0.0 and cpu >= 0.0
+
+    def test_cpu_time_excludes_sleep(self):
+        _, (wall, cpu) = timed(lambda: time.sleep(0.05))
+        assert wall >= 0.05 and cpu < 0.04
 
 
 def sample_report(descriptor="SVM", cpu=0.123456):

@@ -270,3 +270,21 @@ class TestPersistence:
         path.write_text("hello\n")
         with pytest.raises(DataError, match="not a model file"):
             load_model(path)
+
+    def test_truncated_or_extended_file_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        lines = path.read_text().splitlines()
+        for bad in [lines[:n] for n in range(len(lines))] + [lines + ["junk"]]:
+            path.write_text("".join(ln + "\n" for ln in bad))
+            with pytest.raises(DataError):
+                load_model(path)
+
+    def test_corrupt_hex_float_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        text = path.read_text()
+        i = text.index("\nsv\t")
+        path.write_text(text[:i] + text[i:].replace("0x", "0xq", 1))
+        with pytest.raises(DataError, match="malformed model file"):
+            load_model(path)
