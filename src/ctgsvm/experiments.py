@@ -33,7 +33,7 @@ from .fs_ensemble import (
     combo_label,
     run_selector,
 )
-from .report import fmt_accuracy, fmt_seconds, timed
+from .report import confusion_from_labels, fmt_accuracy, fmt_seconds, timed
 from .search import BestFirstConfig, GeneticConfig
 from .svm import KernelSpec, SvmConfig, pairwise_problems, train_from_problems, train_multiclass
 
@@ -359,12 +359,10 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
     for tag, ds in (("train", pipe.train), ("test", pipe.test)):
         preds, _ = best_model.predict_dataset(ds)
         truth = [ds.class_labels[c] for c in ds.class_codes()]
-        counts = {(d, a): 0 for d in labels for a in labels}
-        for d, a in zip(truth, preds):
-            counts[(d, a)] += 1
-        for d in labels:
-            for a in labels:
-                conf_rows.append([tag, d, a, str(counts[(d, a)]), ""])
+        cm = confusion_from_labels(truth, preds, labels, tag)
+        for i, d in enumerate(labels):
+            for j, a in enumerate(labels):
+                conf_rows.append([tag, d, a, str(cm.counts[i, j]), ""])
     out.table("confusion", ["partition", "desired", "actual", "count", "note"], conf_rows)
     out.timing(timing)
     return out, all_converged
@@ -596,7 +594,9 @@ def run_exp5(pipe: Pipeline) -> tuple[_Out, bool]:
         model, secs = pipe.fit_svm(mask, C, degree)
         acc = pipe.accuracies(model)
         all_converged &= model.converged
-        timing.append((label, secs))
+        # the seconds of the training that produced the model, which in an
+        # `all` run is the one exp2 or exp3 cached
+        timing.append((f"{label},train", secs))
         rows.append(
             [experiment, label, _fmt_c(C), degree, "",
              fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),

@@ -9,7 +9,7 @@ the bias is recomputed from the unbounded support rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,34 +63,54 @@ def kernel_matrix(U, V, spec: KernelSpec) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if U.shape[1] != V.shape[1]:
         raise DataError("kernel arguments must have equal width")
-    return (U @ V.T + spec.coef0) ** spec.degree
+    return _polynomial(U @ V.T, spec)
+
+
+def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """(dots + coef0) ** degree, computed in place on a fresh array of dot
+    products. The in-place power takes the same path as `**`, so the bytes
+    equal those of the out-of-place expression."""
+    dots += spec.coef0
+    dots **= spec.degree
+    return dots
+
+
+def _dense_kernel(X: np.ndarray, spec: KernelSpec) -> np.ndarray | None:
+    """The read-only kernel matrix of X, or None above DENSE_LIMIT rows,
+    where the solver computes kernel rows on demand instead. Read-only
+    because one kernel serves every machine trained on X under `spec`."""
+    if X.shape[0] > DENSE_LIMIT:
+        return None
+    kernel = _polynomial(X @ X.T, spec)
+    kernel.setflags(write=False)
+    return kernel
 
 
 class _KernelSource:
-    """Kernel rows for the solver: dense matrix when the problem is small,
-    otherwise an on-demand row cache with FIFO eviction."""
+    """Kernel rows for the solver: the dense matrix (given, or built here)
+    when the problem is small, otherwise an on-demand row cache with FIFO
+    eviction."""
 
-    def __init__(self, X: np.ndarray, spec: KernelSpec, gram: np.ndarray | None, cache_rows=512):
+    def __init__(self, X: np.ndarray, spec: KernelSpec, kernel: np.ndarray | None, cache_rows=512):
         self.X = X
         self.spec = spec
-        n = X.shape[0]
-        self.dense = None
-        if n <= DENSE_LIMIT:
-            g = gram if gram is not None else X @ X.T
-            self.dense = (g + spec.coef0) ** spec.degree
-            self.diag = np.ascontiguousarray(np.diagonal(self.dense))
+        if kernel is None:
+            kernel = _dense_kernel(X, spec)
+        self.dense = kernel
+        if kernel is not None:
+            self.diag = np.ascontiguousarray(np.diagonal(kernel))
         else:
             self._cache: dict[int, np.ndarray] = {}
             self._order: list[int] = []
             self._cap = cache_rows
-            self.diag = (np.einsum("ij,ij->i", X, X) + spec.coef0) ** spec.degree
+            self.diag = _polynomial(np.einsum("ij,ij->i", X, X), spec)
 
     def row(self, i: int) -> np.ndarray:
         if self.dense is not None:
             return self.dense[i]
         got = self._cache.get(i)
         if got is None:
-            got = (self.X @ self.X[i] + self.spec.coef0) ** self.spec.degree
+            got = _polynomial(self.X @ self.X[i], self.spec)
             self._cache[i] = got
             self._order.append(i)
             if len(self._order) > self._cap:
@@ -105,7 +125,7 @@ class _KernelSource:
         out = np.empty(n)
         for lo in range(0, n, 256):
             hi = min(lo + 256, n)
-            out[lo:hi] = ((self.X[lo:hi] @ self.X.T + self.spec.coef0) ** self.spec.degree) @ coef
+            out[lo:hi] = _polynomial(self.X[lo:hi] @ self.X.T, self.spec) @ coef
         return out
 
 
@@ -147,12 +167,16 @@ def dual_objective(m: BinarySvm) -> float:
     return float(m.alphas.sum() - 0.5 * ay @ k @ ay)
 
 
-def smo_train(X, y, cfg: SvmConfig, gram: np.ndarray | None = None) -> BinarySvm:
+def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinarySvm:
     """Train a binary soft-margin SVM by pairwise dual updates.
 
     Maximizes sum(a) - 1/2 sum a_i a_j y_i y_j K(x_i, x_j) subject to the
     box 0 <= a <= C and sum a_i y_i = 0. Hitting the update cap returns the
     best-so-far model flagged as non-converged instead of raising.
+
+    `kernel` is the finished kernel matrix of X under cfg.kernel, read and
+    never written; without it the kernel is built here (dense up to
+    DENSE_LIMIT rows, row-cached above).
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -170,7 +194,7 @@ def smo_train(X, y, cfg: SvmConfig, gram: np.ndarray | None = None) -> BinarySvm
     # threshold, so run it at tol/2 to land the final gap within tol
     tol2 = tol / 2.0
     eps = float(cfg.epsilon)
-    K = _KernelSource(X, cfg.kernel, gram)
+    K = _KernelSource(X, cfg.kernel, kernel)
     diag = K.diag
 
     alphas = np.zeros(n)
@@ -375,7 +399,23 @@ class PairProblem:
     cj: int
     X: np.ndarray
     yb: np.ndarray
-    gram: np.ndarray
+    _kernel_key: tuple | None = field(default=None, init=False, repr=False)
+    _kernel: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def kernel(self, spec: KernelSpec) -> np.ndarray | None:
+        """The dense kernel matrix of X under `spec`, memoized in one slot.
+
+        The slot holds the kernel of the last (degree, coef0) asked for, so
+        a C grid inside a degree loop builds each kernel once. Above
+        DENSE_LIMIT rows there is no dense kernel: None, and the solver
+        falls back to its row cache.
+        """
+        key = (spec.degree, spec.coef0)
+        if key != self._kernel_key:
+            self._kernel_key, self._kernel = None, None  # free the old matrix before building
+            self._kernel = _dense_kernel(self.X, spec)
+            self._kernel_key = key
+        return self._kernel
 
 
 @dataclass
@@ -392,8 +432,8 @@ def pairwise_problems(
     feature_mask=None,
     standardizer: Standardizer | None = None,
 ) -> MulticlassProblem:
-    """Precompute the per-pair training matrices and gram matrices once so a
-    parameter grid can reuse them across cells."""
+    """Precompute the per-pair training matrices once so a parameter grid
+    can reuse them, and each pair's kernel, across cells."""
     k = len(train.class_labels)
     if k < 2:
         raise DataError("need at least 2 classes")
@@ -416,7 +456,7 @@ def pairwise_problems(
             idx = np.flatnonzero((codes == ci) | (codes == cj))
             X = np.ascontiguousarray(feats[idx])
             yb = np.where(codes[idx] == ci, 1.0, -1.0)
-            problems.append(PairProblem(ci, cj, X, yb, X @ X.T))
+            problems.append(PairProblem(ci, cj, X, yb))
     return MulticlassProblem(train.class_labels, counts, problems, mask, standardizer)
 
 
@@ -476,7 +516,7 @@ class SvmModel:
 
 
 def train_from_problems(mp: MulticlassProblem, cfg: SvmConfig) -> SvmModel:
-    machines = [smo_train(p.X, p.yb, cfg, gram=p.gram) for p in mp.problems]
+    machines = [smo_train(p.X, p.yb, cfg, kernel=p.kernel(cfg.kernel)) for p in mp.problems]
     return SvmModel(
         classes=mp.classes,
         class_counts=mp.class_counts.copy(),

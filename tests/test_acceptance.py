@@ -324,6 +324,24 @@ def test_criterion_8_determinism(quick_runs):
     )
 
 
+GOLDEN = Path(__file__).with_name("golden_quick_seed42.sha256")
+
+
+def test_results_match_golden_manifest(ctg_table, quick_runs):
+    """The quick `all` run reproduces the committed SHA-256 of every
+    result file, so a refactor that claims unchanged outputs is checked
+    against the code that wrote the manifest, not only against itself."""
+    _, _, is_real = ctg_table
+    if is_real:
+        pytest.skip("the manifest is of the bundled synthetic table, not of CTG_CSV")
+    text = GOLDEN.read_text(encoding="utf-8")
+    entries = (ln.split() for ln in text.splitlines() if ln and not ln.startswith("#"))
+    want = {name: digest for digest, name in entries}
+    a, _, _ = quick_runs
+    made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
+    assert a == want, f"manifest made with {made_with[2:]}, running numpy {np.__version__}"
+
+
 def _csv_rows(path):
     import csv
 
@@ -432,6 +450,16 @@ def test_exp5_ensemble_row_same_alone_and_after_exp4(ctg_table, quick_runs, tmp_
     assert f"EFS41-ESVM,train,members={cfg.exp4_members}" in timing
     timing = {r["row"] for r in _csv_rows(tmp_path / f"exp5_timing_seed{SEED}.csv")}
     assert f"EFS41-ESVM,train,members={cfg.exp5_members}" in timing
+
+
+def test_exp5_timing_rows_name_the_training(quick_runs):
+    """exp5's single-SVM rows time the training that produced the model,
+    which in an `all` run is one exp2 or exp3 cached, and say so."""
+    _, _, all_dir = quick_runs
+    rows = [r["row"] for r in _csv_rows(all_dir / f"exp5_timing_seed{SEED}.csv")]
+    singles = ["SVM", "FS1-SVM", "FS2-SVM", "FS3-SVM", "FS4-SVM", "EFS41-SVM"]
+    assert rows[:-1] == [f"{m},train" for m in singles]
+    assert rows[-1].startswith("EFS41-ESVM,train,members=")
 
 
 def test_criterion_9_invariant_suites(pipe, grid_models):

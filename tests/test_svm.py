@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctgsvm.data import DataError
+from ctgsvm import svm
 from ctgsvm.svm import (
     BinarySvm,
     KernelSpec,
@@ -13,9 +14,12 @@ from ctgsvm.svm import (
     kernel_eval,
     kernel_matrix,
     load_model,
+    model_to_lines,
+    pairwise_problems,
     predict,
     save_model,
     smo_train,
+    train_from_problems,
     train_multiclass,
 )
 from conftest import numeric_dataset
@@ -228,6 +232,70 @@ class TestMulticlass:
         preds, _ = model.predict_dataset(noisy)
         truth = [noisy.class_labels[c] for c in noisy.class_codes()]
         assert preds == truth
+
+
+@pytest.fixture(scope="module")
+def quick_table():
+    """(work, train, standardizer) for a quick-sized synthetic table, split
+    the way the experiments split it."""
+    from ctgsvm.data import SplitSpec, fit_standardizer, mask_by_names, select_features
+    from ctgsvm.data import stratified_split, stratified_subsample
+    from ctgsvm.experiments import QUICK_ROWS
+    from ctgsvm.synth import make_ctg_like
+
+    ds = make_ctg_like()
+    ds = select_features(ds, mask_by_names(ds, drop=["CLASS"]))
+    work = stratified_subsample(ds, QUICK_ROWS, 42)
+    train, _ = stratified_split(work, SplitSpec(0.70, 42, True))
+    return work, train, fit_standardizer(train)
+
+
+class TestKernelMemo:
+    def test_grid_sweep_equals_fresh_training(self, quick_table):
+        """Degree outside, C inside, a return to an earlier degree and a new
+        coef0 at the same degree: every model equals a fresh training, and
+        each pair holds one kernel, the current spec's, at a time."""
+        import weakref
+
+        _, train, std = quick_table
+        mp = pairwise_problems(train, None, std)
+        sweep = [(2, 1.0, 10.0), (2, 1.0, 1000.0), (3, 1.0, 10.0), (3, 1.0, 500.0),
+                 (3, 0.5, 10.0), (3, 0.5, 100.0), (2, 1.0, 100.0)]
+        previous = None
+        for degree, coef0, C in sweep:
+            cfg = cfgp(C, degree, coef0)
+            model = train_from_problems(mp, cfg)
+            fresh = train_multiclass(train, cfg, standardizer=std)
+            assert model_to_lines(model) == model_to_lines(fresh), (degree, coef0, C)
+            held = []
+            for p in mp.problems:
+                n = p.X.shape[0]
+                squares = [v for v in vars(p).values() if isinstance(v, np.ndarray) and v.shape == (n, n)]
+                assert len(squares) == 1
+                assert p.kernel(cfg.kernel) is squares[0]  # a memo hit, no rebuild
+                assert np.array_equal(squares[0], kernel_matrix(p.X, p.X, cfg.kernel))
+                held.append(weakref.ref(squares[0]))
+            del squares
+            if previous is not None:
+                spec_changed = previous[0] != (degree, coef0)
+                # a new spec frees the old kernel; the same spec keeps it
+                assert all((ref() is None) == spec_changed for ref in previous[1])
+            previous = ((degree, coef0), held)
+
+    def test_row_cache_mode_matches_dense_mode(self, quick_table, monkeypatch):
+        work, train, std = quick_table
+        cfg = cfgp(100.0, 3)
+        dense = train_from_problems(pairwise_problems(train, None, std), cfg)
+        mp = pairwise_problems(train, None, std)
+        monkeypatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
+        assert all(p.kernel(cfg.kernel) is None for p in mp.problems)
+        cached = train_from_problems(mp, cfg)
+        assert cached.predict_dataset(work)[0] == dense.predict_dataset(work)[0]
+        feats = std.transform_features(work.feature_matrix())
+        for mc, md in zip(cached.machines, dense.machines):
+            assert len(mc.alphas) == len(md.alphas)
+            diff = np.abs(mc.decision_values(feats) - md.decision_values(feats)).max()
+            assert diff <= 10 * cfg.tolerance
 
 
 class TestPersistence:
