@@ -69,10 +69,7 @@ from .bagging import (
 )
 from .report import (
     ConfusionMatrix,
-    EvaluationReport,
     accuracy,
-    evaluate,
-    render,
     timed,
 )
 

@@ -7,24 +7,18 @@ cells failed to converge (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
 
 from . import experiments
 from .bagging import EnsembleConfig, bagging_train, load_ensemble, save_ensemble
-from .data import (
-    DataError,
-    export_csv,
-    fit_standardizer,
-    load_dataset,
-    mask_by_names,
-    select_features,
-    fit_discretization,
-)
-from .experiments import ExperimentConfig, config_from_sources, load_config_file
+from .data import DataError, export_csv, fit_standardizer, mask_by_names, select_features
+from .experiments import config_from_sources, load_config_file
 from .filters import scores_to_csv
-from .fs_ensemble import SelectorId, run_selector
+from .fs_ensemble import SELECTION_HEADER, SelectorId, run_selector
+from .report import render_table
 from .search import trace_to_csv
 from .svm import KernelSpec, SvmConfig, load_model, save_model, train_multiclass
 
@@ -100,46 +94,24 @@ def _cmd_experiment(args) -> int:
     return experiments.cmd_experiment(args.id, cfg, log=lambda *a: print(*a, file=sys.stderr))
 
 
+def _load_work(args, **overrides):
+    """The config of a single-table command and its table, less the
+    config's excluded features."""
+    cfg = config_from_sources({}, data=args.data, class_column=args.class_column, **overrides)
+    return cfg, cfg.load_work()
+
+
 def _cmd_select(args) -> int:
     search = args.search
     if search is None:
         search = "ranker" if args.selector in ("FS3", "FS4") else "genetic"
     sel_id = SelectorId(args.selector, search)
-    ds = load_dataset(args.data, class_column=args.class_column or "NSP")
-    work = _drop_default_columns(ds)
-    base = ExperimentConfig(data=args.data, seed=args.seed, cutoff=args.cutoff)
-    cfg = base.selector_config()
+    cfg, work = _load_work(args, seed=args.seed, cutoff=args.cutoff)
     trace: list | None = [] if args.trace else None
-    dmap = fit_discretization(work)
-    from .search import best_first, genetic_search, make_cfs_evaluator, make_consistency_evaluator
-
-    if sel_id.code in ("FS1", "FS2") and trace is not None:
-        evaluator = (
-            make_cfs_evaluator(work, dmap) if sel_id.code == "FS1" else make_consistency_evaluator(work, dmap)
-        )
-        run = best_first if search == "best_first" else genetic_search
-        cfg_obj = cfg.best_first if search == "best_first" else cfg.genetic
-        res = run(evaluator, work.n_features, cfg_obj, trace=trace)
-        from .fs_ensemble import FeatureSelection
-
-        selection = FeatureSelection(sel_id, res.subset, value=res.value)
-    else:
-        selection = run_selector(sel_id, work, cfg, dmap)
-    names = work.feature_names
-    lines = ["selector,n_features,search_value,features"]
-    lines.append(
-        ",".join(
-            [
-                sel_id.label,
-                str(len(selection.selected)),
-                "" if selection.value is None else repr(selection.value),
-                ";".join(names[f] for f in sorted(selection.selected)),
-            ]
-        )
-    )
-    text = "\n".join(lines) + "\n"
+    selection = run_selector(sel_id, work, cfg.selector_config(), trace=trace)
+    text = render_table(SELECTION_HEADER, [selection.row(work.feature_names)], "csv")
     if selection.scores is not None:
-        text += scores_to_csv(selection.scores, names)
+        text += scores_to_csv(selection.scores, work.feature_names)
     Path(args.out).write_text(text, encoding="utf-8")
     if args.trace:
         Path(args.trace).write_text(trace_to_csv(trace), encoding="utf-8")
@@ -147,14 +119,8 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _drop_default_columns(ds):
-    drop = [n for n in ("CLASS",) if n in ds.feature_names]
-    return select_features(ds, mask_by_names(ds, drop=drop)) if drop else ds
-
-
 def _cmd_train(args) -> int:
-    ds = load_dataset(args.data, class_column=args.class_column or "NSP")
-    work = _drop_default_columns(ds)
+    _, work = _load_work(args)
     mask = None
     if args.features:
         mask = mask_by_names(work, keep=[n.strip() for n in args.features.split(",")])
@@ -184,39 +150,23 @@ def _cmd_predict(args) -> int:
         model = load_ensemble(args.model)
     else:
         model = load_model(args.model)
-    ds = load_dataset(args.data, class_column=args.class_column or "NSP")
-    work = _drop_default_columns(ds)
+    _, work = _load_work(args)
     preds, _ = model.predict_dataset(work)
-    lines = ["row,predicted,actual"]
     truth = [work.class_labels[c] for c in work.class_codes()]
-    for i, (p, t) in enumerate(zip(preds, truth)):
-        lines.append(f"{i},{p},{t}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(i, p, t) for i, (p, t) in enumerate(zip(preds, truth))]
+    Path(args.out).write_text(render_table(("row", "predicted", "actual"), rows, "csv"), encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_report(args) -> int:
-    import csv as _csv
-
-    with open(args.infile, encoding="utf-8") as fh:
-        rows = list(_csv.reader(fh))
+    with open(args.infile, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataError("empty report input")
-    if args.fmt == "markdown":
-        lines = ["| " + " | ".join(rows[0]) + " |", "|" + "---|" * len(rows[0])]
-        for row in rows[1:]:
-            lines.append("| " + " | ".join(row) + " |")
-        text = "\n".join(lines) + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        w.writerows(rows)
-        text = buf.getvalue()
+    text = render_table(rows[0], rows[1:], args.fmt)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text, end="")

@@ -7,7 +7,6 @@ sidecar files and never contaminate the deterministic outputs.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .data import (
 )
 from .filters import rank_cutoff
 from .fs_ensemble import (
+    SELECTION_HEADER,
     FeatureSelection,
     SelectorConfig,
     SelectorId,
@@ -33,7 +33,15 @@ from .fs_ensemble import (
     combo_label,
     run_selector,
 )
-from .report import confusion_from_labels, fmt_accuracy, fmt_seconds, timed
+from .report import (
+    ConfusionMatrix,
+    accuracy,
+    confusion_from_labels,
+    fmt_accuracy,
+    fmt_seconds,
+    render_table,
+    timed,
+)
 from .search import BestFirstConfig, GeneticConfig
 from .svm import KernelSpec, SvmConfig, pairwise_problems, train_from_problems, train_multiclass
 
@@ -85,6 +93,12 @@ class ExperimentConfig:
         if not 1 <= self.exp4_members <= 32:
             raise DataError("ensemble member range must lie within 1..32")
 
+    def load_work(self) -> Dataset:
+        """The table at `data`, less whichever `exclude_features` it has."""
+        ds = load_dataset(self.data, class_column=self.class_column)
+        drop = [n for n in self.exclude_features if n in ds.feature_names]
+        return select_features(ds, mask_by_names(ds, drop=drop)) if drop else ds
+
     def svm(self, C: float, degree: int) -> SvmConfig:
         return SvmConfig(
             C=C,
@@ -118,7 +132,10 @@ def _parse_cutoff(text: str) -> tuple[str, float | None]:
     if ":" in text:
         rule, value = text.split(":", 1)
         if rule in ("top_k", "threshold"):
-            return rule, float(value)
+            try:
+                return rule, float(value)
+            except ValueError:
+                pass
     raise DataError(f"malformed cutoff {text!r} (keep_all | top_k:K | threshold:T)")
 
 
@@ -163,7 +180,10 @@ def config_from_sources(file_values: dict, **overrides) -> ExperimentConfig:
     for key, raw in file_values.items():
         if key not in conv:
             raise DataError(f"unknown config key {key!r}")
-        kw[key] = conv[key](raw)
+        try:
+            kw[key] = conv[key](raw)
+        except ValueError:
+            raise DataError(f"config key {key!r}: malformed value {raw!r}") from None
     for key, value in overrides.items():
         if value is not None:
             kw[key] = value
@@ -204,24 +224,26 @@ class Pipeline:
         return self._selections[key]
 
     def accuracies(self, model) -> dict:
-        """train/test/combined percent accuracy plus tie stats."""
-        train_preds, train_stats = model.predict_dataset(self.train)
-        test_preds, test_stats = model.predict_dataset(self.test)
-        ties = train_stats.get("vote_ties", 0) + test_stats.get("vote_ties", 0)
-        return self.label_accuracies(train_preds, test_preds, ties)
+        """train/test/combined percent accuracy of a model."""
+        preds = [model.predict_dataset(ds)[0] for ds in (self.train, self.test)]
+        return self.label_accuracies(*preds)
 
-    def label_accuracies(self, train_preds, test_preds, ties: int = 0) -> dict:
+    def label_accuracies(self, train_preds, test_preds) -> dict:
         """accuracies() of labels already predicted on train and test."""
-        out = {}
-        correct = {}
-        for tag, ds, preds in (("train", self.train, train_preds), ("test", self.test, test_preds)):
-            truth = [ds.class_labels[c] for c in ds.class_codes()]
-            correct[tag] = sum(p == t for p, t in zip(preds, truth))
-            out[tag] = 100.0 * correct[tag] / ds.n_rows
-        total = self.train.n_rows + self.test.n_rows
-        out["combined"] = 100.0 * (correct["train"] + correct["test"]) / total
-        out["vote_ties"] = ties
-        return out
+        return {tag: accuracy(cm) for tag, cm in self.confusions(train_preds, test_preds).items()}
+
+    def confusions(self, train_preds, test_preds) -> dict:
+        """train/test/combined confusion matrices of labels predicted on
+        train and test."""
+        cms = {
+            tag: confusion_from_labels(
+                [ds.class_labels[c] for c in ds.class_codes()], preds, ds.class_labels, tag
+            )
+            for tag, ds, preds in (("train", self.train, train_preds), ("test", self.test, test_preds))
+        }
+        train, test = cms["train"], cms["test"]
+        cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts, "combined")
+        return cms
 
     def fit_svm(self, mask, C: float, degree: int):
         """Train (with caching) a single multiclass SVM on the given mask."""
@@ -262,28 +284,11 @@ class Pipeline:
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
-    ds = load_dataset(cfg.data, class_column=cfg.class_column)
-    names = set(ds.feature_names)
-    drop = [n for n in cfg.exclude_features if n in names]
-    work = select_features(ds, mask_by_names(ds, drop=drop)) if drop else ds
+    work = cfg.load_work()
     if cfg.quick:
         work = stratified_subsample(work, QUICK_ROWS, cfg.seed)
     train, test = stratified_split(work, SplitSpec(cfg.train_fraction, cfg.seed, True))
     return Pipeline(cfg, work, train, test)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_markdown(path: Path, header, rows) -> None:
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class _Out:
@@ -297,30 +302,28 @@ class _Out:
         self.fmt = cfg.fmt
         self.files: list[Path] = []
 
-    def table(self, name: str, header, rows) -> Path:
-        path = self.dir / f"{self.exp_id}_{name}_seed{self.seed}.csv"
-        _write_csv(path, header, rows)
+    def _write(self, name: str, header, rows, fmt: str) -> None:
+        suffix = "md" if fmt == "markdown" else "csv"
+        path = self.dir / f"{self.exp_id}_{name}_seed{self.seed}.{suffix}"
+        path.write_text(render_table(header, rows, fmt), encoding="utf-8", newline="")
         self.files.append(path)
+
+    def table(self, name: str, header, rows) -> None:
+        self._write(name, header, rows, "csv")
         if self.fmt == "markdown":
-            md = self.dir / f"{self.exp_id}_{name}_seed{self.seed}.md"
-            _write_markdown(md, header, rows)
-            self.files.append(md)
-        return path
+            self._write(name, header, rows, "markdown")
 
-    def timing(self, rows) -> Path:
+    def timing(self, rows) -> None:
         """rows: (label, (wall seconds, CPU seconds)) per timed step."""
-        path = self.dir / f"{self.exp_id}_timing_seed{self.seed}.csv"
-        _write_csv(
-            path,
-            ["row", "wall_seconds", "cpu_seconds"],
-            [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in rows],
-        )
-        self.files.append(path)
-        return path
+        rows = [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in rows]
+        self._write("timing", ["row", "wall_seconds", "cpu_seconds"], rows, "csv")
 
 
-def _conv_flag(model) -> str:
-    return "" if model.converged else "non_converged"
+def _accuracy_row(lead, acc: dict, model, *extra) -> list:
+    """The lead columns, then train, test and combined accuracy, then the
+    extra columns, then the convergence flag."""
+    accs = [fmt_accuracy(acc[tag]) for tag in ("train", "test", "combined")]
+    return [*lead, *accs, *extra, "" if model.converged else "non_converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +343,19 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
             acc = pipe.accuracies(model)
             models[(C, degree)] = (model, acc)
             all_converged &= model.converged
-            rows.append(
-                [
-                    _fmt_c(C), degree,
-                    fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-                    fmt_accuracy(acc["combined"]), _conv_flag(model),
-                ]
-            )
+            rows.append(_accuracy_row([_fmt_c(C), degree], acc, model))
             timing.append((f"C={_fmt_c(C)},degree={degree}", secs))
     out.table("grid", ["C", "degree", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"], rows)
 
     best_key = max(
         models, key=lambda k: (models[k][1]["combined"], -cfg.c_grid.index(k[0]), -cfg.degree_grid.index(k[1]))
     )
-    best_model, best_acc = models[best_key]
+    best_model = models[best_key][0]
     conf_rows = [["best_cell", _fmt_c(best_key[0]), str(best_key[1]), "", ""]]
+    cms = pipe.confusions(*(best_model.predict_dataset(ds)[0] for ds in (pipe.train, pipe.test)))
     labels = pipe.train.class_labels
-    for tag, ds in (("train", pipe.train), ("test", pipe.test)):
-        preds, _ = best_model.predict_dataset(ds)
-        truth = [ds.class_labels[c] for c in ds.class_codes()]
-        cm = confusion_from_labels(truth, preds, labels, tag)
+    for tag in ("train", "test"):
+        cm = cms[tag]
         for i, d in enumerate(labels):
             for j, a in enumerate(labels):
                 conf_rows.append([tag, d, a, str(cm.counts[i, j]), ""])
@@ -390,44 +386,23 @@ def run_exp2(pipe: Pipeline) -> tuple[_Out, bool]:
     cfg = pipe.cfg
     out = _Out(cfg, "exp2")
     names = pipe.train.feature_names
-    feat_rows, timing = [], []
-    selections = {}
+    timing, selections = [], []
     for code, search in EXP2_SELECTORS:
         sel, secs = timed(lambda: pipe.selection(code, search))
-        selections[(code, search)] = sel
-        timing.append((f"{code}-{search}", secs))
-        feat_rows.append(
-            [
-                f"{code}-{search}", str(len(sel.selected)),
-                "" if sel.value is None else repr(sel.value),
-                ";".join(names[f] for f in sorted(sel.selected)),
-            ]
-        )
-    out.table("features", ["selector", "n_features", "search_value", "features"], feat_rows)
+        selections.append(sel)
+        timing.append((sel.selector.label, secs))
+    out.table("features", SELECTION_HEADER, [sel.row(names) for sel in selections])
 
     rows = []
     all_converged = True
+    masks = [("none", None, len(names))]
+    masks += [(sel.selector.label, frozenset(sel.selected), len(sel.selected)) for sel in selections]
     for C, degree in cfg.exp2_cells:
-        (model, secs) = pipe.fit_svm(None, C, degree)
-        acc = pipe.accuracies(model)
-        all_converged &= model.converged
-        timing.append((f"none,C={_fmt_c(C)},degree={degree}", secs))
-        rows.append(
-            ["none", _fmt_c(C), degree, len(names),
-             fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-             fmt_accuracy(acc["combined"]), _conv_flag(model)]
-        )
-        for code, search in EXP2_SELECTORS:
-            sel = selections[(code, search)]
-            model, secs = pipe.fit_svm(frozenset(sel.selected), C, degree)
-            acc = pipe.accuracies(model)
+        for label, mask, n_features in masks:
+            model, secs = pipe.fit_svm(mask, C, degree)
             all_converged &= model.converged
-            timing.append((f"{code}-{search},C={_fmt_c(C)},degree={degree}", secs))
-            rows.append(
-                [f"{code}-{search}", _fmt_c(C), degree, len(sel.selected),
-                 fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-                 fmt_accuracy(acc["combined"]), _conv_flag(model)]
-            )
+            timing.append((f"{label},C={_fmt_c(C)},degree={degree}", secs))
+            rows.append(_accuracy_row([label, _fmt_c(C), degree, n_features], pipe.accuracies(model), model))
     out.table(
         "results",
         ["model", "C", "degree", "n_features", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"],
@@ -498,13 +473,9 @@ def run_exp3(pipe: Pipeline) -> tuple[_Out, bool]:
                 acc = pipe.accuracies(model)
                 all_converged &= model.converged
                 timing.append((f"{label},{mode},{cut},C={_fmt_c(C)},degree={degree}", secs))
-                rows.append(
-                    [label, mode, cut, _fmt_c(C), degree, len(feats),
-                     fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-                     fmt_accuracy(acc["combined"]),
-                     "yes" if acc["combined"] > cfg.highlight_threshold else "",
-                     _conv_flag(model)]
-                )
+                highlight = "yes" if acc["combined"] > cfg.highlight_threshold else ""
+                lead = [label, mode, cut, _fmt_c(C), degree, len(feats)]
+                rows.append(_accuracy_row(lead, acc, model, highlight))
     out.table(
         "results",
         ["label", "mode", "cutoff", "C", "degree", "n_features",
@@ -558,11 +529,7 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
         ens = full.prefix(m)
         acc = pipe.label_accuracies(ens.vote_labels(labels["train"])[0], ens.vote_labels(labels["test"])[0])
         agree = fmt_accuracy(100.0 * agreement(labels["work"])) if m >= 2 else ""
-        return (
-            [str(m)] + member_cols
-            + [fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]), fmt_accuracy(acc["combined"]),
-               agree, _conv_flag(ens)]
-        )
+        return _accuracy_row([str(m), *member_cols], acc, ens, agree)
 
     rows = []
     for m in range(1, max_members + 1):
@@ -592,16 +559,11 @@ def run_exp5(pipe: Pipeline) -> tuple[_Out, bool]:
     def single(experiment, label, mask, C, degree):
         nonlocal all_converged
         model, secs = pipe.fit_svm(mask, C, degree)
-        acc = pipe.accuracies(model)
         all_converged &= model.converged
         # the seconds of the training that produced the model, which in an
         # `all` run is the one exp2 or exp3 cached
         timing.append((f"{label},train", secs))
-        rows.append(
-            [experiment, label, _fmt_c(C), degree, "",
-             fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-             fmt_accuracy(acc["combined"]), _conv_flag(model)]
-        )
+        rows.append(_accuracy_row([experiment, label, _fmt_c(C), degree, ""], pipe.accuracies(model), model))
 
     single("1", "SVM", None, 10.0, 3)
     for code, search, label in (
@@ -617,14 +579,10 @@ def run_exp5(pipe: Pipeline) -> tuple[_Out, bool]:
     single("3", "EFS41-SVM", feats, cfg.exp4_c, cfg.exp4_degree)
 
     ens, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, cfg.exp5_members)
-    acc = pipe.accuracies(ens)
     all_converged &= ens.converged
     timing.append((f"EFS41-ESVM,train,members={trained}", secs))
-    rows.append(
-        ["4", "EFS41-ESVM", _fmt_c(cfg.exp4_c), cfg.exp4_degree, str(cfg.exp5_members),
-         fmt_accuracy(acc["train"]), fmt_accuracy(acc["test"]),
-         fmt_accuracy(acc["combined"]), _conv_flag(ens)]
-    )
+    lead = ["4", "EFS41-ESVM", _fmt_c(cfg.exp4_c), cfg.exp4_degree, str(cfg.exp5_members)]
+    rows.append(_accuracy_row(lead, pipe.accuracies(ens), ens))
     out.table(
         "summary",
         ["experiment", "model", "C", "degree", "members",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DiscretizationMap, DataError, NUMERIC
+from .report import render_table
 
 #: sentinel feature index meaning "the class column"
 CLASS = -1
@@ -286,8 +287,8 @@ def info_gain_scores(ds: Dataset, dmap: DiscretizationMap) -> FeatureScores:
 
 def scores_to_csv(scores: FeatureScores, feature_names) -> str:
     """CSV rows: feature name, method, score, rank."""
-    lines = ["feature,method,score,rank"]
     rank_of = {f: r for r, f in enumerate(scores.ordering)}
-    for f, name in enumerate(feature_names):
-        lines.append(f"{name},{scores.method},{scores.scores[f]!r},{rank_of[f]}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        (name, scores.method, repr(scores.scores[f]), rank_of[f]) for f, name in enumerate(feature_names)
+    ]
+    return render_table(("feature", "method", "score", "rank"), rows, "csv")

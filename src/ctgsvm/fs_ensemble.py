@@ -82,14 +82,29 @@ class FeatureSelection:
         rest = [f for f in range(n_features) if f not in self.selected]
         return tuple(chosen + rest)
 
+    def row(self, feature_names) -> list[str]:
+        """This selection as one row under SELECTION_HEADER."""
+        return [
+            self.selector.label,
+            str(len(self.selected)),
+            "" if self.value is None else repr(self.value),
+            ";".join(feature_names[f] for f in sorted(self.selected)),
+        ]
+
+
+SELECTION_HEADER = ("selector", "n_features", "search_value", "features")
+
 
 def run_selector(
     sel: SelectorId,
     train: Dataset,
     cfg: SelectorConfig = SelectorConfig(),
     dmap: DiscretizationMap | None = None,
+    trace: list | None = None,
 ) -> FeatureSelection:
-    """Execute one selector on the training partition."""
+    """Execute one selector on the training partition. A subset search
+    appends its (evaluation, subset, score) steps to `trace` when given;
+    the rankers leave it untouched."""
     if dmap is None:
         dmap = fit_discretization(train)
     if sel.code in SUBSET_CODES:
@@ -99,9 +114,9 @@ def run_selector(
             else make_consistency_evaluator(train, dmap)
         )
         if sel.search == "best_first":
-            res = best_first(evaluator, train.n_features, cfg.best_first)
+            res = best_first(evaluator, train.n_features, cfg.best_first, trace=trace)
         else:
-            res = genetic_search(evaluator, train.n_features, cfg.genetic)
+            res = genetic_search(evaluator, train.n_features, cfg.genetic, trace=trace)
         return FeatureSelection(sel, res.subset, value=res.value)
     scores = (
         relieff(train, m=cfg.relieff_m, k=cfg.relieff_k, seed=cfg.relieff_seed)

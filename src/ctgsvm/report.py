@@ -4,14 +4,12 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .data import DataError, Dataset
-
-PARTITIONS = ("train", "test", "combined")
+from .data import DataError
 
 
 @dataclass(frozen=True)
@@ -37,34 +35,15 @@ class ConfusionMatrix:
 
 def confusion_from_labels(desired, actual, labels, tag: str) -> ConfusionMatrix:
     index = {lab: i for i, lab in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    k = len(labels)
+    cells = []
     for d, a in zip(desired, actual):
         if d not in index or a not in index:
             raise DataError(f"label {a if d in index else d!r} not in matrix labels")
-        counts[index[d], index[a]] += 1
+        cells.append(index[d] * k + index[a])
+    counts = np.bincount(np.asarray(cells, dtype=np.int64), minlength=k * k).reshape(k, k)
     counts.setflags(write=False)
     return ConfusionMatrix(tuple(labels), counts, tag)
-
-
-def evaluate(predictor, ds: Dataset, tag: str) -> ConfusionMatrix:
-    """Run a predictor over every row and tally desired vs actual labels.
-
-    The predictor is either a model exposing predict_dataset or a callable
-    taking one feature vector and returning a label.
-    """
-    desired = [ds.class_labels[c] for c in ds.class_codes()]
-    if hasattr(predictor, "predict_dataset"):
-        actual, _ = predictor.predict_dataset(ds)
-    else:
-        feats = ds.feature_matrix()
-        actual = [predictor(feats[i]) for i in range(ds.n_rows)]
-    return confusion_from_labels(desired, actual, ds.class_labels, tag)
-
-
-def combine(train_cm: ConfusionMatrix, test_cm: ConfusionMatrix) -> ConfusionMatrix:
-    if train_cm.labels != test_cm.labels:
-        raise DataError("cannot combine matrices over different labels")
-    return ConfusionMatrix(train_cm.labels, train_cm.counts + test_cm.counts, "combined")
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -94,46 +73,8 @@ def timed(fn):
     return result, (time.perf_counter() - wall, time.process_time() - cpu)
 
 
-@dataclass
-class EvaluationReport:
-    descriptor: str
-    matrices: dict[str, ConfusionMatrix]
-    cpu_seconds: float
-    C: float | None = None
-    degree: int | None = None
-    members: int | None = None
-    flags: dict = field(default_factory=dict)
-
-    def accuracy(self, tag: str) -> float:
-        return accuracy(self.matrices[tag])
-
-
-def _flags_text(flags: dict) -> str:
-    return ";".join(f"{k}={flags[k]}" for k in sorted(flags) if flags[k])
-
-
-def render(reports: list[EvaluationReport], fmt: str = "csv") -> str:
-    """Deterministic table over (model, C, degree, members, partition)."""
-    if not reports:
-        raise DataError("nothing to render")
-    header = ["model", "C", "degree", "members", "partition", "accuracy", "cpu_seconds", "flags"]
-    rows = []
-    for r in reports:
-        for tag in PARTITIONS:
-            if tag not in r.matrices:
-                continue
-            rows.append(
-                [
-                    r.descriptor,
-                    "" if r.C is None else str(r.C),
-                    "" if r.degree is None else str(r.degree),
-                    "" if r.members is None else str(r.members),
-                    tag,
-                    fmt_accuracy(r.accuracy(tag)),
-                    fmt_seconds(r.cpu_seconds),
-                    _flags_text(r.flags),
-                ]
-            )
+def render_table(header, rows, fmt: str) -> str:
+    """The one table renderer: a header and rows as CSV or markdown text."""
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -142,7 +83,6 @@ def render(reports: list[EvaluationReport], fmt: str = "csv") -> str:
         return buf.getvalue()
     if fmt == "markdown":
         lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        for row in rows:
-            lines.append("| " + " | ".join(row) + " |")
+        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
-    raise DataError(f"unknown render format {fmt!r}")
+    raise DataError(f"unknown table format {fmt!r}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import DataError
 from .filters import SubsetEvaluation, SuCache, cfs_merit, inconsistency_rate
+from .report import render_table
 
 
 class SubsetEvaluator:
@@ -79,15 +80,9 @@ def _best_singleton(evaluator: SubsetEvaluator, n_features: int, trace=None):
 
 @dataclass(frozen=True)
 class BestFirstConfig:
-    direction: str = "forward"
     stale_limit: int = 5
-    start: str = "empty"
 
     def __post_init__(self):
-        if self.direction != "forward":
-            raise DataError("only forward best-first is supported")
-        if self.start != "empty":
-            raise DataError("search must start from the empty set")
         if self.stale_limit < 1:
             raise DataError("stale_limit must be >= 1")
 
@@ -259,10 +254,5 @@ def exhaustive_search(
 
 def trace_to_csv(trace) -> str:
     """CSV rows: evaluation index, subset bitmask as hex, score."""
-    lines = ["iteration,subset_hex,score"]
-    for it, sub, val in trace:
-        mask = 0
-        for f in sub:
-            mask |= 1 << f
-        lines.append(f"{it},{mask:#x},{val!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(it, hex(sum(1 << f for f in sub)), repr(val)) for it, sub, val in trace]
+    return render_table(("iteration", "subset_hex", "score"), rows, "csv")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctgsvm.bagging import EnsembleConfig, bagging_train, bootstrap_sample, member_agreement
+from ctgsvm.bagging import EnsembleConfig, agreement, bagging_train, bootstrap_sample, member_agreement
 from ctgsvm.data import fit_standardizer, select_features
 from ctgsvm.experiments import (
     ExperimentConfig,
@@ -216,39 +216,33 @@ def test_criterion_6_feature_selection_effect(pipe, baseline_run):
 
 @pytest.fixture(scope="module")
 def ensemble_sweep(pipe):
-    """The member sweep once, shared by the uplift and trend checks."""
+    """The member sweep once, shared by the uplift and trend checks: one
+    10-member ensemble, each member predicted once, and every m-member
+    ensemble taken as its prefix (member i depends only on (master_seed, i))."""
     t0 = time.perf_counter()
     feats = exp4_feature_set(pipe)
-    mask = sorted(feats)
-    std = fit_standardizer(select_features(pipe.train, mask))
-    single, _ = pipe.fit_svm(feats, pipe.cfg.exp4_c, pipe.cfg.exp4_degree)
+    C, degree = pipe.cfg.exp4_c, pipe.cfg.exp4_degree
+    single, _ = pipe.fit_svm(feats, C, degree)
     single_acc = pipe.accuracies(single)["combined"]
-    base = pipe.cfg.svm(pipe.cfg.exp4_c, pipe.cfg.exp4_degree)
-    voting, agreement, train_secs = {}, {}, {}
-    member_accs = None
+    ens, _, _ = pipe.ensemble(feats, C, degree, 10)
+    labels = {
+        tag: [model.predict_dataset(ds)[0] for model, _, _ in ens.members]
+        for tag, ds in (("train", pipe.train), ("test", pipe.test), ("work", pipe.work))
+    }
+    member_accs = [
+        pipe.label_accuracies(train, test)["combined"] for train, test in zip(labels["train"], labels["test"])
+    ]
+    voting, agreement_of = {}, {}
     for m in range(1, 11):
-        def build(m=m):
-            return bagging_train(
-                pipe.train,
-                EnsembleConfig(members=m, base=base, master_seed=SEED),
-                feature_mask=mask,
-                standardizer=std,
-            )
-
-        ens, (secs, _) = timed(build)
-        train_secs[m] = secs
-        voting[m] = pipe.accuracies(ens)["combined"]
+        prefix = ens.prefix(m)
+        train, test = (prefix.vote_labels(labels[tag][:m])[0] for tag in ("train", "test"))
+        voting[m] = pipe.label_accuracies(train, test)["combined"]
         if m >= 2:
-            agreement[m] = member_agreement(ens, pipe.work)
-        if m == 10:
-            # member i depends only on (master_seed, i), so these cover
-            # every smaller ensemble's members too
-            member_accs = [pipe.accuracies(model)["combined"] for model, _, _ in ens.members]
+            agreement_of[m] = agreement(labels["work"][:m])
     took = time.perf_counter() - t0
     return {
         "voting": voting,
-        "agreement": agreement,
-        "train_secs": train_secs,
+        "agreement": agreement_of,
         "member_accs": member_accs,
         "single_acc": single_acc,
         "took": took,
@@ -279,11 +273,23 @@ def test_voting_never_below_worst_member(ensemble_sweep):
         assert voting[m] >= min(member_accs[:m]) - 1e-9
 
 
-def test_ensemble_training_time_grows_with_members(ensemble_sweep):
-    secs = ensemble_sweep["train_secs"]
+def test_ensemble_training_time_grows_with_members(ctg_table):
+    """Separate trainings of 1..10 members on the quick pipeline's training
+    partition. CPU seconds, unlike wall seconds, ignore a busy machine."""
+    _, path, _ = ctg_table
+    quick = build_pipeline(ExperimentConfig(data=path, seed=SEED, quick=True))
+    mask = sorted(exp4_feature_set(quick))
+    std = fit_standardizer(select_features(quick.train, mask))
+    base = quick.cfg.svm(quick.cfg.exp4_c, quick.cfg.exp4_degree)
+    cpu = {}
+    for m in range(1, 11):
+        ens_cfg = EnsembleConfig(members=m, base=base, master_seed=SEED)
+        _, (_, cpu[m]) = timed(
+            lambda: bagging_train(quick.train, ens_cfg, feature_mask=mask, standardizer=std)
+        )
     for m in range(2, 11):
-        assert secs[m] > 0.8 * secs[m - 1], (
-            f"training {m} members took {secs[m]:.3f}s vs {secs[m-1]:.3f}s for {m-1}"
+        assert cpu[m] > 0.8 * cpu[m - 1], (
+            f"training {m} members took {cpu[m]:.3f} CPU s vs {cpu[m-1]:.3f} for {m-1}"
         )
 
 
@@ -478,12 +484,10 @@ def test_criterion_9_invariant_suites(pipe, grid_models):
                 assert viol <= pipe.cfg.tolerance + 1e-6
 
     # confusion totals equal evaluated rows
-    from ctgsvm.report import evaluate
-
     model, _ = cells[(10.0, 3)]
-    for ds in (pipe.train, pipe.test):
-        cm = evaluate(model, ds, "check")
-        assert cm.total == ds.n_rows
+    cms = pipe.confusions(*(model.predict_dataset(ds)[0] for ds in (pipe.train, pipe.test)))
+    assert cms["train"].total == pipe.train.n_rows and cms["test"].total == pipe.test.n_rows
+    assert cms["combined"].total == pipe.train.n_rows + pipe.test.n_rows
 
     # bootstrap distinct-fraction Monte Carlo
     ds = numeric_dataset(np.arange(1000).reshape(-1, 1), ["a", "b"] * 500)

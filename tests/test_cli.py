@@ -163,6 +163,12 @@ class TestTrainPredict:
         assert "row 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["select", "--selector", "FS4"], ["train"]])
+def test_missing_data_flag_is_data_error(args, tmp_path, capsys):
+    assert main(args + ["--out", str(tmp_path / "out.csv")]) == 3
+    assert "no dataset given" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_missing_data_is_data_error(self, tmp_path):
         code = main(["experiment", "--id", "exp1", "--data", str(tmp_path / "absent.csv"),
@@ -209,19 +215,38 @@ class TestExperimentCommand:
         assert grid.is_file()
         assert len(grid.read_text().strip().splitlines()) == 5
 
-    def test_markdown_format_also_written(self, small_csv, tmp_path):
+    @pytest.mark.parametrize(
+        "config_line,args,bad",
+        [
+            ("seed=abc", ["experiment", "--id", "exp1"], "abc"),
+            ("exp2_cells=10;3", ["experiment", "--id", "exp2"], "10;3"),
+            ("", ["select", "--selector", "FS4", "--cutoff", "top_k:abc"], "top_k:abc"),
+        ],
+    )
+    def test_malformed_config_value_is_data_error(self, small_csv, tmp_path, capsys, config_line, args, bad):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config_line + "\n", encoding="utf-8")
+        extra = ["--config", str(cfgfile)] if args[0] == "experiment" else []
+        code = main(args + extra + ["--data", small_csv, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert bad in capsys.readouterr().err
+
+    def test_markdown_format_also_written(self, small_csv, tmp_path, capsys):
+        """`report` is the one table renderer: re-rendering each result CSV
+        reproduces the markdown table and the CSV written beside it."""
         out = tmp_path / "md"
         code = main(["experiment", "--id", "exp5", "--data", small_csv, "--quick",
                      "--format", "markdown", "--out", str(out)])
         assert code in (0, 4)
-        assert (out / "exp5_summary_seed42.md").is_file()
-
-
-class TestReportCommand:
-    def test_markdown_rendering(self, small_csv, tmp_path, capsys):
-        out = tmp_path / "results"
-        main(["experiment", "--id", "exp5", "--data", small_csv, "--quick", "--out", str(out)])
-        code = main(["report", "--in", str(out / "exp5_summary_seed42.csv")])
-        assert code == 0
-        top = capsys.readouterr().out.splitlines()[0]
-        assert top.startswith("| experiment |")
+        summary = out / "exp5_summary_seed42.md"
+        assert summary.read_text(encoding="utf-8").startswith("| experiment |")
+        for md in sorted(out.glob("*.md")):
+            csv_path = md.with_suffix(".csv")
+            assert main(["report", "--in", str(csv_path)]) == 0
+            assert capsys.readouterr().out == md.read_text(encoding="utf-8")
+            again = tmp_path / f"{md.stem}.again.csv"
+            assert main(["report", "--in", str(csv_path), "--format", "csv", "--out", str(again)]) == 0
+            assert again.read_bytes() == csv_path.read_bytes()
+            rendered = tmp_path / f"{md.stem}.again.md"
+            assert main(["report", "--in", str(csv_path), "--out", str(rendered)]) == 0
+            assert rendered.read_bytes() == md.read_bytes()

@@ -14,7 +14,13 @@ from ctgsvm.fs_ensemble import (
     run_selector,
     selection_record,
 )
-from ctgsvm.search import GeneticConfig
+from ctgsvm.search import (
+    GeneticConfig,
+    best_first,
+    genetic_search,
+    make_cfs_evaluator,
+    make_consistency_evaluator,
+)
 from conftest import nominal_dataset, passthrough_dmap
 
 
@@ -81,6 +87,33 @@ class TestRunSelector:
         ds = numeric_dataset(np.column_stack([signal, noise]), ["A"] * 10 + ["B"] * 10)
         sel = run_selector(SelectorId("FS3", "ranker"), ds)
         assert sel.scores.ordering[0] == 0
+
+
+    @pytest.mark.parametrize(
+        "code,search",
+        [("FS1", "best_first"), ("FS1", "genetic"), ("FS2", "best_first"), ("FS2", "genetic")],
+    )
+    def test_trace_matches_direct_search(self, code, search):
+        ds = toy_dataset()
+        dmap = passthrough_dmap(ds)
+        cfg = SelectorConfig(genetic=GeneticConfig(seed=7))
+        got = []
+        sel = run_selector(SelectorId(code, search), ds, cfg, dmap, trace=got)
+        evaluator = (make_cfs_evaluator if code == "FS1" else make_consistency_evaluator)(ds, dmap)
+        want = []
+        if search == "best_first":
+            res = best_first(evaluator, ds.n_features, cfg.best_first, trace=want)
+        else:
+            res = genetic_search(evaluator, ds.n_features, cfg.genetic, trace=want)
+        assert want and got == want
+        assert (sel.selected, sel.value) == (res.subset, res.value)
+
+    @pytest.mark.parametrize("code", ["FS3", "FS4"])
+    def test_rankers_leave_trace_empty(self, code):
+        ds = toy_dataset()
+        got = []
+        run_selector(SelectorId(code, "ranker"), ds, dmap=passthrough_dmap(ds), trace=got)
+        assert got == []
 
 
 def subset_selection(code, search, feats):

@@ -1,4 +1,4 @@
-"""Confusion matrices, accuracy arithmetic, timing, and rendering."""
+"""Confusion matrices, accuracy arithmetic, timing, and table rendering."""
 import time
 
 import numpy as np
@@ -7,13 +7,10 @@ import pytest
 from ctgsvm.data import DataError
 from ctgsvm.report import (
     ConfusionMatrix,
-    EvaluationReport,
     accuracy,
-    combine,
     confusion_from_labels,
-    evaluate,
     fmt_accuracy,
-    render,
+    render_table,
     round_half_up,
     timed,
 )
@@ -29,8 +26,9 @@ TEST_COUNTS = np.array([[520, 0, 2], [0, 46, 2], [4, 2, 87]])
 class TestConfusion:
     def test_perfect_predictor_is_diagonal(self):
         ds = numeric_dataset(np.arange(10).reshape(-1, 1), ["a", "b"] * 5)
-        model = lambda row: "a" if row[0] % 2 == 0 else "b"
-        cm = evaluate(model, ds, "train")
+        actual = ["a" if row[0] % 2 == 0 else "b" for row in ds.feature_matrix()]
+        desired = [ds.class_labels[c] for c in ds.class_codes()]
+        cm = confusion_from_labels(desired, actual, ds.class_labels, "train")
         assert np.array_equal(cm.counts, np.diag([5, 5]))
         assert accuracy(cm) == 100.0
 
@@ -45,10 +43,7 @@ class TestConfusion:
         assert fmt_accuracy(accuracy(cm)) == "98.49"
 
     def test_reference_combined_matrix(self):
-        combined = combine(
-            ConfusionMatrix(LABELS, TRAIN_COUNTS, "train"),
-            ConfusionMatrix(LABELS, TEST_COUNTS, "test"),
-        )
+        combined = ConfusionMatrix(LABELS, TRAIN_COUNTS + TEST_COUNTS, "combined")
         assert combined.total == 2126
         assert combined.trace == 2113
         assert fmt_accuracy(accuracy(combined)) == "99.39"
@@ -68,12 +63,6 @@ class TestConfusion:
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError):
             confusion_from_labels(["x"], ["z"], ("x", "y"), "t")
-
-    def test_combined_mismatched_labels_rejected(self):
-        a = ConfusionMatrix(("x", "y"), np.zeros((2, 2), dtype=int), "train")
-        b = ConfusionMatrix(("x", "z"), np.zeros((2, 2), dtype=int), "test")
-        with pytest.raises(DataError):
-            combine(a, b)
 
 
 class TestAccuracy:
@@ -114,47 +103,28 @@ class TestTimed:
         assert wall >= 0.05 and cpu < 0.04
 
 
-def sample_report(descriptor="SVM", cpu=0.123456):
-    cm_train = ConfusionMatrix(LABELS, TRAIN_COUNTS, "train")
-    cm_test = ConfusionMatrix(LABELS, TEST_COUNTS, "test")
-    return EvaluationReport(
-        descriptor=descriptor,
-        matrices={"train": cm_train, "test": cm_test, "combined": combine(cm_train, cm_test)},
-        cpu_seconds=cpu,
-        C=10.0,
-        degree=3,
-        flags={"non_converged": 0, "vote_ties": 2},
-    )
+HEADER = ("model", "C", "flags")
+ROWS = [["SVM", 10, ""], ["FS1-genetic", "1e+04", "non_converged"]]
 
 
-class TestRender:
-    def test_single_report_rows(self):
-        text = render([sample_report()], "csv")
-        lines = text.strip().splitlines()
-        assert lines[0] == "model,C,degree,members,partition,accuracy,cpu_seconds,flags"
-        assert len(lines) == 4  # header + one row per partition
-        assert "SVM,10.0,3,,train,99.79,0.123,vote_ties=2" in lines[1]
+class TestRenderTable:
+    def test_csv(self):
+        text = render_table(HEADER, ROWS, "csv")
+        assert text == "model,C,flags\nSVM,10,\nFS1-genetic,1e+04,non_converged\n"
 
-    def test_byte_identical_re_render(self):
-        reports = [sample_report(), sample_report("other", 1.5)]
-        assert render(reports, "csv") == render(reports, "csv")
-        assert render(reports, "markdown") == render(reports, "markdown")
+    def test_csv_quotes_cells_holding_the_delimiter(self):
+        assert render_table(("a",), [["x,y"]], "csv") == 'a\n"x,y"\n'
 
-    def test_markdown_shape(self):
-        text = render([sample_report()], "markdown")
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("| model |")
-        assert set(lines[1]) <= {"|", "-"}
-        assert len(lines) == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            render([], "csv")
+    def test_markdown(self):
+        text = render_table(HEADER, ROWS, "markdown")
+        assert text.splitlines() == [
+            "| model | C | flags |",
+            "|---|---|---|",
+            "| SVM | 10 |  |",
+            "| FS1-genetic | 1e+04 | non_converged |",
+        ]
+        assert text.endswith("\n")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(DataError):
-            render([sample_report()], "html")
-
-    def test_accuracy_consistent_with_matrix(self):
-        r = sample_report()
-        assert r.accuracy("combined") == pytest.approx(100.0 * 2113 / 2126, abs=1e-9)
+            render_table(HEADER, ROWS, "html")
