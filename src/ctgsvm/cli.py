@@ -161,9 +161,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.infile, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError("empty report input")
+        rows = list(csv.reader(fh)) or [[]]
     text = render_table(rows[0], rows[1:], args.fmt)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="")

@@ -75,6 +75,8 @@ def timed(fn):
 
 def render_table(header, rows, fmt: str) -> str:
     """The one table renderer: a header and rows as CSV or markdown text."""
+    if not header:
+        raise DataError("empty table: no header row")
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

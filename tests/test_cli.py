@@ -250,3 +250,21 @@ class TestExperimentCommand:
             rendered = tmp_path / f"{md.stem}.again.md"
             assert main(["report", "--in", str(csv_path), "--out", str(rendered)]) == 0
             assert rendered.read_bytes() == md.read_bytes()
+
+
+class TestReportCommand:
+    def test_markdown_rendering(self, tmp_path, capsys):
+        table = tmp_path / "summary.csv"
+        table.write_text("experiment,model,combined_accuracy\nexp5,\"FS1,bagged\",99.39\n", encoding="utf-8")
+        assert main(["report", "--in", str(table)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "| experiment | model | combined_accuracy |",
+            "|---|---|---|",
+            "| exp5 | FS1,bagged | 99.39 |",
+        ]
+
+    def test_empty_input_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert main(["report", "--in", str(empty)]) == 3
+        assert "empty table" in capsys.readouterr().err

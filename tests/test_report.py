@@ -1,10 +1,12 @@
 """Confusion matrices, accuracy arithmetic, timing, and table rendering."""
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ctgsvm.data import DataError
+from ctgsvm.experiments import _accuracy_row
 from ctgsvm.report import (
     ConfusionMatrix,
     accuracy,
@@ -107,15 +109,19 @@ HEADER = ("model", "C", "flags")
 ROWS = [["SVM", 10, ""], ["FS1-genetic", "1e+04", "non_converged"]]
 
 
-class TestRenderTable:
-    def test_csv(self):
+class TestRender:
+    def test_single_report_rows(self):
         text = render_table(HEADER, ROWS, "csv")
         assert text == "model,C,flags\nSVM,10,\nFS1-genetic,1e+04,non_converged\n"
 
     def test_csv_quotes_cells_holding_the_delimiter(self):
         assert render_table(("a",), [["x,y"]], "csv") == 'a\n"x,y"\n'
 
-    def test_markdown(self):
+    def test_byte_identical_re_render(self):
+        assert render_table(HEADER, ROWS, "csv") == render_table(HEADER, ROWS, "csv")
+        assert render_table(HEADER, ROWS, "markdown") == render_table(HEADER, ROWS, "markdown")
+
+    def test_markdown_shape(self):
         text = render_table(HEADER, ROWS, "markdown")
         assert text.splitlines() == [
             "| model | C | flags |",
@@ -125,6 +131,23 @@ class TestRenderTable:
         ]
         assert text.endswith("\n")
 
+    def test_empty_rejected(self):
+        for fmt in ("csv", "markdown"):
+            with pytest.raises(DataError):
+                render_table((), [], fmt)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(DataError):
             render_table(HEADER, ROWS, "html")
+
+    def test_accuracy_consistent_with_matrix(self):
+        cms = {
+            "train": ConfusionMatrix(LABELS, TRAIN_COUNTS, "train"),
+            "test": ConfusionMatrix(LABELS, TEST_COUNTS, "test"),
+            "combined": ConfusionMatrix(LABELS, TRAIN_COUNTS + TEST_COUNTS, "combined"),
+        }
+        acc = {tag: accuracy(cm) for tag, cm in cms.items()}
+        assert acc["combined"] == pytest.approx(100.0 * 2113 / 2126, abs=1e-9)
+        row = _accuracy_row(["SVM"], acc, SimpleNamespace(converged=True))
+        text = render_table(("model", "train", "test", "combined", "flags"), [row], "csv")
+        assert text.splitlines()[1] == "SVM,99.79,98.49,99.39,"
