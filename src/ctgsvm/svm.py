@@ -331,17 +331,31 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
 
         b cancels out of every comparison, so the selection can read the
         error cache directly: I_up rows want smaller E, I_low rows larger.
+        eta and the gain are built in two reused buffers, in the float
+        order of diag[i] + diag - 2 K[i] and (E - E[i]) ** 2 / eta.
         """
+        pos = y > 0
+        eta = np.empty(n)
+        gain = np.empty(n)
         while updates < cfg.max_iter:
-            up = ((y > 0) & (alphas < C)) | ((y < 0) & (alphas > 0))
-            low = ((y > 0) & (alphas > 0)) | ((y < 0) & (alphas < C))
+            below = alphas < C
+            above = alphas > 0
+            up = np.where(pos, below, above)
+            low = np.where(pos, above, below)
             i = int(np.argmin(np.where(up, E, np.inf)))
-            j_max = int(np.argmax(np.where(low, E, -np.inf)))
+            e_low = np.where(low, E, -np.inf)
+            j_max = int(np.argmax(e_low))
             if E[j_max] - E[i] <= tol:
                 return
-            eta = np.maximum(diag[i] + diag - 2.0 * K.row(i), 1e-12)
-            quad = np.where(low & (E > E[i]), (E - E[i]) ** 2 / eta, -np.inf)
-            j = int(np.argmax(quad))
+            np.add(diag, diag[i], out=eta)
+            np.multiply(K.row(i), 2.0, out=gain)
+            np.subtract(eta, gain, out=eta)
+            np.maximum(eta, 1e-12, out=eta)
+            np.subtract(E, E[i], out=gain)
+            np.multiply(gain, gain, out=gain)
+            np.divide(gain, eta, out=gain)
+            gain[e_low <= E[i]] = -np.inf  # keeps I_low rows with E > E[i]
+            j = int(np.argmax(gain))
             if take_step(i, j) or take_step(i, j_max):
                 continue
             if platt_cycle() == 0:
