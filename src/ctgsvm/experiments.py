@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise DataError("parameter grids must be non-empty")
         if not 1 <= self.exp4_members <= 32:
             raise DataError("ensemble member range must lie within 1..32")
+        if self.fmt not in ("csv", "markdown"):
+            raise DataError(f"unknown output format {self.fmt!r} (csv | markdown)")
 
     def load_work(self) -> Dataset:
         """The table at `data`, less whichever `exclude_features` it has."""

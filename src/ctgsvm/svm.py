@@ -17,6 +17,7 @@ import numpy as np
 from .data import DataError, Dataset, Standardizer
 
 DENSE_LIMIT = 4096
+_BLOCK = 1 << 15  # elements per block of the in-place kernel power (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
 MODEL_VERSION = 1
 
@@ -30,8 +31,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind != "polynomial":
             raise DataError(f"unsupported kernel kind {self.kind!r}")
-        if int(self.degree) < 1:
-            raise DataError("kernel degree must be >= 1")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
+            raise DataError(f"kernel degree must be an integer >= 1, not {self.degree!r}")
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,13 @@ class SvmConfig:
 
 
 def kernel_eval(u, v, spec: KernelSpec) -> float:
-    """(u . v + coef0) ** degree for two instances."""
+    """(u . v + coef0) ** degree for two instances: the one entry of their
+    kernel_matrix, so the scalar and matrix kernels agree bit for bit."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
+    if u.ndim != 1 or u.shape != v.shape:
         raise DataError("kernel arguments must have equal length")
-    return float((float(np.dot(u, v)) + spec.coef0) ** spec.degree)
+    return float(kernel_matrix(u[None, :], v[None, :], spec)[0, 0])
 
 
 def kernel_matrix(U, V, spec: KernelSpec) -> np.ndarray:
@@ -67,11 +69,29 @@ def kernel_matrix(U, V, spec: KernelSpec) -> np.ndarray:
 
 
 def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(dots + coef0) ** degree, computed in place on a fresh array of dot
-    products. The in-place power takes the same path as `**`, so the bytes
-    equal those of the out-of-place expression."""
-    dots += spec.coef0
-    dots **= spec.degree
+    """(dots + coef0) ** degree, computed in place on a fresh C-contiguous
+    array of dot products, and returned.
+
+    The power is left-to-right square-and-multiply over the degree's bits,
+    one block of the flattened array at a time; a degree whose lower bits
+    are set keeps the block's base in a one-block scratch buffer. So no
+    second array of the kernel's size exists, and a few multiplies replace
+    libm `pow`. Values may differ from `**` in the last one or two ulps.
+    """
+    assert dots.flags.c_contiguous, "reshape of a non-contiguous array would copy"
+    flat = dots.reshape(-1)
+    steps = bin(spec.degree)[3:]  # the bits below the leading one
+    base = np.empty(min(flat.size, _BLOCK)) if "1" in steps else None
+    for lo in range(0, flat.size, _BLOCK):
+        block = flat[lo:lo + _BLOCK]
+        block += spec.coef0
+        if base is not None:
+            b = base[:block.size]
+            np.copyto(b, block)
+        for bit in steps:
+            np.multiply(block, block, out=block)
+            if bit == "1":
+                np.multiply(block, b, out=block)
     return dots
 
 

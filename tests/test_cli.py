@@ -231,6 +231,16 @@ class TestExperimentCommand:
         assert code == 3
         assert bad in capsys.readouterr().err
 
+    def test_unknown_format_in_config_is_data_error(self, small_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("fmt=html\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["experiment", "--id", "exp5", "--quick", "--config", str(cfgfile),
+                     "--data", small_csv, "--out", str(out)])
+        assert code == 3
+        assert "'html'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_markdown_format_also_written(self, small_csv, tmp_path, capsys):
         """`report` is the one table renderer: re-rendering each result CSV
         reproduces the markdown table and the CSV written beside it."""

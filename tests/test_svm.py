@@ -1,5 +1,7 @@
 """Solver correctness against the QP reference, kernel math, multiclass
 voting, and model persistence."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,57 @@ class TestKernel:
     def test_degree_validated(self):
         with pytest.raises(DataError):
             KernelSpec(degree=0)
+
+    @pytest.mark.parametrize("degree", [2.5, 3.0, "3", True, None])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(DataError, match="integer"):
+            KernelSpec(degree=degree)
+
+    def test_scalar_equals_matrix_entry(self):
+        rng = np.random.default_rng(2)
+        for degree in range(1, 8):
+            spec = KernelSpec(degree=degree, coef0=1.0)
+            u, v = rng.normal(size=6), rng.normal(size=6)
+            assert kernel_eval(u, v, spec) == kernel_matrix([u], [v], spec)[0, 0]
+
+
+BLOCK = svm._BLOCK
+
+
+class TestPolynomialPower:
+    """`_polynomial` raises to an integer power in place, block by block."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(7,), (BLOCK,), (BLOCK + 5,), (3 * BLOCK - 1,), (3, 11), (128, BLOCK // 128), (150, 300)],
+        ids=["1d-below", "1d-on", "1d-across", "1d-three-blocks", "2d-below", "2d-on", "2d-across"],
+    )
+    def test_equals_power_operator(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = 2.0 * rng.normal(size=shape)  # negative bases with either coef0
+        assert (x < -1.0).any()
+        for coef0 in (0.0, 1.0):
+            for degree in range(1, 11):
+                dots = x.copy()
+                out = svm._polynomial(dots, KernelSpec(degree=degree, coef0=coef0))
+                assert out is dots
+                np.testing.assert_allclose(dots, (x + coef0) ** degree, rtol=1e-14, atol=0)
+
+    def test_non_contiguous_input_refused(self):
+        with pytest.raises(AssertionError):
+            svm._polynomial(np.ones((4, 6))[:, ::2], KernelSpec(degree=3))
+
+    @pytest.mark.parametrize("degree", [3, 4, 7])
+    def test_dense_kernel_holds_one_matrix(self, degree):
+        X = np.random.default_rng(3).normal(size=(1500, 21))
+        tracemalloc.start()
+        try:
+            kernel = svm._dense_kernel(X, KernelSpec(degree=degree, coef0=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel.shape == (1500, 1500)
+        assert peak < kernel.nbytes + 8 * BLOCK + 16 * 1024
 
 
 class TestSmoAnalytic:
