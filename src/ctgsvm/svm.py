@@ -56,7 +56,7 @@ def kernel_eval(u, v, spec: KernelSpec) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.ndim != 1 or u.shape != v.shape:
-        raise DataError("kernel arguments must have equal length")
+        raise DataError("kernel arguments must be two vectors of equal length")
     return float(kernel_matrix(u[None, :], v[None, :], spec)[0, 0])
 
 
@@ -86,12 +86,12 @@ def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
         block = flat[lo:lo + _BLOCK]
         block += spec.coef0
         if base is not None:
-            b = base[:block.size]
-            np.copyto(b, block)
+            held = base[:block.size]
+            np.copyto(held, block)
         for bit in steps:
             np.multiply(block, block, out=block)
             if bit == "1":
-                np.multiply(block, b, out=block)
+                np.multiply(block, held, out=block)
     return dots
 
 
