@@ -241,6 +241,7 @@ def ensemble_sweep(pipe):
             agreement_of[m] = agreement(labels["work"][:m])
     took = time.perf_counter() - t0
     return {
+        "ensemble": ens,
         "voting": voting,
         "agreement": agreement_of,
         "member_accs": member_accs,
@@ -346,6 +347,38 @@ def test_results_match_golden_manifest(ctg_table, quick_runs):
     a, _, _ = quick_runs
     made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
     assert a == want, f"manifest made with {made_with[2:]}, running numpy {np.__version__}"
+
+
+SOLVER_PATH = Path(__file__).with_name("solver_path_seed42.txt")
+
+
+def solver_path_lines(grid_models, ensemble_sweep) -> list[str]:
+    """One line per binary machine of the grid and of the bagged members:
+    where it was trained, its class pair, SMO updates and support vectors."""
+    cells, _ = grid_models
+    machines = [
+        (f"grid C={C:g} degree={degree}", model) for (C, degree), (model, _) in cells.items()
+    ] + [(f"member {i}", model) for i, (model, _, _) in enumerate(ensemble_sweep["ensemble"].members)]
+    return [
+        f"{where} pair={ci}-{cj} updates={m.n_updates} sv={len(m.alphas)}"
+        for where, model in machines
+        for (ci, cj), m in zip(model.pairs, model.machines)
+    ]
+
+
+def test_solver_path_matches_pin(ctg_table, grid_models, ensemble_sweep):
+    """Every machine takes the pinned number of SMO updates to the pinned
+    support-set size. The result files can stay identical while the
+    solver's path changes; this catches that."""
+    _, _, is_real = ctg_table
+    if is_real:
+        pytest.skip("the pin is of the bundled synthetic table, not of CTG_CSV")
+    text = SOLVER_PATH.read_text(encoding="utf-8")
+    want = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
+    got = solver_path_lines(grid_models, ensemble_sweep)
+    assert len(got) == 120
+    assert got == want, f"pin made with {made_with[2:]}, running numpy {np.__version__}"
 
 
 def _csv_rows(path):
