@@ -7,7 +7,6 @@ from .data import (
     DiscretizationMap,
     SplitSpec,
     Standardizer,
-    apply_standardizer,
     discretize_mdl,
     export_csv,
     fit_discretization,
@@ -33,7 +32,6 @@ from .search import (
     GeneticConfig,
     SubsetEvaluator,
     best_first,
-    exhaustive_search,
     genetic_search,
 )
 from .fs_ensemble import (
@@ -49,10 +47,8 @@ from .svm import (
     KernelSpec,
     SvmConfig,
     SvmModel,
-    decision_value,
     kernel_eval,
     load_model,
-    predict,
     save_model,
     smo_train,
     train_multiclass,
@@ -63,7 +59,6 @@ from .bagging import (
     bagging_train,
     bootstrap_sample,
     load_ensemble,
-    majority_vote,
     member_agreement,
     save_ensemble,
 )

@@ -107,12 +107,7 @@ class EnsembleModel:
         return labels, {"vote_ties": ties}
 
     def predict_values(self, values) -> str:
-        votes = [m.predict_values(values) for m, _, _ in self.members]
-        weights = None
-        if self.vote == "weighted_by_train_accuracy":
-            weights = [acc for _, _, acc in self.members]
-        priors = {c: float(p) for c, p in zip(self.classes, self.class_priors)}
-        return _vote(votes, priors, self.classes, weights)[0]
+        return self.vote_labels([[m.predict_values(values)] for m, _, _ in self.members])[0][0]
 
 
 def _vote(predictions, priors, class_order, weights=None) -> tuple[str, int]:
@@ -129,21 +124,6 @@ def _vote(predictions, priors, class_order, weights=None) -> tuple[str, int]:
     rank = {c: i for i, c in enumerate(class_order)}
     cands.sort(key=lambda lab: (-priors.get(lab, 0.0), rank.get(lab, len(rank))))
     return cands[0], 1
-
-
-def majority_vote(predictions, priors, rule: str = "unweighted_majority", weights=None) -> str:
-    """Modal label; ties break toward the larger prior, then label order.
-
-    The weighted rule sums the given member weights instead of counts.
-    """
-    predictions = list(predictions)
-    if not predictions:
-        raise DataError("majority_vote of an empty prediction list")
-    if rule not in VOTE_RULES:
-        raise DataError(f"unknown vote rule {rule!r}")
-    order = sorted(priors)
-    use_weights = weights if rule == "weighted_by_train_accuracy" else None
-    return _vote(predictions, priors, order, use_weights)[0]
 
 
 def bagging_train(

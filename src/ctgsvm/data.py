@@ -454,16 +454,6 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     return Standardizer(means, sigmas, fschema)
 
 
-def apply_standardizer(s: Standardizer, ds: Dataset) -> Dataset:
-    fschema = tuple(ds.schema[i] for i in ds.feature_schema_indices)
-    if fschema != s.feature_schema:
-        raise DataError("schema mismatch: standardizer was fitted on different features")
-    rows = ds.rows.copy()
-    cols = list(ds.feature_schema_indices)
-    rows[:, cols] = s.transform_features(rows[:, cols])
-    return Dataset(ds.schema, rows, ds.class_column)
-
-
 # ---------------------------------------------------------------------------
 # Entropy-minimizing discretization with an MDL stopping rule
 

@@ -235,23 +235,6 @@ def genetic_search(
     return SubsetEvaluation(evaluator.method, best_sub, best_val)
 
 
-def exhaustive_search(
-    evaluator: SubsetEvaluator, n_features: int, trace: list | None = None
-) -> SubsetEvaluation:
-    """Exact maximizer over every non-empty subset (n_features <= 16)."""
-    if not 1 <= n_features <= 16:
-        raise DataError("exhaustive search supports 1..16 features")
-    best_sub, best_val = None, None
-    for mask in range(1, 1 << n_features):
-        sub = frozenset(f for f in range(n_features) if mask >> f & 1)
-        val = evaluator.score(sub)
-        if trace is not None:
-            trace.append((evaluator.calls, sub, val))
-        if best_sub is None or _better(sub, val, best_sub, best_val):
-            best_sub, best_val = sub, val
-    return SubsetEvaluation(evaluator.method, best_sub, best_val)
-
-
 def trace_to_csv(trace) -> str:
     """CSV rows: evaluation index, subset bitmask as hex, score."""
     rows = [(it, hex(sum(1 << f for f in sub)), repr(val)) for it, sub, val in trace]

@@ -1,14 +1,18 @@
 """Soft-margin SVM with a polynomial kernel, trained by sequential minimal
 optimization, plus the one-vs-one wrapper for multiclass problems.
 
-The solver is fully deterministic: Platt-style alternating passes over all
-rows and over the non-bound set, second choice by largest error difference,
-with ascending-index scans instead of randomized ones. Convergence is
-verified against the dual feasibility gap before a model is returned, and
-the bias is recomputed from the unbounded support rows.
+Each solver step takes the most-violating pair's first row and, as its
+partner, the row of largest second-order gain (Fan, Chen & Lin, JMLR 2005),
+or the most-violating partner when that pair cannot move; ties go to the
+lowest index, so the solver is fully deterministic. A sweep ends when the
+pair's violation is within tolerance or no pair can move. Convergence is
+then verified against the dual feasibility gap of the resynced error cache,
+with at most three more sweeps, and the bias is recomputed from the
+unbounded support rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +21,8 @@ import numpy as np
 from .data import DataError, Dataset, Standardizer
 
 DENSE_LIMIT = 4096
+CACHE_ROWS = 512  # kernel rows the solver keeps above DENSE_LIMIT
+EPSILON = 1e-12  # smallest relative alpha move the solver takes as a step
 _BLOCK = 1 << 15  # elements per block of the in-place kernel power (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
 MODEL_VERSION = 1
@@ -40,7 +46,6 @@ class SvmConfig:
     C: float
     kernel: KernelSpec
     tolerance: float = 1e-3
-    epsilon: float = 1e-12
     max_iter: int = 200_000
 
     def __post_init__(self):
@@ -111,7 +116,7 @@ class _KernelSource:
     when the problem is small, otherwise an on-demand row cache with FIFO
     eviction."""
 
-    def __init__(self, X: np.ndarray, spec: KernelSpec, kernel: np.ndarray | None, cache_rows=512):
+    def __init__(self, X: np.ndarray, spec: KernelSpec, kernel: np.ndarray | None):
         self.X = X
         self.spec = spec
         if kernel is None:
@@ -122,7 +127,6 @@ class _KernelSource:
         else:
             self._cache: dict[int, np.ndarray] = {}
             self._order: list[int] = []
-            self._cap = cache_rows
             self.diag = _polynomial(np.einsum("ij,ij->i", X, X), spec)
 
     def row(self, i: int) -> np.ndarray:
@@ -133,7 +137,7 @@ class _KernelSource:
             got = _polynomial(self.X @ self.X[i], self.spec)
             self._cache[i] = got
             self._order.append(i)
-            if len(self._order) > self._cap:
+            if len(self._order) > CACHE_ROWS:
                 del self._cache[self._order.pop(0)]
         return got
 
@@ -169,22 +173,86 @@ class BinarySvm:
         k = kernel_matrix(np.asarray(X, dtype=float), self.support_vectors, self.kernel)
         return k @ (self.alphas * self.labels) + self.bias
 
-    def decision_value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.support_vectors.shape[1],):
-            raise DataError("instance length does not match support vectors")
-        return float(self.decision_values(x.reshape(1, -1))[0])
 
+def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
+    """The analytic update of the pair (i1, i2), not yet applied: returns
+    (i2, a1, a2, d1, d2, b_new), or None when the pair cannot move.
 
-def decision_value(m: BinarySvm, x) -> float:
-    return m.decision_value(x)
-
-
-def dual_objective(m: BinarySvm) -> float:
-    """sum(alpha) - 1/2 * alpha' Q alpha over the stored support rows."""
-    k = kernel_matrix(m.support_vectors, m.support_vectors, m.kernel)
-    ay = m.alphas * m.labels
-    return float(m.alphas.sum() - 0.5 * ay @ k @ ay)
+    `row1` is the kernel row of i1; a pair whose second-derivative eta is
+    not positive takes whichever clip bound gives the larger objective.
+    """
+    if i1 == i2:
+        return None
+    a1o, a2o = alphas[i1], alphas[i2]
+    y1, y2 = y[i1], y[i2]
+    e1, e2 = E[i1], E[i2]
+    s = y1 * y2
+    if s < 0:
+        L = max(0.0, a2o - a1o)
+        H = min(C, C + a2o - a1o)
+    else:
+        L = max(0.0, a1o + a2o - C)
+        H = min(C, a1o + a2o)
+    if L >= H:
+        return None
+    k11, k12, k22 = diag[i1], row1[i2], diag[i2]
+    eta = k11 + k22 - 2.0 * k12
+    if eta > 0.0:
+        a2 = a2o + y2 * (e1 - e2) / eta
+        a2 = min(max(a2, L), H)
+    else:
+        # pair objective evaluated at both clip bounds
+        f1 = y1 * (e1 - b) - a1o * k11 - s * a2o * k12
+        f2 = y2 * (e2 - b) - s * a1o * k12 - a2o * k22
+        l1 = a1o + s * (a2o - L)
+        h1 = a1o + s * (a2o - H)
+        lobj = l1 * f1 + L * f2 + 0.5 * l1 * l1 * k11 + 0.5 * L * L * k22 + s * L * l1 * k12
+        hobj = h1 * f1 + H * f2 + 0.5 * h1 * h1 * k11 + 0.5 * H * H * k22 + s * H * h1 * k12
+        if lobj < hobj - EPSILON:
+            a2 = L
+        elif lobj > hobj + EPSILON:
+            a2 = H
+        else:
+            a2 = a2o
+    if abs(a2 - a2o) < EPSILON * (a2 + a2o + EPSILON):
+        return None
+    a1 = a1o + s * (a2o - a2)
+    # push any float residue outside the box back into a2, keeping the
+    # equality constraint intact
+    if a1 < 0.0:
+        a2 += s * a1
+        a1 = 0.0
+    elif a1 > C:
+        a2 += s * (a1 - C)
+        a1 = C
+    # snap cancellation crumbs onto the box walls (threshold relative to
+    # the pair's own scale); a stray 1e-19 alpha would otherwise sit on
+    # top of the violating-pair ordering forever, blocking progress
+    crumb = 1e-12 * max(a1o, a2o, a1, a2)
+    if 0.0 < a1 < crumb:
+        a2 += s * a1
+        a1 = 0.0
+    elif 0.0 < C - a1 < crumb:
+        a2 += s * (a1 - C)
+        a1 = C
+    if 0.0 < a2 < crumb:
+        a1 += s * a2
+        a2 = 0.0
+    elif 0.0 < C - a2 < crumb:
+        a1 += s * (a2 - C)
+        a2 = C
+    a1 = min(max(a1, 0.0), C)
+    a2 = min(max(a2, 0.0), C)
+    d1, d2 = a1 - a1o, a2 - a2o
+    b1 = b - e1 - y1 * d1 * k11 - y2 * d2 * k12
+    b2 = b - e2 - y1 * d1 * k12 - y2 * d2 * k22
+    if 0.0 < a1 < C:
+        b_new = b1
+    elif 0.0 < a2 < C:
+        b_new = b2
+    else:
+        b_new = (b1 + b2) / 2.0
+    return i2, a1, a2, d1, d2, b_new
 
 
 def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinarySvm:
@@ -210,10 +278,6 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
 
     C = float(cfg.C)
     tol = float(cfg.tolerance)
-    # the per-example test only bounds the feasibility gap by twice its
-    # threshold, so run it at tol/2 to land the final gap within tol
-    tol2 = tol / 2.0
-    eps = float(cfg.epsilon)
     K = _KernelSource(X, cfg.kernel, kernel)
     diag = K.diag
 
@@ -221,142 +285,18 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
     b = 0.0
     E = -y.copy()  # decision - label with all alphas at zero
     updates = 0
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal b, updates, E
-        if i1 == i2:
-            return False
-        a1o, a2o = alphas[i1], alphas[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = E[i1], E[i2]
-        s = y1 * y2
-        if s < 0:
-            L = max(0.0, a2o - a1o)
-            H = min(C, C + a2o - a1o)
-        else:
-            L = max(0.0, a1o + a2o - C)
-            H = min(C, a1o + a2o)
-        if L >= H:
-            return False
-        row1 = K.row(i1)
-        k11, k12, k22 = diag[i1], row1[i2], diag[i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0.0:
-            a2 = a2o + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, L), H)
-        else:
-            # pair objective evaluated at both clip bounds
-            f1 = y1 * (e1 - b) - a1o * k11 - s * a2o * k12
-            f2 = y2 * (e2 - b) - s * a1o * k12 - a2o * k22
-            l1 = a1o + s * (a2o - L)
-            h1 = a1o + s * (a2o - H)
-            lobj = l1 * f1 + L * f2 + 0.5 * l1 * l1 * k11 + 0.5 * L * L * k22 + s * L * l1 * k12
-            hobj = h1 * f1 + H * f2 + 0.5 * h1 * h1 * k11 + 0.5 * H * H * k22 + s * H * h1 * k12
-            if lobj < hobj - eps:
-                a2 = L
-            elif lobj > hobj + eps:
-                a2 = H
-            else:
-                a2 = a2o
-        if abs(a2 - a2o) < eps * (a2 + a2o + eps):
-            return False
-        a1 = a1o + s * (a2o - a2)
-        # push any float residue outside the box back into a2, keeping the
-        # equality constraint intact
-        if a1 < 0.0:
-            a2 += s * a1
-            a1 = 0.0
-        elif a1 > C:
-            a2 += s * (a1 - C)
-            a1 = C
-        # snap cancellation crumbs onto the box walls (threshold relative to
-        # the pair's own scale); a stray 1e-19 alpha would otherwise sit on
-        # top of the violating-pair ordering forever, blocking progress
-        crumb = 1e-12 * max(a1o, a2o, a1, a2)
-        if 0.0 < a1 < crumb:
-            a2 += s * a1
-            a1 = 0.0
-        elif 0.0 < C - a1 < crumb:
-            a2 += s * (a1 - C)
-            a1 = C
-        if 0.0 < a2 < crumb:
-            a1 += s * a2
-            a2 = 0.0
-        elif 0.0 < C - a2 < crumb:
-            a1 += s * (a2 - C)
-            a2 = C
-        a1 = min(max(a1, 0.0), C)
-        a2 = min(max(a2, 0.0), C)
-        d1, d2 = a1 - a1o, a2 - a2o
-        b1 = b - e1 - y1 * d1 * k11 - y2 * d2 * k12
-        b2 = b - e2 - y1 * d1 * k12 - y2 * d2 * k22
-        if 0.0 < a1 < C:
-            b_new = b1
-        elif 0.0 < a2 < C:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        row2 = K.row(i2)
-        E += y1 * d1 * row1 + y2 * d2 * row2 + (b_new - b)
-        alphas[i1], alphas[i2] = a1, a2
-        b = b_new
-        updates += 1
-        if K.dense is not None and updates % 4096 == 0:
-            E[:] = K.full_g(alphas * y) + b - y  # shed accumulated drift
-        return True
-
-    def examine(i2: int) -> bool:
-        a2 = alphas[i2]
-        r2 = E[i2] * y[i2]
-        if not ((r2 < -tol2 and a2 < C) or (r2 > tol2 and a2 > 0.0)):
-            return False
-        nb = np.flatnonzero((alphas > 0.0) & (alphas < C))
-        if len(nb) > 1:
-            i1 = int(nb[np.argmax(np.abs(E[nb] - E[i2]))])
-            if take_step(i1, i2):
-                return True
-        for i1 in nb:
-            if take_step(int(i1), i2):
-                return True
-        for i1 in range(n):
-            if take_step(i1, i2):
-                return True
-        return False
-
-    def platt_cycle() -> int:
-        """Alternating full/non-bound passes; returns total steps taken."""
-        nonlocal updates
-        total = 0
-        num_changed = 0
-        examine_all = True
-        while updates < cfg.max_iter and (num_changed > 0 or examine_all):
-            num_changed = 0
-            if examine_all:
-                targets = range(n)
-            else:
-                targets = np.flatnonzero((alphas > 0.0) & (alphas < C))
-            for i in targets:
-                num_changed += examine(int(i))
-                if updates >= cfg.max_iter:
-                    return total + num_changed
-            total += num_changed
-            if examine_all:
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-        return total
-
-    def run_mvp() -> None:
-        """Main loop: most-violating pair with second-order partner choice.
-
-        b cancels out of every comparison, so the selection can read the
-        error cache directly: I_up rows want smaller E, I_low rows larger.
-        eta and the gain are built in two reused buffers, in the float
-        order of diag[i] + diag - 2 K[i] and (E - E[i]) ** 2 / eta.
-        """
-        pos = y > 0
-        eta = np.empty(n)
-        gain = np.empty(n)
+    pos = y > 0
+    eta = np.empty(n)
+    gain = np.empty(n)
+    for sweep in range(4):
+        if sweep:
+            # the incremental error cache can drift; resync and re-verify
+            E[:] = g + b - y
+        # Most-violating pair with second-order partner choice. b cancels
+        # out of every comparison, so the selection reads the error cache
+        # directly: I_up rows want smaller E, I_low rows larger. eta and
+        # the gain are built in two reused buffers, in the float order of
+        # diag[i] + diag - 2 K[i] and (E - E[i]) ** 2 / eta.
         while updates < cfg.max_iter:
             below = alphas < C
             above = alphas > 0
@@ -366,9 +306,10 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
             e_low = np.where(low, E, -np.inf)
             j_max = int(np.argmax(e_low))
             if E[j_max] - E[i] <= tol:
-                return
+                break
+            row1 = K.row(i)
             np.add(diag, diag[i], out=eta)
-            np.multiply(K.row(i), 2.0, out=gain)
+            np.multiply(row1, 2.0, out=gain)
             np.subtract(eta, gain, out=eta)
             np.maximum(eta, 1e-12, out=eta)
             np.subtract(E, E[i], out=gain)
@@ -376,29 +317,24 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
             np.divide(gain, eta, out=gain)
             gain[e_low <= E[i]] = -np.inf  # keeps I_low rows with E > E[i]
             j = int(np.argmax(gain))
-            if take_step(i, j) or take_step(i, j_max):
-                continue
-            if platt_cycle() == 0:
-                return  # numerically stuck; the final gap check decides
-
-    def gap_state():
+            step = _pair_step(alphas, y, E, b, C, diag, row1, i, j) or _pair_step(
+                alphas, y, E, b, C, diag, row1, i, j_max
+            )
+            if step is None:
+                break  # numerically stuck; the gap check below decides
+            i2, a1, a2, d1, d2, b_new = step
+            E += y[i] * d1 * row1 + y[i2] * d2 * K.row(i2) + (b_new - b)
+            alphas[i], alphas[i2] = a1, a2
+            b = b_new
+            updates += 1
+            if K.dense is not None and updates % 4096 == 0:
+                E[:] = K.full_g(alphas * y) + b - y  # shed accumulated drift
         g = K.full_g(alphas * y)
         b_est = y - g
-        i_up = ((y > 0) & (alphas < C)) | ((y < 0) & (alphas > 0))
-        i_low = ((y > 0) & (alphas > 0)) | ((y < 0) & (alphas < C))
-        m_up = b_est[i_up].max()
-        m_low = b_est[i_low].min()
-        return g, b_est, m_up, m_low
-
-    run_mvp()
-    g, b_est, m_up, m_low = gap_state()
-    for _ in range(3):
-        # the cheap incremental error cache can drift; resync and re-verify
+        m_up = b_est[np.where(pos, alphas < C, alphas > 0)].max()
+        m_low = b_est[np.where(pos, alphas > 0, alphas < C)].min()
         if m_up - m_low <= tol or updates >= cfg.max_iter:
             break
-        E[:] = g + b - y
-        run_mvp()
-        g, b_est, m_up, m_low = gap_state()
 
     converged = (m_up - m_low) <= tol
     unbounded = (alphas > 0.0) & (alphas < C)
@@ -570,11 +506,6 @@ def train_multiclass(
     return train_from_problems(pairwise_problems(train, feature_mask, standardizer), cfg)
 
 
-def predict(model: SvmModel, values) -> str:
-    """Class label for one instance given in the model's input feature space."""
-    return model.predict_values(values)
-
-
 # ---------------------------------------------------------------------------
 # Persistence: versioned text format, hex floats for bit-exact round trips
 
@@ -631,6 +562,11 @@ def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
         raise DataError(f"malformed model file: {exc}") from None
 
 
+def _require(ok: bool, what: str, line: int) -> None:
+    if not ok:
+        raise DataError(f"malformed model file: {what} at line {line}")
+
+
 def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     from .data import AttributeSpec, NOMINAL, NUMERIC
 
@@ -655,6 +591,7 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     counts = np.array([int(c) for c in fields("counts", len(classes))])
     kparts = fields("kernel", 3)
     kernel = KernelSpec(kparts[0], int(kparts[1]), float.fromhex(kparts[2]))
+    _require(math.isfinite(kernel.coef0), "non-finite coef0", pos)
     mparts = fields("mask")
     mask = None if mparts == ["all"] else tuple(int(i) for i in mparts)
     sparts = fields("standardizer", 1)
@@ -672,6 +609,8 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
                 fschema.append(AttributeSpec(fp[0], NUMERIC))
             means.append(float.fromhex(fp[2]))
             sigmas.append(float.fromhex(fp[3]))
+            _require(math.isfinite(means[-1]), "non-finite mean", pos)
+            _require(0.0 < sigmas[-1] < math.inf, "sigma not positive and finite", pos)
         standardizer = Standardizer(np.array(means), np.array(sigmas), tuple(fschema))
     # support rows live in the masked, standardized feature space
     if mask is not None:
@@ -686,6 +625,7 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
         ci, cj, n_sv, bias, conv = int(mp[0]), int(mp[1]), int(mp[2]), float.fromhex(mp[3]), bool(int(mp[4]))
         if not (0 <= ci < len(classes) and 0 <= cj < len(classes)) or n_sv < 1:
             raise DataError(f"malformed model file: bad machine header at line {pos}")
+        _require(math.isfinite(bias), "non-finite bias", pos)
         labels, alphas, rows = [], [], []
         for _ in range(n_sv):
             sp = fields("sv")
@@ -696,6 +636,9 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
             labels.append(float(sp[0]))
             alphas.append(float.fromhex(sp[1]))
             rows.append([float.fromhex(v) for v in sp[2:]])
+            _require(labels[-1] in (-1.0, 1.0), "label not +1 or -1", pos)
+            _require(0.0 <= alphas[-1] < math.inf, "alpha negative or not finite", pos)
+            _require(all(map(math.isfinite, rows[-1])), "non-finite support value", pos)
         pairs.append((ci, cj))
         machines.append(
             BinarySvm(np.array(rows), np.array(alphas), np.array(labels), bias, kernel, conv)

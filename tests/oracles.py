@@ -258,6 +258,15 @@ def qp_reference(K, y, C, max_iter=200_000):
     return a, objective(a)
 
 
+def dual_objective(m) -> float:
+    """sum(alpha) - 1/2 * alpha' Q alpha of a trained machine over its
+    stored support rows, with the polynomial kernel written out."""
+    sv = m.support_vectors
+    K = (sv @ sv.T + m.kernel.coef0) ** m.kernel.degree
+    ay = m.alphas * m.labels
+    return float(m.alphas.sum() - 0.5 * ay @ K @ ay)
+
+
 def qp_bias(K, y, C, a, tol=1e-8):
     """Bias by the same rule the trained models use: mean over unbounded
     support rows, else the midpoint of the feasible interval."""

@@ -22,18 +22,17 @@ from ctgsvm.experiments import (
     run_exp4,
 )
 from ctgsvm.report import fmt_accuracy, timed
-from ctgsvm.search import GeneticConfig, SubsetEvaluator, best_first, exhaustive_search, genetic_search
+from ctgsvm.search import GeneticConfig, SubsetEvaluator, best_first, genetic_search
 from ctgsvm.svm import (
     KernelSpec,
     SvmConfig,
-    dual_objective,
     kernel_matrix,
     pairwise_problems,
     smo_train,
     train_from_problems,
 )
 from conftest import numeric_dataset
-from oracles import qp_bias, qp_reference
+from oracles import dual_objective, exhaustive_best, qp_bias, qp_reference
 from test_filters import assert_scores_match_brute, random_small_dataset
 from test_svm import qp_fixtures
 
@@ -136,14 +135,14 @@ def test_criterion_3_search_correctness():
 
     checked = 0
     for n, fn in fixture_evals():
-        ex = exhaustive_search(SubsetEvaluator(fn), n)
+        best, _ = exhaustive_best(fn, n)
         bf_eval = SubsetEvaluator(fn)
         bf = best_first(bf_eval, n)
-        assert bf.subset == ex.subset, f"best_first missed the optimum on n={n}"
+        assert bf.subset == best, f"best_first missed the optimum on n={n}"
         assert bf_eval.calls <= 5 * n * (n + 1)
         ga_eval = SubsetEvaluator(fn)
         ga = genetic_search(ga_eval, n, GeneticConfig(seed=7))
-        assert ga.subset == ex.subset, f"genetic missed the optimum on n={n}"
+        assert ga.subset == best, f"genetic missed the optimum on n={n}"
         assert ga_eval.calls <= 20 * 21
         checked += 1
     took = time.perf_counter() - t0

@@ -9,7 +9,6 @@ from ctgsvm.bagging import (
     bagging_train,
     bootstrap_sample,
     load_ensemble,
-    majority_vote,
     member_agreement,
     save_ensemble,
     split_mix,
@@ -132,33 +131,51 @@ class _StubModel:
     def predict_dataset(self, ds):
         return list(self.labels), {"vote_ties": 0}
 
+    def predict_values(self, values):
+        return self.labels[int(values[0])]  # the row's one feature is its index
 
-def stub_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2)):
-    members = [(_StubModel(labels), i, 0.9) for i, labels in enumerate(label_rows)]
-    return EnsembleModel(
-        members, "unweighted_majority", tuple(classes), np.array(priors), master_seed=0
-    )
+
+def stub_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2),
+                  vote="unweighted_majority", accs=None):
+    accs = accs or [0.9] * len(label_rows)
+    members = [(_StubModel(labels), i, acc) for i, (labels, acc) in enumerate(zip(label_rows, accs))]
+    return EnsembleModel(members, vote, tuple(classes), np.array(priors), master_seed=0)
+
+
+def vote_one_row(labels, **kw):
+    """The ensemble vote on one row whose members emit `labels`."""
+    rows = [[lab] for lab in labels]
+    return stub_ensemble(rows, **kw).vote_labels(rows)[0][0]
 
 
 class TestVoting:
-    PRIORS = {"N": 0.7, "P": 0.1, "S": 0.2}
-
     def test_simple_majority(self):
-        assert majority_vote(["N", "N", "S"], self.PRIORS) == "N"
+        assert vote_one_row(["N", "N", "S"]) == "N"
 
     def test_tie_breaks_to_larger_prior(self):
-        assert majority_vote(["N", "S"], self.PRIORS) == "N"
-        assert majority_vote(["S", "P"], self.PRIORS) == "S"
+        assert vote_one_row(["N", "S"]) == "N"
+        assert vote_one_row(["S", "P"]) == "S"
 
     def test_weighted_rule(self):
-        got = majority_vote(
-            ["N", "S"], self.PRIORS, rule="weighted_by_train_accuracy", weights=[0.4, 0.6]
-        )
+        got = vote_one_row(["N", "S"], vote="weighted_by_train_accuracy", accs=[0.4, 0.6])
         assert got == "S"
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            majority_vote([], self.PRIORS)
+            stub_ensemble([["N"], ["S"]]).vote_labels([])
+
+    @pytest.mark.parametrize("vote", ["unweighted_majority", "weighted_by_train_accuracy"])
+    def test_single_row_vote_is_predict_dataset(self, vote):
+        # row 0 ties under both rules (weights 0.9 + 0.6 = 0.75 + 0.75),
+        # row 2 only under the unweighted one
+        rows = [["hi", "hi", "lo", "lo"], ["hi", "lo", "lo", "lo"], ["hi", "lo", "lo", "hi"]]
+        members = [list(col) for col in zip(*rows)]
+        ens = stub_ensemble(members, classes=("hi", "lo"), priors=(0.4, 0.6), vote=vote,
+                            accs=[0.9, 0.6, 0.75, 0.75])
+        ds = numeric_dataset([[i] for i in range(len(rows))], ["hi", "lo", "hi"])
+        labels, stats = ens.predict_dataset(ds)
+        assert stats["vote_ties"] >= 1
+        assert [ens.predict_values(row) for row in ds.feature_matrix()] == labels
 
     def test_identical_members_reproduce_single_model(self):
         ds = blobs(n_per=4)

@@ -117,6 +117,20 @@ class TestTrainPredict:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
 
+    def test_nan_alpha_and_bad_label_is_data_error(self, small_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--data", small_csv, "--out", str(model_path)]) == 0
+        lines = model_path.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("sv\t"))
+        parts = lines[i].split("\t")
+        parts[1:3] = ["+7", "nan"]
+        lines[i] = "\t".join(parts)
+        model_path.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--model", str(model_path), "--data", small_csv,
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert "malformed model file" in capsys.readouterr().err
+
     def test_bagged_train_and_predict(self, small_csv, tmp_path):
         model_path = tmp_path / "ens.txt"
         assert main(["train", "--data", small_csv, "--members", "3", "--c", "100",

@@ -7,7 +7,6 @@ import pytest
 from ctgsvm.data import (
     DataError,
     SplitSpec,
-    apply_standardizer,
     discretize_mdl,
     export_csv,
     fit_discretization,
@@ -195,18 +194,17 @@ class TestStandardizer:
         ds = numeric_dataset([[0.0], [2.0]], ["a", "b"])
         s = fit_standardizer(ds)
         assert s.means[0] == 1.0 and s.sigmas[0] == 1.0
-        out = apply_standardizer(s, ds)
-        assert out.feature_matrix().ravel().tolist() == [-1.0, 1.0]
+        assert s.transform_features(ds.feature_matrix()).ravel().tolist() == [-1.0, 1.0]
 
     def test_constant_feature_floored(self):
         ds = numeric_dataset([[5.0], [5.0], [5.0]], ["a", "b", "a"])
         s = fit_standardizer(ds)
         assert s.sigmas[0] == 1.0
-        out = apply_standardizer(s, ds)
-        assert out.feature_matrix().ravel().tolist() == [0.0, 0.0, 0.0]
+        out = s.transform_features(ds.feature_matrix())
+        assert out.ravel().tolist() == [0.0, 0.0, 0.0]
         # applying twice to a constant feature stays at zero
-        again = apply_standardizer(fit_standardizer(out), out)
-        assert again.feature_matrix().ravel().tolist() == [0.0, 0.0, 0.0]
+        again = fit_standardizer(numeric_dataset(out, ["a", "b", "a"])).transform_features(out)
+        assert again.ravel().tolist() == [0.0, 0.0, 0.0]
 
     def test_held_out_value(self):
         s = fit_standardizer(numeric_dataset([[0.0], [2.0]], ["a", "b"]))
@@ -215,16 +213,15 @@ class TestStandardizer:
     def test_self_fit_is_zero_mean_unit_sigma(self):
         rng = np.random.default_rng(11)
         ds = numeric_dataset(rng.normal(5, 3, size=(50, 4)), list("ab") * 25)
-        out = apply_standardizer(fit_standardizer(ds), ds)
-        feats = out.feature_matrix()
+        feats = fit_standardizer(ds).transform_features(ds.feature_matrix())
         assert np.all(np.abs(feats.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(np.sqrt((feats**2).mean(axis=0)) - 1) < 1e-9)
 
     def test_schema_mismatch(self):
         s = fit_standardizer(numeric_dataset([[0.0], [2.0]], ["a", "b"]))
         other = numeric_dataset([[0.0, 1.0], [2.0, 3.0]], ["a", "b"])
-        with pytest.raises(DataError, match="schema mismatch"):
-            apply_standardizer(s, other)
+        with pytest.raises(DataError, match="width"):
+            s.transform_features(other.feature_matrix())
 
 
 class TestDiscretization:

@@ -11,21 +11,18 @@ from ctgsvm.svm import (
     BinarySvm,
     KernelSpec,
     SvmConfig,
-    decision_value,
-    dual_objective,
     kernel_eval,
     kernel_matrix,
     load_model,
     model_to_lines,
     pairwise_problems,
-    predict,
     save_model,
     smo_train,
     train_from_problems,
     train_multiclass,
 )
 from conftest import numeric_dataset
-from oracles import qp_bias, qp_reference
+from oracles import dual_objective, qp_bias, qp_reference
 
 
 def cfgp(C, degree, coef0=1.0, **kw):
@@ -119,8 +116,7 @@ class TestSmoAnalytic:
         assert m.alphas.tolist() == [0.5, 0.5]
         assert m.bias == 0.0
         assert m.converged
-        assert m.decision_value([0.0]) == 0.0
-        assert m.decision_value([1.0]) == 1.0
+        assert m.decision_values([[0.0], [1.0]]).tolist() == [0.0, 1.0]
 
     def test_xor_poly2(self):
         X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -231,8 +227,19 @@ class TestSolverInvariants:
 
     def test_decision_value_length_mismatch(self):
         m = smo_train(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), cfgp(10.0, 1, 0.0))
-        with pytest.raises(DataError):
-            decision_value(m, [0.0, 1.0])
+        with pytest.raises(DataError, match="width"):
+            m.decision_values([[0.0, 1.0]])
+
+    def test_stuck_pair_ends_the_solve_flagged(self, monkeypatch):
+        """A pair that cannot move ends the sweep; the gap check then flags
+        the machine instead of the solver raising or spinning."""
+        monkeypatch.setattr(svm, "_pair_step", lambda *args: None)
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        m = smo_train(X, y, cfgp(10.0, 1, 0.0))
+        assert not m.converged
+        assert m.n_updates == 0
+        assert np.isfinite(m.bias)
 
 
 def sep3(n_per=8, seed=0):
@@ -267,8 +274,8 @@ class TestMulticlass:
     def test_predict_single_instance(self):
         ds = sep3()
         model = train_multiclass(ds, cfgp(10.0, 2))
-        assert predict(model, [0.1, -0.2]) == "a"
-        assert predict(model, [6.1, 0.3]) == "b"
+        assert model.predict_values([0.1, -0.2]) == "a"
+        assert model.predict_values([6.1, 0.3]) == "b"
 
     def test_feature_mask_and_standardizer_applied(self):
         from ctgsvm.data import fit_standardizer, select_features
@@ -408,4 +415,36 @@ class TestPersistence:
         i = text.index("\nsv\t")
         path.write_text(text[:i] + text[i:].replace("0x", "0xq", 1))
         with pytest.raises(DataError, match="malformed model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "prefix, field, value",
+        [
+            ("kernel", 3, "nan"),
+            ("feat", 3, "inf"),
+            ("feat", 4, "nan"),
+            ("feat", 4, "0x0.0p+0"),
+            ("feat", 4, "-0x1.0p+0"),
+            ("machine", 4, "nan"),
+            ("sv", 1, "+7"),
+            ("sv", 2, "nan"),
+            ("sv", 2, "-0x1.0p-3"),
+            ("sv", 3, "-inf"),
+        ],
+        ids=["coef0-nan", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
+             "label-7", "alpha-nan", "alpha-negative", "support-value-inf"],
+    )
+    def test_invalid_field_rejected(self, tmp_path, prefix, field, value):
+        from ctgsvm.data import fit_standardizer
+
+        ds = sep3(seed=4)
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(ds, cfgp(10.0, 3), standardizer=fit_standardizer(ds)), path)
+        lines = path.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix + "\t"))
+        parts = lines[i].split("\t")
+        parts[field] = value
+        lines[i] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"malformed model file: .* at line {i + 1}$"):
             load_model(path)
