@@ -1,14 +1,14 @@
 """Soft-margin SVM with a polynomial kernel, trained by sequential minimal
 optimization, plus the one-vs-one wrapper for multiclass problems.
 
-Each solver step takes the most-violating pair's first row and, as its
+Each solver step takes the first row of the most-violating pair and, as its
 partner, the row of largest second-order gain (Fan, Chen & Lin, JMLR 2005),
 or the most-violating partner when that pair cannot move; ties go to the
 lowest index, so the solver is fully deterministic. A sweep ends when the
-pair's violation is within tolerance or no pair can move. Convergence is
-then verified against the dual feasibility gap of the resynced error cache,
-with at most three more sweeps, and the bias is recomputed from the
-unbounded support rows.
+pair's violation is within tolerance, when neither partner moves, or at
+the update cap. Convergence is then verified against the dual feasibility
+gap of the resynced error cache, with at most three more sweeps, and the
+bias is recomputed from the unbounded support rows.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .data import DataError, Dataset, Standardizer
 
 DENSE_LIMIT = 4096
 CACHE_ROWS = 512  # kernel rows the solver keeps above DENSE_LIMIT
-EPSILON = 1e-12  # smallest relative alpha move the solver takes as a step
+EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of the in-place kernel power (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
 MODEL_VERSION = 1
