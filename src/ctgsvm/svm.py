@@ -623,16 +623,14 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     while pos < len(lines) and lines[pos].startswith("machine\t"):
         mp = fields("machine", 5)
         ci, cj, n_sv, bias, conv = int(mp[0]), int(mp[1]), int(mp[2]), float.fromhex(mp[3]), bool(int(mp[4]))
-        if not (0 <= ci < len(classes) and 0 <= cj < len(classes)) or n_sv < 1:
-            raise DataError(f"malformed model file: bad machine header at line {pos}")
+        _require(0 <= ci < len(classes) and 0 <= cj < len(classes) and n_sv >= 1, "bad machine header", pos)
         _require(math.isfinite(bias), "non-finite bias", pos)
         labels, alphas, rows = [], [], []
         for _ in range(n_sv):
             sp = fields("sv")
             if dim is None:
                 dim = len(sp) - 2
-            if len(sp) != dim + 2:
-                raise DataError(f"malformed model file: expected {dim} values at line {pos}")
+            _require(len(sp) == dim + 2, f"expected {dim} values", pos)
             labels.append(float(sp[0]))
             alphas.append(float.fromhex(sp[1]))
             rows.append([float.fromhex(v) for v in sp[2:]])
