@@ -8,6 +8,13 @@ from __future__ import annotations
 
 import os
 
+# The SMO solver's update counts follow the last bits of its kernel values,
+# and multi-threaded OpenBLAS sums matrix products in an order that depends
+# on the thread count. One BLAS thread keeps the pinned solver path
+# (solver_path_seed42.txt) the same on every machine. This only takes effect
+# before numpy loads, so it comes before the first numpy import.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 import pytest
 
