@@ -9,11 +9,20 @@ pair's violation is within tolerance, when neither partner moves, or at
 the update cap. Convergence is then verified against the dual feasibility
 gap of the resynced error cache, with at most three more sweeps, and the
 bias is recomputed from the unbounded support rows.
+
+A solve in which the box wall C never decided anything is certified
+(`BinarySvm.c_free`): no pair clipped to, clamped to or snapped onto a
+bound derived from C, no pair took the eta <= 0 branch, and every alpha
+stayed below C. Every comparison the solver makes then comes out the same
+for any larger C, so that solve is, operation for operation, the solve at
+the larger C (the dual path is constant in C until an alpha meets the
+wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). `PairProblem.machine`
+reuses a certified machine for larger C; the certificate is not saved.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +173,7 @@ class BinarySvm:
     kernel: KernelSpec
     converged: bool = True
     n_updates: int = 0
+    c_free: bool = False  # the solve's certificate (see the module docstring); not saved
 
     def __post_init__(self):
         if len(self.alphas) == 0:
@@ -176,13 +186,15 @@ class BinarySvm:
 
 def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
     """The analytic update of the pair (i1, i2), not yet applied: returns
-    (i2, a1, a2, d1, d2, b_new), or None when the pair cannot move.
+    (step, c_bound). step is (i2, a1, a2, d1, d2, b_new), or None when the
+    pair cannot move; c_bound is True when C decided anything here, moved
+    or not, so that a larger C could have given a different step.
 
     `row1` is the kernel row of i1; a pair whose second-derivative eta is
     not positive takes whichever clip bound gives the larger objective.
     """
     if i1 == i2:
-        return None
+        return None, False
     a1o, a2o = alphas[i1], alphas[i2]
     y1, y2 = y[i1], y[i2]
     e1, e2 = E[i1], E[i2]
@@ -190,13 +202,16 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
     if s < 0:
         L = max(0.0, a2o - a1o)
         H = min(C, C + a2o - a1o)
+        c_low, c_high = False, True  # whether L and H derive from C
     else:
         L = max(0.0, a1o + a2o - C)
         H = min(C, a1o + a2o)
+        c_low = c_high = a1o + a2o > C
     if L >= H:
-        return None
+        return None, c_high
     k11, k12, k22 = diag[i1], row1[i2], diag[i2]
     eta = k11 + k22 - 2.0 * k12
+    c_bound = eta <= 0.0  # that branch compares the objective at L and H
     if eta > 0.0:
         a2 = a2o + y2 * (e1 - e2) / eta
         a2 = min(max(a2, L), H)
@@ -214,9 +229,11 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
             a2 = H
         else:
             a2 = a2o
+    c_bound = c_bound or (c_low and a2 == L) or (c_high and a2 == H)
     if abs(a2 - a2o) < EPSILON * (a2 + a2o + EPSILON):
-        return None
+        return None, c_bound
     a1 = a1o + s * (a2o - a2)
+    c_bound = c_bound or a1 >= C
     # push any float residue outside the box back into a2, keeping the
     # equality constraint intact
     if a1 < 0.0:
@@ -235,14 +252,17 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
     elif 0.0 < C - a1 < crumb:
         a2 += s * (a1 - C)
         a1 = C
+        c_bound = True
     if 0.0 < a2 < crumb:
         a1 += s * a2
         a2 = 0.0
     elif 0.0 < C - a2 < crumb:
         a1 += s * (a2 - C)
         a2 = C
+        c_bound = True
     a1 = min(max(a1, 0.0), C)
     a2 = min(max(a2, 0.0), C)
+    c_bound = c_bound or a1 >= C or a2 >= C
     d1, d2 = a1 - a1o, a2 - a2o
     b1 = b - e1 - y1 * d1 * k11 - y2 * d2 * k12
     b2 = b - e2 - y1 * d1 * k12 - y2 * d2 * k22
@@ -252,7 +272,7 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
         b_new = b2
     else:
         b_new = (b1 + b2) / 2.0
-    return i2, a1, a2, d1, d2, b_new
+    return (i2, a1, a2, d1, d2, b_new), c_bound
 
 
 def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinarySvm:
@@ -264,7 +284,8 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
 
     `kernel` is the finished kernel matrix of X under cfg.kernel, read and
     never written; without it the kernel is built here (dense up to
-    DENSE_LIMIT rows, row-cached above).
+    DENSE_LIMIT rows, row-cached above). The machine's `c_free` says
+    whether the solve is certified to be the solve at any larger C.
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -285,6 +306,7 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
     b = 0.0
     E = -y.copy()  # decision - label with all alphas at zero
     updates = 0
+    c_free = True
     pos = y > 0
     eta = np.empty(n)
     gain = np.empty(n)
@@ -317,9 +339,11 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
             np.divide(gain, eta, out=gain)
             gain[e_low <= E[i]] = -np.inf  # keeps I_low rows with E > E[i]
             j = int(np.argmax(gain))
-            step = _pair_step(alphas, y, E, b, C, diag, row1, i, j) or _pair_step(
-                alphas, y, E, b, C, diag, row1, i, j_max
-            )
+            step, c_bound = _pair_step(alphas, y, E, b, C, diag, row1, i, j)
+            if step is None:
+                step, c_max = _pair_step(alphas, y, E, b, C, diag, row1, i, j_max)
+                c_bound = c_bound or c_max
+            c_free = c_free and not c_bound
             if step is None:
                 break  # numerically stuck; the gap check below decides
             i2, a1, a2, d1, d2, b_new = step
@@ -356,6 +380,7 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
         kernel=cfg.kernel,
         converged=converged,
         n_updates=updates,
+        c_free=c_free,
     )
 
 
@@ -371,6 +396,7 @@ class PairProblem:
     yb: np.ndarray
     _kernel_key: tuple | None = field(default=None, init=False, repr=False)
     _kernel: np.ndarray | None = field(default=None, init=False, repr=False)
+    _machine: tuple[SvmConfig, BinarySvm] | None = field(default=None, init=False, repr=False)
 
     def kernel(self, spec: KernelSpec) -> np.ndarray | None:
         """The dense kernel matrix of X under `spec`, memoized in one slot.
@@ -386,6 +412,23 @@ class PairProblem:
             self._kernel = _dense_kernel(self.X, spec)
             self._kernel_key = key
         return self._kernel
+
+    def machine(self, cfg: SvmConfig) -> BinarySvm:
+        """The machine trained on this pair under `cfg`, memoized in one slot.
+
+        The slot holds the last certified machine (`c_free`) with the config
+        that trained it. It answers any config that differs only by a C at
+        least as large, since that solve would repeat the certified one
+        step for step; anything else trains, building the kernel if needed.
+        """
+        if self._machine is not None:
+            held, m = self._machine
+            if held.C <= cfg.C and replace(held, C=cfg.C) == cfg:
+                return m
+        m = smo_train(self.X, self.yb, cfg, kernel=self.kernel(cfg.kernel))
+        if m.c_free:
+            self._machine = (cfg, m)
+        return m
 
 
 @dataclass
@@ -477,7 +520,22 @@ class SvmModel:
         stats = {"vote_ties": int(tied.sum())}
         return [self.classes[w] for w in winners], stats
 
+    def _check_columns(self, names: tuple[str, ...]) -> None:
+        """Prediction columns must be the training columns, by name: the
+        standardizer records the name of every column the model reads, so a
+        reordered table fails here instead of predicting silently."""
+        if self.standardizer is None:
+            return
+        cols = self.feature_mask if self.feature_mask is not None else range(len(names))
+        want = [spec.name for spec in self.standardizer.feature_schema]
+        if len(cols) != len(want) or max(cols) >= len(names):
+            raise DataError("feature width does not match standardizer")
+        for i, name in zip(cols, want):
+            if names[i] != name:
+                raise DataError(f"prediction column {i + 1} is {names[i]!r}; the model expects {name!r}")
+
     def predict_dataset(self, ds: Dataset) -> tuple[list[str], dict]:
+        self._check_columns(ds.feature_names)
         return self.predict_matrix(ds.feature_matrix())
 
     def predict_values(self, values) -> str:
@@ -486,7 +544,7 @@ class SvmModel:
 
 
 def train_from_problems(mp: MulticlassProblem, cfg: SvmConfig) -> SvmModel:
-    machines = [smo_train(p.X, p.yb, cfg, kernel=p.kernel(cfg.kernel)) for p in mp.problems]
+    machines = [p.machine(cfg) for p in mp.problems]
     return SvmModel(
         classes=mp.classes,
         class_counts=mp.class_counts.copy(),

@@ -164,6 +164,25 @@ class TestTrainPredict:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["model", "ensemble"])
+    def test_reordered_columns_are_data_error(self, kind, saved_ensemble, small_csv, tmp_path, capsys):
+        """A table with LB and AC trading places (header and cells) fails,
+        naming the first mismatch, instead of predicting from the wrong
+        columns."""
+        model_path = tmp_path / "model.txt"
+        if kind == "model":
+            assert main(["train", "--data", small_csv, "--out", str(model_path)]) == 0
+        else:
+            model_path.write_text("\n".join(saved_ensemble) + "\n")
+        lines = open(small_csv, encoding="utf-8").read().splitlines()
+        assert lines[0].startswith("LB,AC,")
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(",".join([c[1], c[0], *c[2:]]) + "\n" for c in (ln.split(",") for ln in lines)))
+        code = main(["predict", "--model", str(model_path), "--data", str(swapped),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert "prediction column 1 is 'AC'; the model expects 'LB'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_data_error(self, small_csv, tmp_path, cell, capsys):
         lines = open(small_csv, encoding="utf-8").read().splitlines()

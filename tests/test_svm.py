@@ -1,6 +1,9 @@
 """Solver correctness against the QP reference, kernel math, multiclass
 voting, and model persistence."""
+import hashlib
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,7 +236,7 @@ class TestSolverInvariants:
     def test_stuck_pair_ends_the_solve_flagged(self, monkeypatch):
         """A pair that cannot move ends the sweep; the gap check then flags
         the machine instead of the solver raising or spinning."""
-        monkeypatch.setattr(svm, "_pair_step", lambda *args: None)
+        monkeypatch.setattr(svm, "_pair_step", lambda *args: (None, False))
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         m = smo_train(X, y, cfgp(10.0, 1, 0.0))
@@ -292,6 +295,12 @@ class TestMulticlass:
         preds, _ = model.predict_dataset(noisy)
         truth = [noisy.class_labels[c] for c in noisy.class_codes()]
         assert preds == truth
+        # the columns at the mask positions are matched by name and width
+        renamed = numeric_dataset(noisy.feature_matrix(), truth, names=["f0", "f2", "f1"])
+        with pytest.raises(DataError, match="prediction column 2 is 'f2'; the model expects 'f1'"):
+            model.predict_dataset(renamed)
+        with pytest.raises(DataError, match="width"):
+            model.predict_dataset(numeric_dataset(noisy.feature_matrix()[:, :2], truth))
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +365,143 @@ class TestKernelMemo:
             assert len(mc.alphas) == len(md.alphas)
             diff = np.abs(mc.decision_values(feats) - md.decision_values(feats)).max()
             assert diff <= 10 * cfg.tolerance
+
+
+@pytest.fixture
+def smo_calls(monkeypatch):
+    """Counts smo_train calls: the list gains each returned machine."""
+    made = []
+    real = svm.smo_train
+
+    def counting(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(svm, "smo_train", counting)
+    return made
+
+
+def overlapping_pair(n=40, seed=3):
+    """A two-class problem whose classes overlap, so small C binds."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.0, (n, 2))
+    y = np.where(X[:, 0] + rng.normal(0.0, 1.0, n) > 0, 1.0, -1.0)
+    return svm.PairProblem(0, 1, X, y)
+
+
+class TestCertifiedReuse:
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "row-cached"])
+    def test_exp1_grid_equals_fresh_training(self, quick_table, monkeypatch, smo_calls, dense):
+        """Every exp1 cell, in exp1's order, equals a fresh solve on a fresh
+        problem: same model file, update counts and convergence flags, in
+        both kernel modes; the C grid above 10 is served from the memo."""
+        from ctgsvm.experiments import DEFAULT_C_GRID, DEFAULT_DEGREE_GRID
+
+        _, train, std = quick_table
+        mp = pairwise_problems(train, None, std)
+        if not dense:
+            monkeypatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
+        for degree in DEFAULT_DEGREE_GRID:
+            for C in DEFAULT_C_GRID:
+                cfg = cfgp(C, degree)
+                before = len(smo_calls)
+                model = train_from_problems(mp, cfg)
+                assert len(smo_calls) - before == (3 if C == DEFAULT_C_GRID[0] else 0)
+                fresh = pairwise_problems(train, None, std)
+                machines = [smo_train(p.X, p.yb, cfg) for p in fresh.problems]
+                assert model_to_lines(model) == model_to_lines(replace(model, machines=machines))
+                assert [m.n_updates for m in model.machines] == [m.n_updates for m in machines]
+                assert [m.converged for m in model.machines] == [m.converged for m in machines]
+                assert all(m.c_free for m in model.machines)
+
+    def test_binding_c_is_not_certified(self, smo_calls):
+        p = overlapping_pair()
+        small = p.machine(cfgp(0.05, 2))
+        assert small.alphas.max() == 0.05
+        assert not small.c_free
+        large = p.machine(cfgp(10.0, 2))
+        assert len(smo_calls) == 2  # nothing was memoized to reuse
+        assert not np.array_equal(small.decision_values(p.X), large.decision_values(p.X))
+
+    def test_duplicates_with_mixed_labels_not_certified(self):
+        """Identical rows give eta = 0 for every pair."""
+        m = smo_train(np.ones((4, 1)), np.array([1.0, 1.0, -1.0, -1.0]), cfgp(5.0, 2))
+        assert not m.c_free
+
+    @pytest.mark.parametrize(
+        "X, y, alphas, C, i2, moved, bound",
+        [
+            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 1, True, False),  # to the optimum 0.5
+            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 0.3, 1, True, True),  # a2 clipped to H = C
+            ([-1.0, 1.0], [-1.0, 1.0], [0.3, 0.1], 0.3, 1, False, True),  # clipped to H = a2o, as a1 = C
+            ([-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], 1.0, 1, False, True),  # L = H = C
+            ([1.0, 1.0], [1.0, 1.0], [0.1, 0.1], 1.0, 1, False, True),  # eta = 0: the objective at L and H
+            ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5], 1.0, 1, True, True),  # a2 to L = 0, so a1 = a1o + a2o = C
+            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 0, False, False),  # a pair of one row
+        ],
+        ids=["interior", "clipped-at-C", "clipped-in-place", "stuck-at-C", "zero-curvature", "a1-reaches-C",
+             "same-row"],
+    )
+    def test_pair_step_reports_c_binding(self, X, y, alphas, C, i2, moved, bound):
+        """Whether C decided the step, including steps that do not move."""
+        X = np.array(X)[:, None]
+        y = np.array(y)
+        K = kernel_matrix(X, X, KernelSpec(degree=1, coef0=0.0))
+        alphas = np.array(alphas)
+        E = K @ (alphas * y) - y
+        step, c_bound = svm._pair_step(alphas, y, E, 0.0, C, np.diagonal(K), K[0], 0, i2)
+        assert (step is not None, c_bound) == (moved, bound)
+
+    @pytest.mark.parametrize("first, second", [(True, False), (False, True), (False, False)])
+    def test_every_pair_evaluation_counts(self, monkeypatch, first, second):
+        """A partner that cannot move still reports whether C decided that;
+        both partners' reports reach the certificate."""
+        reports = itertools.cycle([(None, first), (None, second)])  # one pair per sweep
+        monkeypatch.setattr(svm, "_pair_step", lambda *args: next(reports))
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        m = smo_train(X, np.array([-1.0, -1.0, 1.0, 1.0]), cfgp(10.0, 1, 0.0))
+        assert m.c_free == (not first and not second)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(C=5.0), dict(tolerance=1e-4), dict(max_iter=100_000),
+         dict(kernel=KernelSpec(degree=3)), dict(kernel=KernelSpec(degree=2, coef0=0.5))],
+        ids=["smaller-C", "tolerance", "max_iter", "degree", "coef0"],
+    )
+    def test_memo_misses_on_other_configs(self, quick_table, smo_calls, change):
+        _, train, std = quick_table
+        p = pairwise_problems(train, None, std).problems[0]
+        base = cfgp(10.0, 2)
+        held = p.machine(base)
+        assert held.c_free
+        assert p.machine(replace(base, C=100.0)) is held
+        assert len(smo_calls) == 1
+        assert p.machine(replace(base, **change)) is not held
+        assert len(smo_calls) == 2
+
+    def test_exp1_trains_one_machine_per_pair_and_degree(self, ctg_table, smo_calls, tmp_path):
+        from ctgsvm.experiments import ExperimentConfig, build_pipeline, run_exp1
+
+        _, path, _ = ctg_table
+        pipe = build_pipeline(ExperimentConfig(data=path, seed=42, quick=True, out_dir=str(tmp_path)))
+        run_exp1(pipe)
+        assert len(smo_calls) == 15  # 3 pairs x 5 degrees; the 75 larger-C cells reuse them
+
+    def test_certificate_not_saved(self, quick_table, tmp_path):
+        """A memo-served model saves to the same bytes as before the
+        certificate existed and loads uncertified."""
+        _, train, std = quick_table
+        mp = pairwise_problems(train, None, std)
+        train_from_problems(mp, cfgp(10.0, 3))
+        model = train_from_problems(mp, cfgp(1000.0, 3))
+        assert all(m.c_free for m in model.machines)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        # train_multiclass's file for C=1000, degree 3 before `c_free` existed
+        # (numpy 2.4.6, one BLAS thread)
+        assert digest == "bf088591c457629d2cc0d9ce4b93aeef9e8c9cc4c7d59154faf9dba6d48fc637"
+        assert not any(m.c_free for m in load_model(path).machines)
 
 
 class TestPersistence:
