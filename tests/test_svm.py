@@ -135,6 +135,7 @@ class TestSmoAnalytic:
         _, obj_ref = qp_reference(K, y, 5.0)
         assert m.converged or np.all(m.alphas <= 5.0)
         assert dual_objective(m) == pytest.approx(obj_ref, abs=1e-6)
+        assert not m.c_free  # identical rows: eta = 0 for every pair
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="single-class"):
@@ -422,11 +423,6 @@ class TestCertifiedReuse:
         large = p.machine(cfgp(10.0, 2))
         assert len(smo_calls) == 2  # nothing was memoized to reuse
         assert not np.array_equal(small.decision_values(p.X), large.decision_values(p.X))
-
-    def test_duplicates_with_mixed_labels_not_certified(self):
-        """Identical rows give eta = 0 for every pair."""
-        m = smo_train(np.ones((4, 1)), np.array([1.0, 1.0, -1.0, -1.0]), cfgp(5.0, 2))
-        assert not m.c_free
 
     @pytest.mark.parametrize(
         "X, y, alphas, C, i2, moved, bound",
