@@ -45,8 +45,9 @@ class SuCache:
     """Memoized binned columns and symmetric-uncertainty values.
 
     One cache serves one (dataset, discretization map) pair, so a subset
-    search pays the pairwise SU cost once. It is not synchronized; nothing
-    in the package shares one between threads.
+    search pays the pairwise SU cost once. A consistency search uses it
+    for its binned columns alone, so it bins each column once. It is not
+    synchronized; nothing in the package shares one between threads.
     """
 
     def __init__(self, ds: Dataset, dmap: DiscretizationMap):
@@ -144,21 +145,39 @@ def cfs_merit(
     return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
 
 
-def inconsistency_rate(ds: Dataset, subset, dmap: DiscretizationMap) -> float:
+def inconsistency_rate(
+    ds: Dataset, subset, dmap: DiscretizationMap, cache: SuCache | None = None
+) -> float:
     """Fraction of rows that majority rule mislabels within identical
-    projected (binned) feature patterns."""
+    projected (binned) feature patterns. The empty subset is one all-rows
+    pattern, whose majority class explains what it can.
+
+    Each row's pattern is one int64 key, built over the sorted subset as
+    key = key * radix + code, where radix is the column's largest code + 1.
+    Before the product of the radixes would pass 2**62, the key is first
+    re-densified to its rank among the distinct keys so far, so distinct
+    patterns never share a key. One bincount over (key group, class) then
+    gives each pattern's class counts.
+    """
     subset = sorted(set(subset))
-    if not subset:
-        raise DataError("inconsistency_rate of an empty subset")
-    cols = np.column_stack([dmap.bin_column(ds, f) for f in subset])
-    y = ds.class_codes()
-    _, inverse = np.unique(cols, axis=0, return_inverse=True)
-    bad = 0
-    for g in range(inverse.max() + 1):
-        sub = y[inverse == g]
-        counts = np.bincount(sub)
-        bad += len(sub) - counts.max()
-    return bad / ds.n_rows
+    if cache is None:
+        cache = SuCache(ds, dmap)
+    key = np.zeros(ds.n_rows, dtype=np.int64)
+    span = 1  # every key lies in [0, span)
+    for f in subset:
+        col = cache.column(f)
+        radix = int(col.max()) + 1
+        if span * radix > 2**62:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+        key = key * radix + col
+        span *= radix
+    uniq, group = np.unique(key, return_inverse=True)
+    n_classes = len(ds.class_labels)
+    counts = np.bincount(
+        group * n_classes + cache.column(CLASS), minlength=len(uniq) * n_classes
+    ).reshape(len(uniq), n_classes)
+    return (ds.n_rows - int(counts.max(axis=1).sum())) / ds.n_rows
 
 
 @dataclass(frozen=True)

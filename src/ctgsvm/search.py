@@ -44,19 +44,10 @@ def make_cfs_evaluator(ds, dmap) -> SubsetEvaluator:
 
 
 def make_consistency_evaluator(ds, dmap) -> SubsetEvaluator:
-    empty_rate = None
-
-    def fn(s: frozenset) -> float:
-        if not s:
-            # one all-rows pattern: the majority class explains what it can
-            nonlocal empty_rate
-            if empty_rate is None:
-                y = ds.class_codes()
-                empty_rate = (len(y) - int(np.bincount(y).max())) / len(y)
-            return -empty_rate
-        return -inconsistency_rate(ds, s, dmap)
-
-    return SubsetEvaluator(fn, method="consistency")
+    cache = SuCache(ds, dmap)
+    return SubsetEvaluator(
+        lambda s: -inconsistency_rate(ds, s, dmap, cache=cache), method="consistency"
+    )
 
 
 def _better(sub_a: frozenset, val_a: float, sub_b: frozenset, val_b: float) -> bool:

@@ -64,3 +64,17 @@ def ctg_table(tmp_path_factory):
 
     export_csv(ds, path)
     return load_dataset(path, class_column="NSP"), str(path), False
+
+
+@pytest.fixture(scope="session")
+def quick_train(ctg_table):
+    """(training partition, discretization map, selector config) of the quick
+    run on the bundled synthetic table, seed 42; skipped under CTG_CSV, since
+    the pins that use it are of the synthetic table."""
+    from ctgsvm.experiments import ExperimentConfig, build_pipeline
+
+    _, path, is_real = ctg_table
+    if is_real:
+        pytest.skip("pinned to the bundled synthetic table, not to CTG_CSV")
+    pipe = build_pipeline(ExperimentConfig(data=path, seed=42, quick=True))
+    return pipe.train, pipe.dmap, pipe.cfg.selector_config()

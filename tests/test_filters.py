@@ -192,6 +192,34 @@ class TestInconsistencyRate:
                     <= inconsistency_rate(ds, sub, dmap) + 1e-12
                 )
 
+    def test_wide_key_keeps_first_feature(self):
+        # 70 binary columns: the radix product 2**70 passes 2**62, so the
+        # key must be re-densified; a plain int64 key would shift feature 0
+        # out and merge rows 0 and 1, which differ only there
+        n_feat = 70
+        rows = [[0] * n_feat, [1] + [0] * (n_feat - 1), [0] + [1] * (n_feat - 1), [1] * n_feat]
+        ds = nominal_dataset(
+            {f"f{j}": [r[j] for r in rows] for j in range(n_feat)}, ["A", "B", "A", "A"]
+        )
+        subset = range(n_feat)
+        got = inconsistency_rate(ds, subset, passthrough_dmap(ds))
+        assert got == inconsistency_brute(list(zip(*rows)), ds.class_codes().tolist(), subset)
+        assert got == 0.0
+
+    def test_matches_brute_on_training_partition(self, quick_train):
+        train, dmap, _ = quick_train
+        n_feat = train.n_features
+        columns = [dmap.bin_column(train, f).tolist() for f in range(n_feat)]
+        classes = train.class_codes().tolist()
+        cache = SuCache(train, dmap)
+        rng = np.random.default_rng(8)
+        subsets = [rng.choice(n_feat, size=int(rng.integers(1, n_feat + 1)), replace=False)
+                   for _ in range(100)]
+        for subset in [[]] + [s.tolist() for s in subsets]:
+            want = inconsistency_brute(columns, classes, subset)
+            assert inconsistency_rate(train, subset, dmap, cache=cache) == want
+            assert inconsistency_rate(train, subset, dmap) == want
+
 
 class TestRelieff:
     def test_constant_feature_zero_weight(self):

@@ -1,8 +1,11 @@
 """Selector ensembles: member validity, aggregation rules, and labels."""
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ctgsvm.data import DataError
+from ctgsvm.data import DataError, DiscretizationMap
 from ctgsvm.filters import rank_features
 from ctgsvm.fs_ensemble import (
     FeatureSelection,
@@ -20,6 +23,7 @@ from ctgsvm.search import (
     genetic_search,
     make_cfs_evaluator,
     make_consistency_evaluator,
+    trace_to_csv,
 )
 from conftest import nominal_dataset, passthrough_dmap
 
@@ -114,6 +118,44 @@ class TestRunSelector:
         got = []
         run_selector(SelectorId(code, "ranker"), ds, dmap=passthrough_dmap(ds), trace=got)
         assert got == []
+
+    def test_fs2_bins_each_column_once(self, quick_train, monkeypatch):
+        train, dmap, cfg = quick_train
+        binned = []
+        original = DiscretizationMap.bin_column
+
+        def counted(self, ds, feature):
+            binned.append(feature)
+            return original(self, ds, feature)
+
+        monkeypatch.setattr(DiscretizationMap, "bin_column", counted)
+        run_selector(SelectorId("FS2", "genetic"), train, cfg, dmap)
+        assert 0 < len(binned) <= train.n_features
+
+
+FS2_TRACE = Path(__file__).with_name("fs2_trace_seed42.sha256")
+
+
+def fs2_trace_digests(train, dmap, cfg) -> dict[str, str]:
+    """SHA-256 of `trace_to_csv` for each FS2 subset search, by selector label."""
+    digests = {}
+    for search in ("best_first", "genetic"):
+        trace = []
+        run_selector(SelectorId("FS2", search), train, cfg, dmap, trace=trace)
+        digests[f"FS2-{search}"] = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_fs2_search_paths_match_pin(quick_train):
+    """Every consistency score along both FS2 searches is as pinned: a
+    change to a single score changes its trace line even when the selected
+    features stay the same."""
+    text = FS2_TRACE.read_text(encoding="utf-8")
+    want = dict(reversed(ln.split()) for ln in text.splitlines() if ln and not ln.startswith("#"))
+    made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
+    assert fs2_trace_digests(*quick_train) == want, (
+        f"pin made with {made_with[2:]}, running numpy {np.__version__}"
+    )
 
 
 def subset_selection(code, search, feats):

@@ -207,7 +207,8 @@ class TestEvaluatorFactories:
         ds = self.make()
         evaluator = make_consistency_evaluator(ds, passthrough_dmap(ds))
         assert evaluator.score(frozenset({0})) <= 0.0
-        assert evaluator.score(frozenset()) <= 0.0
+        # the empty set is one all-rows pattern: 2 of the 5 rows are not "B"
+        assert evaluator.score(frozenset()) == -(2 / 5)
 
     def test_memo_counts_calls_not_evaluations(self):
         evaluator = ev(two_good_features)
