@@ -222,7 +222,7 @@ def load_ensemble(path) -> EnsembleModel:
             members.append((model, int(seed), float.fromhex(acc)))
     except DataError:
         raise
-    except ValueError as exc:  # int() or float.fromhex() of a corrupt field
+    except (ValueError, OverflowError) as exc:  # int() or float.fromhex() of a corrupt field
         raise DataError(f"malformed ensemble file: {exc}") from None
     if pos != len(lines):
         raise DataError(f"malformed ensemble file: trailing data at line {pos + 1}")

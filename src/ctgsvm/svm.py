@@ -48,6 +48,8 @@ class KernelSpec:
             raise DataError(f"unsupported kernel kind {self.kind!r}")
         if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
             raise DataError(f"kernel degree must be an integer >= 1, not {self.degree!r}")
+        if not math.isfinite(self.coef0):
+            raise DataError(f"kernel coef0 must be finite, not {self.coef0!r}")
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,12 @@ class SvmConfig:
     max_iter: int = 200_000
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise DataError("C must be positive")
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be positive")
+        if not 0 < self.C < math.inf:
+            raise DataError(f"C must be positive and finite, not {self.C!r}")
+        if not 0 < self.tolerance < math.inf:
+            raise DataError(f"tolerance must be positive and finite, not {self.tolerance!r}")
+        if self.max_iter < 1:
+            raise DataError(f"max_iter must be at least 1, not {self.max_iter!r}")
 
 
 def kernel_eval(u, v, spec: KernelSpec) -> float:
@@ -195,9 +199,11 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
     """
     if i1 == i2:
         return None, False
-    a1o, a2o = alphas[i1], alphas[i2]
-    y1, y2 = y[i1], y[i2]
-    e1, e2 = E[i1], E[i2]
+    # Python floats: the same IEEE double arithmetic as numpy scalars, at a
+    # fraction of the per-operation cost
+    a1o, a2o = float(alphas[i1]), float(alphas[i2])
+    y1, y2 = float(y[i1]), float(y[i2])
+    e1, e2 = float(E[i1]), float(E[i2])
     s = y1 * y2
     if s < 0:
         L = max(0.0, a2o - a1o)
@@ -209,7 +215,7 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
         c_low = c_high = a1o + a2o > C
     if L >= H:
         return None, c_high
-    k11, k12, k22 = diag[i1], row1[i2], diag[i2]
+    k11, k12, k22 = float(diag[i1]), float(row1[i2]), float(diag[i2])
     eta = k11 + k22 - 2.0 * k12
     c_bound = eta <= 0.0  # that branch compares the objective at L and H
     if eta > 0.0:
@@ -308,8 +314,17 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
     updates = 0
     c_free = True
     pos = y > 0
-    eta = np.empty(n)
-    gain = np.empty(n)
+    # I_up (rows whose y * alpha can still rise: y = +1 below C, y = -1
+    # above 0) and I_low (the mirror), kept across steps with their
+    # complements: an update refreshes only the entries of its two rows.
+    # All alphas start at 0 < C.
+    up = pos.copy()
+    low = ~pos
+    not_up, not_low = low.copy(), up.copy()
+    # per-step arrays, reused: E on I_up (+inf elsewhere), E on I_low
+    # (-inf elsewhere), eta, gain, the error delta and the gain's skip mask
+    e_up, e_low, eta, gain, delta = (np.empty(n) for _ in range(5))
+    skip = np.empty(n, dtype=bool)
     for sweep in range(4):
         if sweep:
             # the incremental error cache can drift; resync and re-verify
@@ -317,28 +332,30 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
         # Most-violating pair with second-order partner choice. b cancels
         # out of every comparison, so the selection reads the error cache
         # directly: I_up rows want smaller E, I_low rows larger. eta and
-        # the gain are built in two reused buffers, in the float order of
-        # diag[i] + diag - 2 K[i] and (E - E[i]) ** 2 / eta.
+        # the gain are built in the float order of diag[i] + diag - 2 K[i]
+        # and (E - E[i]) ** 2 / eta, and the error update in that of
+        # y1 d1 K[i] + y2 d2 K[i2] + (b_new - b).
         while updates < cfg.max_iter:
-            below = alphas < C
-            above = alphas > 0
-            up = np.where(pos, below, above)
-            low = np.where(pos, above, below)
-            i = int(np.argmin(np.where(up, E, np.inf)))
-            e_low = np.where(low, E, -np.inf)
-            j_max = int(np.argmax(e_low))
-            if E[j_max] - E[i] <= tol:
+            np.copyto(e_up, E)
+            np.putmask(e_up, not_up, np.inf)
+            i = int(e_up.argmin())
+            np.copyto(e_low, E)
+            np.putmask(e_low, not_low, -np.inf)
+            j_max = int(e_low.argmax())
+            e_i = float(E[i])
+            if float(E[j_max]) - e_i <= tol:
                 break
             row1 = K.row(i)
             np.add(diag, diag[i], out=eta)
             np.multiply(row1, 2.0, out=gain)
             np.subtract(eta, gain, out=eta)
             np.maximum(eta, 1e-12, out=eta)
-            np.subtract(E, E[i], out=gain)
+            np.subtract(E, e_i, out=gain)
             np.multiply(gain, gain, out=gain)
             np.divide(gain, eta, out=gain)
-            gain[e_low <= E[i]] = -np.inf  # keeps I_low rows with E > E[i]
-            j = int(np.argmax(gain))
+            np.less_equal(e_low, e_i, out=skip)
+            np.putmask(gain, skip, -np.inf)  # keeps I_low rows with E > E[i]
+            j = int(gain.argmax())
             step, c_bound = _pair_step(alphas, y, E, b, C, diag, row1, i, j)
             if step is None:
                 step, c_max = _pair_step(alphas, y, E, b, C, diag, row1, i, j_max)
@@ -347,16 +364,23 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
             if step is None:
                 break  # numerically stuck; the gap check below decides
             i2, a1, a2, d1, d2, b_new = step
-            E += y[i] * d1 * row1 + y[i2] * d2 * K.row(i2) + (b_new - b)
-            alphas[i], alphas[i2] = a1, a2
+            np.multiply(row1, float(y[i]) * d1, out=delta)
+            np.multiply(K.row(i2), float(y[i2]) * d2, out=eta)  # eta is rebuilt next step
+            np.add(delta, eta, out=delta)
+            np.add(delta, b_new - b, out=delta)
+            np.add(E, delta, out=E)
+            for k, a in ((i, a1), (i2, a2)):
+                alphas[k] = a
+                u, lo = (a < C, a > 0.0) if pos[k] else (a > 0.0, a < C)
+                up[k], not_up[k], low[k], not_low[k] = u, not u, lo, not lo
             b = b_new
             updates += 1
             if K.dense is not None and updates % 4096 == 0:
                 E[:] = K.full_g(alphas * y) + b - y  # shed accumulated drift
         g = K.full_g(alphas * y)
         b_est = y - g
-        m_up = b_est[np.where(pos, alphas < C, alphas > 0)].max()
-        m_low = b_est[np.where(pos, alphas > 0, alphas < C)].min()
+        m_up = b_est[up].max()
+        m_low = b_est[low].min()
         if m_up - m_low <= tol or updates >= cfg.max_iter:
             break
 
@@ -616,7 +640,7 @@ def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
         return _parse_model(lines, pos)
     except DataError:
         raise
-    except ValueError as exc:  # int() or float.fromhex() of a corrupt field
+    except (ValueError, OverflowError) as exc:  # int() or float.fromhex() of a corrupt field
         raise DataError(f"malformed model file: {exc}") from None
 
 
@@ -648,8 +672,10 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     classes = tuple(fields("classes"))
     counts = np.array([int(c) for c in fields("counts", len(classes))])
     kparts = fields("kernel", 3)
-    kernel = KernelSpec(kparts[0], int(kparts[1]), float.fromhex(kparts[2]))
-    _require(math.isfinite(kernel.coef0), "non-finite coef0", pos)
+    try:
+        kernel = KernelSpec(kparts[0], int(kparts[1]), float.fromhex(kparts[2]))
+    except DataError as exc:  # the rule training enforces, given a line number
+        raise DataError(f"malformed model file: {exc} at line {pos}") from None
     mparts = fields("mask")
     mask = None if mparts == ["all"] else tuple(int(i) for i in mparts)
     sparts = fields("standardizer", 1)

@@ -196,6 +196,18 @@ class TestTrainPredict:
         assert "row 5" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--c", "nan", "C must be positive and finite"), ("--c", "inf", "C must be positive and finite"),
+         ("--coef0", "nan", "coef0 must be finite"), ("--coef0", "inf", "coef0 must be finite")],
+    )
+    def test_non_finite_svm_parameter_is_data_error(self, small_csv, tmp_path, flag, value, message, capsys):
+        out = tmp_path / "m.txt"
+        assert main(["train", "--data", small_csv, flag, value, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["select", "--selector", "FS4"], ["train"]])
 def test_missing_data_flag_is_data_error(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "out.csv")]) == 3

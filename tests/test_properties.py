@@ -1,0 +1,156 @@
+"""Property tests (hypothesis) of model persistence: a saved model or
+ensemble reloads to the same lines, and a truncated or corrupted file fails
+only with DataError.
+
+Every test runs a fixed, derandomized set of examples without an example
+database, so the suite does the same work on every run."""
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ctgsvm.bagging import EnsembleConfig, bagging_train, load_ensemble, save_ensemble
+from ctgsvm.data import DataError, fit_standardizer, select_features
+from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
+from conftest import numeric_dataset
+
+PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def problems(draw):
+    """A small numeric dataset with its SVM config, feature mask and
+    standardizer choice."""
+    k = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 3))
+    per_class = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(0.0, 1.0, (k * per_class, width)) + np.repeat(rng.normal(0, 3, (k, width)), per_class, axis=0)
+    classes = [f"c{i}" for i in range(k) for _ in range(per_class)]
+    ds = numeric_dataset(rows, classes, names=[f"x{j}" for j in range(width)])
+    cfg = SvmConfig(
+        C=draw(st.sampled_from([0.1, 1.0, 10.0, 1000.0])),
+        kernel=KernelSpec(
+            degree=draw(st.integers(1, 4)),
+            coef0=draw(st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)),
+        ),
+        max_iter=2000,
+    )
+    mask = draw(st.none() | st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+    standardize = draw(st.booleans())
+    return ds, cfg, mask, standardize
+
+
+def _standardizer(ds, mask, standardize):
+    if not standardize:
+        return None
+    return fit_standardizer(select_features(ds, mask) if mask else ds)
+
+
+@PROPERTY
+@given(problems())
+def test_model_round_trip(problem):
+    ds, cfg, mask, standardize = problem
+    model = train_multiclass(ds, cfg, mask, _standardizer(ds, mask, standardize))
+    lines = model_to_lines(model)
+    again, end = model_from_lines(lines)
+    assert end == len(lines)
+    assert model_to_lines(again) == lines
+
+
+@PROPERTY
+@given(problems(), st.integers(1, 3), st.integers(0, 2**63 - 1),
+       st.sampled_from(["unweighted_majority", "weighted_by_train_accuracy"]))
+def test_ensemble_round_trip(tmp_path, problem, members, seed, vote):
+    ds, cfg, mask, standardize = problem
+    ens = bagging_train(
+        ds,
+        EnsembleConfig(members=members, base=cfg, master_seed=seed, vote=vote),
+        feature_mask=mask,
+        standardizer=_standardizer(ds, mask, standardize),
+    )
+    path, again = tmp_path / "ens.txt", tmp_path / "again.txt"
+    save_ensemble(ens, path)
+    save_ensemble(load_ensemble(path), again)  # every member as its model_to_lines
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """The lines of one saved model (with mask and standardizer) and of one
+    saved two-member ensemble."""
+    rng = np.random.default_rng(5)
+    rows = np.vstack([rng.normal(c, 0.5, (6, 3)) for c in (0.0, 3.0, 6.0)])
+    ds = numeric_dataset(rows, ["a"] * 6 + ["b"] * 6 + ["c"] * 6)
+    cfg = SvmConfig(C=10.0, kernel=KernelSpec(degree=2))
+    std = fit_standardizer(select_features(ds, [0, 2]))
+    model_lines = model_to_lines(train_multiclass(ds, cfg, [0, 2], std))
+    path = tmp_path_factory.mktemp("fuzz") / "ens.txt"
+    save_ensemble(bagging_train(ds, EnsembleConfig(members=2, base=cfg, master_seed=3)), path)
+    return {"model": model_lines, "ensemble": path.read_text(encoding="utf-8").splitlines()}
+
+
+TOKENS = ["", "nan", "inf", "-inf", "0", "-1", "1e400", "0x1p+2000", "-0x0p+0", "0xq", "99999999999999999999",
+          "all", "none", "end", "polynomial", "numeric", "machine", "sv", "+1", "-1", "\t", " "]
+
+
+@st.composite
+def corruptions(draw, n_lines):
+    """One edit of a file of n_lines lines: truncation, a dropped or
+    duplicated line, two swapped lines, or one field replaced."""
+    kind = draw(st.sampled_from(["truncate", "drop", "duplicate", "swap", "field"]))
+    at = draw(st.integers(0, n_lines - 1))
+    if kind == "swap":
+        return kind, at, draw(st.integers(0, n_lines - 1))
+    if kind == "field":
+        text = draw(st.sampled_from(TOKENS) | st.text(max_size=8))
+        return kind, at, (draw(st.integers(0, 8)), text)
+    return kind, at, None
+
+
+def corrupt(lines, edit):
+    kind, at, arg = edit
+    lines = list(lines)
+    if kind == "truncate":
+        return lines[:at]
+    if kind == "drop":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        lines[at], lines[arg] = lines[arg], lines[at]
+    else:
+        parts = lines[at].split("\t")
+        field, text = arg
+        parts[min(field, len(parts) - 1)] = text
+        lines[at] = "\t".join(parts)
+    return lines
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.data())
+def test_corrupt_model_fails_only_with_data_error(tmp_path, saved_files, data):
+    lines = corrupt(saved_files["model"], data.draw(corruptions(len(saved_files["model"]))))
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load_model(path)
+    except DataError:
+        pass
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.data())
+def test_corrupt_ensemble_fails_only_with_data_error(tmp_path, saved_files, data):
+    lines = corrupt(saved_files["ensemble"], data.draw(corruptions(len(saved_files["ensemble"]))))
+    path = tmp_path / "ens.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load_ensemble(path)
+    except DataError:
+        pass

@@ -66,6 +66,11 @@ class TestKernel:
         with pytest.raises(DataError, match="integer"):
             KernelSpec(degree=degree)
 
+    @pytest.mark.parametrize("coef0", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coef0_rejected(self, coef0):
+        with pytest.raises(DataError, match="coef0 must be finite"):
+            KernelSpec(coef0=coef0)
+
     def test_scalar_equals_matrix_entry(self):
         rng = np.random.default_rng(2)
         for degree in range(1, 8):
@@ -144,6 +149,31 @@ class TestSmoAnalytic:
     def test_one_row_rejected(self):
         with pytest.raises(DataError):
             smo_train(np.array([[0.0]]), np.array([1.0]), cfgp(1.0, 1))
+
+
+class TestSvmConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("C", float("nan"), "C must be positive and finite"),
+            ("C", float("inf"), "C must be positive and finite"),
+            ("C", 0.0, "C must be positive and finite"),
+            ("tolerance", float("nan"), "tolerance must be positive and finite"),
+            ("tolerance", float("inf"), "tolerance must be positive and finite"),
+            ("tolerance", -1e-3, "tolerance must be positive and finite"),
+            ("max_iter", 0, "max_iter must be at least 1"),
+            ("max_iter", -5, "max_iter must be at least 1"),
+        ],
+    )
+    def test_invalid_value_rejected(self, field, value, message):
+        kw = {"C": 1.0, "kernel": KernelSpec(), field: value}
+        with pytest.raises(DataError, match=message):
+            SvmConfig(**kw)
+
+    def test_one_update_allowed(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        m = smo_train(X, np.array([-1.0, -1.0, 1.0, 1.0]), cfgp(1.0, 1, max_iter=1))
+        assert m.n_updates == 1
 
 
 def qp_fixtures():
@@ -254,6 +284,88 @@ def sep3(n_per=8, seed=0):
         rows.append(rng.normal(c, 0.4, size=(n_per, 2)))
         classes += [label] * n_per
     return numeric_dataset(np.vstack(rows), classes)
+
+
+def rebuild_reference(X, y, cfg):
+    """smo_train's selection loop as it was before its per-step arrays were
+    kept between steps: both masks rebuilt from the alphas, and every
+    masked array allocated afresh, at each step. Returns (alphas, bias,
+    updates, c_free, converged) of a dense-kernel solve."""
+    K = svm._dense_kernel(X, cfg.kernel)
+    diag = np.ascontiguousarray(np.diagonal(K))
+    n, C, tol = len(y), cfg.C, cfg.tolerance
+    alphas, b, E, updates, c_free, pos = np.zeros(n), 0.0, -y.copy(), 0, True, y > 0
+    eta, gain = np.empty(n), np.empty(n)
+    for sweep in range(4):
+        if sweep:
+            E[:] = g + b - y
+        while updates < cfg.max_iter:
+            up = np.where(pos, alphas < C, alphas > 0)
+            low = np.where(pos, alphas > 0, alphas < C)
+            i = int(np.argmin(np.where(up, E, np.inf)))
+            e_low = np.where(low, E, -np.inf)
+            j_max = int(np.argmax(e_low))
+            if E[j_max] - E[i] <= tol:
+                break
+            np.add(diag, diag[i], out=eta)
+            np.subtract(eta, 2.0 * K[i], out=eta)
+            np.maximum(eta, 1e-12, out=eta)
+            np.divide((E - E[i]) ** 2, eta, out=gain)
+            gain[e_low <= E[i]] = -np.inf
+            step, c_bound = svm._pair_step(alphas, y, E, b, C, diag, K[i], i, int(np.argmax(gain)))
+            if step is None:
+                step, c_max = svm._pair_step(alphas, y, E, b, C, diag, K[i], i, j_max)
+                c_bound = c_bound or c_max
+            c_free = c_free and not c_bound
+            if step is None:
+                break
+            i2, a1, a2, d1, d2, b_new = step
+            E += y[i] * d1 * K[i] + y[i2] * d2 * K[i2] + (b_new - b)
+            alphas[i], alphas[i2] = a1, a2
+            b = b_new
+            updates += 1
+            if updates % 4096 == 0:
+                E[:] = K @ (alphas * y) + b - y
+        g = K @ (alphas * y)
+        b_est = y - g
+        m_up = b_est[np.where(pos, alphas < C, alphas > 0)].max()
+        m_low = b_est[np.where(pos, alphas > 0, alphas < C)].min()
+        if m_up - m_low <= tol or updates >= cfg.max_iter:
+            break
+    unbounded = (alphas > 0.0) & (alphas < C)
+    bias = float(b_est[unbounded].mean()) if unbounded.any() else float((m_up + m_low) / 2.0)
+    return alphas, bias, updates, c_free, m_up - m_low <= tol
+
+
+class TestKeptStepArrays:
+    """The masks and buffers smo_train keeps between steps give the solve
+    of the per-step rebuild, bit for bit, also where alphas sit on C."""
+
+    def problems(self):
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            n = int(rng.integers(20, 120))
+            X = rng.normal(0, 1, (n, int(rng.integers(1, 4))))
+            y = np.where(X[:, 0] + rng.normal(0, 1.0, n) > 0, 1.0, -1.0)
+            if np.all(y == y[0]):
+                y[0] = -y[0]
+            X[: n // 4] = X[n // 4: 2 * (n // 4)]  # duplicate rows: eta = 0 pairs
+            yield X, y, cfgp(float(rng.choice([0.05, 1.0, 10.0, 100.0])), int(rng.integers(1, 4)), max_iter=5000)
+        X = rng.normal(0, 1, (300, 2))
+        yield X, np.where(X[:, 0] + rng.normal(0, 1.0, 300) > 0, 1.0, -1.0), cfgp(1e3, 3, max_iter=9000)
+
+    def test_matches_per_step_rebuild(self):
+        bounded = drift = 0
+        for k, (X, y, cfg) in enumerate(self.problems()):
+            alphas, bias, updates, c_free, converged = rebuild_reference(X, y, cfg)
+            m = smo_train(X, y, cfg)
+            sv = alphas > 0
+            assert np.array_equal(m.alphas, alphas[sv]), k
+            assert np.array_equal(m.support_vectors, X[sv]), k
+            assert (m.bias, m.n_updates, m.c_free, m.converged) == (bias, updates, c_free, converged), k
+            bounded += int((alphas == cfg.C).any())
+            drift += updates > 4096
+        assert bounded >= 3 and drift >= 1  # the fixtures reach C and the drift resync
 
 
 class TestMulticlass:
@@ -557,6 +669,20 @@ class TestPersistence:
         i = text.index("\nsv\t")
         path.write_text(text[:i] + text[i:].replace("0x", "0xq", 1))
         with pytest.raises(DataError, match="malformed model file"):
+            load_model(path)
+
+    def test_overflowing_hex_float_rejected(self, tmp_path):
+        """float.fromhex raises OverflowError, not ValueError, past the
+        largest double."""
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        lines = path.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("sv\t"))
+        parts = lines[i].split("\t")
+        parts[2] = "0x1p+2000"  # the alpha
+        lines[i] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="malformed model file: .*too large"):
             load_model(path)
 
     @pytest.mark.parametrize(
