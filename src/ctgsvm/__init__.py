@@ -20,7 +20,6 @@ from .filters import (
     FeatureScores,
     SubsetEvaluation,
     cfs_merit,
-    entropy,
     inconsistency_rate,
     info_gain,
     rank_cutoff,
@@ -35,7 +34,6 @@ from .search import (
     genetic_search,
 )
 from .fs_ensemble import (
-    EnsembleSelection,
     FeatureSelection,
     SelectorConfig,
     SelectorId,
@@ -47,7 +45,6 @@ from .svm import (
     KernelSpec,
     SvmConfig,
     SvmModel,
-    kernel_eval,
     load_model,
     save_model,
     smo_train,

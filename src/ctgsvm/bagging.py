@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer
+from .data import DataError, Dataset, Standardizer, _read_text
 from .svm import (
     SvmConfig,
     SvmModel,
@@ -192,7 +192,7 @@ def save_ensemble(model: EnsembleModel, path) -> None:
 
 def load_ensemble(path) -> EnsembleModel:
     """Read an ensemble file; a truncated or corrupt file raises DataError."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
 
     def fields(pos: int, expect: str, n: int | None = None) -> list[str]:
         if pos >= len(lines):

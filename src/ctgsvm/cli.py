@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from pathlib import Path
 
 from . import experiments
-from .bagging import EnsembleConfig, bagging_train, load_ensemble, save_ensemble
-from .data import DataError, export_csv, fit_standardizer, mask_by_names, select_features
+from .bagging import ENSEMBLE_MAGIC, EnsembleConfig, bagging_train, load_ensemble, save_ensemble
+from .data import DataError, _read_text, export_csv, fit_standardizer, mask_by_names, select_features
 from .experiments import config_from_sources, load_config_file
 from .filters import scores_to_csv
 from .fs_ensemble import SELECTION_HEADER, SelectorId, run_selector
@@ -145,8 +146,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    text = Path(args.model).read_text(encoding="utf-8") if Path(args.model).is_file() else ""
-    if text.startswith("ctgsvm-ensemble"):
+    text = _read_text(args.model) if Path(args.model).is_file() else ""
+    if text.startswith(ENSEMBLE_MAGIC):
         model = load_ensemble(args.model)
     else:
         model = load_model(args.model)
@@ -160,8 +161,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.infile, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh)) or [[]]
+    rows = list(csv.reader(io.StringIO(_read_text(args.infile), newline=""))) or [[]]
     text = render_table(rows[0], rows[1:], args.fmt)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="")
@@ -196,10 +196,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

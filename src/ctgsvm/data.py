@@ -114,8 +114,8 @@ class Dataset:
 # Loading and export
 
 
-def load_dataset(path, fmt: str | None = None, class_column: str = "NSP") -> Dataset:
-    """Load a CSV or ARFF file into a Dataset.
+def load_dataset(path, class_column: str = "NSP") -> Dataset:
+    """Load a CSV or ARFF file into a Dataset; the suffix `.arff` picks ARFF.
 
     CSV: comma separator, "." decimal point, first row is the header, UTF-8.
     All columns are numeric except the class column, whose raw cell strings
@@ -125,14 +125,19 @@ def load_dataset(path, fmt: str | None = None, class_column: str = "NSP") -> Dat
     p = Path(path)
     if not p.is_file():
         raise DataError(f"no such file: {p}")
-    if fmt is None:
-        fmt = "arff" if p.suffix.lower() == ".arff" else "csv"
-    text = p.read_text(encoding="utf-8")
-    if fmt == "csv":
-        return _parse_csv(text, class_column)
-    if fmt == "arff":
+    text = _read_text(p)
+    if p.suffix.lower() == ".arff":
         return _parse_arff(text, class_column)
-    raise DataError(f"unknown format {fmt!r}")
+    return _parse_csv(text, class_column)
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a file, its line endings as they are. Bytes that
+    are not UTF-8 are a DataError naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _split_csv_line(line: str) -> list[str]:
@@ -336,7 +341,6 @@ def mask_by_names(ds: Dataset, keep=None, drop=None) -> list[int]:
 class SplitSpec:
     train_fraction: float
     seed: int
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -346,37 +350,29 @@ class SplitSpec:
 def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Split rows into train/test partitions by seeded shuffle.
 
-    Stratified mode hands floor(train_fraction * n_c) rows of every class c
-    to the train side; the remainder goes to test. Both partitions keep the
-    original row order. Deterministic for a given seed.
+    Every class c hands floor(train_fraction * n_c) of its rows to the train
+    side; the remainder goes to test. Both partitions keep the original row
+    order. Deterministic for a given seed.
     """
     rng = np.random.default_rng(int(spec.seed))
-    n = ds.n_rows
-    if spec.stratified:
-        codes = ds.class_codes()
-        train_idx: list[int] = []
-        for c in range(len(ds.class_labels)):
-            idx = np.flatnonzero(codes == c)
-            if len(idx) < 2:
-                raise DataError(
-                    f"class {ds.class_labels[c]!r} has fewer than 2 rows; cannot stratify"
-                )
-            n_train = math.floor(spec.train_fraction * len(idx))
-            if n_train < 1:
-                raise DataError(
-                    f"class {ds.class_labels[c]!r}: train_fraction leaves no training rows"
-                )
-            perm = rng.permutation(len(idx))
-            train_idx.extend(idx[perm[:n_train]].tolist())
-        train_set = set(train_idx)
-    else:
-        n_train = math.floor(spec.train_fraction * n)
-        if n_train < 1 or n_train >= n:
-            raise DataError("train_fraction leaves an empty partition")
-        perm = rng.permutation(n)
-        train_set = set(perm[:n_train].tolist())
-    train_rows = [i for i in range(n) if i in train_set]
-    test_rows = [i for i in range(n) if i not in train_set]
+    codes = ds.class_codes()
+    train_idx: list[int] = []
+    for c in range(len(ds.class_labels)):
+        idx = np.flatnonzero(codes == c)
+        if len(idx) < 2:
+            raise DataError(
+                f"class {ds.class_labels[c]!r} has fewer than 2 rows; cannot stratify"
+            )
+        n_train = math.floor(spec.train_fraction * len(idx))
+        if n_train < 1:
+            raise DataError(
+                f"class {ds.class_labels[c]!r}: train_fraction leaves no training rows"
+            )
+        perm = rng.permutation(len(idx))
+        train_idx.extend(idx[perm[:n_train]].tolist())
+    train_set = set(train_idx)
+    train_rows = [i for i in range(ds.n_rows) if i in train_set]
+    test_rows = [i for i in range(ds.n_rows) if i not in train_set]
     return ds.take(train_rows), ds.take(test_rows)
 
 
@@ -459,6 +455,7 @@ def fit_standardizer(train: Dataset) -> Standardizer:
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
+    """Shannon entropy in bits of a vector of class counts (0 when empty)."""
     total = counts.sum()
     if total == 0:
         return 0.0
@@ -490,32 +487,21 @@ def discretize_mdl(train: Dataset, feature: int) -> tuple[float, ...]:
 
     # prefix[i, c] = count of class c among the first i sorted rows
     prefix = np.zeros((n + 1, n_classes), dtype=np.int64)
-    for i in range(n):
-        prefix[i + 1] = prefix[i]
-        prefix[i + 1, labels[i]] += 1
+    np.cumsum(np.eye(n_classes, dtype=np.int64)[labels], axis=0, out=prefix[1:])
 
-    # candidate positions: distinct-value boundaries that separate classes
-    def candidates(lo: int, hi: int) -> list[int]:
-        out = []
-        start = lo
-        groups = []  # (start, end) runs of equal value
-        for p in range(lo + 1, hi):
-            if v[p] != v[p - 1]:
-                groups.append((start, p))
-                start = p
-        groups.append((start, hi))
-        for g in range(1, len(groups)):
-            a0, a1 = groups[g - 1]
-            b0, b1 = groups[g]
-            seg = prefix[b1] - prefix[a0]
-            if np.count_nonzero(seg) > 1:
-                out.append(b0)
-        return out
+    # candidate positions: value-change boundaries whose two adjacent
+    # equal-value groups hold more than one class. Every range split()
+    # sees starts and ends on a boundary (or at 0 and n), so a boundary's
+    # adjacent groups are the same in every range that contains it.
+    bounds = np.flatnonzero(v[1:] != v[:-1]) + 1
+    edges = np.concatenate(([0], bounds, [n]))
+    spans_classes = np.count_nonzero(prefix[edges[2:]] - prefix[edges[:-2]], axis=1) > 1
+    cands = bounds[spans_classes]
 
     cuts: list[float] = []
 
     def split(lo: int, hi: int) -> None:
-        cand = candidates(lo, hi)
+        cand = cands[np.searchsorted(cands, lo, "right"):np.searchsorted(cands, hi)].tolist()
         if not cand:
             return
         total = prefix[hi] - prefix[lo]
@@ -560,9 +546,6 @@ class DiscretizationMap:
         for c in self.cuts:
             if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
                 raise DataError("cut points must be strictly increasing")
-
-    def n_bins(self, feature: int) -> int:
-        return len(self.cuts[feature]) + 1
 
     def bin_column(self, ds: Dataset, feature: int) -> np.ndarray:
         """Binned integer codes for one feature (nominal codes pass through)."""

@@ -15,6 +15,7 @@ from .data import (
     DataError,
     Dataset,
     SplitSpec,
+    _read_text,
     fit_discretization,
     fit_standardizer,
     load_dataset,
@@ -152,7 +153,7 @@ def _parse_cells(text: str) -> tuple[tuple[float, int], ...]:
 def load_config_file(path) -> dict:
     """Flat key=value file; '#' starts a comment."""
     values: dict[str, str] = {}
-    for i, ln in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, ln in enumerate(_read_text(path).splitlines(), start=1):
         ln = ln.split("#", 1)[0].strip()
         if not ln:
             continue
@@ -238,13 +239,11 @@ class Pipeline:
         """train/test/combined confusion matrices of labels predicted on
         train and test."""
         cms = {
-            tag: confusion_from_labels(
-                [ds.class_labels[c] for c in ds.class_codes()], preds, ds.class_labels, tag
-            )
+            tag: confusion_from_labels([ds.class_labels[c] for c in ds.class_codes()], preds, ds.class_labels)
             for tag, ds, preds in (("train", self.train, train_preds), ("test", self.test, test_preds))
         }
         train, test = cms["train"], cms["test"]
-        cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts, "combined")
+        cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts)
         return cms
 
     def fit_svm(self, mask, C: float, degree: int):
@@ -289,7 +288,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     work = cfg.load_work()
     if cfg.quick:
         work = stratified_subsample(work, QUICK_ROWS, cfg.seed)
-    train, test = stratified_split(work, SplitSpec(cfg.train_fraction, cfg.seed, True))
+    train, test = stratified_split(work, SplitSpec(cfg.train_fraction, cfg.seed))
     return Pipeline(cfg, work, train, test)
 
 
@@ -439,8 +438,7 @@ def efs_feature_sets(pipe: Pipeline, members) -> list[tuple[str, str, frozenset]
     n = pipe.train.n_features
     sels = [pipe.selection(code, search) for code, search in members]
     out = []
-    union_all = aggregate(sels, "union")
-    out.append(("union", "keep_all", union_all.result))
+    out.append(("union", "keep_all", aggregate(sels, "union")))
     subset_sizes = [len(s.selected) for s in sels if s.scores is None]
     has_ranker = any(s.scores is not None for s in sels)
     if subset_sizes:
@@ -452,8 +450,8 @@ def efs_feature_sets(pipe: Pipeline, members) -> list[tuple[str, str, frozenset]
                 else s
                 for s in sels
             ]
-            out.append(("union", f"top_k:{k}", aggregate(cut, "union").result))
-        out.append(("mean_rank", f"top_k:{k}", aggregate(sels, "mean_rank_top_k", k=k, n_features=n).result))
+            out.append(("union", f"top_k:{k}", aggregate(cut, "union")))
+        out.append(("mean_rank", f"top_k:{k}", aggregate(sels, "mean_rank_top_k", k=k, n_features=n)))
     return out
 
 
@@ -500,7 +498,7 @@ def exp4_feature_set(pipe: Pipeline) -> frozenset:
     fs4 = pipe.selection("FS4", "ranker")
     k = max(1, len(fs1.selected))
     cut = FeatureSelection(fs4.selector, rank_cutoff(fs4.scores, "top_k", k), scores=fs4.scores)
-    return aggregate([cut, fs1], "union").result
+    return aggregate([cut, fs1], "union")
 
 
 def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:

@@ -8,33 +8,15 @@ All entropies are in bits.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DiscretizationMap, DataError, NUMERIC
+from .data import Dataset, DiscretizationMap, DataError, NUMERIC, _entropy_bits
 from .report import render_table
 
 #: sentinel feature index meaning "the class column"
 CLASS = -1
-
-
-def entropy(labels) -> float:
-    """Shannon entropy (bits) of a label sequence."""
-    labels = list(labels)
-    if not labels:
-        raise DataError("entropy of an empty sequence is undefined")
-    counts = np.asarray(list(Counter(labels).values()), dtype=float)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
-
-
-def _entropy_codes(codes: np.ndarray) -> float:
-    counts = np.bincount(codes)
-    counts = counts[counts > 0].astype(float)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
 
 
 def _joint_codes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,7 +53,7 @@ class SuCache:
     def col_entropy(self, f: int) -> float:
         got = self._h.get(f)
         if got is None:
-            got = _entropy_codes(self.column(f))
+            got = _entropy_bits(np.bincount(self.column(f)))
             self._h[f] = got
         return got
 
@@ -90,12 +72,12 @@ def info_gain(ds: Dataset, feature: int, dmap: DiscretizationMap) -> float:
         raise DataError("info_gain of the class column against itself")
     y = ds.class_codes()
     x = dmap.bin_column(ds, feature)
-    h_y = _entropy_codes(y)
+    h_y = _entropy_bits(np.bincount(y))
     cond = 0.0
     n = len(y)
     for b in np.unique(x):
         sub = y[x == b]
-        cond += len(sub) / n * _entropy_codes(sub)
+        cond += len(sub) / n * _entropy_bits(np.bincount(sub))
     return h_y - cond
 
 
@@ -113,7 +95,7 @@ def symmetric_uncertainty(
     h_a, h_b = cache.col_entropy(f1), cache.col_entropy(f2)
     if h_a == 0.0 and h_b == 0.0:
         return 0.0
-    h_ab = _entropy_codes(_joint_codes(a, b))
+    h_ab = _entropy_bits(np.bincount(_joint_codes(a, b)))
     return 2.0 * (h_a + h_b - h_ab) / (h_a + h_b)
 
 
@@ -205,7 +187,6 @@ class SubsetEvaluation:
     """A scored feature subset; value is always larger-is-better (the
     consistency criterion stores the negated inconsistency rate)."""
 
-    method: str
     subset: frozenset
     value: float
 

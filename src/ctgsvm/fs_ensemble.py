@@ -1,5 +1,5 @@
 """Ensembles of feature selectors: run the individual selectors, then merge
-their outputs by union, intersection, or mean-rank aggregation.
+their outputs by union or mean-rank aggregation.
 
 Selector codes follow a fixed numbering: 1 = correlation merit, 2 =
 consistency, 3 = relief weights, 4 = information gain. Combination labels
@@ -29,7 +29,6 @@ from .search import (
 CODES = ("FS1", "FS2", "FS3", "FS4")
 SUBSET_CODES = ("FS1", "FS2")
 RANKER_CODES = ("FS3", "FS4")
-METHOD_OF = {"FS1": "cfs", "FS2": "consistency", "FS3": "relieff", "FS4": "info_gain"}
 
 
 @dataclass(frozen=True)
@@ -127,27 +126,8 @@ def run_selector(
     return FeatureSelection(sel, selected, scores=scores)
 
 
-@dataclass(frozen=True)
-class EnsembleSelection:
-    members: tuple[SelectorId, ...]
-    mode: str
-    result: frozenset
-    label: str
-
-
 def combo_label(members) -> str:
     return "EFS" + "".join(m.code[2] for m in members)
-
-
-def parse_label(label: str) -> tuple[str, ...]:
-    """Map a combination label back to its member codes, in order."""
-    if not label.startswith("EFS") or not label[3:].isdigit() or not label[3:]:
-        raise DataError(f"malformed combination label {label!r}")
-    codes = tuple(f"FS{d}" for d in label[3:])
-    for c in codes:
-        if c not in CODES:
-            raise DataError(f"malformed combination label {label!r}")
-    return codes
 
 
 def aggregate(
@@ -155,25 +135,18 @@ def aggregate(
     mode: str = "union",
     k: int | None = None,
     n_features: int | None = None,
-) -> EnsembleSelection:
+) -> frozenset:
     """Merge several selector outputs into one feature set.
 
-    union keeps any feature some member chose; intersection keeps features
-    every member chose (error when empty); mean_rank_top_k averages each
-    feature's rank position across members and keeps the k best (ties by
-    ascending index).
+    union keeps any feature some member chose; mean_rank_top_k averages
+    each feature's rank position across members and keeps the k best (ties
+    by ascending index).
     """
     if len(selections) < 2:
         raise DataError("need at least 2 selections to aggregate")
-    members = tuple(s.selector for s in selections)
-    label = combo_label(members)
     if mode == "union":
-        result = frozenset().union(*(s.selected for s in selections))
-    elif mode == "intersection":
-        result = frozenset.intersection(*(s.selected for s in selections))
-        if not result:
-            raise DataError(f"{label}: intersection is empty")
-    elif mode == "mean_rank_top_k":
+        return frozenset().union(*(s.selected for s in selections))
+    if mode == "mean_rank_top_k":
         if n_features is None:
             raise DataError("mean_rank_top_k requires n_features")
         if k is None or not 1 <= k <= n_features:
@@ -183,13 +156,5 @@ def aggregate(
             for pos, f in enumerate(s.ranking(n_features)):
                 totals[f] += pos
         order = sorted(range(n_features), key=lambda f: (totals[f], f))
-        result = frozenset(order[:k])
-    else:
-        raise DataError(f"unknown aggregation mode {mode!r}")
-    return EnsembleSelection(members, mode, result, label)
-
-
-def selection_record(es: EnsembleSelection, feature_names) -> str:
-    """Line-oriented record: label, mode, sorted feature names."""
-    names = sorted(feature_names[f] for f in es.result)
-    return "\t".join([es.label, es.mode, ",".join(names)])
+        return frozenset(order[:k])
+    raise DataError(f"unknown aggregation mode {mode!r}")

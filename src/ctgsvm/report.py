@@ -16,7 +16,6 @@ from .data import DataError
 class ConfusionMatrix:
     labels: tuple[str, ...]
     counts: np.ndarray  # rows = desired, columns = actual
-    tag: str
 
     def __post_init__(self):
         if self.counts.shape != (len(self.labels), len(self.labels)):
@@ -33,7 +32,7 @@ class ConfusionMatrix:
         return int(np.trace(self.counts))
 
 
-def confusion_from_labels(desired, actual, labels, tag: str) -> ConfusionMatrix:
+def confusion_from_labels(desired, actual, labels) -> ConfusionMatrix:
     index = {lab: i for i, lab in enumerate(labels)}
     k = len(labels)
     cells = []
@@ -43,7 +42,7 @@ def confusion_from_labels(desired, actual, labels, tag: str) -> ConfusionMatrix:
         cells.append(index[d] * k + index[a])
     counts = np.bincount(np.asarray(cells, dtype=np.int64), minlength=k * k).reshape(k, k)
     counts.setflags(write=False)
-    return ConfusionMatrix(tuple(labels), counts, tag)
+    return ConfusionMatrix(tuple(labels), counts)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

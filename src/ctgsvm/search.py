@@ -1,5 +1,5 @@
-"""Feature-subset search: greedy best-first, a generational GA over bitmasks,
-and an exhaustive enumerator used as the testing baseline.
+"""Feature-subset search: greedy best-first and a generational GA over
+bitmasks.
 
 All searches share one tie rule (higher score, then smaller subset, then
 lexicographically smallest index tuple), never return an empty subset, and
@@ -21,9 +21,8 @@ from .report import render_table
 class SubsetEvaluator:
     """Deterministic larger-is-better subset scorer with memo and call count."""
 
-    def __init__(self, fn: Callable[[frozenset], float], method: str = "custom"):
+    def __init__(self, fn: Callable[[frozenset], float]):
         self._fn = fn
-        self.method = method
         self.calls = 0
         self._memo: dict[frozenset, float] = {}
 
@@ -38,16 +37,12 @@ class SubsetEvaluator:
 
 def make_cfs_evaluator(ds, dmap) -> SubsetEvaluator:
     cache = SuCache(ds, dmap)
-    return SubsetEvaluator(
-        lambda s: cfs_merit(ds, s, dmap, cache=cache) if s else 0.0, method="cfs"
-    )
+    return SubsetEvaluator(lambda s: cfs_merit(ds, s, dmap, cache=cache) if s else 0.0)
 
 
 def make_consistency_evaluator(ds, dmap) -> SubsetEvaluator:
     cache = SuCache(ds, dmap)
-    return SubsetEvaluator(
-        lambda s: -inconsistency_rate(ds, s, dmap, cache=cache), method="consistency"
-    )
+    return SubsetEvaluator(lambda s: -inconsistency_rate(ds, s, dmap, cache=cache))
 
 
 def _better(sub_a: frozenset, val_a: float, sub_b: frozenset, val_b: float) -> bool:
@@ -133,7 +128,7 @@ def best_first(
             stale += 1
     if not best_sub:
         best_sub, best_val = _best_singleton(evaluator, n_features, trace)
-    return SubsetEvaluation(evaluator.method, best_sub, best_val)
+    return SubsetEvaluation(best_sub, best_val)
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,7 @@ def genetic_search(
 
     if best_sub is None:
         best_sub, best_val = _best_singleton(evaluator, n_features, trace)
-    return SubsetEvaluation(evaluator.method, best_sub, best_val)
+    return SubsetEvaluation(best_sub, best_val)
 
 
 def trace_to_csv(trace) -> str:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer
+from .data import DataError, Dataset, Standardizer, _read_text
 
 DENSE_LIMIT = 4096
 CACHE_ROWS = 512  # kernel rows the solver keeps above DENSE_LIMIT
@@ -39,13 +39,12 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class KernelSpec:
-    kind: str = "polynomial"
+    """The polynomial kernel (x . y + coef0) ** degree."""
+
     degree: int = 3
     coef0: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "polynomial":
-            raise DataError(f"unsupported kernel kind {self.kind!r}")
         if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
             raise DataError(f"kernel degree must be an integer >= 1, not {self.degree!r}")
         if not math.isfinite(self.coef0):
@@ -66,16 +65,6 @@ class SvmConfig:
             raise DataError(f"tolerance must be positive and finite, not {self.tolerance!r}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be at least 1, not {self.max_iter!r}")
-
-
-def kernel_eval(u, v, spec: KernelSpec) -> float:
-    """(u . v + coef0) ** degree for two instances: the one entry of their
-    kernel_matrix, so the scalar and matrix kernels agree bit for bit."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise DataError("kernel arguments must be two vectors of equal length")
-    return float(kernel_matrix(u[None, :], v[None, :], spec)[0, 0])
 
 
 def kernel_matrix(U, V, spec: KernelSpec) -> np.ndarray:
@@ -672,8 +661,9 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     classes = tuple(fields("classes"))
     counts = np.array([int(c) for c in fields("counts", len(classes))])
     kparts = fields("kernel", 3)
+    _require(kparts[0] == "polynomial", f"unsupported kernel kind {kparts[0]!r}", pos)
     try:
-        kernel = KernelSpec(kparts[0], int(kparts[1]), float.fromhex(kparts[2]))
+        kernel = KernelSpec(int(kparts[1]), float.fromhex(kparts[2]))
     except DataError as exc:  # the rule training enforces, given a line number
         raise DataError(f"malformed model file: {exc} at line {pos}") from None
     mparts = fields("mask")
@@ -733,7 +723,7 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
 
 
 def load_model(path) -> SvmModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     model, pos = model_from_lines(lines)
     if pos != len(lines):
         raise DataError(f"malformed model file: trailing data at line {pos + 1}")

@@ -195,6 +195,36 @@ class TestTrainPredict:
         assert code == 3
         assert "row 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["model", "ensemble", "data", "config", "report"])
+    def test_non_utf8_file_is_data_error(self, kind, saved_ensemble, small_csv, tmp_path, capsys):
+        """One byte that is not UTF-8 in any file the commands read exits 3
+        with an error line naming the file, not with a traceback."""
+        bad = tmp_path / "bad.txt"
+        out = str(tmp_path / "out")
+        if kind == "model":
+            assert main(["train", "--data", small_csv, "--out", str(bad)]) == 0
+            source = bad.read_bytes()
+        elif kind == "ensemble":
+            source = ("\n".join(saved_ensemble) + "\n").encode()
+        else:
+            bad = tmp_path / "bad.csv"
+            source = {
+                "data": open(small_csv, "rb").read(),
+                "config": b"seed=4\n",
+                "report": b"experiment,model\nexp5,SVM\n",
+            }[kind]
+        at = source.index(b"\n") - 1
+        bad.write_bytes(source[:at] + b"\xff" + source[at:])
+        args = {
+            "model": ["predict", "--model", str(bad), "--data", small_csv, "--out", out],
+            "ensemble": ["predict", "--model", str(bad), "--data", small_csv, "--out", out],
+            "data": ["train", "--data", str(bad), "--out", out],
+            "config": ["experiment", "--id", "exp1", "--config", str(bad), "--data", small_csv, "--out", out],
+            "report": ["report", "--in", str(bad)],
+        }[kind]
+        assert main(args) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {bad}: not UTF-8 text")
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -183,11 +183,6 @@ class TestSplit:
         with pytest.raises(DataError, match="fewer than 2 rows"):
             stratified_split(ds, SplitSpec(0.5, seed=0))
 
-    def test_unstratified_split(self):
-        ds = numeric_dataset(np.arange(20).reshape(10, 2), list("ab") * 5)
-        train, test = stratified_split(ds, SplitSpec(0.7, seed=0, stratified=False))
-        assert train.n_rows == 7 and test.n_rows == 3
-
 
 class TestStandardizer:
     def test_two_point_feature(self):

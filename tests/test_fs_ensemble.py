@@ -13,9 +13,7 @@ from ctgsvm.fs_ensemble import (
     SelectorId,
     aggregate,
     combo_label,
-    parse_label,
     run_selector,
-    selection_record,
 )
 from ctgsvm.search import (
     GeneticConfig,
@@ -178,45 +176,35 @@ class TestAggregate:
             [subset_selection("FS1", "genetic", {1, 3}), subset_selection("FS2", "genetic", {3, 5})],
             "union",
         )
-        assert got.result == frozenset({1, 3, 5})
-        assert got.label == "EFS12"
-
-    def test_intersection(self):
-        got = aggregate(
-            [subset_selection("FS1", "genetic", {1, 3}), subset_selection("FS2", "genetic", {3, 5})],
-            "intersection",
-        )
-        assert got.result == frozenset({3})
-
-    def test_empty_intersection_rejected(self):
-        with pytest.raises(DataError, match="intersection is empty"):
-            aggregate(
-                [subset_selection("FS1", "genetic", {1}), subset_selection("FS2", "genetic", {2})],
-                "intersection",
-            )
+        assert got == frozenset({1, 3, 5})
 
     def test_mean_rank_all_tied_takes_lowest_indexes(self):
         a = ranked_selection("FS3", [0, 1, 2])
         b = ranked_selection("FS4", [2, 1, 0])
         got = aggregate([a, b], "mean_rank_top_k", k=2, n_features=3)
-        assert got.result == frozenset({0, 1})
+        assert got == frozenset({0, 1})
 
     def test_mean_rank_prefers_consistently_high(self):
         a = ranked_selection("FS3", [2, 0, 1])
         b = ranked_selection("FS4", [2, 1, 0])
         got = aggregate([a, b], "mean_rank_top_k", k=1, n_features=3)
-        assert got.result == frozenset({2})
+        assert got == frozenset({2})
 
     def test_subset_members_rank_selected_first(self):
         a = subset_selection("FS1", "genetic", {2})
         b = subset_selection("FS2", "genetic", {2, 3})
         got = aggregate([a, b], "mean_rank_top_k", k=1, n_features=4)
-        assert got.result == frozenset({2})
+        assert got == frozenset({2})
 
     def test_union_order_invariance(self):
         a = subset_selection("FS1", "genetic", {1, 3})
         b = ranked_selection("FS4", [0, 1, 2, 3], selected={0, 2})
-        assert aggregate([a, b], "union").result == aggregate([b, a], "union").result
+        assert aggregate([a, b], "union") == aggregate([b, a], "union")
+
+    def test_unknown_mode_rejected(self):
+        pair = [subset_selection("FS1", "genetic", {1, 3}), subset_selection("FS2", "genetic", {3, 5})]
+        with pytest.raises(DataError, match="unknown aggregation mode 'intersection'"):
+            aggregate(pair, "intersection")
 
     def test_needs_two_members(self):
         with pytest.raises(DataError):
@@ -230,20 +218,7 @@ class TestAggregate:
 
 
 class TestLabels:
-    def test_label_round_trip(self):
+    def test_combo_label(self):
         members = (SelectorId("FS4", "ranker"), SelectorId("FS1", "genetic"))
         assert combo_label(members) == "EFS41"
-        assert parse_label("EFS41") == ("FS4", "FS1")
-
-    def test_malformed_labels_rejected(self):
-        for bad in ("EFS", "EFS0", "FS12", "EFSx1"):
-            with pytest.raises(DataError):
-                parse_label(bad)
-
-    def test_selection_record_format(self):
-        es = aggregate(
-            [subset_selection("FS1", "genetic", {1}), subset_selection("FS2", "genetic", {0})],
-            "union",
-        )
-        rec = selection_record(es, ["beta", "alpha"])
-        assert rec == "EFS12\tunion\talpha,beta"
+        assert combo_label((SelectorId("FS1", "genetic"), SelectorId("FS2", "genetic"))) == "EFS12"

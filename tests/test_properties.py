@@ -1,15 +1,25 @@
 """Property tests (hypothesis) of model persistence: a saved model or
 ensemble reloads to the same lines, and a truncated or corrupted file fails
-only with DataError.
+only with DataError. Also of the seeded row samplers: the stratified split
+and the stratified subsample.
 
 Every test runs a fixed, derandomized set of examples without an example
 database, so the suite does the same work on every run."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ctgsvm.bagging import EnsembleConfig, bagging_train, load_ensemble, save_ensemble
-from ctgsvm.data import DataError, fit_standardizer, select_features
+from ctgsvm.data import (
+    DataError,
+    SplitSpec,
+    fit_standardizer,
+    select_features,
+    stratified_split,
+    stratified_subsample,
+)
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
 from conftest import numeric_dataset
 
@@ -154,3 +164,55 @@ def test_corrupt_ensemble_fails_only_with_data_error(tmp_path, saved_files, data
         load_ensemble(path)
     except DataError:
         pass
+
+
+@st.composite
+def labelled_rows(draw):
+    """A table whose one feature is the row's index, so a sampled row can be
+    traced back, with 2-4 classes of 1-30 rows in a shuffled order."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=2, max_size=4))
+    classes = [f"c{c}" for c, size in enumerate(sizes) for _ in range(size)]
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(classes))
+    classes = [classes[i] for i in order]
+    return numeric_dataset(np.arange(len(classes), dtype=float)[:, None], classes)
+
+
+def _ids(ds) -> list[int]:
+    return ds.feature_column(0).astype(int).tolist()
+
+
+def _class_sizes(ds) -> list[int]:
+    return np.bincount(ds.class_codes(), minlength=len(ds.class_labels)).tolist()
+
+
+@PROPERTY
+@given(labelled_rows(), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_stratified_split(ds, fraction, seed):
+    spec = SplitSpec(fraction, seed)
+    sizes = _class_sizes(ds)
+    if any(n_c < 2 or math.floor(fraction * n_c) < 1 for n_c in sizes):
+        with pytest.raises(DataError):
+            stratified_split(ds, spec)
+        return
+    train, test = stratified_split(ds, spec)
+    train_ids, test_ids = _ids(train), _ids(test)
+    assert not set(train_ids) & set(test_ids)
+    assert sorted(train_ids + test_ids) == list(range(ds.n_rows))
+    assert train_ids == sorted(train_ids) and test_ids == sorted(test_ids)
+    assert _class_sizes(train) == [math.floor(fraction * n_c) for n_c in sizes]
+    again = stratified_split(ds, spec)
+    assert (_ids(again[0]), _ids(again[1])) == (train_ids, test_ids)
+
+
+@PROPERTY
+@given(labelled_rows(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_stratified_subsample(ds, n_target, seed):
+    sample = stratified_subsample(ds, n_target, seed)
+    ids = _ids(sample)
+    if n_target >= ds.n_rows:
+        assert ids == list(range(ds.n_rows))
+        return
+    assert ids == sorted(set(ids)) and set(ids) <= set(range(ds.n_rows))
+    assert all(1 <= got <= size for got, size in zip(_class_sizes(sample), _class_sizes(ds)))
+    assert n_target <= len(ids) <= n_target + len(ds.class_labels)
+    assert _ids(stratified_subsample(ds, n_target, seed)) == ids

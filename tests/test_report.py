@@ -30,22 +30,22 @@ class TestConfusion:
         ds = numeric_dataset(np.arange(10).reshape(-1, 1), ["a", "b"] * 5)
         actual = ["a" if row[0] % 2 == 0 else "b" for row in ds.feature_matrix()]
         desired = [ds.class_labels[c] for c in ds.class_codes()]
-        cm = confusion_from_labels(desired, actual, ds.class_labels, "train")
+        cm = confusion_from_labels(desired, actual, ds.class_labels)
         assert np.array_equal(cm.counts, np.diag([5, 5]))
         assert accuracy(cm) == 100.0
 
     def test_reference_train_matrix(self):
-        cm = ConfusionMatrix(LABELS, TRAIN_COUNTS, "train")
+        cm = ConfusionMatrix(LABELS, TRAIN_COUNTS)
         assert cm.total == 1463
         assert fmt_accuracy(accuracy(cm)) == "99.79"
 
     def test_reference_test_matrix(self):
-        cm = ConfusionMatrix(LABELS, TEST_COUNTS, "test")
+        cm = ConfusionMatrix(LABELS, TEST_COUNTS)
         assert cm.total == 663
         assert fmt_accuracy(accuracy(cm)) == "98.49"
 
     def test_reference_combined_matrix(self):
-        combined = ConfusionMatrix(LABELS, TRAIN_COUNTS + TEST_COUNTS, "combined")
+        combined = ConfusionMatrix(LABELS, TRAIN_COUNTS + TEST_COUNTS)
         assert combined.total == 2126
         assert combined.trace == 2113
         assert fmt_accuracy(accuracy(combined)) == "99.39"
@@ -54,30 +54,30 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         desired = rng.choice(["x", "y"], 30).tolist()
         actual = rng.choice(["x", "y"], 30).tolist()
-        a = confusion_from_labels(desired, actual, ("x", "y"), "t")
+        a = confusion_from_labels(desired, actual, ("x", "y"))
         perm = rng.permutation(30)
         b = confusion_from_labels(
-            [desired[i] for i in perm], [actual[i] for i in perm], ("x", "y"), "t"
+            [desired[i] for i in perm], [actual[i] for i in perm], ("x", "y")
         )
         assert np.array_equal(a.counts, b.counts)
         assert a.total == 30
 
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError):
-            confusion_from_labels(["x"], ["z"], ("x", "y"), "t")
+            confusion_from_labels(["x"], ["z"], ("x", "y"))
 
 
 class TestAccuracy:
     def test_paper_value(self):
-        cm = ConfusionMatrix(("a", "b"), np.array([[2113, 13], [0, 0]]), "combined")
+        cm = ConfusionMatrix(("a", "b"), np.array([[2113, 13], [0, 0]]))
         assert fmt_accuracy(accuracy(cm)) == "99.39"
 
     def test_zero_trace(self):
-        cm = ConfusionMatrix(("a", "b"), np.array([[0, 3], [2, 0]]), "t")
+        cm = ConfusionMatrix(("a", "b"), np.array([[0, 3], [2, 0]]))
         assert fmt_accuracy(accuracy(cm)) == "0.00"
 
     def test_one_of_three_rounds_half_up(self):
-        cm = ConfusionMatrix(("a", "b"), np.array([[1, 2], [0, 0]]), "t")
+        cm = ConfusionMatrix(("a", "b"), np.array([[1, 2], [0, 0]]))
         assert fmt_accuracy(accuracy(cm)) == "33.33"
 
     def test_half_up_rounding_rule(self):
@@ -86,7 +86,7 @@ class TestAccuracy:
         assert round_half_up(1.0, 2) == "1.00"
 
     def test_empty_matrix_rejected(self):
-        cm = ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int), "t")
+        cm = ConfusionMatrix(("a", "b"), np.zeros((2, 2), dtype=int))
         with pytest.raises(DataError):
             accuracy(cm)
 
@@ -142,9 +142,9 @@ class TestRender:
 
     def test_accuracy_consistent_with_matrix(self):
         cms = {
-            "train": ConfusionMatrix(LABELS, TRAIN_COUNTS, "train"),
-            "test": ConfusionMatrix(LABELS, TEST_COUNTS, "test"),
-            "combined": ConfusionMatrix(LABELS, TRAIN_COUNTS + TEST_COUNTS, "combined"),
+            "train": ConfusionMatrix(LABELS, TRAIN_COUNTS),
+            "test": ConfusionMatrix(LABELS, TEST_COUNTS),
+            "combined": ConfusionMatrix(LABELS, TRAIN_COUNTS + TEST_COUNTS),
         }
         acc = {tag: accuracy(cm) for tag, cm in cms.items()}
         assert acc["combined"] == pytest.approx(100.0 * 2113 / 2126, abs=1e-9)

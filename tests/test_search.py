@@ -21,7 +21,7 @@ SHIPPED_SEED = 7
 
 
 def ev(fn):
-    return SubsetEvaluator(fn, method="custom")
+    return SubsetEvaluator(fn)
 
 
 def two_good_features(s):

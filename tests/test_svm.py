@@ -14,7 +14,6 @@ from ctgsvm.svm import (
     BinarySvm,
     KernelSpec,
     SvmConfig,
-    kernel_eval,
     kernel_matrix,
     load_model,
     model_to_lines,
@@ -32,12 +31,17 @@ def cfgp(C, degree, coef0=1.0, **kw):
     return SvmConfig(C=C, kernel=KernelSpec(degree=degree, coef0=coef0), **kw)
 
 
+def one_entry(u, v, spec):
+    """The kernel of two instances: the entry of their one-row kernel_matrix."""
+    return kernel_matrix([u], [v], spec)[0, 0]
+
+
 class TestKernel:
     def test_zero_vectors(self):
-        assert kernel_eval([0, 0, 0], [0, 0, 0], KernelSpec(degree=3, coef0=1.0)) == 1.0
+        assert one_entry([0, 0, 0], [0, 0, 0], KernelSpec(degree=3, coef0=1.0)) == 1.0
 
     def test_ones_squared(self):
-        assert kernel_eval([1, 1], [1, 1], KernelSpec(degree=2, coef0=1.0)) == 9.0
+        assert one_entry([1, 1], [1, 1], KernelSpec(degree=2, coef0=1.0)) == 9.0
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -45,17 +49,17 @@ class TestKernel:
             u, v = rng.normal(size=5), rng.normal(size=5)
             spec = KernelSpec(degree=4, coef0=1.0)
             want = (float(np.dot(u, v)) + 1.0) ** 4
-            assert kernel_eval(u, v, spec) == pytest.approx(want, rel=1e-12)
+            assert one_entry(u, v, spec) == pytest.approx(want, rel=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
         u, v = rng.normal(size=4), rng.normal(size=4)
         spec = KernelSpec(degree=3, coef0=1.0)
-        assert kernel_eval(u, v, spec) == kernel_eval(v, u, spec)
+        assert one_entry(u, v, spec) == one_entry(v, u, spec)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            kernel_eval([1, 2], [1, 2, 3], KernelSpec())
+            one_entry([1, 2], [1, 2, 3], KernelSpec())
 
     def test_degree_validated(self):
         with pytest.raises(DataError):
@@ -76,7 +80,7 @@ class TestKernel:
         for degree in range(1, 8):
             spec = KernelSpec(degree=degree, coef0=1.0)
             u, v = rng.normal(size=6), rng.normal(size=6)
-            assert kernel_eval(u, v, spec) == kernel_matrix([u], [v], spec)[0, 0]
+            assert one_entry(u, v, spec) == svm._polynomial(np.array([[np.dot(u, v)]]), spec)[0, 0]
 
 
 BLOCK = svm._BLOCK
@@ -428,7 +432,7 @@ def quick_table():
     ds = make_ctg_like()
     ds = select_features(ds, mask_by_names(ds, drop=["CLASS"]))
     work = stratified_subsample(ds, QUICK_ROWS, 42)
-    train, _ = stratified_split(work, SplitSpec(0.70, 42, True))
+    train, _ = stratified_split(work, SplitSpec(0.70, 42))
     return work, train, fit_standardizer(train)
 
 
@@ -688,6 +692,7 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "prefix, field, value",
         [
+            ("kernel", 1, "rbf"),
             ("kernel", 3, "nan"),
             ("feat", 3, "inf"),
             ("feat", 4, "nan"),
@@ -699,7 +704,7 @@ class TestPersistence:
             ("sv", 2, "-0x1.0p-3"),
             ("sv", 3, "-inf"),
         ],
-        ids=["coef0-nan", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
+        ids=["kind-rbf", "coef0-nan", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
              "label-7", "alpha-nan", "alpha-negative", "support-value-inf"],
     )
     def test_invalid_field_rejected(self, tmp_path, prefix, field, value):
