@@ -56,7 +56,6 @@ from .bagging import (
     bagging_train,
     bootstrap_sample,
     load_ensemble,
-    member_agreement,
     save_ensemble,
 )
 from .report import (

@@ -1,6 +1,10 @@
 """Bagged SVM ensembles: bootstrap resampling, majority voting, and
 member-agreement statistics.
 
+An ensemble predicts with one kernel product over the distinct support rows
+of every member's machines (`svm._Stack`); each member then votes one
+versus one on its own decisions, and the members' labels go to one vote.
+
 Member seeds are derived from the master seed with a splitmix-style mixer,
 so each member is fully determined by (master_seed, member_index) no matter
 how or where the members are trained.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +22,7 @@ from .data import DataError, Dataset, Standardizer, _read_text
 from .svm import (
     SvmConfig,
     SvmModel,
+    _Stack,
     model_from_lines,
     model_to_lines,
     train_multiclass,
@@ -69,9 +75,47 @@ class EnsembleModel:
     class_priors: np.ndarray
     master_seed: int
 
+    def __post_init__(self):
+        """Members must agree on everything one stacked evaluation shares:
+        the classes, the kernel, the one-vs-one pairs, the feature mask and
+        the standardizer."""
+        if not self.members:
+            raise DataError("an ensemble needs at least one member")
+        first = self.members[0][0]
+        for i, (m, _, _) in enumerate(self.members, start=1):
+            if m.classes != self.classes:
+                raise DataError(
+                    f"ensemble member {i}: classes {m.classes} differ from the ensemble's {self.classes}"
+                )
+            for what, got, want in (
+                ("kernel", m.machines[0].kernel, first.machines[0].kernel),
+                ("class pairs", m.pairs, first.pairs),
+                ("feature mask", m.feature_mask, first.feature_mask),
+                ("standardizer", _standardizer_key(m.standardizer), _standardizer_key(first.standardizer)),
+            ):
+                if got != want:
+                    raise DataError(f"ensemble member {i}: {what} differs from member 1's")
+
     @property
     def converged(self) -> bool:
         return all(m.converged for m, _, _ in self.members)
+
+    @cached_property
+    def _stack(self) -> _Stack:
+        # one group of machines per member; built on first prediction
+        machines = [mach for m, _, _ in self.members for mach in m.machines]
+        return _Stack.of(machines, self.members[0][0].pairs, len(self.classes))
+
+    @cached_property
+    def _priors(self) -> np.ndarray:
+        """(members, classes): each member's training class shares, which
+        break ties in its vote."""
+        counts = np.array([m.class_counts for m, _, _ in self.members])
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def _member_codes(self, feats: np.ndarray) -> np.ndarray:
+        """(rows, members): each member's class index per row of feats."""
+        return self._stack.vote(self.members[0][0]._prepare(feats), self._priors)[0]
 
     def prefix(self, m: int) -> EnsembleModel:
         """The first m members as an ensemble of their own.
@@ -84,7 +128,9 @@ class EnsembleModel:
         return EnsembleModel(self.members[:m], self.vote, self.classes, self.class_priors, self.master_seed)
 
     def member_predictions(self, ds: Dataset) -> list[list[str]]:
-        return [m.predict_dataset(ds)[0] for m, _, _ in self.members]
+        self.members[0][0]._check_columns(ds.feature_names)
+        codes = self._member_codes(ds.feature_matrix())
+        return [[self.classes[c] for c in column] for column in codes.T]
 
     def vote_labels(self, per_member) -> tuple[list[str], int]:
         """Row-wise vote over one label list per member, in member order;
@@ -107,7 +153,8 @@ class EnsembleModel:
         return labels, {"vote_ties": ties}
 
     def predict_values(self, values) -> str:
-        return self.vote_labels([[m.predict_values(values)] for m, _, _ in self.members])[0][0]
+        codes = self._member_codes(np.asarray(values, dtype=float).reshape(1, -1))
+        return self.vote_labels([[self.classes[c]] for c in codes[0]])[0][0]
 
 
 def _vote(predictions, priors, class_order, weights=None) -> tuple[str, int]:
@@ -160,17 +207,18 @@ def bagging_train(
     return EnsembleModel(members, cfg.vote, train.class_labels, priors, cfg.master_seed)
 
 
+def _standardizer_key(s: Standardizer | None):
+    if s is None:
+        return None
+    return s.means.tolist(), s.sigmas.tolist(), [spec.name for spec in s.feature_schema]
+
+
 def agreement(per_member) -> float:
     """Fraction of rows on which every member's label list holds the same label."""
     if len(per_member) < 2:
         raise DataError("agreement needs at least 2 members")
     agree = sum(1 for row in zip(*per_member) if len(set(row)) == 1)
     return agree / len(per_member[0])
-
-
-def member_agreement(model: EnsembleModel, ds: Dataset) -> float:
-    """Fraction of rows of ds on which every member emits the same label."""
-    return agreement(model.member_predictions(ds))
 
 
 # ---------------------------------------------------------------------------

@@ -514,8 +514,8 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
     max_members = cfg.exp4_members
     full, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, max_members)
     timing = [(f"train,members={trained}", secs)]
-    # each member is predicted once per dataset, on the same batches that
-    # predict_dataset and member_agreement use; every prefix votes over these
+    # each member is predicted once per dataset, and every prefix votes
+    # over these labels
     datasets = {"train": pipe.train, "test": pipe.test, "work": pipe.work}
     labels = {tag: [] for tag in datasets}
     member_cols = [""] * max_members

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .data import DataError, Dataset, Standardizer, _read_text
 DENSE_LIMIT = 4096
 CACHE_ROWS = 512  # kernel rows the solver keeps above DENSE_LIMIT
 EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
-_BLOCK = 1 << 15  # elements per block of the in-place kernel power (256 KiB)
+_BLOCK = 1 << 15  # elements per block of the in-place kernel power and of a prediction kernel (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
 MODEL_VERSION = 1
 
@@ -172,9 +173,91 @@ class BinarySvm:
         if len(self.alphas) == 0:
             raise DataError("invalid model: empty support set")
 
-    def decision_values(self, X) -> np.ndarray:
-        k = kernel_matrix(np.asarray(X, dtype=float), self.support_vectors, self.kernel)
-        return k @ (self.alphas * self.labels) + self.bias
+
+@dataclass(frozen=True)
+class _Stack:
+    """Groups of one-vs-one machines evaluated in one pass: their distinct
+    support rows U, the coefficient matrix A (|U| x machines) of alpha *
+    label, summed over rows a machine holds more than once, the biases, and
+    one group's pair-to-class matrix. The decisions of a batch X are
+    kernel_matrix(X, U) @ A + bias: each kernel value is computed once for
+    every machine holding the row, as in LIBSVM's one-vs-one predictor
+    (Chang & Lin 2011). A model is one group; an ensemble has one group per
+    member, in member order."""
+
+    support: np.ndarray
+    coef: np.ndarray
+    bias: np.ndarray
+    kernel: KernelSpec
+    to_class: np.ndarray  # (classes, 2 * pairs): one-hot first classes, then second classes
+
+    @classmethod
+    def of(cls, machines, pairs, n_classes: int) -> _Stack:
+        """The stack of `machines`, groups of len(pairs) machines in the order of `pairs`."""
+        kernel = machines[0].kernel
+        if any(m.kernel != kernel for m in machines):
+            raise DataError("machines evaluated together must share one kernel")
+        rows = np.ascontiguousarray(np.concatenate([m.support_vectors for m in machines]))
+        # distinct rows by their bytes, one void item per row: several
+        # times faster than np.unique(axis=0); rows that differ only as
+        # -0.0 and 0.0 stay apart, which costs one kernel column
+        _, first, where = np.unique(
+            rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1),
+            return_index=True, return_inverse=True,
+        )
+        support = rows[first]
+        column = np.repeat(np.arange(len(machines)), [len(m.alphas) for m in machines])
+        coef = np.zeros((len(support), len(machines)))
+        np.add.at(coef, (where.reshape(-1), column), np.concatenate([m.alphas * m.labels for m in machines]))
+        onehot = np.eye(n_classes)
+        to_class = np.hstack([onehot[:, [ci for ci, _ in pairs]], onehot[:, [cj for _, cj in pairs]]])
+        return cls(support, coef, np.array([m.bias for m in machines]), kernel, to_class)
+
+    def decisions(self, X: np.ndarray) -> np.ndarray:
+        """The (rows, machines) decision values of X, a block of rows at a
+        time, so that no kernel block holds more than _BLOCK values."""
+        step = max(1, _BLOCK // len(self.support))
+        out = np.empty((len(X), self.coef.shape[1]))
+        for lo in range(0, len(X), step):
+            out[lo:lo + step] = kernel_matrix(X[lo:lo + step], self.support, self.kernel) @ self.coef
+        return out + self.bias
+
+    def vote(self, X: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each group's one-vs-one vote on each row of X, with one row of
+        class priors (groups, classes) per group: the (rows, groups) winning
+        class indices and tie flags. Rows go a block at a time, so that no
+        block of decisions holds more than _BLOCK values."""
+        groups = len(priors)
+        winners = np.empty((len(X), groups), dtype=np.intp)
+        tied = np.empty((len(X), groups), dtype=bool)
+        step = max(1, _BLOCK // self.coef.shape[1])
+        for lo in range(0, len(X), step):
+            d = self.decisions(X[lo:lo + step]).reshape(-1, groups, self.to_class.shape[1] // 2)
+            winners[lo:lo + step], tied[lo:lo + step] = _ovo_vote(d, self.to_class, priors)
+        return winners, tied
+
+
+def _ovo_vote(d: np.ndarray, to_class: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-vs-one vote of each group on decisions d (rows, groups,
+    pairs), with class priors (groups, classes): a machine votes for its
+    first class where its decision is >= 0, else for its second, and adds
+    |decision| to that class's strength. Returns the (rows, groups) winners
+    and tie flags; a tie goes to the larger strength, then the larger prior,
+    then the earlier class. Classes run along the first axis, so every
+    reduction over them is elementwise across rows. With three classes each
+    strength sums two decisions, so it equals a loop's sum exactly."""
+    rows, groups, pairs = d.shape
+    flat = np.ascontiguousarray(d.reshape(-1, pairs).T)
+    pos = flat >= 0
+    shape = (len(to_class), rows, groups)
+    votes = (to_class @ np.concatenate([pos, ~pos])).reshape(shape)
+    strength = (to_class @ np.concatenate([np.where(pos, flat, 0.0), np.where(pos, 0.0, -flat)])).reshape(shape)
+    cand = votes == votes.max(axis=0)
+    tied = cand.sum(axis=0) > 1
+    for key in (strength, priors.T[:, None, :]):
+        key = np.where(cand, key, -np.inf)
+        cand &= key == key.max(axis=0)
+    return cand.argmax(axis=0), tied
 
 
 def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
@@ -508,30 +591,16 @@ class SvmModel:
             feats = self.standardizer.transform_features(feats)
         return feats
 
+    @cached_property
+    def _stack(self) -> _Stack:
+        # built on first prediction; a model does not change once built
+        return _Stack.of(self.machines, self.pairs, len(self.classes))
+
     def predict_matrix(self, feats: np.ndarray) -> tuple[list[str], dict]:
         feats = self._prepare(np.asarray(feats, dtype=float))
-        n = feats.shape[0]
-        k = len(self.classes)
-        votes = np.zeros((n, k))
-        strength = np.zeros((n, k))
-        for (ci, cj), m in zip(self.pairs, self.machines):
-            d = m.decision_values(feats)
-            pos = d >= 0
-            votes[pos, ci] += 1
-            votes[~pos, cj] += 1
-            strength[pos, ci] += d[pos]
-            strength[~pos, cj] += -d[~pos]
-        top = votes.max(axis=1)
-        tied = (votes == top[:, None]).sum(axis=1) > 1
-        winners = np.argmax(votes, axis=1)
         priors = self.class_counts / self.class_counts.sum()
-        for i in np.flatnonzero(tied):
-            cands = np.flatnonzero(votes[i] == top[i])
-            # larger summed |decision|, then larger prior, then class order
-            order = sorted(cands, key=lambda c: (-strength[i, c], -priors[c], c))
-            winners[i] = order[0]
-        stats = {"vote_ties": int(tied.sum())}
-        return [self.classes[w] for w in winners], stats
+        winners, tied = self._stack.vote(feats, priors[None])
+        return [self.classes[w] for w in winners[:, 0]], {"vote_ties": int(tied.sum())}
 
     def _check_columns(self, names: tuple[str, ...]) -> None:
         """Prediction columns must be the training columns, by name: the

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import AttributeSpec, Dataset, NOMINAL, NUMERIC
+from .data import AttributeSpec, DataError, Dataset, NOMINAL, NUMERIC
 
 DEFAULT_SEED = 20260811
 N_ROWS = 2126
@@ -45,11 +45,30 @@ def _clipped(rng, mean, sd, size, lo=0.0, hi=None):
     return v
 
 
+def _class_sizes(n_rows: int) -> dict[str, int]:
+    """Rows per class for an n_rows table: n_rows apportioned in the
+    published class proportions by largest remainder (ties to the earlier
+    class in CLASS_ORDER), then at least 2 rows per class, taken from the
+    largest class. The sizes sum to n_rows."""
+    if n_rows < 2 * len(CLASS_ORDER):
+        raise DataError(f"a synthetic table needs at least {2 * len(CLASS_ORDER)} rows, not {n_rows}")
+    quotas = [divmod(CLASS_COUNTS[c] * n_rows, N_ROWS) for c in CLASS_ORDER]
+    sizes = [whole for whole, _ in quotas]
+    by_remainder = sorted(range(len(quotas)), key=lambda k: -quotas[k][1])
+    for k in by_remainder[:n_rows - sum(sizes)]:
+        sizes[k] += 1
+    for k, m in enumerate(sizes):
+        if m < 2:
+            sizes[0] -= 2 - m  # CLASS_ORDER[0] is the largest class
+            sizes[k] = 2
+    return dict(zip(CLASS_ORDER, sizes))
+
+
 def make_ctg_like(seed: int = DEFAULT_SEED, n_rows: int = N_ROWS) -> Dataset:
-    """Build the synthetic table; n_rows scales every class proportionally."""
+    """Build the synthetic table of n_rows rows, with class sizes from
+    `_class_sizes`."""
     rng = np.random.default_rng(int(seed))
-    scale = n_rows / N_ROWS
-    sizes = {c: max(2, round(CLASS_COUNTS[c] * scale)) for c in CLASS_ORDER}
+    sizes = _class_sizes(n_rows)
     cols = {name: [] for name in FEATURES}
     class_rows = []
 

@@ -15,10 +15,13 @@ import os
 # before numpy loads, so it comes before the first numpy import.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from ctgsvm.data import AttributeSpec, Dataset, DiscretizationMap, NOMINAL, NUMERIC, load_dataset
+from ctgsvm.svm import BinarySvm, KernelSpec, SvmModel
 from ctgsvm.synth import make_ctg_like
 
 
@@ -45,6 +48,34 @@ def numeric_dataset(matrix, classes, names=None) -> Dataset:
     schema.append(AttributeSpec("cls", NOMINAL, labels))
     cls_col = np.array([[labels.index(c)] for c in classes], dtype=float)
     return Dataset(schema, np.hstack([matrix, cls_col]), n_feat)
+
+
+def decision_model(decisions, classes, counts=None) -> SvmModel:
+    """A hand-built one-vs-one model, machines in `combinations` order, whose
+    decisions on unit row r (the r-th unit vector of width len(decisions))
+    are decisions[r], exactly: under the linear kernel each machine holds
+    every unit vector as a support row, with alpha * label set to its
+    decision on that row. Class counts default to equal priors."""
+    D = np.asarray(decisions, dtype=float)
+    pairs = tuple(combinations(range(len(classes)), 2))
+    assert D.shape[1] == len(pairs)
+    kernel = KernelSpec(degree=1, coef0=0.0)
+    eye = np.eye(D.shape[0])
+    machines = [BinarySvm(eye, np.abs(d), np.where(d < 0, -1.0, 1.0), 0.0, kernel) for d in D.T]
+    counts = np.ones(len(classes), dtype=int) if counts is None else np.asarray(counts)
+    return SvmModel(tuple(classes), counts, pairs, machines)
+
+
+def labelling_model(labels, classes) -> SvmModel:
+    """A hand-built model that predicts labels[r] on unit row r, by k - 1
+    votes: every machine votes for the row's label when it can."""
+    pairs = list(combinations(range(len(classes)), 2))
+    return decision_model([[-1.0 if lab == classes[cj] else 1.0 for _, cj in pairs] for lab in labels], classes)
+
+
+def unit_rows(classes) -> Dataset:
+    """One unit row per entry of `classes`, the row's class."""
+    return numeric_dataset(np.eye(len(classes)), classes)
 
 
 def passthrough_dmap(ds: Dataset) -> DiscretizationMap:

@@ -267,6 +267,44 @@ def dual_objective(m) -> float:
     return float(m.alphas.sum() - 0.5 * ay @ K @ ay)
 
 
+def decision_values(m, X) -> np.ndarray:
+    """Decision values of one trained machine on rows X, with the polynomial
+    kernel written out: the per-machine reference for the stacked
+    evaluation that predicts."""
+    K = (np.asarray(X, dtype=float) @ m.support_vectors.T + m.kernel.coef0) ** m.kernel.degree
+    return K @ (m.alphas * m.labels) + m.bias
+
+
+def ovo_predict(model, feats) -> tuple[list[str], int]:
+    """One-vs-one labels of a model on raw feature rows, one machine at a
+    time with a sorted tie-break, and the number of tied rows: the
+    reference for the vectorized vote."""
+    feats = np.asarray(feats, dtype=float)
+    if model.feature_mask is not None:
+        feats = feats[:, list(model.feature_mask)]
+    if model.standardizer is not None:
+        feats = (feats - model.standardizer.means) / model.standardizer.sigmas
+    n, k = feats.shape[0], len(model.classes)
+    votes = [[0] * k for _ in range(n)]
+    strength = [[0.0] * k for _ in range(n)]
+    for (ci, cj), m in zip(model.pairs, model.machines):
+        for i, d in enumerate(decision_values(m, feats)):
+            c = ci if d >= 0 else cj
+            votes[i][c] += 1
+            strength[i][c] += abs(d)
+    total = sum(int(c) for c in model.class_counts)
+    priors = [int(c) / total for c in model.class_counts]
+    labels, ties = [], 0
+    for v, s in zip(votes, strength):
+        top = max(v)
+        cands = [c for c in range(k) if v[c] == top]
+        ties += len(cands) > 1
+        # larger summed |decision|, then larger prior, then class order
+        best = min(cands, key=lambda c: (-s[c], -priors[c], c))
+        labels.append(model.classes[best])
+    return labels, ties
+
+
 def qp_bias(K, y, C, a, tol=1e-8):
     """Bias by the same rule the trained models use: mean over unbounded
     support rows, else the midpoint of the feasible interval."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctgsvm.bagging import EnsembleConfig, agreement, bagging_train, bootstrap_sample, member_agreement
+from ctgsvm.bagging import EnsembleConfig, agreement, bagging_train, bootstrap_sample
 from ctgsvm.data import fit_standardizer, select_features
 from ctgsvm.experiments import (
     ExperimentConfig,
@@ -32,7 +32,7 @@ from ctgsvm.svm import (
     train_from_problems,
 )
 from conftest import numeric_dataset
-from oracles import dual_objective, exhaustive_best, qp_bias, qp_reference
+from oracles import decision_values, dual_objective, exhaustive_best, ovo_predict, qp_bias, qp_reference
 from test_filters import assert_scores_match_brute, random_small_dataset
 from test_svm import qp_fixtures
 
@@ -66,6 +66,24 @@ def grid_models(pipe):
     return cells, time.perf_counter() - t0
 
 
+def test_stacked_prediction_matches_per_machine_reference(pipe, grid_models):
+    """On every exp1 grid model, the one kernel product over the distinct
+    support rows gives each machine's decisions within 1e-9 of its largest
+    |decision|, the same labels and ties as voting machine by machine, and
+    single-row labels equal to the batch labels."""
+    cells, _ = grid_models
+    feats = pipe.work.feature_matrix()
+    for model, _ in cells.values():
+        X = model._prepare(feats)
+        want = np.column_stack([decision_values(m, X) for m in model.machines])
+        got = model._stack.decisions(X)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want).max(axis=0))
+        labels, stats = model.predict_matrix(feats)
+        assert (labels, stats["vote_ties"]) == ovo_predict(model, feats)
+    model, _ = cells[(10.0, 3)]
+    assert [model.predict_values(row) for row in feats] == model.predict_dataset(pipe.work)[0]
+
+
 def test_criterion_1_filter_oracles():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260811)
@@ -92,7 +110,7 @@ def test_criterion_2_solver_oracle():
         worst = max(worst, gap)
         assert gap <= 1e-6
         d_ref = K @ (a_ref * y) + qp_bias(K, y, C, a_ref)
-        assert np.array_equal(d_ref >= 0, m.decision_values(X) >= 0)
+        assert np.array_equal(d_ref >= 0, decision_values(m, X) >= 0)
         count += 1
     # the two named cases
     m = smo_train(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]),
@@ -101,7 +119,7 @@ def test_criterion_2_solver_oracle():
     X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     y = np.array([1.0, -1.0, -1.0, 1.0])
     xor = smo_train(X, y, SvmConfig(C=1e6, kernel=KernelSpec(degree=2, coef0=1.0)))
-    assert np.all(np.sign(xor.decision_values(X)) == y)
+    assert np.all(np.sign(decision_values(xor, X)) == y)
     took = time.perf_counter() - t0
     announce(
         2,
@@ -459,7 +477,7 @@ def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path):
             voting_train=fmt_accuracy(acc["train"]),
             voting_test=fmt_accuracy(acc["test"]),
             voting_combined=fmt_accuracy(acc["combined"]),
-            agreement=fmt_accuracy(100.0 * member_agreement(ens, pipe.work)) if m >= 2 else "",
+            agreement=fmt_accuracy(100.0 * agreement(ens.member_predictions(pipe.work))) if m >= 2 else "",
             flags="" if ens.converged else "non_converged",
         )
         assert row == want, f"sweep row {m}"
@@ -510,7 +528,7 @@ def test_criterion_9_invariant_suites(pipe, grid_models):
             assert np.all(mach.alphas > 0) and np.all(mach.alphas <= C + 1e-12)
             unb = (mach.alphas > 0) & (mach.alphas < C)
             if unb.any():
-                f = mach.decision_values(mach.support_vectors[unb])
+                f = decision_values(mach, mach.support_vectors[unb])
                 viol = float(np.abs(mach.labels[unb] * f - 1).max())
                 kkt_worst = max(kkt_worst, viol)
                 assert viol <= pipe.cfg.tolerance + 1e-6

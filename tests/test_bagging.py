@@ -1,4 +1,6 @@
 """Bootstrap, voting, agreement, and ensemble persistence."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from ctgsvm.bagging import (
     bagging_train,
     bootstrap_sample,
     load_ensemble,
-    member_agreement,
     save_ensemble,
     split_mix,
 )
 from ctgsvm.data import DataError, fit_standardizer
 from ctgsvm.svm import KernelSpec, SvmConfig, model_to_lines
-from conftest import numeric_dataset
+from conftest import labelling_model, numeric_dataset, unit_rows
+from oracles import decision_values, ovo_predict
 
 
 def base_cfg(C=10.0, degree=2):
@@ -123,29 +125,18 @@ class TestBaggingTrain:
         assert abs(ens.class_priors.sum() - 1.0) < 1e-12
 
 
-class _StubModel:
-    def __init__(self, labels):
-        self.labels = labels
-        self.converged = True
-
-    def predict_dataset(self, ds):
-        return list(self.labels), {"vote_ties": 0}
-
-    def predict_values(self, values):
-        return self.labels[int(values[0])]  # the row's one feature is its index
-
-
-def stub_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2),
-                  vote="unweighted_majority", accs=None):
+def label_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2),
+                   vote="unweighted_majority", accs=None):
+    """An ensemble whose member i predicts label_rows[i][r] on unit row r."""
     accs = accs or [0.9] * len(label_rows)
-    members = [(_StubModel(labels), i, acc) for i, (labels, acc) in enumerate(zip(label_rows, accs))]
+    members = [(labelling_model(labels, classes), i, acc) for i, (labels, acc) in enumerate(zip(label_rows, accs))]
     return EnsembleModel(members, vote, tuple(classes), np.array(priors), master_seed=0)
 
 
 def vote_one_row(labels, **kw):
     """The ensemble vote on one row whose members emit `labels`."""
     rows = [[lab] for lab in labels]
-    return stub_ensemble(rows, **kw).vote_labels(rows)[0][0]
+    return label_ensemble(rows, **kw).vote_labels(rows)[0][0]
 
 
 class TestVoting:
@@ -162,7 +153,7 @@ class TestVoting:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            stub_ensemble([["N"], ["S"]]).vote_labels([])
+            label_ensemble([["N"], ["S"]]).vote_labels([])
 
     @pytest.mark.parametrize("vote", ["unweighted_majority", "weighted_by_train_accuracy"])
     def test_single_row_vote_is_predict_dataset(self, vote):
@@ -170,59 +161,59 @@ class TestVoting:
         # row 2 only under the unweighted one
         rows = [["hi", "hi", "lo", "lo"], ["hi", "lo", "lo", "lo"], ["hi", "lo", "lo", "hi"]]
         members = [list(col) for col in zip(*rows)]
-        ens = stub_ensemble(members, classes=("hi", "lo"), priors=(0.4, 0.6), vote=vote,
-                            accs=[0.9, 0.6, 0.75, 0.75])
-        ds = numeric_dataset([[i] for i in range(len(rows))], ["hi", "lo", "hi"])
+        ens = label_ensemble(members, classes=("hi", "lo"), priors=(0.4, 0.6), vote=vote,
+                             accs=[0.9, 0.6, 0.75, 0.75])
+        ds = unit_rows(["hi", "lo", "hi"])
         labels, stats = ens.predict_dataset(ds)
         assert stats["vote_ties"] >= 1
         assert [ens.predict_values(row) for row in ds.feature_matrix()] == labels
 
     def test_identical_members_reproduce_single_model(self):
-        ds = blobs(n_per=4)
+        ds = unit_rows(["lo"] * 4 + ["hi"] * 4)
         preds = ["lo"] * 4 + ["hi"] * 4
-        ens = stub_ensemble([preds, preds, preds], classes=("hi", "lo"), priors=(0.5, 0.5))
+        ens = label_ensemble([preds, preds, preds], classes=("hi", "lo"), priors=(0.5, 0.5))
         votes, stats = ens.predict_dataset(ds)
         assert votes == preds
         assert stats["vote_ties"] == 0
 
     def test_vote_labels_is_predict_dataset(self):
-        ds = blobs(n_per=2)
+        ds = unit_rows(["lo", "lo", "hi", "hi"])
         rows = [["lo", "hi", "hi", "lo"], ["lo", "lo", "hi", "hi"], ["hi", "lo", "lo", "hi"]]
-        ens = stub_ensemble(rows, classes=("hi", "lo"), priors=(0.4, 0.6))
+        ens = label_ensemble(rows, classes=("hi", "lo"), priors=(0.4, 0.6))
         labels, stats = ens.predict_dataset(ds)
         assert ens.vote_labels(rows) == (labels, stats["vote_ties"])
         with pytest.raises(DataError):
             ens.vote_labels(rows[:2])
 
     def test_vote_invariant_to_member_order(self):
-        ds = blobs(n_per=2)
+        ds = unit_rows(["lo", "lo", "hi", "hi"])
         rows = [["lo", "lo", "hi", "hi"], ["lo", "hi", "hi", "lo"], ["hi", "lo", "hi", "hi"]]
-        a, _ = stub_ensemble(rows, classes=("hi", "lo"), priors=(0.5, 0.5)).predict_dataset(ds)
-        b, _ = stub_ensemble(rows[::-1], classes=("hi", "lo"), priors=(0.5, 0.5)).predict_dataset(ds)
+        a, _ = label_ensemble(rows, classes=("hi", "lo"), priors=(0.5, 0.5)).predict_dataset(ds)
+        b, _ = label_ensemble(rows[::-1], classes=("hi", "lo"), priors=(0.5, 0.5)).predict_dataset(ds)
         assert a == b
 
 
 class TestAgreement:
     def test_identical_members(self):
-        ds = blobs(n_per=2)
+        ds = unit_rows(["lo", "lo", "hi", "hi"])
         preds = ["lo", "lo", "hi", "hi"]
-        ens = stub_ensemble([preds, preds], classes=("hi", "lo"), priors=(0.5, 0.5))
-        assert member_agreement(ens, ds) == 1.0
+        ens = label_ensemble([preds, preds], classes=("hi", "lo"), priors=(0.5, 0.5))
+        assert agreement(ens.member_predictions(ds)) == 1.0
 
     def test_one_of_four_disagrees(self):
-        ds = blobs(n_per=2)
-        ens = stub_ensemble(
+        ds = unit_rows(["lo", "lo", "hi", "hi"])
+        ens = label_ensemble(
             [["lo", "lo", "hi", "hi"], ["lo", "lo", "hi", "lo"]],
             classes=("hi", "lo"),
             priors=(0.5, 0.5),
         )
-        assert member_agreement(ens, ds) == 0.75
+        assert agreement(ens.member_predictions(ds)) == 0.75
 
     def test_needs_two_members(self):
-        ds = blobs(n_per=2)
-        ens = stub_ensemble([["lo", "lo", "hi", "hi"]], classes=("hi", "lo"), priors=(0.5, 0.5))
+        ds = unit_rows(["lo", "lo", "hi", "hi"])
+        ens = label_ensemble([["lo", "lo", "hi", "hi"]], classes=("hi", "lo"), priors=(0.5, 0.5))
         with pytest.raises(DataError):
-            member_agreement(ens, ds)
+            agreement(ens.member_predictions(ds))
 
     def test_agreement_of_label_lists(self):
         rows = [["lo", "lo", "hi", "hi"], ["lo", "lo", "hi", "lo"], ["lo", "hi", "hi", "lo"]]
@@ -230,6 +221,54 @@ class TestAgreement:
         assert agreement(rows[:2]) == 0.75
         with pytest.raises(DataError):
             agreement(rows[:1])
+
+
+def overlapping3(n_per=25, seed=3):
+    rng = np.random.default_rng(seed)
+    centers = ((0.0, 0.0), (1.5, 0.0), (0.0, 1.5))
+    rows = np.vstack([rng.normal(c, 0.8, (n_per, 2)) for c in centers])
+    return numeric_dataset(rows, [lab for lab in "abc" for _ in range(n_per)])
+
+
+class TestStackedPrediction:
+    def test_matches_per_machine_reference(self):
+        ds = overlapping3()
+        ens = bagging_train(
+            ds, EnsembleConfig(members=4, base=base_cfg(), master_seed=7), standardizer=fit_standardizer(ds)
+        )
+        machines = [mach for m, _, _ in ens.members for mach in m.machines]
+        # a bootstrap row held twice by one machine: its weights are summed
+        assert any(len(np.unique(m.support_vectors, axis=0)) < len(m.alphas) for m in machines)
+        feats = ds.feature_matrix()
+        X = ens.members[0][0]._prepare(feats)
+        want = np.column_stack([decision_values(m, X) for m in machines])
+        got = ens._stack.decisions(X)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want).max(axis=0))
+        per_member = ens.member_predictions(ds)
+        assert per_member == [ovo_predict(m, feats)[0] for m, _, _ in ens.members]
+        assert per_member == [m.predict_dataset(ds)[0] for m, _, _ in ens.members]
+        assert [ens.predict_values(row) for row in feats] == ens.predict_dataset(ds)[0]
+
+    def test_stack_built_once_on_first_prediction(self, tmp_path):
+        ds = blobs()
+        save_ensemble(bagging_train(ds, EnsembleConfig(members=2, base=base_cfg(), master_seed=1)), tmp_path / "e.txt")
+        ens = load_ensemble(tmp_path / "e.txt")
+        assert "_stack" not in vars(ens)  # loading builds nothing
+        ens.predict_dataset(ds)
+        stack = vars(ens)["_stack"]
+        ens.predict_values(ds.feature_matrix()[0])
+        assert ens._stack is stack
+
+    def test_members_must_agree(self):
+        ds = blobs()
+        cfg = EnsembleConfig(members=1, base=base_cfg(), master_seed=1)
+        a = bagging_train(ds, cfg).members[0]
+        b = bagging_train(ds, replace(cfg, base=base_cfg(degree=3))).members[0]
+        priors = np.array([0.5, 0.5])
+        with pytest.raises(DataError, match="ensemble member 2: kernel"):
+            EnsembleModel([a, b], cfg.vote, ds.class_labels, priors, 1)
+        with pytest.raises(DataError, match="at least one member"):
+            EnsembleModel([], cfg.vote, ds.class_labels, priors, 1)
 
 
 class TestEnsemblePersistence:

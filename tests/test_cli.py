@@ -21,6 +21,18 @@ class TestSynthCommand:
         ds = load_dataset(out, class_column="NSP")
         assert ds.n_rows == 2126 and ds.n_features == 22
 
+    @pytest.mark.parametrize("rows", [6, 7, 25, 200, 401, 1000])
+    def test_rows_is_the_row_count(self, tmp_path, rows):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--out", str(out), "--rows", str(rows)]) == 0
+        ds = load_dataset(out, class_column="NSP")
+        assert ds.n_rows == rows
+        assert np.bincount(ds.class_codes(), minlength=3).min() >= 2
+
+    def test_too_few_rows_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "t.csv"), "--rows", "5"]) == 3
+        assert "at least 6 rows" in capsys.readouterr().err
+
 
 class TestSelectCommand:
     def test_ranker_writes_scores(self, small_csv, tmp_path):
@@ -163,6 +175,31 @@ class TestTrainPredict:
         code = main(["predict", "--model", str(model_path), "--data", small_csv,
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "prefix, edit, what",
+        [
+            ("classes\t", lambda f: [f[0], f[2], f[1], *f[3:]], "classes"),
+            ("kernel\t", lambda f: [f[0], f[1], "3", f[3]], "kernel"),
+            ("mask\t", lambda f: [f[0], *map(str, range(21))], "feature mask"),
+            ("feat\t", lambda f: [*f[:3], (2.0 * float.fromhex(f[3])).hex(), f[4]], "standardizer"),
+            ("feat\t", lambda f: [*f[:4], (2.0 * float.fromhex(f[4])).hex()], "standardizer"),
+            ("feat\t", lambda f: [f[0], "renamed", *f[2:]], "standardizer"),
+        ],
+    )
+    def test_disagreeing_members_are_data_error(self, saved_ensemble, small_csv, tmp_path, capsys,
+                                                prefix, edit, what):
+        """Member 2 of a two-member file edited by hand to differ from member 1."""
+        lines = list(saved_ensemble)
+        second = [i for i, ln in enumerate(lines) if ln.startswith("member\t")][1]
+        i = next(i for i in range(second, len(lines)) if lines[i].startswith(prefix))
+        lines[i] = "\t".join(edit(lines[i].split("\t")))
+        model_path = tmp_path / "ens.txt"
+        model_path.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--model", str(model_path), "--data", small_csv,
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert f"ensemble member 2: {what}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["model", "ensemble"])
     def test_reordered_columns_are_data_error(self, kind, saved_ensemble, small_csv, tmp_path, capsys):

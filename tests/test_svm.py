@@ -23,8 +23,8 @@ from ctgsvm.svm import (
     train_from_problems,
     train_multiclass,
 )
-from conftest import numeric_dataset
-from oracles import dual_objective, qp_bias, qp_reference
+from conftest import decision_model, numeric_dataset, unit_rows
+from oracles import decision_values, dual_objective, ovo_predict, qp_bias, qp_reference
 
 
 def cfgp(C, degree, coef0=1.0, **kw):
@@ -128,13 +128,13 @@ class TestSmoAnalytic:
         assert m.alphas.tolist() == [0.5, 0.5]
         assert m.bias == 0.0
         assert m.converged
-        assert m.decision_values([[0.0], [1.0]]).tolist() == [0.0, 1.0]
+        assert decision_values(m, [[0.0], [1.0]]).tolist() == [0.0, 1.0]
 
     def test_xor_poly2(self):
         X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         y = np.array([1.0, -1.0, -1.0, 1.0])
         m = smo_train(X, y, cfgp(1e6, 2))
-        assert np.all(np.sign(m.decision_values(X)) == y)
+        assert np.all(np.sign(decision_values(m, X)) == y)
 
     def test_duplicates_with_mixed_labels(self):
         X = np.ones((4, 1))
@@ -210,7 +210,7 @@ class TestQpOracleEquivalence:
             assert dual_objective(m) == pytest.approx(obj_ref, abs=1e-6), f"fixture {i}"
             b_ref = qp_bias(K, y, C, a_ref)
             d_ref = K @ (a_ref * y) + b_ref
-            assert np.array_equal(d_ref >= 0, m.decision_values(X) >= 0), f"fixture {i}"
+            assert np.array_equal(d_ref >= 0, decision_values(m, X) >= 0), f"fixture {i}"
 
 
 class TestSolverInvariants:
@@ -234,7 +234,7 @@ class TestSolverInvariants:
         m = smo_train(X, y, cfg)
         unb = (m.alphas > 0) & (m.alphas < cfg.C)
         if unb.any():
-            f = m.decision_values(m.support_vectors[unb])
+            f = decision_values(m, m.support_vectors[unb])
             assert np.abs(m.labels[unb] * f - 1).max() <= cfg.tolerance + 1e-6
 
     def test_linear_kernel_matches_explicit_weights(self):
@@ -243,7 +243,7 @@ class TestSolverInvariants:
         w = (m.alphas * m.labels) @ m.support_vectors
         probe = np.random.default_rng(8).normal(size=(10, 3))
         want = probe @ w + m.bias
-        assert np.allclose(m.decision_values(probe), want, atol=1e-9)
+        assert np.allclose(decision_values(m, probe), want, atol=1e-9)
 
     def test_bit_identical_retrain(self):
         X, y = self.trained()
@@ -264,9 +264,9 @@ class TestSolverInvariants:
             BinarySvm(np.zeros((0, 2)), np.array([]), np.array([]), 0.0, KernelSpec())
 
     def test_decision_value_length_mismatch(self):
-        m = smo_train(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), cfgp(10.0, 1, 0.0))
+        model = train_multiclass(numeric_dataset([[-1.0], [1.0]], ["a", "b"]), cfgp(10.0, 1, 0.0))
         with pytest.raises(DataError, match="width"):
-            m.decision_values([[0.0, 1.0]])
+            model.predict_matrix([[0.0, 1.0]])
 
     def test_stuck_pair_ends_the_solve_flagged(self, monkeypatch):
         """A pair that cannot move ends the sweep; the gap check then flags
@@ -397,6 +397,24 @@ class TestMulticlass:
         assert model.predict_values([0.1, -0.2]) == "a"
         assert model.predict_values([6.1, 0.3]) == "b"
 
+    def test_four_class_ties(self):
+        """Six hand-built machines; decisions per unit row, pairs in the
+        order (A,B) (A,C) (A,D) (B,C) (B,D) (C,D). Priors 2/9, 1/9, 3/9, 3/9."""
+        decisions = [
+            [1.0, 1.0, 1.0, 0.5, 0.5, 0.5],  # A by 3 votes
+            [-1.0, 0.25, 0.25, 1.0, -0.5, 0.5],  # A, B 2 votes; B by strength 2 > 0.5
+            [0.5, -0.5, 0.25, -0.25, 0.5, -0.5],  # A, C 2 votes, strength 0.75; C by prior
+            [-0.5, 0.5, -0.5, -0.25, -0.25, 0.5],  # C, D 2 votes, 0.75, equal priors; C by order
+            [0.0, 0.5, 0.5, 0.5, 0.5, 0.5],  # a zero decision votes for the first class: A by 3
+        ]
+        model = decision_model(decisions, ("A", "B", "C", "D"), counts=[20, 10, 30, 30])
+        ds = unit_rows(["A", "B", "C", "C", "A"])
+        labels, stats = model.predict_dataset(ds)
+        assert labels == ["A", "B", "C", "C", "A"]
+        assert stats["vote_ties"] == 3
+        assert ovo_predict(model, ds.feature_matrix()) == (labels, 3)
+        assert [model.predict_values(row) for row in ds.feature_matrix()] == labels
+
     def test_feature_mask_and_standardizer_applied(self):
         from ctgsvm.data import fit_standardizer, select_features
 
@@ -480,7 +498,7 @@ class TestKernelMemo:
         feats = std.transform_features(work.feature_matrix())
         for mc, md in zip(cached.machines, dense.machines):
             assert len(mc.alphas) == len(md.alphas)
-            diff = np.abs(mc.decision_values(feats) - md.decision_values(feats)).max()
+            diff = np.abs(decision_values(mc, feats) - decision_values(md, feats)).max()
             assert diff <= 10 * cfg.tolerance
 
 
@@ -538,7 +556,7 @@ class TestCertifiedReuse:
         assert not small.c_free
         large = p.machine(cfgp(10.0, 2))
         assert len(smo_calls) == 2  # nothing was memoized to reuse
-        assert not np.array_equal(small.decision_values(p.X), large.decision_values(p.X))
+        assert not np.array_equal(decision_values(small, p.X), decision_values(large, p.X))
 
     @pytest.mark.parametrize(
         "X, y, alphas, C, i2, moved, bound",
@@ -625,7 +643,7 @@ class TestPersistence:
         loaded = load_model(path)
         feats = ds.feature_matrix()
         for m1, m2 in zip(model.machines, loaded.machines):
-            assert np.array_equal(m1.decision_values(feats), m2.decision_values(feats))
+            assert np.array_equal(decision_values(m1, feats), decision_values(m2, feats))
         assert loaded.predict_dataset(ds)[0] == model.predict_dataset(ds)[0]
 
     def test_round_trip_with_mask_and_standardizer(self, tmp_path):

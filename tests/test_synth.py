@@ -25,8 +25,9 @@ def test_deterministic():
 
 def test_scaled_row_count():
     ds = make_ctg_like(n_rows=400)
-    assert abs(ds.n_rows - 400) <= 3  # proportional per-class rounding
-    assert len(np.unique(ds.class_codes())) == 3
+    assert ds.n_rows == 400
+    # largest remainder: quotas 311.38, 55.50, 33.11 of Normal, Suspect, Pathologic
+    assert np.bincount(ds.class_codes()).tolist() == [311, 33, 56]
 
 
 def test_export_and_reload_identical(tmp_path):
