@@ -3,7 +3,8 @@ member-agreement statistics.
 
 An ensemble predicts with one kernel product over the distinct support rows
 of every member's machines (`svm._Stack`); each member then votes one
-versus one on its own decisions, and the members' labels go to one vote.
+versus one on its own decisions, and `EnsembleModel.vote_codes` tallies
+the members' class indexes.
 
 Member seeds are derived from the master seed with a splitmix-style mixer,
 so each member is fully determined by (master_seed, member_index) no matter
@@ -11,7 +12,6 @@ how or where the members are trained.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,6 +22,7 @@ from .data import DataError, Dataset, Standardizer, _read_text
 from .svm import (
     SvmConfig,
     SvmModel,
+    _Lines,
     _Stack,
     model_from_lines,
     model_to_lines,
@@ -127,50 +128,40 @@ class EnsembleModel:
             raise DataError(f"prefix of {m} members from an ensemble of {len(self.members)}")
         return EnsembleModel(self.members[:m], self.vote, self.classes, self.class_priors, self.master_seed)
 
-    def member_predictions(self, ds: Dataset) -> list[list[str]]:
+    def member_predictions(self, ds: Dataset) -> np.ndarray:
+        """(rows, members): each member's class index per row of ds."""
         self.members[0][0]._check_columns(ds.feature_names)
-        codes = self._member_codes(ds.feature_matrix())
-        return [[self.classes[c] for c in column] for column in codes.T]
+        return self._member_codes(ds.feature_matrix())
 
-    def vote_labels(self, per_member) -> tuple[list[str], int]:
-        """Row-wise vote over one label list per member, in member order;
-        returns the voted labels and the number of tied rows."""
-        if len(per_member) != len(self.members):
-            raise DataError(f"{len(per_member)} label lists for {len(self.members)} members")
-        weights = None
-        if self.vote == "weighted_by_train_accuracy":
-            weights = [acc for _, _, acc in self.members]
-        priors = {c: float(p) for c, p in zip(self.classes, self.class_priors)}
-        labels, ties = [], 0
-        for row in zip(*per_member):
-            lab, tie = _vote(row, priors, self.classes, weights)
-            labels.append(lab)
-            ties += tie
-        return labels, ties
+    def vote_codes(self, codes: np.ndarray) -> tuple[list[int], int]:
+        """Each row's vote over a (rows, members) class-index matrix: a vote
+        weighs 1, or its member's training accuracy, summed in member order,
+        and a tie goes to the larger prior, then the earlier class. Returns
+        the winning class indexes and the number of tied rows."""
+        if codes.shape[1] != len(self.members):
+            raise DataError(f"{codes.shape[1]} member columns for {len(self.members)} members")
+        weighted = self.vote == "weighted_by_train_accuracy"
+        weights = [acc if weighted else 1 for _, _, acc in self.members]
+        order = sorted(range(len(self.classes)), key=lambda c: (-self.class_priors[c], c))  # tie-break order
+        winners, ties = [], 0
+        for row in codes.tolist():
+            totals = [0] * len(order)
+            for c, w in zip(row, weights):
+                totals[c] += w
+            top = max(totals)
+            # a class no member voted for is no candidate, even at a total of 0
+            cands = [c for c in order if totals[c] == top and c in row]
+            winners.append(cands[0])
+            ties += len(cands) > 1
+        return winners, ties
 
     def predict_dataset(self, ds: Dataset) -> tuple[list[str], dict]:
-        labels, ties = self.vote_labels(self.member_predictions(ds))
-        return labels, {"vote_ties": ties}
+        winners, ties = self.vote_codes(self.member_predictions(ds))
+        return [self.classes[c] for c in winners], {"vote_ties": ties}
 
     def predict_values(self, values) -> str:
         codes = self._member_codes(np.asarray(values, dtype=float).reshape(1, -1))
-        return self.vote_labels([[self.classes[c]] for c in codes[0]])[0][0]
-
-
-def _vote(predictions, priors, class_order, weights=None) -> tuple[str, int]:
-    totals: Counter = Counter()
-    if weights is None:
-        totals.update(predictions)
-    else:
-        for lab, w in zip(predictions, weights):
-            totals[lab] += w
-    top = max(totals.values())
-    cands = [lab for lab, v in totals.items() if v == top]
-    if len(cands) == 1:
-        return cands[0], 0
-    rank = {c: i for i, c in enumerate(class_order)}
-    cands.sort(key=lambda lab: (-priors.get(lab, 0.0), rank.get(lab, len(rank))))
-    return cands[0], 1
+        return self.classes[self.vote_codes(codes)[0][0]]
 
 
 def bagging_train(
@@ -213,12 +204,12 @@ def _standardizer_key(s: Standardizer | None):
     return s.means.tolist(), s.sigmas.tolist(), [spec.name for spec in s.feature_schema]
 
 
-def agreement(per_member) -> float:
-    """Fraction of rows on which every member's label list holds the same label."""
-    if len(per_member) < 2:
+def agreement(codes: np.ndarray) -> float:
+    """Fraction of the rows of a (rows, members) class-index matrix on which
+    every member votes for the same class."""
+    if codes.shape[1] < 2:
         raise DataError("agreement needs at least 2 members")
-    agree = sum(1 for row in zip(*per_member) if len(set(row)) == 1)
-    return agree / len(per_member[0])
+    return np.count_nonzero((codes == codes[:, :1]).all(axis=1)) / len(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +231,24 @@ def save_ensemble(model: EnsembleModel, path) -> None:
 
 def load_ensemble(path) -> EnsembleModel:
     """Read an ensemble file; a truncated or corrupt file raises DataError."""
-    lines = _read_text(path).splitlines()
+    cur = _Lines(_read_text(path).splitlines(), "ensemble")
+    model = cur.parse(ENSEMBLE_MAGIC, ENSEMBLE_VERSION, _parse_ensemble)
+    cur.end()
+    return model
 
-    def fields(pos: int, expect: str, n: int | None = None) -> list[str]:
-        if pos >= len(lines):
-            raise DataError(f"truncated ensemble file: expected {expect!r} at line {pos + 1}")
-        parts = lines[pos].split("\t")
-        if parts[0] != expect or (n is not None and len(parts) != n + 1):
-            raise DataError(f"malformed ensemble file: expected {expect!r} at line {pos + 1}")
-        return parts[1:]
 
-    head = lines[0].split() if lines else []
-    if not head or head[0] != ENSEMBLE_MAGIC:
-        raise DataError("not an ensemble file")
-    try:
-        if len(head) != 2 or int(head[1]) != ENSEMBLE_VERSION:
-            raise DataError(f"unsupported ensemble version {' '.join(head[1:])!r}")
-        n_members, master_seed, vote = fields(1, "manifest", 3)
-        n_members, master_seed = int(n_members), int(master_seed)
-        if n_members < 1 or vote not in VOTE_RULES:
-            raise DataError("malformed ensemble file: bad manifest at line 2")
-        classes = tuple(fields(2, "classes"))
-        priors = np.array([float.fromhex(p) for p in fields(3, "priors", len(classes))])
-        pos = 4
-        members = []
-        for _ in range(n_members):
-            seed, acc = fields(pos, "member", 2)
-            model, pos = model_from_lines(lines, pos + 1)
-            members.append((model, int(seed), float.fromhex(acc)))
-    except DataError:
-        raise
-    except (ValueError, OverflowError) as exc:  # int() or float.fromhex() of a corrupt field
-        raise DataError(f"malformed ensemble file: {exc}") from None
-    if pos != len(lines):
-        raise DataError(f"malformed ensemble file: trailing data at line {pos + 1}")
-    return EnsembleModel(members, vote, classes, priors, master_seed)
+def _parse_ensemble(cur: _Lines) -> EnsembleModel:
+    n_members, master_seed, vote = cur.fields("manifest", 3)
+    n_members, master_seed = int(n_members), int(master_seed)
+    cur.require(n_members >= 1 and vote in VOTE_RULES, "bad manifest")
+    classes = tuple(cur.fields("classes"))
+    priors = [float.fromhex(p) for p in cur.fields("priors", len(classes))]
+    cur.require(all(0.0 <= p <= 1.0 for p in priors), "prior not in [0, 1]")
+    members = []
+    for _ in range(n_members):
+        seed, acc = cur.fields("member", 2)
+        acc = float.fromhex(acc)
+        cur.require(0.0 <= acc <= 1.0, "accuracy not in [0, 1]")
+        model, cur.pos = model_from_lines(cur.lines, cur.pos)
+        members.append((model, int(seed), acc))
+    return EnsembleModel(members, vote, classes, np.array(priors), master_seed)

@@ -514,21 +514,22 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
     max_members = cfg.exp4_members
     full, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, max_members)
     timing = [(f"train,members={trained}", secs)]
-    # each member is predicted once per dataset, and every prefix votes
-    # over these labels
-    datasets = {"train": pipe.train, "test": pipe.test, "work": pipe.work}
-    labels = {tag: [] for tag in datasets}
+    # every member is predicted once per partition, and each prefix of m
+    # members votes over the first m columns
+    partitions = (pipe.train, pipe.test, pipe.work)
+    (train, test, work), secs = timed(lambda: [full.member_predictions(ds) for ds in partitions])
+    timing.append((f"predict,members={max_members}", secs))
     member_cols = [""] * max_members
 
+    def accuracies(train_codes, test_codes) -> dict:
+        return pipe.label_accuracies(*([full.classes[c] for c in codes] for codes in (train_codes, test_codes)))
+
     def evaluate(m: int) -> list:
-        model = full.members[m - 1][0]
-        for tag, ds in datasets.items():
-            labels[tag].append(model.predict_dataset(ds)[0])
-        member_acc = pipe.label_accuracies(labels["train"][-1], labels["test"][-1])
-        member_cols[m - 1] = fmt_accuracy(member_acc["combined"])
+        member = accuracies(train[:, m - 1].tolist(), test[:, m - 1].tolist())
+        member_cols[m - 1] = fmt_accuracy(member["combined"])
         ens = full.prefix(m)
-        acc = pipe.label_accuracies(ens.vote_labels(labels["train"])[0], ens.vote_labels(labels["test"])[0])
-        agree = fmt_accuracy(100.0 * agreement(labels["work"])) if m >= 2 else ""
+        acc = accuracies(ens.vote_codes(train[:, :m])[0], ens.vote_codes(test[:, :m])[0])
+        agree = fmt_accuracy(100.0 * agreement(work[:, :m])) if m >= 2 else ""
         return _accuracy_row([str(m), *member_cols], acc, ens, agree)
 
     rows = []

@@ -603,14 +603,16 @@ class SvmModel:
         return [self.classes[w] for w in winners[:, 0]], {"vote_ties": int(tied.sum())}
 
     def _check_columns(self, names: tuple[str, ...]) -> None:
-        """Prediction columns must be the training columns, by name: the
-        standardizer records the name of every column the model reads, so a
-        reordered table fails here instead of predicting silently."""
+        """Prediction columns must be the training columns: the mask must fit
+        the table, and each column the model reads must have the name its
+        standardizer records, so a reordered table fails here, not silently."""
+        if self.feature_mask is not None and max(self.feature_mask) >= len(names):
+            raise DataError(f"feature width {len(names)}: the model reads column {max(self.feature_mask) + 1}")
         if self.standardizer is None:
             return
         cols = self.feature_mask if self.feature_mask is not None else range(len(names))
         want = [spec.name for spec in self.standardizer.feature_schema]
-        if len(cols) != len(want) or max(cols) >= len(names):
+        if len(cols) != len(want):
             raise DataError("feature width does not match standardizer")
         for i, name in zip(cols, want):
             if names[i] != name:
@@ -694,56 +696,76 @@ def model_from_lines(lines: list[str], pos: int = 0) -> tuple[SvmModel, int]:
     """Parse one model section starting at lines[pos]; returns the model and
     the index of the line after its end marker. A truncated or corrupt
     section raises DataError."""
-    try:
-        return _parse_model(lines, pos)
-    except DataError:
-        raise
-    except (ValueError, OverflowError) as exc:  # int() or float.fromhex() of a corrupt field
-        raise DataError(f"malformed model file: {exc}") from None
+    cur = _Lines(lines, "model", pos)
+    return cur.parse(MODEL_MAGIC, MODEL_VERSION, _parse_model), cur.pos
 
 
-def _require(ok: bool, what: str, line: int) -> None:
-    if not ok:
-        raise DataError(f"malformed model file: {what} at line {line}")
+class _Lines:
+    """A cursor over a model or ensemble file's lines, whose errors name the
+    file kind and the line. `pos` is the next line's index, so the number of
+    the line last read."""
 
+    def __init__(self, lines: list[str], kind: str, pos: int = 0):
+        self.lines, self.kind, self.pos = lines, kind, pos
 
-def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
-    from .data import AttributeSpec, NOMINAL, NUMERIC
+    def parse(self, magic: str, version: int, body):
+        """Check the header line, then return body(self); a corrupt
+        number's ValueError or OverflowError becomes a DataError."""
+        try:
+            head = "".join(self.lines[self.pos:self.pos + 1]).split()
+            at = f"at line {self.pos + 1}"
+            if not head or head[0] != magic:
+                raise DataError(f"not {'an' if self.kind[0] in 'aeiou' else 'a'} {self.kind} file {at}")
+            if len(head) != 2 or int(head[1]) != version:
+                raise DataError(f"unsupported {self.kind} version {' '.join(head[1:])!r} {at}")
+            self.pos += 1
+            return body(self)
+        except DataError:
+            raise
+        except (ValueError, OverflowError) as exc:  # int() or float.fromhex() of a corrupt field
+            raise DataError(f"malformed {self.kind} file: {exc}") from None
 
-    head = lines[pos].split() if pos < len(lines) else []
-    if len(head) != 2 or head[0] != MODEL_MAGIC:
-        raise DataError("not a model file")
-    if int(head[1]) != MODEL_VERSION:
-        raise DataError(f"unsupported model version {head[1]}")
-    pos += 1
-
-    def fields(expect: str, n: int | None = None) -> list[str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise DataError(f"truncated model file: expected {expect!r} at line {pos + 1}")
-        parts = lines[pos].split("\t")
+    def fields(self, expect: str, n: int | None = None) -> list[str]:
+        """The next line's fields after its tag, `expect`; n of them if n is given."""
+        if self.pos >= len(self.lines):
+            raise DataError(f"truncated {self.kind} file: expected {expect!r} at line {self.pos + 1}")
+        parts = self.lines[self.pos].split("\t")
         if parts[0] != expect or (n is not None and len(parts) != n + 1):
-            raise DataError(f"malformed model file: expected {expect!r} at line {pos + 1}")
-        pos += 1
+            raise DataError(f"malformed {self.kind} file: expected {expect!r} at line {self.pos + 1}")
+        self.pos += 1
         return parts[1:]
 
-    classes = tuple(fields("classes"))
-    counts = np.array([int(c) for c in fields("counts", len(classes))])
-    kparts = fields("kernel", 3)
-    _require(kparts[0] == "polynomial", f"unsupported kernel kind {kparts[0]!r}", pos)
+    def require(self, ok: bool, what: str) -> None:
+        if not ok:
+            raise DataError(f"malformed {self.kind} file: {what} at line {self.pos}")
+
+    def end(self) -> None:
+        if self.pos != len(self.lines):
+            raise DataError(f"malformed {self.kind} file: trailing data at line {self.pos + 1}")
+
+
+def _parse_model(cur: _Lines) -> SvmModel:
+    from .data import AttributeSpec, NOMINAL, NUMERIC
+
+    classes = tuple(cur.fields("classes"))
+    counts = np.array([int(c) for c in cur.fields("counts", len(classes))])
+    kparts = cur.fields("kernel", 3)
+    cur.require(kparts[0] == "polynomial", f"unsupported kernel kind {kparts[0]!r}")
     try:
         kernel = KernelSpec(int(kparts[1]), float.fromhex(kparts[2]))
     except DataError as exc:  # the rule training enforces, given a line number
-        raise DataError(f"malformed model file: {exc} at line {pos}") from None
-    mparts = fields("mask")
+        raise DataError(f"malformed model file: {exc} at line {cur.pos}") from None
+    mparts = cur.fields("mask")
     mask = None if mparts == ["all"] else tuple(int(i) for i in mparts)
-    sparts = fields("standardizer", 1)
+    ok = mask is None or (list(mask) == sorted(set(mask)) and min(mask, default=-1) >= 0)
+    cur.require(ok, "mask not strictly increasing column indexes from 0")  # as pairwise_problems writes it
+    sparts = cur.fields("standardizer", 1)
     standardizer = None
     if sparts != ["none"]:
         width = int(sparts[0])
         means, sigmas, fschema = [], [], []
         for _ in range(width):
-            fp = fields("feat", 4)
+            fp = cur.fields("feat", 4)
             # nominal label lists are not persisted; a placeholder keeps the
             # width/kind contract, which is all prediction needs
             if fp[1] == NOMINAL:
@@ -752,8 +774,8 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
                 fschema.append(AttributeSpec(fp[0], NUMERIC))
             means.append(float.fromhex(fp[2]))
             sigmas.append(float.fromhex(fp[3]))
-            _require(math.isfinite(means[-1]), "non-finite mean", pos)
-            _require(0.0 < sigmas[-1] < math.inf, "sigma not positive and finite", pos)
+            cur.require(math.isfinite(means[-1]), "non-finite mean")
+            cur.require(0.0 < sigmas[-1] < math.inf, "sigma not positive and finite")
         standardizer = Standardizer(np.array(means), np.array(sigmas), tuple(fschema))
     # support rows live in the masked, standardized feature space
     if mask is not None:
@@ -763,37 +785,34 @@ def _parse_model(lines: list[str], pos: int) -> tuple[SvmModel, int]:
     else:
         dim = None  # the first support row fixes the width
     pairs, machines = [], []
-    while pos < len(lines) and lines[pos].startswith("machine\t"):
-        mp = fields("machine", 5)
+    while cur.pos < len(cur.lines) and cur.lines[cur.pos].startswith("machine\t"):
+        mp = cur.fields("machine", 5)
         ci, cj, n_sv, bias, conv = int(mp[0]), int(mp[1]), int(mp[2]), float.fromhex(mp[3]), bool(int(mp[4]))
-        _require(0 <= ci < len(classes) and 0 <= cj < len(classes) and n_sv >= 1, "bad machine header", pos)
-        _require(math.isfinite(bias), "non-finite bias", pos)
+        cur.require(0 <= ci < len(classes) and 0 <= cj < len(classes) and n_sv >= 1, "bad machine header")
+        cur.require(math.isfinite(bias), "non-finite bias")
         labels, alphas, rows = [], [], []
         for _ in range(n_sv):
-            sp = fields("sv")
+            sp = cur.fields("sv", None if dim is None else dim + 2)
             if dim is None:
                 dim = len(sp) - 2
-            _require(len(sp) == dim + 2, f"expected {dim} values", pos)
+                cur.require(dim >= 1, "support row without values")
             labels.append(float(sp[0]))
             alphas.append(float.fromhex(sp[1]))
             rows.append([float.fromhex(v) for v in sp[2:]])
-            _require(labels[-1] in (-1.0, 1.0), "label not +1 or -1", pos)
-            _require(0.0 <= alphas[-1] < math.inf, "alpha negative or not finite", pos)
-            _require(all(map(math.isfinite, rows[-1])), "non-finite support value", pos)
+            ok = labels[-1] in (-1, 1) and 0.0 <= alphas[-1] < math.inf and all(map(math.isfinite, rows[-1]))
+            cur.require(ok, "support row needs a label of +1 or -1, a finite alpha >= 0 and finite values")
         pairs.append((ci, cj))
         machines.append(
             BinarySvm(np.array(rows), np.array(alphas), np.array(labels), bias, kernel, conv)
         )
-    if not machines or pos >= len(lines) or lines[pos] != "end":
-        raise DataError(f"malformed model file: expected a machine or the end marker at line {pos + 1}")
-    pos += 1
-    model = SvmModel(classes, counts, tuple(pairs), machines, mask, standardizer)
-    return model, pos
+    if not machines or cur.lines[cur.pos:cur.pos + 1] != ["end"]:
+        raise DataError(f"malformed model file: expected a machine or the end marker at line {cur.pos + 1}")
+    cur.pos += 1
+    return SvmModel(classes, counts, tuple(pairs), machines, mask, standardizer)
 
 
 def load_model(path) -> SvmModel:
     lines = _read_text(path).splitlines()
     model, pos = model_from_lines(lines)
-    if pos != len(lines):
-        raise DataError(f"malformed model file: trailing data at line {pos + 1}")
+    _Lines(lines, "model", pos).end()
     return model

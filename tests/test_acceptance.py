@@ -242,20 +242,24 @@ def ensemble_sweep(pipe):
     single, _ = pipe.fit_svm(feats, C, degree)
     single_acc = pipe.accuracies(single)["combined"]
     ens, _, _ = pipe.ensemble(feats, C, degree, 10)
-    labels = {
-        tag: [model.predict_dataset(ds)[0] for model, _, _ in ens.members]
-        for tag, ds in (("train", pipe.train), ("test", pipe.test), ("work", pipe.work))
+    codes = {
+        tag: ens.member_predictions(ds) for tag, ds in (("train", pipe.train), ("test", pipe.test), ("work", pipe.work))
     }
+
+    def labels(winners):
+        return [ens.classes[c] for c in winners]
+
     member_accs = [
-        pipe.label_accuracies(train, test)["combined"] for train, test in zip(labels["train"], labels["test"])
+        pipe.label_accuracies(labels(train), labels(test))["combined"]
+        for train, test in zip(codes["train"].T.tolist(), codes["test"].T.tolist())
     ]
     voting, agreement_of = {}, {}
     for m in range(1, 11):
         prefix = ens.prefix(m)
-        train, test = (prefix.vote_labels(labels[tag][:m])[0] for tag in ("train", "test"))
+        train, test = (labels(prefix.vote_codes(codes[tag][:, :m])[0]) for tag in ("train", "test"))
         voting[m] = pipe.label_accuracies(train, test)["combined"]
         if m >= 2:
-            agreement_of[m] = agreement(labels["work"][:m])
+            agreement_of[m] = agreement(codes["work"][:, :m])
     took = time.perf_counter() - t0
     return {
         "ensemble": ens,

@@ -17,7 +17,7 @@ from ctgsvm.bagging import (
 from ctgsvm.data import DataError, fit_standardizer
 from ctgsvm.svm import KernelSpec, SvmConfig, model_to_lines
 from conftest import labelling_model, numeric_dataset, unit_rows
-from oracles import decision_values, ovo_predict
+from oracles import decision_values, ensemble_vote, ovo_predict
 
 
 def base_cfg(C=10.0, degree=2):
@@ -133,10 +133,16 @@ def label_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2),
     return EnsembleModel(members, vote, tuple(classes), np.array(priors), master_seed=0)
 
 
+def codes_of(ens, label_rows) -> np.ndarray:
+    """The (rows, members) class-index matrix of one label list per member."""
+    return np.array([[ens.classes.index(lab) for lab in labels] for labels in label_rows]).T
+
+
 def vote_one_row(labels, **kw):
     """The ensemble vote on one row whose members emit `labels`."""
     rows = [[lab] for lab in labels]
-    return label_ensemble(rows, **kw).vote_labels(rows)[0][0]
+    ens = label_ensemble(rows, **kw)
+    return ens.classes[ens.vote_codes(codes_of(ens, rows))[0][0]]
 
 
 class TestVoting:
@@ -153,7 +159,7 @@ class TestVoting:
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            label_ensemble([["N"], ["S"]]).vote_labels([])
+            label_ensemble([["N"], ["S"]]).vote_codes(np.zeros((0, 0), dtype=int))
 
     @pytest.mark.parametrize("vote", ["unweighted_majority", "weighted_by_train_accuracy"])
     def test_single_row_vote_is_predict_dataset(self, vote):
@@ -176,14 +182,17 @@ class TestVoting:
         assert votes == preds
         assert stats["vote_ties"] == 0
 
-    def test_vote_labels_is_predict_dataset(self):
+    def test_vote_codes_is_predict_dataset(self):
         ds = unit_rows(["lo", "lo", "hi", "hi"])
         rows = [["lo", "hi", "hi", "lo"], ["lo", "lo", "hi", "hi"], ["hi", "lo", "lo", "hi"]]
         ens = label_ensemble(rows, classes=("hi", "lo"), priors=(0.4, 0.6))
         labels, stats = ens.predict_dataset(ds)
-        assert ens.vote_labels(rows) == (labels, stats["vote_ties"])
+        codes = codes_of(ens, rows)
+        assert np.array_equal(ens.member_predictions(ds), codes)
+        winners, ties = ens.vote_codes(codes)
+        assert ([ens.classes[c] for c in winners], ties) == (labels, stats["vote_ties"])
         with pytest.raises(DataError):
-            ens.vote_labels(rows[:2])
+            ens.vote_codes(codes[:, :2])
 
     def test_vote_invariant_to_member_order(self):
         ds = unit_rows(["lo", "lo", "hi", "hi"])
@@ -215,12 +224,12 @@ class TestAgreement:
         with pytest.raises(DataError):
             agreement(ens.member_predictions(ds))
 
-    def test_agreement_of_label_lists(self):
-        rows = [["lo", "lo", "hi", "hi"], ["lo", "lo", "hi", "lo"], ["lo", "hi", "hi", "lo"]]
-        assert agreement(rows) == 0.5
-        assert agreement(rows[:2]) == 0.75
+    def test_agreement_of_code_matrix(self):
+        codes = np.array([[0, 0, 1, 1], [0, 0, 1, 0], [0, 1, 1, 0]]).T
+        assert agreement(codes) == 0.5
+        assert agreement(codes[:, :2]) == 0.75
         with pytest.raises(DataError):
-            agreement(rows[:1])
+            agreement(codes[:, :1])
 
 
 def overlapping3(n_per=25, seed=3):
@@ -244,7 +253,7 @@ class TestStackedPrediction:
         want = np.column_stack([decision_values(m, X) for m in machines])
         got = ens._stack.decisions(X)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want).max(axis=0))
-        per_member = ens.member_predictions(ds)
+        per_member = [[ens.classes[c] for c in column] for column in ens.member_predictions(ds).T.tolist()]
         assert per_member == [ovo_predict(m, feats)[0] for m, _, _ in ens.members]
         assert per_member == [m.predict_dataset(ds)[0] for m, _, _ in ens.members]
         assert [ens.predict_values(row) for row in feats] == ens.predict_dataset(ds)[0]
@@ -334,6 +343,21 @@ class TestCorruptEnsembleFile:
         for manifest in ("manifest\t0\t21\tunweighted_majority", "manifest\t3\t21\tnope", "manifest\t3"):
             with pytest.raises(DataError):
                 self.load_lines(tmp_path, saved[:1] + [manifest] + saved[2:])
+
+    @pytest.mark.parametrize(
+        "prefix, field, value",
+        [("priors", 1, "nan"), ("priors", 2, "inf"), ("priors", 1, "-0x1p+0"), ("priors", 2, "0x1.8p+0"),
+         ("member", 2, "nan"), ("member", 2, "-inf"), ("member", 2, "0x1.0000000000001p+0")],
+        ids=["prior-nan", "prior-inf", "prior-negative", "prior-above-1",
+             "accuracy-nan", "accuracy-inf", "accuracy-above-1"],
+    )
+    def test_share_out_of_range_rejected(self, saved, tmp_path, prefix, field, value):
+        """Priors and member accuracies are shares: finite and in [0, 1]."""
+        i = next(i for i, ln in enumerate(saved) if ln.startswith(prefix + "\t"))
+        parts = saved[i].split("\t")
+        parts[field] = value
+        with pytest.raises(DataError, match=f"malformed ensemble file: .* at line {i + 1}$"):
+            self.load_lines(tmp_path, saved[:i] + ["\t".join(parts)] + saved[i + 1:])
 
     def test_intact_file_loads(self, saved, tmp_path):
         assert len(self.load_lines(tmp_path, saved).members) == 3

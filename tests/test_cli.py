@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, exit codes, and round trips."""
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ctgsvm.cli import main
 from ctgsvm.data import load_dataset
-from ctgsvm.svm import load_model
+from ctgsvm.svm import KernelSpec, SvmConfig, load_model, save_model, train_multiclass
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +276,46 @@ class TestTrainPredict:
         assert main(["train", "--data", small_csv, flag, value, "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mask", ["0\t99", "-1\t2", "2\t1", "1\t1", ""])
+    def test_bad_mask_is_data_error(self, small_csv, tmp_path, mask, capsys):
+        """A hand-edited mask that reads past the table, or that is not
+        strictly increasing from 0, exits 3: one past the table's width
+        would index out of range and a negative one would read the last
+        column, as a model without a standardizer checks no column names."""
+        from conftest import numeric_dataset
+
+        rows = np.random.default_rng(0).normal(size=(12, 3)) + np.repeat([[0.0], [4.0]], 6, axis=0)
+        model = train_multiclass(numeric_dataset(rows, ["1"] * 6 + ["2"] * 6),
+                                 SvmConfig(C=10.0, kernel=KernelSpec(degree=1)), feature_mask=[0, 1])
+        model_path = tmp_path / "model.txt"
+        save_model(model, model_path)
+        text = model_path.read_text()
+        assert "\nmask\t0\t1\n" in text and "\nstandardizer\tnone\n" in text
+        args = ["predict", "--model", str(model_path), "--data", small_csv, "--out", str(tmp_path / "p.csv")]
+        assert main(args) == 0
+        model_path.write_text(text.replace("\nmask\t0\t1\n", f"\nmask\t{mask}\n"))
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "width 21: the model reads column 100" in err if mask == "0\t99" else "malformed model file" in err
+
+
+GOLDEN_CLI = Path(__file__).with_name("golden_cli_seed42.sha256")
+
+
+def test_files_match_golden_cli_manifest(tmp_path):
+    """The model file, the ensemble file and the predictions of each on the
+    bundled synthetic table reproduce the committed SHA-256s."""
+    commands = [line[len("#   ctgsvm "):].split() for line in GOLDEN_CLI.read_text(encoding="utf-8").splitlines()
+                if line.startswith("#   ctgsvm ")]
+    assert [c[0] for c in commands] == ["synth", "train", "train", "predict", "predict"]
+    for args in commands:
+        assert main([str(tmp_path / a) if a.endswith((".csv", ".txt")) else a for a in args]) == 0
+    text = GOLDEN_CLI.read_text(encoding="utf-8")
+    want = dict(reversed(ln.split()) for ln in text.splitlines() if ln and not ln.startswith("#"))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
+    assert got == want, f"manifest made with {made_with[2:]}, running numpy {np.__version__}"
 
 
 @pytest.mark.parametrize("args", [["select", "--selector", "FS4"], ["train"]])

@@ -1,7 +1,8 @@
 """Property tests (hypothesis) of model persistence: a saved model or
 ensemble reloads to the same lines, and a truncated or corrupted file fails
 only with DataError. Also of the seeded row samplers: the stratified split
-and the stratified subsample.
+and the stratified subsample; and of the ensemble vote against its
+label-based reference.
 
 Every test runs a fixed, derandomized set of examples without an example
 database, so the suite does the same work on every run."""
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ctgsvm.bagging import EnsembleConfig, bagging_train, load_ensemble, save_ensemble
+from ctgsvm.bagging import VOTE_RULES, EnsembleConfig, EnsembleModel, bagging_train, load_ensemble, save_ensemble
 from ctgsvm.data import (
     DataError,
     SplitSpec,
@@ -21,7 +22,8 @@ from ctgsvm.data import (
     stratified_subsample,
 )
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
-from conftest import numeric_dataset
+from conftest import labelling_model, numeric_dataset
+from oracles import ensemble_vote
 
 PROPERTY = settings(
     max_examples=25,
@@ -216,3 +218,38 @@ def test_stratified_subsample(ds, n_target, seed):
     assert all(1 <= got <= size for got, size in zip(_class_sizes(sample), _class_sizes(ds)))
     assert n_target <= len(ids) <= n_target + len(ds.class_labels)
     assert _ids(stratified_subsample(ds, n_target, seed)) == ids
+
+
+# dyadic weights and priors sum exactly, so equal totals and equal priors,
+# the two tie cases, come up often
+SHARES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def votes(draw):
+    """An ensemble of 1-12 members over 2-5 classes, with its vote rule,
+    member accuracies and class priors, and a (rows, members) matrix of
+    class indexes."""
+    k = draw(st.integers(2, 5))
+    members = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 30))
+    codes = np.array(draw(st.lists(st.integers(0, k - 1), min_size=rows * members, max_size=rows * members)))
+    classes = tuple(f"c{c}" for c in range(k))
+    model = labelling_model([classes[0]], classes)  # vote_codes reads no member's machines
+    accs = draw(st.lists(SHARES, min_size=members, max_size=members))
+    priors = np.array(draw(st.lists(SHARES, min_size=k, max_size=k)))
+    ens = EnsembleModel([(model, i, acc) for i, acc in enumerate(accs)], draw(st.sampled_from(VOTE_RULES)),
+                        classes, priors, master_seed=0)
+    return ens, codes.reshape(rows, members)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(votes())
+def test_vote_codes_is_the_label_vote(vote):
+    ens, codes = vote
+    weights = [acc for _, _, acc in ens.members] if ens.vote == "weighted_by_train_accuracy" else None
+    priors = {c: float(p) for c, p in zip(ens.classes, ens.class_priors)}
+    want = [ensemble_vote([ens.classes[c] for c in row], priors, ens.classes, weights) for row in codes.tolist()]
+    winners, ties = ens.vote_codes(codes)
+    assert [ens.classes[c] for c in winners] == [lab for lab, _ in want]
+    assert ties == sum(tie for _, tie in want)

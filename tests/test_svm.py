@@ -684,6 +684,18 @@ class TestPersistence:
             with pytest.raises(DataError):
                 load_model(path)
 
+    @pytest.mark.parametrize("first_sv", ["sv", "sv\t+1", "sv\t+1\t0x1p-1"])
+    def test_support_row_without_values_rejected(self, tmp_path, first_sv):
+        """Without a mask or a standardizer the first support row fixes the
+        width, so it must hold a label, an alpha and at least one value."""
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        lines = path.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("sv\t"))
+        path.write_text("\n".join(lines[:i] + [first_sv] + lines[i + 1:]) + "\n")
+        with pytest.raises(DataError, match=f"malformed model file: .* at line {i + 1}$"):
+            load_model(path)
+
     def test_corrupt_hex_float_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
