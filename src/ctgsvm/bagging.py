@@ -191,6 +191,7 @@ def bagging_train(
             raise DataError(f"member {i}: bootstrap kept losing a class after 10 retries")
         model = train_multiclass(sample, cfg.base, feature_mask, standardizer)
         preds, _ = model.predict_dataset(train)
+        del model._stack  # the ensemble stacks every member's machines itself
         truth = [train.class_labels[c] for c in train.class_codes()]
         acc = sum(p == t for p, t in zip(preds, truth)) / train.n_rows
         members.append((model, seed, acc))

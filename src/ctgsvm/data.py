@@ -463,6 +463,21 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _entropy_rows(counts: np.ndarray) -> np.ndarray:
+    """_entropy_bits of each row of a (rows, classes) count matrix whose rows
+    are not all zero. Rows with the same number of nonzero classes go as one
+    block, so that each row's terms are summed as _entropy_bits sums them."""
+    nonzero = counts > 0
+    width = np.count_nonzero(nonzero, axis=1)
+    out = np.empty(len(counts))
+    for j in np.unique(width):
+        rows = width == j
+        c = counts[rows]
+        p = c[nonzero[rows]].reshape(-1, j) / c.sum(axis=1, keepdims=True)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
+
+
 def discretize_mdl(train: Dataset, feature: int) -> tuple[float, ...]:
     """Cut points for one numeric feature via recursive entropy splitting.
 
@@ -501,21 +516,18 @@ def discretize_mdl(train: Dataset, feature: int) -> tuple[float, ...]:
     cuts: list[float] = []
 
     def split(lo: int, hi: int) -> None:
-        cand = cands[np.searchsorted(cands, lo, "right"):np.searchsorted(cands, hi)].tolist()
-        if not cand:
+        cand = cands[np.searchsorted(cands, lo, "right"):np.searchsorted(cands, hi)]
+        if not len(cand):
             return
         total = prefix[hi] - prefix[lo]
         big_n = hi - lo
         h_s = _entropy_bits(total)
-        best_p = -1
-        best_we = math.inf
-        for p in cand:
-            left = prefix[p] - prefix[lo]
-            right = prefix[hi] - prefix[p]
-            we = ((p - lo) * _entropy_bits(left) + (hi - p) * _entropy_bits(right)) / big_n
-            if we < best_we:
-                best_we = we
-                best_p = p
+        # every candidate's class-weighted entropy at once; argmin takes the
+        # first of equal minima
+        h = _entropy_rows(np.concatenate((prefix[cand] - prefix[lo], prefix[hi] - prefix[cand])))
+        we = ((cand - lo) * h[:len(cand)] + (hi - cand) * h[len(cand):]) / big_n
+        best = int(np.argmin(we))
+        best_p, best_we = int(cand[best]), we[best]
         gain = h_s - best_we
         left = prefix[best_p] - prefix[lo]
         right = prefix[hi] - prefix[best_p]

@@ -191,6 +191,9 @@ class SubsetEvaluation:
     value: float
 
 
+_RELIEF_BLOCK = 16  # sampled rows per neighbour search; larger blocks hold more memory
+
+
 def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> FeatureScores:
     """Relief-style feature weights from nearest hits and misses.
 
@@ -201,7 +204,13 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
     range-normalized numeric values with 0/1 nominal mismatches. m = None
     (or n_rows) visits every row once, deterministically; smaller m samples
     rows without replacement using the seed. k is clamped per class when a
-    class is smaller than k + 1.
+    class is smaller than k + 1. Neighbours are ordered by distance, then by
+    a value-based tie rank, then by row index.
+
+    Sampled rows go _RELIEF_BLOCK at a time, with one partition per class
+    for the block; a row whose k-th distance ties, or a class of k rows or
+    fewer, takes the full per-row sort. Sums and weights add up in the
+    row-at-a-time order, so every score is the same float.
     """
     n = ds.n_rows
     if m is None:
@@ -213,6 +222,7 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
     n_feat = ds.n_features
     feats = ds.feature_matrix()
     numeric = np.array([ds.feature_spec(f).kind == NUMERIC for f in range(n_feat)])
+    nominal = np.flatnonzero(~numeric)
     spans = feats.max(axis=0) - feats.min(axis=0)
     norm = np.zeros((n, n_feat))
     for f in range(n_feat):
@@ -221,16 +231,19 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
         else:
             norm[:, f] = feats[:, f]
 
-    def diffs(rows: np.ndarray, r: int) -> np.ndarray:
-        d = np.abs(norm[rows] - norm[r])
-        if not numeric.all():
-            d[:, ~numeric] = (norm[np.ix_(rows, np.flatnonzero(~numeric))] != norm[r, ~numeric])
-        return d
+    def diff_sums(rows: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+        """(len(rows), features): each row's differences to its neighbours
+        nbrs (len(rows), j), summed over the j neighbours in order."""
+        other, own_row = norm[nbrs], norm[rows, None]
+        d = np.abs(other - own_row)
+        if len(nominal):
+            d[..., nominal] = other[..., nominal] != own_row[..., nominal]
+        return d.sum(axis=1)
 
-    dist = None  # per-row distance vector, filled in the loop
     y = ds.class_codes()
     n_classes = len(ds.class_labels)
-    prior = np.bincount(y, minlength=n_classes) / n
+    sizes = np.bincount(y, minlength=n_classes)
+    prior = sizes / n
     groups = [np.flatnonzero(y == c) for c in range(n_classes)]
     # value-based tie rank: identical rows share a rank, so neighbor choice
     # among ties never depends on row order
@@ -242,22 +255,45 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
         sample = np.random.default_rng(int(seed)).choice(n, size=m, replace=False)
 
     w = np.zeros(n_feat)
-    for r in sample:
-        dist = diffs(np.arange(n), r).sum(axis=1)
-        c = y[r]
-        for cls in range(n_classes):
-            grp = groups[cls]
-            if cls == c:
-                grp = grp[grp != r]
-            if len(grp) == 0:
-                continue
-            k_use = min(k, len(grp))
-            order = np.lexsort((tie_rank[grp], dist[grp]))[:k_use]
-            contrib = diffs(grp[order], r).sum(axis=0) / (m * k_use)
-            if cls == c:
-                w -= contrib
-            else:
-                w += prior[cls] / (1.0 - prior[c]) * contrib
+    buf = np.empty((n, n_feat))
+    dist = np.empty((_RELIEF_BLOCK, n))
+    for lo in range(0, m, _RELIEF_BLOCK):
+        rows = sample[lo:lo + _RELIEF_BLOCK]
+        for i, r in enumerate(rows):
+            np.subtract(norm, norm[r], out=buf)
+            np.abs(buf, out=buf)
+            if len(nominal):
+                buf[:, nominal] = norm[:, nominal] != norm[r, nominal]
+            buf.sum(axis=1, out=dist[i])
+        # term[i, cls]: row i's mean difference to its cls neighbours
+        term = np.empty((len(rows), n_classes, n_feat))
+        for cls, grp in enumerate(groups):
+            own = y[rows] == cls
+            d = dist[:len(rows), grp]
+            d[grp == rows[:, None]] = np.inf  # a row is not its own neighbour
+            fast = np.zeros(len(rows), dtype=bool)
+            if len(grp) > k:
+                kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+                near = d <= kth
+                fast = np.count_nonzero(near, axis=1) == k
+                at = np.nonzero(near[fast])[1].reshape(-1, k)  # in group order
+                keys = (tie_rank[grp[at]], np.take_along_axis(d[fast], at, axis=1))
+                nbrs = grp[np.take_along_axis(at, np.lexsort(keys, axis=-1), axis=1)]
+                term[fast, cls] = diff_sums(rows[fast], nbrs) / (m * k)
+            for i in np.flatnonzero(~fast):
+                k_use = min(k, len(grp) - int(own[i]))
+                if k_use:
+                    nbrs = grp[np.lexsort((tie_rank[grp], d[i]))[:k_use]]
+                    term[i, cls] = diff_sums(rows[i:i + 1], nbrs[None])[0] / (m * k_use)
+        # a row has neighbours in every class but its own one-row class
+        has = sizes > (y[rows, None] == np.arange(n_classes))
+        for i, r in enumerate(rows):
+            c = y[r]
+            for cls in np.flatnonzero(has[i]):
+                if cls == c:
+                    w -= term[i, cls]
+                else:
+                    w += prior[cls] / (1.0 - prior[c]) * term[i, cls]
     return rank_features("relieff", w)
 
 

@@ -585,7 +585,12 @@ class SvmModel:
         return all(m.converged for m in self.machines)
 
     def _prepare(self, feats: np.ndarray) -> np.ndarray:
+        """feats masked and standardized. A row too narrow for the mask, or of
+        another width than the standardizer's, is a DataError; a wider row
+        under a mask passes, as model files do not record the table's width."""
         if self.feature_mask is not None:
+            if feats.shape[1] <= self.feature_mask[-1]:  # the mask is increasing
+                raise DataError(f"feature width {feats.shape[1]}: the model reads column {self.feature_mask[-1] + 1}")
             feats = feats[:, list(self.feature_mask)]
         if self.standardizer is not None:
             feats = self.standardizer.transform_features(feats)
@@ -606,8 +611,8 @@ class SvmModel:
         """Prediction columns must be the training columns: the mask must fit
         the table, and each column the model reads must have the name its
         standardizer records, so a reordered table fails here, not silently."""
-        if self.feature_mask is not None and max(self.feature_mask) >= len(names):
-            raise DataError(f"feature width {len(names)}: the model reads column {max(self.feature_mask) + 1}")
+        if self.feature_mask is not None and self.feature_mask[-1] >= len(names):
+            raise DataError(f"feature width {len(names)}: the model reads column {self.feature_mask[-1] + 1}")
         if self.standardizer is None:
             return
         cols = self.feature_mask if self.feature_mask is not None else range(len(names))

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from the definitions with plain
 loops and dicts (numpy only for array plumbing in the QP solver), and never
-calls into the package's own scoring or solver code.
+calls into the package's own scoring or solver code. The exceptions are
+relieff_rowwise and mdl_cuts_loop: they keep the package's earlier
+row-at-a-time and candidate-at-a-time numpy code, so that the vectorized
+versions can be held to it bit for bit.
 """
 from __future__ import annotations
 
@@ -127,6 +130,55 @@ def relieff_brute(feats, kinds, classes, k, m=None):
     return w
 
 
+def relieff_rowwise(feats, numeric, y, n_classes, m=None, k=10, seed=0):
+    """ReliefF one sampled row at a time, as filters.relieff computed it
+    before its blocked neighbour search; filters.relieff must match it bit
+    for bit. feats: (n, features) array; numeric: bool per feature; y: class
+    codes. Returns the weight vector."""
+    n, n_feat = feats.shape
+    if m is None:
+        m = n
+    spans = feats.max(axis=0) - feats.min(axis=0)
+    norm = np.zeros((n, n_feat))
+    for f in range(n_feat):
+        if numeric[f]:
+            norm[:, f] = (feats[:, f] - feats[:, f].min()) / spans[f] if spans[f] > 0 else 0.0
+        else:
+            norm[:, f] = feats[:, f]
+
+    def diffs(rows, r):
+        d = np.abs(norm[rows] - norm[r])
+        if not numeric.all():
+            d[:, ~numeric] = (norm[np.ix_(rows, np.flatnonzero(~numeric))] != norm[r, ~numeric])
+        return d
+
+    prior = np.bincount(y, minlength=n_classes) / n
+    groups = [np.flatnonzero(y == c) for c in range(n_classes)]
+    _, tie_rank = np.unique(norm, axis=0, return_inverse=True)
+    if m == n:
+        sample = np.arange(n)
+    else:
+        sample = np.random.default_rng(int(seed)).choice(n, size=m, replace=False)
+    w = np.zeros(n_feat)
+    for r in sample:
+        dist = diffs(np.arange(n), r).sum(axis=1)
+        c = y[r]
+        for cls in range(n_classes):
+            grp = groups[cls]
+            if cls == c:
+                grp = grp[grp != r]
+            if len(grp) == 0:
+                continue
+            k_use = min(k, len(grp))
+            order = np.lexsort((tie_rank[grp], dist[grp]))[:k_use]
+            contrib = diffs(grp[order], r).sum(axis=0) / (m * k_use)
+            if cls == c:
+                w -= contrib
+            else:
+                w += prior[cls] / (1.0 - prior[c]) * contrib
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Entropy-split discretization over every midpoint (not just boundaries)
 
@@ -164,6 +216,66 @@ def mdl_cuts_brute(values, classes):
 
     split(0, len(v))
     return sorted(cuts)
+
+
+def _entropy_of_counts(counts) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def mdl_cuts_loop(values, y, n_classes):
+    """MDL cuts with one entropy pair per candidate cut, as
+    data.discretize_mdl computed them before it scored every candidate of a
+    range at once; data.discretize_mdl must match it bit for bit. values:
+    one numeric column; y: class codes."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    labels = y[order]
+    n = len(v)
+    prefix = np.zeros((n + 1, n_classes), dtype=np.int64)
+    np.cumsum(np.eye(n_classes, dtype=np.int64)[labels], axis=0, out=prefix[1:])
+    bounds = np.flatnonzero(v[1:] != v[:-1]) + 1
+    edges = np.concatenate(([0], bounds, [n]))
+    spans_classes = np.count_nonzero(prefix[edges[2:]] - prefix[edges[:-2]], axis=1) > 1
+    cands = bounds[spans_classes]
+    cuts = []
+
+    def split(lo, hi):
+        cand = cands[np.searchsorted(cands, lo, "right"):np.searchsorted(cands, hi)].tolist()
+        if not cand:
+            return
+        total = prefix[hi] - prefix[lo]
+        big_n = hi - lo
+        h_s = _entropy_of_counts(total)
+        best_p = -1
+        best_we = math.inf
+        for p in cand:
+            left = prefix[p] - prefix[lo]
+            right = prefix[hi] - prefix[p]
+            we = ((p - lo) * _entropy_of_counts(left) + (hi - p) * _entropy_of_counts(right)) / big_n
+            if we < best_we:
+                best_we = we
+                best_p = p
+        gain = h_s - best_we
+        left = prefix[best_p] - prefix[lo]
+        right = prefix[hi] - prefix[best_p]
+        k = int(np.count_nonzero(total))
+        k1 = int(np.count_nonzero(left))
+        k2 = int(np.count_nonzero(right))
+        delta = math.log2(3**k - 2) - (
+            k * h_s - k1 * _entropy_of_counts(left) - k2 * _entropy_of_counts(right)
+        )
+        if gain <= (math.log2(big_n - 1) + delta) / big_n:
+            return
+        cuts.append((v[best_p - 1] + v[best_p]) / 2.0)
+        split(lo, best_p)
+        split(best_p, hi)
+
+    split(0, n)
+    return tuple(sorted(cuts))
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,9 @@ def test_voting_never_below_worst_member(ensemble_sweep):
 
 def test_ensemble_training_time_grows_with_members(ctg_table):
     """Separate trainings of 1..10 members on the quick pipeline's training
-    partition. CPU seconds, unlike wall seconds, ignore a busy machine."""
+    partition. CPU seconds, unlike wall seconds, ignore a busy machine; the
+    least of three repeats drops most of what a busy machine still adds to
+    a training of a few hundredths of a CPU second."""
     _, path, _ = ctg_table
     quick = build_pipeline(ExperimentConfig(data=path, seed=SEED, quick=True))
     mask = sorted(exp4_feature_set(quick))
@@ -306,8 +308,9 @@ def test_ensemble_training_time_grows_with_members(ctg_table):
     cpu = {}
     for m in range(1, 11):
         ens_cfg = EnsembleConfig(members=m, base=base, master_seed=SEED)
-        _, (_, cpu[m]) = timed(
-            lambda: bagging_train(quick.train, ens_cfg, feature_mask=mask, standardizer=std)
+        cpu[m] = min(
+            timed(lambda: bagging_train(quick.train, ens_cfg, feature_mask=mask, standardizer=std))[1][1]
+            for _ in range(3)
         )
     for m in range(2, 11):
         assert cpu[m] > 0.8 * cpu[m - 1], (

@@ -268,6 +268,36 @@ class TestStackedPrediction:
         ens.predict_values(ds.feature_matrix()[0])
         assert ens._stack is stack
 
+    def test_no_member_keeps_a_stack(self, tmp_path):
+        """The ensemble stacks its members' machines itself, so no member
+        holds a stack of its own after training, loading or predicting."""
+        ds = blobs()
+        ens = bagging_train(ds, EnsembleConfig(members=3, base=base_cfg(), master_seed=5))
+        save_ensemble(ens, tmp_path / "e.txt")
+        loaded = load_ensemble(tmp_path / "e.txt")
+        for model in (ens, loaded):
+            model.predict_dataset(ds)
+            assert not any("_stack" in vars(m) for m, _, _ in model.members)
+
+    def test_one_row_narrower_than_the_mask_is_data_error(self):
+        rng = np.random.default_rng(2)
+        ds = numeric_dataset(np.column_stack([rng.normal(size=(24, 2)), blobs().feature_matrix()]),
+                             ["lo"] * 12 + ["hi"] * 12)
+        ens = bagging_train(ds, EnsembleConfig(members=3, base=base_cfg(), master_seed=3), feature_mask=[2, 3])
+        for predict in (ens.predict_values, ens.members[0][0].predict_values):
+            with pytest.raises(DataError, match="feature width 2: the model reads column 4"):
+                predict([1.0, 2.0])
+            assert predict([0.0, 0.0, 5.0, 5.0]) == "hi"
+            assert predict([0.0, 0.0, 5.0, 5.0, 9.0]) == "hi"  # a wider row cannot be told apart
+
+    def test_one_row_of_the_wrong_width_without_a_mask_is_data_error(self):
+        ds = blobs()
+        ens = bagging_train(ds, EnsembleConfig(members=2, base=base_cfg(), master_seed=3),
+                            standardizer=fit_standardizer(ds))
+        for row in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(DataError, match="feature width"):
+                ens.predict_values(row)
+
     def test_members_must_agree(self):
         ds = blobs()
         cfg = EnsembleConfig(members=1, base=base_cfg(), master_seed=1)

@@ -304,11 +304,12 @@ GOLDEN_CLI = Path(__file__).with_name("golden_cli_seed42.sha256")
 
 
 def test_files_match_golden_cli_manifest(tmp_path):
-    """The model file, the ensemble file and the predictions of each on the
-    bundled synthetic table reproduce the committed SHA-256s."""
+    """The model file, the ensemble file, the predictions of each and the
+    FS3 and FS4 score files of the bundled synthetic table reproduce the
+    committed SHA-256s."""
     commands = [line[len("#   ctgsvm "):].split() for line in GOLDEN_CLI.read_text(encoding="utf-8").splitlines()
                 if line.startswith("#   ctgsvm ")]
-    assert [c[0] for c in commands] == ["synth", "train", "train", "predict", "predict"]
+    assert [c[0] for c in commands] == ["synth", "train", "train", "predict", "predict", "select", "select"]
     for args in commands:
         assert main([str(tmp_path / a) if a.endswith((".csv", ".txt")) else a for a in args]) == 0
     text = GOLDEN_CLI.read_text(encoding="utf-8")

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctgsvm.data import (
     DataError,
+    _entropy_bits,
+    _entropy_rows,
     SplitSpec,
     discretize_mdl,
     export_csv,
@@ -16,7 +19,7 @@ from ctgsvm.data import (
     stratified_split,
 )
 from conftest import numeric_dataset
-from oracles import mdl_cuts_brute
+from oracles import mdl_cuts_brute, mdl_cuts_loop
 
 
 def write(tmp_path, name, text):
@@ -245,6 +248,48 @@ class TestDiscretization:
             got = list(discretize_mdl(ds, 0))
             want = mdl_cuts_brute(values.tolist(), classes)
             assert got == pytest.approx(want), f"trial {trial}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 10), st.integers(1, 12))
+    def test_matches_candidate_loop_bit_for_bit(self, seed, n, n_classes, levels):
+        """All candidates of a range scored at once give the same cuts as
+        one entropy pair per candidate, with tied values and tied scores,
+        and with up to 10 classes, where entropy sums of 8 or more terms
+        are summed pairwise."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, levels, n) * 0.75 if levels < 12 else np.round(rng.normal(size=n), 2)
+        codes = rng.integers(0, n_classes, n)
+        ds = numeric_dataset(values.reshape(-1, 1), [f"c{c}" for c in codes])
+        got = discretize_mdl(ds, 0)
+        assert [c.hex() for c in got] == [c.hex() for c in mdl_cuts_loop(values, ds.class_codes(), len(ds.class_labels))]
+
+    def test_equal_scores_take_the_first_candidate(self):
+        """Cuts at 6.0 and 7.5 score the same; the first is taken, and
+        taking the other would end with a different cut."""
+        values = [0.0, 8.0, 7.0, 9.0, 1.0, 11.0, 3.0, 3.0, 7.0, 8.0, 5.0, 8.0]
+        classes = ["A", "B", "B", "B", "A", "B", "A", "A", "A", "B", "A", "B"]
+        assert discretize_mdl(numeric_dataset(np.reshape(values, (-1, 1)), classes), 0) == (6.0,)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_row_entropies_sum_as_the_one_vector_entropy(self, seed, n_classes):
+        """Each row's entropy, nonzero counts of up to 12 classes, is the
+        float _entropy_bits gives for the row on its own."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 4, (30, n_classes)) * rng.integers(0, 2, (30, n_classes))
+        counts[:, 0] += counts.sum(axis=1) == 0
+        got = _entropy_rows(counts)
+        assert [float(h).hex() for h in got] == [_entropy_bits(c).hex() for c in counts]
+
+    def test_matches_candidate_loop_on_a_large_table(self):
+        rng = np.random.default_rng(13)
+        n = 1500
+        codes = rng.choice(3, size=n, p=[0.75, 0.15, 0.1])
+        for values in (np.round(rng.normal(codes, 1.0), 1), rng.integers(0, 40, n) + codes * 5.0):
+            ds = numeric_dataset(values.reshape(-1, 1), [f"c{c}" for c in codes])
+            got = discretize_mdl(ds, 0)
+            assert len(got) > 1
+            assert [c.hex() for c in got] == [c.hex() for c in mdl_cuts_loop(values, codes, 3)]
 
     def test_cuts_fall_between_classes(self):
         rng = np.random.default_rng(9)

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctgsvm.data import DataError, _entropy_bits, fit_discretization
+from ctgsvm.data import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, _entropy_bits, fit_discretization
 from ctgsvm.filters import (
     CLASS,
     SuCache,
@@ -26,6 +27,7 @@ from oracles import (
     inconsistency_brute,
     info_gain_brute,
     relieff_brute,
+    relieff_rowwise,
     su_brute,
 )
 
@@ -273,6 +275,81 @@ class TestRelieff:
         ds = numeric_dataset([[0.0], [1.0]], ["A", "B"])
         with pytest.raises(DataError):
             relieff(ds, m=3, k=1)
+
+
+def mixed_dataset(columns, kinds, codes) -> Dataset:
+    """Features of the given kinds (nominal columns hold small integer
+    codes) and a class column of codes."""
+    schema = [
+        AttributeSpec(f"f{j}", NOMINAL, tuple(str(i) for i in range(int(col.max()) + 1)))
+        if kind == NOMINAL else AttributeSpec(f"f{j}", NUMERIC)
+        for j, (col, kind) in enumerate(zip(columns, kinds))
+    ]
+    labels = tuple(f"c{i}" for i in range(int(codes.max()) + 1))
+    schema.append(AttributeSpec("cls", NOMINAL, labels))
+    return Dataset(schema, np.column_stack([*columns, codes]), len(schema) - 1)
+
+
+def relieff_reference(ds, **kw):
+    numeric = np.array([ds.feature_spec(f).kind == NUMERIC for f in range(ds.n_features)])
+    return relieff_rowwise(ds.feature_matrix(), numeric, ds.class_codes(), len(ds.class_labels), **kw)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def relief_tables(draw):
+    """A small mixed table whose few distinct values make duplicate rows
+    and ties at the k-th distance; columns may be constant and classes
+    smaller than k + 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    levels = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, NOMINAL]), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        if kind == NOMINAL or draw(st.booleans()):
+            columns.append(rng.integers(0, levels, n).astype(float))
+        else:
+            columns.append(np.round(rng.normal(0.0, 2.0, n), 1))
+    codes = rng.integers(0, draw(st.integers(1, 4)), n)
+    return mixed_dataset(columns, kinds, codes)
+
+
+class TestRelieffMatchesRowwise:
+    """relieff's blocked neighbour search gives the same floats as the
+    row-at-a-time reference, on every path: nominal features, sampling,
+    small classes, the per-row sort for ties, constant columns and more
+    rows than one block."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(relief_tables(), st.integers(1, 6), st.data())
+    def test_random_tables(self, ds, k, data):
+        m = data.draw(st.none() | st.integers(1, ds.n_rows))
+        seed = data.draw(st.integers(0, 99))
+        assert hexes(relieff(ds, m=m, k=k, seed=seed).scores) == hexes(relieff_reference(ds, m=m, k=k, seed=seed))
+
+    def test_ties_and_small_classes(self):
+        """Rows of two values per column: most k-th distances tie, and class
+        c2 has fewer than k + 1 rows."""
+        rng = np.random.default_rng(11)
+        columns = [rng.integers(0, 2, 30).astype(float) for _ in range(3)]
+        codes = np.array([0] * 14 + [1] * 12 + [2] * 4)
+        ds = mixed_dataset(columns, [NUMERIC, NOMINAL, NUMERIC], codes)
+        for k in (1, 3, 5):
+            assert hexes(relieff(ds, k=k).scores) == hexes(relieff_reference(ds, k=k))
+
+    def test_more_rows_than_one_block(self):
+        rng = np.random.default_rng(12)
+        n = 150
+        columns = [rng.normal(size=n), rng.integers(0, 3, n).astype(float), np.round(rng.normal(size=n), 1),
+                   np.full(n, 4.0), rng.integers(0, 5, n) * 0.25]
+        codes = rng.choice(3, size=n, p=[0.7, 0.2, 0.1])
+        ds = mixed_dataset(columns, [NUMERIC, NOMINAL, NUMERIC, NUMERIC, NUMERIC], codes)
+        for m, seed in ((None, 0), (70, 3)):
+            assert hexes(relieff(ds, m=m, seed=seed).scores) == hexes(relieff_reference(ds, m=m, seed=seed))
 
 
 class TestRankCutoff:
