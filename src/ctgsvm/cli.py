@@ -95,11 +95,11 @@ def _cmd_experiment(args) -> int:
     return experiments.cmd_experiment(args.id, cfg, log=lambda *a: print(*a, file=sys.stderr))
 
 
-def _load_work(args, **overrides):
+def _load_work(args, fit: bool = True, **overrides):
     """The config of a single-table command and its table, less the
-    config's excluded features."""
+    config's excluded features; `fit` as in ExperimentConfig.load_work."""
     cfg = config_from_sources({}, data=args.data, class_column=args.class_column, **overrides)
-    return cfg, cfg.load_work()
+    return cfg, cfg.load_work(fit)
 
 
 def _cmd_select(args) -> int:
@@ -151,7 +151,7 @@ def _cmd_predict(args) -> int:
         model = load_ensemble(args.model)
     else:
         model = load_model(args.model)
-    _, work = _load_work(args)
+    _, work = _load_work(args, fit=False)
     preds, _ = model.predict_dataset(work)
     truth = [work.class_labels[c] for c in work.class_codes()]
     rows = [(i, p, t) for i, (p, t) in enumerate(zip(preds, truth))]

@@ -229,8 +229,6 @@ def _build_typed(names, raw_rows, cls_pos, declared_nominals) -> Dataset:
             if v not in seen:
                 seen.append(v)
         class_labels = tuple(sorted(seen))
-    if len(class_labels) < 2:
-        raise DataError(f"class column {names[cls_pos]!r} has fewer than 2 distinct labels")
 
     schema = []
     for j, name in enumerate(names):

@@ -96,9 +96,12 @@ class ExperimentConfig:
         if self.fmt not in ("csv", "markdown"):
             raise DataError(f"unknown output format {self.fmt!r} (csv | markdown)")
 
-    def load_work(self) -> Dataset:
-        """The table at `data`, less whichever `exclude_features` it has."""
+    def load_work(self, fit: bool = True) -> Dataset:
+        """The table at `data`, less whichever `exclude_features` it has. A
+        table to fit on needs 2 class labels; a table to predict does not."""
         ds = load_dataset(self.data, class_column=self.class_column)
+        if fit and len(ds.class_labels) < 2:
+            raise DataError(f"class column {self.class_column!r} has fewer than 2 distinct labels")
         drop = [n for n in self.exclude_features if n in ds.feature_names]
         return select_features(ds, mask_by_names(ds, drop=drop)) if drop else ds
 

@@ -32,6 +32,7 @@ from .data import DataError, Dataset, Standardizer, _read_text
 
 DENSE_LIMIT = 4096
 CACHE_ROWS = 512  # kernel rows the solver keeps above DENSE_LIMIT
+_ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
 EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of the in-place kernel power and of a prediction kernel (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
@@ -128,8 +129,7 @@ class _KernelSource:
         if kernel is not None:
             self.diag = np.ascontiguousarray(np.diagonal(kernel))
         else:
-            self._cache: dict[int, np.ndarray] = {}
-            self._order: list[int] = []
+            self._cache: dict[int, np.ndarray] = {}  # oldest first
             self.diag = _polynomial(np.einsum("ij,ij->i", X, X), spec)
 
     def row(self, i: int) -> np.ndarray:
@@ -139,9 +139,8 @@ class _KernelSource:
         if got is None:
             got = _polynomial(self.X @ self.X[i], self.spec)
             self._cache[i] = got
-            self._order.append(i)
-            if len(self._order) > CACHE_ROWS:
-                del self._cache[self._order.pop(0)]
+            if len(self._cache) > CACHE_ROWS:
+                del self._cache[next(iter(self._cache))]
         return got
 
     def full_g(self, coef: np.ndarray) -> np.ndarray:
@@ -260,8 +259,9 @@ def _ovo_vote(d: np.ndarray, to_class: np.ndarray, priors: np.ndarray) -> tuple[
     return cand.argmax(axis=0), tied
 
 
-def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
-    """The analytic update of the pair (i1, i2), not yet applied: returns
+def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
+    """The analytic update of the pair (i1, i2), whose errors are e1 and e2,
+    not yet applied: returns
     (step, c_bound). step is (i2, a1, a2, d1, d2, b_new), or None when the
     pair cannot move; c_bound is True when C decided anything here, moved
     or not, so that a larger C could have given a different step.
@@ -275,7 +275,6 @@ def _pair_step(alphas, y, E, b, C, diag, row1, i1, i2):
     # fraction of the per-operation cost
     a1o, a2o = float(alphas[i1]), float(alphas[i2])
     y1, y2 = float(y[i1]), float(y[i2])
-    e1, e2 = float(E[i1]), float(E[i2])
     s = y1 * y2
     if s < 0:
         L = max(0.0, a2o - a1o)
@@ -364,6 +363,11 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
     never written; without it the kernel is built here (dense up to
     DENSE_LIMIT rows, row-cached above). The machine's `c_free` says
     whether the solve is certified to be the solve at any larger C.
+
+    An update makes 13 passes over arrays of n entries when the eta row of
+    its first row is memoized, and 4 more to build that row when it is not:
+    two to pick the most-violating pair, five for the second-order gain,
+    four for the error delta and two to add it to both masked error caches.
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -380,82 +384,108 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
     K = _KernelSource(X, cfg.kernel, kernel)
     diag = K.diag
 
-    alphas = np.zeros(n)
+    # What an update reads and writes one entry at a time lives in Python
+    # lists; the alphas become an array only where the solve needs all of
+    # them. I_up holds the rows whose y * alpha can still rise (y = +1 below
+    # C, y = -1 above 0), I_low the mirror; all alphas start at 0 < C.
+    ys, dg = y.tolist(), diag.tolist()
+    pos = [v > 0 for v in ys]
+    alphas = [0.0] * n
+    up, low = pos[:], [not p for p in pos]
     b = 0.0
-    E = -y.copy()  # decision - label with all alphas at zero
+    g = np.zeros(n)  # K @ (alphas * y) as of the last resync
     updates = 0
     c_free = True
-    pos = y > 0
-    # I_up (rows whose y * alpha can still rise: y = +1 below C, y = -1
-    # above 0) and I_low (the mirror), kept across steps with their
-    # complements: an update refreshes only the entries of its two rows.
-    # All alphas start at 0 < C.
-    up = pos.copy()
-    low = ~pos
-    not_up, not_low = low.copy(), up.copy()
-    # per-step arrays, reused: E on I_up (+inf elsewhere), E on I_low
-    # (-inf elsewhere), eta, gain, the error delta and the gain's skip mask
-    e_up, e_low, eta, gain, delta = (np.empty(n) for _ in range(5))
-    skip = np.empty(n, dtype=bool)
+    # The error cache E = decision - label is held only as two masked
+    # copies, rows of one array so that an update adds its delta to both in
+    # one call: e_up is E on I_up and +inf elsewhere, e_low is E on I_low
+    # and -inf elsewhere. Every row is in I_up or I_low, so one of the two
+    # holds its E; adding a finite delta keeps +-inf where it is.
+    cache = np.empty((2, n))
+    e_up, e_low = cache
+    fill = np.array([[np.inf], [-np.inf]])
+
+    def err(k: int) -> float:
+        return float(e_up[k] if up[k] else e_low[k])
+
+    # eta = max(diag + diag[i] - 2 K[i], 1e-12) of each first row i, oldest
+    # first, held in the rows of one block. A solve draws its first rows
+    # from a few dozen rows, so most updates find theirs here.
+    etas: dict[int, np.ndarray] = {}
+    eta_rows = np.empty((min(_ETA_ROWS, n), n))
+    gain, delta, scratch = np.empty(n), np.empty(n), np.empty(n)
     for sweep in range(4):
-        if sweep:
-            # the incremental error cache can drift; resync and re-verify
-            E[:] = g + b - y
+        # at sweep 0, g + b - y is -y; later sweeps resync the incremental
+        # cache, which can drift, and re-verify
+        np.copyto(cache, np.where([up, low], g + b - y, fill))
         # Most-violating pair with second-order partner choice. b cancels
         # out of every comparison, so the selection reads the error cache
-        # directly: I_up rows want smaller E, I_low rows larger. eta and
-        # the gain are built in the float order of diag[i] + diag - 2 K[i]
-        # and (E - E[i]) ** 2 / eta, and the error update in that of
+        # directly: I_up rows want smaller E, I_low rows larger. eta is
+        # built in the float order of diag[i] + diag - 2 K[i], the gain in
+        # that of (E - E[i]) ** 2 / eta, and the error update in that of
         # y1 d1 K[i] + y2 d2 K[i2] + (b_new - b).
         while updates < cfg.max_iter:
-            np.copyto(e_up, E)
-            np.putmask(e_up, not_up, np.inf)
             i = int(e_up.argmin())
-            np.copyto(e_low, E)
-            np.putmask(e_low, not_low, -np.inf)
             j_max = int(e_low.argmax())
-            e_i = float(E[i])
-            if float(E[j_max]) - e_i <= tol:
+            e_i = err(i)
+            if err(j_max) - e_i <= tol:
                 break
             row1 = K.row(i)
-            np.add(diag, diag[i], out=eta)
-            np.multiply(row1, 2.0, out=gain)
-            np.subtract(eta, gain, out=eta)
-            np.maximum(eta, 1e-12, out=eta)
-            np.subtract(E, e_i, out=gain)
+            eta = etas.get(i)
+            if eta is None:
+                # a free row of the block, or else the oldest one's
+                eta = eta_rows[len(etas)] if len(etas) < len(eta_rows) else etas.pop(next(iter(etas)))
+                np.add(diag, diag[i], out=eta)
+                np.multiply(row1, 2.0, out=gain)
+                np.subtract(eta, gain, out=eta)
+                np.maximum(eta, 1e-12, out=eta)
+                etas[i] = eta
+            # the gain of the I_low rows with E > E[i]; every other row's
+            # difference is clamped to 0 (-inf - E[i] among them), so its
+            # gain is 0 and loses to any positive gain
+            np.subtract(e_low, e_i, out=gain)
+            np.maximum(gain, 0.0, out=gain)
             np.multiply(gain, gain, out=gain)
             np.divide(gain, eta, out=gain)
-            np.less_equal(e_low, e_i, out=skip)
-            np.putmask(gain, skip, -np.inf)  # keeps I_low rows with E > E[i]
             j = int(gain.argmax())
-            step, c_bound = _pair_step(alphas, y, E, b, C, diag, row1, i, j)
+            if not gain[j] > 0.0:
+                # no gain is positive (each eligible one underflowed or met an
+                # infinite eta) or one is NaN: with the ineligible rows at
+                # -inf, argmax picks as the plain masked gain does
+                np.putmask(gain, e_low <= e_i, -np.inf)
+                j = int(gain.argmax())
+            step, c_bound = _pair_step(alphas, ys, e_i, err(j), b, C, dg, row1, i, j)
             if step is None:
-                step, c_max = _pair_step(alphas, y, E, b, C, diag, row1, i, j_max)
+                step, c_max = _pair_step(alphas, ys, e_i, err(j_max), b, C, dg, row1, i, j_max)
                 c_bound = c_bound or c_max
             c_free = c_free and not c_bound
             if step is None:
                 break  # numerically stuck; the gap check below decides
             i2, a1, a2, d1, d2, b_new = step
-            np.multiply(row1, float(y[i]) * d1, out=delta)
-            np.multiply(K.row(i2), float(y[i2]) * d2, out=eta)  # eta is rebuilt next step
-            np.add(delta, eta, out=delta)
+            np.multiply(row1, ys[i] * d1, out=delta)
+            np.multiply(K.row(i2), ys[i2] * d2, out=scratch)
+            np.add(delta, scratch, out=delta)
             np.add(delta, b_new - b, out=delta)
-            np.add(E, delta, out=E)
+            np.add(cache, delta, out=cache)
             for k, a in ((i, a1), (i2, a2)):
+                e = err(k)
                 alphas[k] = a
-                u, lo = (a < C, a > 0.0) if pos[k] else (a > 0.0, a < C)
-                up[k], not_up[k], low[k], not_low[k] = u, not u, lo, not lo
+                up[k], low[k] = (a < C, a > 0.0) if pos[k] else (a > 0.0, a < C)
+                e_up[k] = e if up[k] else np.inf
+                e_low[k] = e if low[k] else -np.inf
             b = b_new
             updates += 1
             if K.dense is not None and updates % 4096 == 0:
-                E[:] = K.full_g(alphas * y) + b - y  # shed accumulated drift
-        g = K.full_g(alphas * y)
+                # shed accumulated drift
+                np.copyto(cache, np.where([up, low], K.full_g(np.array(alphas) * y) + b - y, fill))
+        g = K.full_g(np.array(alphas) * y)
         b_est = y - g
-        m_up = b_est[up].max()
-        m_low = b_est[low].min()
+        m_up = b_est[np.array(up)].max()
+        m_low = b_est[np.array(low)].min()
         if m_up - m_low <= tol or updates >= cfg.max_iter:
             break
 
+    alphas = np.array(alphas)
     converged = (m_up - m_low) <= tol
     unbounded = (alphas > 0.0) & (alphas < C)
     if unbounded.any():

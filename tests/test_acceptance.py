@@ -5,7 +5,9 @@ criteria run against the CSV in CTG_CSV when that variable is set, and the
 bundled synthetic stand-in otherwise; the data source is announced so runs
 are auditable.
 """
+import gc
 import hashlib
+import statistics
 import time
 from pathlib import Path
 
@@ -297,24 +299,34 @@ def test_voting_never_below_worst_member(ensemble_sweep):
 
 def test_ensemble_training_time_grows_with_members(ctg_table):
     """Separate trainings of 1..10 members on the quick pipeline's training
-    partition. CPU seconds, unlike wall seconds, ignore a busy machine; the
-    least of three repeats drops most of what a busy machine still adds to
-    a training of a few hundredths of a CPU second."""
+    partition. Their work, the members' summed SMO updates, rises with the
+    member count exactly. Their CPU seconds, unlike wall seconds, ignore a
+    busy machine, but not a machine whose speed changes: a 2-core VM can
+    run 1.6 times slower for seconds at a time, so the least of a few
+    repeats per member count can still come from different speeds. The
+    trainings therefore run in five rounds over the member counts, and each
+    count is compared with the one trained just before it in the same round,
+    at the same speed; the median of the five ratios must exceed 0.8."""
     _, path, _ = ctg_table
     quick = build_pipeline(ExperimentConfig(data=path, seed=SEED, quick=True))
     mask = sorted(exp4_feature_set(quick))
     std = fit_standardizer(select_features(quick.train, mask))
     base = quick.cfg.svm(quick.cfg.exp4_c, quick.cfg.exp4_degree)
-    cpu = {}
-    for m in range(1, 11):
-        ens_cfg = EnsembleConfig(members=m, base=base, master_seed=SEED)
-        cpu[m] = min(
-            timed(lambda: bagging_train(quick.train, ens_cfg, feature_mask=mask, standardizer=std))[1][1]
-            for _ in range(3)
-        )
+    cpu = {m: [] for m in range(1, 11)}
+    updates = {}
+    for _ in range(5):
+        for m in cpu:
+            ens_cfg = EnsembleConfig(members=m, base=base, master_seed=SEED)
+            gc.collect()  # so that no collection of earlier garbage lands inside a timing
+            ens, (_, secs) = timed(lambda: bagging_train(quick.train, ens_cfg, feature_mask=mask, standardizer=std))
+            cpu[m].append(secs)
+            updates[m] = sum(mc.n_updates for model, _, _ in ens.members for mc in model.machines)
     for m in range(2, 11):
-        assert cpu[m] > 0.8 * cpu[m - 1], (
-            f"training {m} members took {cpu[m]:.3f} CPU s vs {cpu[m-1]:.3f} for {m-1}"
+        assert updates[m] > updates[m - 1], f"{m} members made {updates[m]} SMO updates, {m-1} made {updates[m-1]}"
+        ratio = statistics.median(now / before for now, before in zip(cpu[m], cpu[m - 1]))
+        assert ratio > 0.8, (
+            f"training {m} members took {ratio:.2f} times the CPU s of {m-1}: "
+            f"{' '.join(f'{t:.3f}' for t in cpu[m])} vs {' '.join(f'{t:.3f}' for t in cpu[m - 1])}"
         )
 
 

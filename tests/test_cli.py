@@ -325,6 +325,32 @@ def test_missing_data_flag_is_data_error(args, tmp_path, capsys):
     assert "no dataset given" in capsys.readouterr().err
 
 
+class TestOneClassTable:
+    """A table of one row, so of one class label: prediction needs no second
+    class, and every command that fits something refuses it."""
+
+    @pytest.fixture(scope="class")
+    def one_row(self, small_csv, tmp_path_factory):
+        path = tmp_path_factory.mktemp("one") / "one.csv"
+        path.write_text("".join(Path(small_csv).read_text().splitlines(keepends=True)[:2]))
+        return str(path)
+
+    @pytest.mark.parametrize("members", ["1", "2"])
+    def test_predict(self, small_csv, one_row, tmp_path, members):
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--data", small_csv, "--members", members, "--degree", "2",
+                     "--out", str(model_path)]) == 0
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model_path), "--data", one_row, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2  # header and the one row
+
+    @pytest.mark.parametrize("args", [["train"], ["select", "--selector", "FS4"], ["experiment", "--id", "exp1"]],
+                             ids=["train", "select", "experiment"])
+    def test_fitting_is_data_error(self, one_row, tmp_path, capsys, args):
+        assert main(args + ["--data", one_row, "--out", str(tmp_path / "out")]) == 3
+        assert "class column 'NSP' has fewer than 2 distinct labels" in capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_missing_data_is_data_error(self, tmp_path):
         code = main(["experiment", "--id", "exp1", "--data", str(tmp_path / "absent.csv"),

@@ -61,9 +61,16 @@ class TestCsvLoading:
             load_dataset(p, class_column="cls")
 
     def test_single_label_class_rejected(self, tmp_path):
+        """Only a table to fit on needs a second label: loading, and loading
+        to predict, accept one."""
+        from ctgsvm.experiments import ExperimentConfig
+
         p = write(tmp_path, "t.csv", "a,b,cls\n1,2,X\n")
-        with pytest.raises(DataError, match="fewer than 2 distinct labels"):
-            load_dataset(p, class_column="cls")
+        assert load_dataset(p, class_column="cls").class_labels == ("X",)
+        cfg = ExperimentConfig(data=str(p), class_column="cls")
+        assert cfg.load_work(fit=False).n_rows == 1
+        with pytest.raises(DataError, match="class column 'cls' has fewer than 2 distinct labels"):
+            cfg.load_work()
 
     def test_unknown_class_column(self, tmp_path):
         p = write(tmp_path, "t.csv", CSV)

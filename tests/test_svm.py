@@ -290,16 +290,19 @@ def sep3(n_per=8, seed=0):
     return numeric_dataset(np.vstack(rows), classes)
 
 
-def rebuild_reference(X, y, cfg):
+def rebuild_reference(X, y, cfg, K=None):
     """smo_train's selection loop as it was before its per-step arrays were
     kept between steps: both masks rebuilt from the alphas, and every
-    masked array allocated afresh, at each step. Returns (alphas, bias,
-    updates, c_free, converged) of a dense-kernel solve."""
-    K = svm._dense_kernel(X, cfg.kernel)
-    diag = np.ascontiguousarray(np.diagonal(K))
+    masked array and eta row computed afresh, at each step. K is the kernel
+    row source (a svm._KernelSource; by default the one smo_train would
+    build). Returns (alphas, bias, updates, c_free, converged, firsts), where
+    firsts is the number of distinct first rows of the solve's pairs."""
+    if K is None:
+        K = svm._KernelSource(X, cfg.kernel, None)
+    diag = K.diag
     n, C, tol = len(y), cfg.C, cfg.tolerance
     alphas, b, E, updates, c_free, pos = np.zeros(n), 0.0, -y.copy(), 0, True, y > 0
-    eta, gain = np.empty(n), np.empty(n)
+    eta, gain, firsts = np.empty(n), np.empty(n), set()
     for sweep in range(4):
         if sweep:
             E[:] = g + b - y
@@ -311,26 +314,28 @@ def rebuild_reference(X, y, cfg):
             j_max = int(np.argmax(e_low))
             if E[j_max] - E[i] <= tol:
                 break
+            firsts.add(i)
             np.add(diag, diag[i], out=eta)
-            np.subtract(eta, 2.0 * K[i], out=eta)
+            np.subtract(eta, 2.0 * K.row(i), out=eta)
             np.maximum(eta, 1e-12, out=eta)
             np.divide((E - E[i]) ** 2, eta, out=gain)
             gain[e_low <= E[i]] = -np.inf
-            step, c_bound = svm._pair_step(alphas, y, E, b, C, diag, K[i], i, int(np.argmax(gain)))
+            j = int(np.argmax(gain))
+            step, c_bound = svm._pair_step(alphas, y, E[i], E[j], b, C, diag, K.row(i), i, j)
             if step is None:
-                step, c_max = svm._pair_step(alphas, y, E, b, C, diag, K[i], i, j_max)
+                step, c_max = svm._pair_step(alphas, y, E[i], E[j_max], b, C, diag, K.row(i), i, j_max)
                 c_bound = c_bound or c_max
             c_free = c_free and not c_bound
             if step is None:
                 break
             i2, a1, a2, d1, d2, b_new = step
-            E += y[i] * d1 * K[i] + y[i2] * d2 * K[i2] + (b_new - b)
+            E += y[i] * d1 * K.row(i) + y[i2] * d2 * K.row(i2) + (b_new - b)
             alphas[i], alphas[i2] = a1, a2
             b = b_new
             updates += 1
-            if updates % 4096 == 0:
-                E[:] = K @ (alphas * y) + b - y
-        g = K @ (alphas * y)
+            if K.dense is not None and updates % 4096 == 0:
+                E[:] = K.full_g(alphas * y) + b - y
+        g = K.full_g(alphas * y)
         b_est = y - g
         m_up = b_est[np.where(pos, alphas < C, alphas > 0)].max()
         m_low = b_est[np.where(pos, alphas > 0, alphas < C)].min()
@@ -338,12 +343,14 @@ def rebuild_reference(X, y, cfg):
             break
     unbounded = (alphas > 0.0) & (alphas < C)
     bias = float(b_est[unbounded].mean()) if unbounded.any() else float((m_up + m_low) / 2.0)
-    return alphas, bias, updates, c_free, m_up - m_low <= tol
+    return alphas, bias, updates, c_free, m_up - m_low <= tol, len(firsts)
 
 
 class TestKeptStepArrays:
-    """The masks and buffers smo_train keeps between steps give the solve
-    of the per-step rebuild, bit for bit, also where alphas sit on C."""
+    """The caches and buffers smo_train keeps between steps give the solve
+    of the per-step rebuild, bit for bit, also where alphas sit on C, in
+    either kernel mode, and when the solve's first rows outnumber the eta
+    memo."""
 
     def problems(self):
         rng = np.random.default_rng(17)
@@ -359,9 +366,24 @@ class TestKeptStepArrays:
         yield X, np.where(X[:, 0] + rng.normal(0, 1.0, 300) > 0, 1.0, -1.0), cfgp(1e3, 3, max_iter=9000)
 
     def test_matches_per_step_rebuild(self):
+        self.assert_matches_rebuild(dense=True, eta_rows=None)
+
+    @pytest.mark.parametrize("dense, eta_rows", [(False, None), (True, 3), (False, 3)],
+                             ids=["row-cached", "dense-small-eta-memo", "row-cached-small-eta-memo"])
+    def test_other_modes_match_per_step_rebuild(self, monkeypatch, dense, eta_rows):
+        if not dense:
+            monkeypatch.setattr(svm, "DENSE_LIMIT", 10)  # below every problem's row count
+        if eta_rows is not None:
+            monkeypatch.setattr(svm, "_ETA_ROWS", eta_rows)
+        self.assert_matches_rebuild(dense, eta_rows)
+
+    def assert_matches_rebuild(self, dense, eta_rows):
         bounded = drift = 0
+        most_firsts = 0
         for k, (X, y, cfg) in enumerate(self.problems()):
-            alphas, bias, updates, c_free, converged = rebuild_reference(X, y, cfg)
+            K = svm._KernelSource(X, cfg.kernel, None)
+            assert (K.dense is not None) == dense
+            alphas, bias, updates, c_free, converged, firsts = rebuild_reference(X, y, cfg, K)
             m = smo_train(X, y, cfg)
             sv = alphas > 0
             assert np.array_equal(m.alphas, alphas[sv]), k
@@ -369,7 +391,29 @@ class TestKeptStepArrays:
             assert (m.bias, m.n_updates, m.c_free, m.converged) == (bias, updates, c_free, converged), k
             bounded += int((alphas == cfg.C).any())
             drift += updates > 4096
+            most_firsts = max(most_firsts, firsts)
         assert bounded >= 3 and drift >= 1  # the fixtures reach C and the drift resync
+        if eta_rows is not None:
+            assert most_firsts > eta_rows  # the small memo evicts
+
+    def test_zero_gains_pick_the_first_eligible_partner(self, monkeypatch):
+        """Where every eligible second-order gain is 0 (here eta overflows to
+        inf), the partner is the first I_low row with E > E[i], as in the
+        rebuild, not a row the gain's clamping zeroed."""
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        X = np.arange(4.0)[:, None]
+        # eta from row 0 is inf at rows 2 and 3 (8e307 + 1e308 overflows), finite at rows 0 and 1
+        kernel = np.diag([8e307, 8e307, 1e308, 1e308])
+        kernel.setflags(write=False)
+        cfg = cfgp(1.0, 1, 0.0)
+        asked = []
+        pair_step = svm._pair_step
+        monkeypatch.setattr(svm, "_pair_step", lambda *a: asked.append(a[-2:]) or pair_step(*a))
+        with np.errstate(over="ignore"):
+            smo_train(X, y, cfg, kernel=kernel)
+            ours, asked[:] = asked[:], []
+            rebuild_reference(X, y, cfg, svm._KernelSource(X, cfg.kernel, kernel))
+        assert ours == asked == [(0, 2)] * 8  # nothing moves: each of 4 sweeps asks for j, then j_max
 
 
 class TestMulticlass:
@@ -486,6 +530,21 @@ class TestKernelMemo:
                 assert all((ref() is None) == spec_changed for ref in previous[1])
             previous = ((degree, coef0), held)
 
+    def test_row_cache_evicts_the_oldest_row(self, monkeypatch):
+        """Above DENSE_LIMIT the solver's kernel rows come from a cache of
+        CACHE_ROWS rows that evicts in insertion order, a hit not renewing
+        a row; every row it gives equals the dense kernel's row."""
+        monkeypatch.setattr(svm, "DENSE_LIMIT", 3)
+        monkeypatch.setattr(svm, "CACHE_ROWS", 2)
+        X = np.random.default_rng(5).normal(size=(6, 2))
+        spec = KernelSpec(degree=2)
+        K = svm._KernelSource(X, spec, None)
+        assert K.dense is None
+        for i in (0, 1, 0, 2, 3, 1):
+            assert np.allclose(K.row(i), kernel_matrix(X, X[i:i + 1], spec)[:, 0], rtol=1e-14)
+        # 0 goes when 2 comes, though read after 1; then 1 goes for 3, and 2 for 1
+        assert list(K._cache) == [3, 1]
+
     def test_row_cache_mode_matches_dense_mode(self, quick_table, monkeypatch):
         work, train, std = quick_table
         cfg = cfgp(100.0, 3)
@@ -579,7 +638,7 @@ class TestCertifiedReuse:
         K = kernel_matrix(X, X, KernelSpec(degree=1, coef0=0.0))
         alphas = np.array(alphas)
         E = K @ (alphas * y) - y
-        step, c_bound = svm._pair_step(alphas, y, E, 0.0, C, np.diagonal(K), K[0], 0, i2)
+        step, c_bound = svm._pair_step(alphas, y, E[0], E[i2], 0.0, C, np.diagonal(K), K[0], 0, i2)
         assert (step is not None, c_bound) == (moved, bound)
 
     @pytest.mark.parametrize("first, second", [(True, False), (False, True), (False, False)])
