@@ -24,6 +24,7 @@ from .svm import (
     SvmModel,
     _Lines,
     _Stack,
+    _one_row,
     model_from_lines,
     model_to_lines,
     train_multiclass,
@@ -160,7 +161,7 @@ class EnsembleModel:
         return [self.classes[c] for c in winners], {"vote_ties": ties}
 
     def predict_values(self, values) -> str:
-        codes = self._member_codes(np.asarray(values, dtype=float).reshape(1, -1))
+        codes = self._member_codes(_one_row(values))
         return self.classes[self.vote_codes(codes)[0][0]]
 
 

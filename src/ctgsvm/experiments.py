@@ -214,6 +214,7 @@ class Pipeline:
     _selections: dict = field(default_factory=dict)
     _model_cache: dict = field(default_factory=dict)
     _ensembles: dict = field(default_factory=dict)
+    _evaluations: dict = field(default_factory=dict)
 
     @property
     def dmap(self):
@@ -229,10 +230,19 @@ class Pipeline:
             )
         return self._selections[key]
 
+    def evaluation(self, model) -> dict:
+        """train/test/combined confusion matrices of a model, predicted once
+        per model object. The memo is keyed by the object's id and holds
+        the object, so an id is never reused while its entry lives."""
+        key = id(model)
+        if key not in self._evaluations:
+            preds = [model.predict_dataset(ds)[0] for ds in (self.train, self.test)]
+            self._evaluations[key] = (model, self.confusions(*preds))
+        return self._evaluations[key][1]
+
     def accuracies(self, model) -> dict:
         """train/test/combined percent accuracy of a model."""
-        preds = [model.predict_dataset(ds)[0] for ds in (self.train, self.test)]
-        return self.label_accuracies(*preds)
+        return {tag: accuracy(cm) for tag, cm in self.evaluation(model).items()}
 
     def label_accuracies(self, train_preds, test_preds) -> dict:
         """accuracies() of labels already predicted on train and test."""
@@ -339,24 +349,21 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
     out = _Out(cfg, "exp1")
     std = fit_standardizer(pipe.train)
     problems, prep_secs = timed(lambda: pairwise_problems(pipe.train, None, std))
+    cells = [(C, degree) for degree in cfg.degree_grid for C in cfg.c_grid]
+    trained, secs = train_from_problems(problems, [cfg.svm(C, degree) for C, degree in cells])
     rows, timing, models = [], [("prepare", prep_secs)], {}
-    all_converged = True
-    for degree in cfg.degree_grid:
-        for C in cfg.c_grid:
-            model, secs = timed(lambda: train_from_problems(problems, cfg.svm(C, degree)))
-            acc = pipe.accuracies(model)
-            models[(C, degree)] = (model, acc)
-            all_converged &= model.converged
-            rows.append(_accuracy_row([_fmt_c(C), degree], acc, model))
-            timing.append((f"C={_fmt_c(C)},degree={degree}", secs))
+    for (C, degree), model, cell_secs in zip(cells, trained, secs):
+        acc = pipe.accuracies(model)
+        models[(C, degree)] = (model, acc)
+        rows.append(_accuracy_row([_fmt_c(C), degree], acc, model))
+        timing.append((f"C={_fmt_c(C)},degree={degree}", cell_secs))
     out.table("grid", ["C", "degree", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"], rows)
 
     best_key = max(
         models, key=lambda k: (models[k][1]["combined"], -cfg.c_grid.index(k[0]), -cfg.degree_grid.index(k[1]))
     )
-    best_model = models[best_key][0]
     conf_rows = [["best_cell", _fmt_c(best_key[0]), str(best_key[1]), "", ""]]
-    cms = pipe.confusions(*(best_model.predict_dataset(ds)[0] for ds in (pipe.train, pipe.test)))
+    cms = pipe.evaluation(models[best_key][0])
     labels = pipe.train.class_labels
     for tag in ("train", "test"):
         cm = cms[tag]
@@ -365,7 +372,7 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
                 conf_rows.append([tag, d, a, str(cm.counts[i, j]), ""])
     out.table("confusion", ["partition", "desired", "actual", "count", "note"], conf_rows)
     out.timing(timing)
-    return out, all_converged
+    return out, all(model.converged for model in trained)
 
 
 def _fmt_c(C: float) -> str:

@@ -16,13 +16,16 @@ bound derived from C, no pair took the eta <= 0 branch, and every alpha
 stayed below C. Every comparison the solver makes then comes out the same
 for any larger C, so that solve is, operation for operation, the solve at
 the larger C (the dual path is constant in C until an alpha meets the
-wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). `PairProblem.machine`
+wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). `train_from_problems`
 reuses a certified machine for larger C; the certificate is not saved.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import mmap
+import time
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -78,8 +81,8 @@ def kernel_matrix(U, V, spec: KernelSpec) -> np.ndarray:
 
 
 def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(dots + coef0) ** degree, computed in place on a fresh C-contiguous
-    array of dot products, and returned.
+    """(dots + coef0) ** degree, computed in place on a C-contiguous array
+    of dot products that the caller hands over, and returned.
 
     The power is left-to-right square-and-multiply over the degree's bits,
     one block of the flattened array at a time; a degree whose lower bits
@@ -104,15 +107,34 @@ def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return dots
 
 
+def _square(n: int) -> np.ndarray:
+    """A zeroed (n, n) float array in a private anonymous memory map of its
+    own, with huge pages asked for where the system has them, as numpy asks
+    for its large arrays. Freeing the array unmaps it, so its pages go back
+    to the system at once; from malloc, a freed matrix of a dense kernel's
+    size can stay resident at the top of the heap for the rest of the
+    process. Without private maps (Windows) it is a plain array."""
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty((n, n))
+    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=float).reshape(n, n)
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """The dot products X @ X.T of the training rows X, in a `_square` of
+    their own: every dense kernel of X is raised from these bits, so each
+    spec's kernel is the same whether or not its dot products were shared."""
+    return np.matmul(X, X.T, out=_square(X.shape[0]))
+
+
 def _dense_kernel(X: np.ndarray, spec: KernelSpec) -> np.ndarray | None:
-    """The read-only kernel matrix of X, or None above DENSE_LIMIT rows,
-    where the solver computes kernel rows on demand instead. Read-only
-    because one kernel serves every machine trained on X under `spec`."""
+    """The kernel matrix of X, or None above DENSE_LIMIT rows, where the
+    solver computes kernel rows on demand instead."""
     if X.shape[0] > DENSE_LIMIT:
         return None
-    kernel = _polynomial(X @ X.T, spec)
-    kernel.setflags(write=False)
-    return kernel
+    return _polynomial(_gram(X), spec)
 
 
 class _KernelSource:
@@ -514,47 +536,14 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
 # One-vs-one multiclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairProblem:
+    """The training rows of one class pair: class ci's labelled +1, cj's -1."""
+
     ci: int
     cj: int
     X: np.ndarray
     yb: np.ndarray
-    _kernel_key: tuple | None = field(default=None, init=False, repr=False)
-    _kernel: np.ndarray | None = field(default=None, init=False, repr=False)
-    _machine: tuple[SvmConfig, BinarySvm] | None = field(default=None, init=False, repr=False)
-
-    def kernel(self, spec: KernelSpec) -> np.ndarray | None:
-        """The dense kernel matrix of X under `spec`, memoized in one slot.
-
-        The slot holds the kernel of the last (degree, coef0) asked for, so
-        a C grid inside a degree loop builds each kernel once. Above
-        DENSE_LIMIT rows there is no dense kernel: None, and the solver
-        falls back to its row cache.
-        """
-        key = (spec.degree, spec.coef0)
-        if key != self._kernel_key:
-            self._kernel_key, self._kernel = None, None  # free the old matrix before building
-            self._kernel = _dense_kernel(self.X, spec)
-            self._kernel_key = key
-        return self._kernel
-
-    def machine(self, cfg: SvmConfig) -> BinarySvm:
-        """The machine trained on this pair under `cfg`, memoized in one slot.
-
-        The slot holds the last certified machine (`c_free`) with the config
-        that trained it. It answers any config that differs only by a C at
-        least as large, since that solve would repeat the certified one
-        step for step; anything else trains, building the kernel if needed.
-        """
-        if self._machine is not None:
-            held, m = self._machine
-            if held.C <= cfg.C and replace(held, C=cfg.C) == cfg:
-                return m
-        m = smo_train(self.X, self.yb, cfg, kernel=self.kernel(cfg.kernel))
-        if m.c_free:
-            self._machine = (cfg, m)
-        return m
 
 
 @dataclass
@@ -571,8 +560,8 @@ def pairwise_problems(
     feature_mask=None,
     standardizer: Standardizer | None = None,
 ) -> MulticlassProblem:
-    """Precompute the per-pair training matrices once so a parameter grid
-    can reuse them, and each pair's kernel, across cells."""
+    """Precompute the per-pair training matrices once, for one
+    `train_from_problems` call over a parameter grid."""
     k = len(train.class_labels)
     if k < 2:
         raise DataError("need at least 2 classes")
@@ -616,12 +605,17 @@ class SvmModel:
 
     def _prepare(self, feats: np.ndarray) -> np.ndarray:
         """feats masked and standardized. A row too narrow for the mask, or of
-        another width than the standardizer's, is a DataError; a wider row
-        under a mask passes, as model files do not record the table's width."""
-        if self.feature_mask is not None:
-            if feats.shape[1] <= self.feature_mask[-1]:  # the mask is increasing
-                raise DataError(f"feature width {feats.shape[1]}: the model reads column {self.feature_mask[-1] + 1}")
-            feats = feats[:, list(self.feature_mask)]
+        another width than the standardizer's, is a DataError, and so is a
+        NaN or infinite value in a column the model reads; a wider row under
+        a mask passes, as model files do not record the table's width."""
+        cols = self.feature_mask
+        if cols is not None:
+            if feats.shape[1] <= cols[-1]:  # the mask is increasing
+                raise DataError(f"feature width {feats.shape[1]}: the model reads column {cols[-1] + 1}")
+            feats = feats[:, list(cols)]
+        if not np.isfinite(feats).all():
+            j = int(np.flatnonzero(~np.isfinite(feats).all(axis=0))[0])
+            raise DataError(f"prediction column {(j if cols is None else cols[j]) + 1} holds a non-finite value")
         if self.standardizer is not None:
             feats = self.standardizer.transform_features(feats)
         return feats
@@ -658,20 +652,86 @@ class SvmModel:
         return self.predict_matrix(ds.feature_matrix())
 
     def predict_values(self, values) -> str:
-        values = np.asarray(values, dtype=float).reshape(1, -1)
-        return self.predict_matrix(values)[0][0]
+        return self.predict_matrix(_one_row(values))[0][0]
 
 
-def train_from_problems(mp: MulticlassProblem, cfg: SvmConfig) -> SvmModel:
-    machines = [p.machine(cfg) for p in mp.problems]
-    return SvmModel(
-        classes=mp.classes,
-        class_counts=mp.class_counts.copy(),
-        pairs=tuple((p.ci, p.cj) for p in mp.problems),
-        machines=machines,
-        feature_mask=mp.feature_mask,
-        standardizer=mp.standardizer,
-    )
+def _one_row(values) -> np.ndarray:
+    """The values of one instance, a 1-D sequence, as a (1, width) matrix."""
+    row = np.asarray(values, dtype=float)
+    if row.ndim != 1:
+        raise DataError(f"predict_values takes one row of values, not an array of shape {row.shape}")
+    return row[None]
+
+
+def _pair_machines(p: PairProblem, cfgs: list[SvmConfig], seconds: np.ndarray) -> list[BinarySvm]:
+    """The machine of each config on pair p, adding each config's (wall, CPU)
+    seconds of kernel power and solve to its row of `seconds`.
+
+    The dot products X @ X.T are computed once. Each kernel spec, in order
+    of first use, fills one reused buffer with them and raises it in place;
+    the last spec raises the dot products themselves. A certified machine
+    (`c_free`) serves every later config that differs only by a C at least
+    as large, since that solve would repeat the certified one step for
+    step. Above DENSE_LIMIT rows there are no dot products: the solver
+    computes kernel rows on demand.
+    """
+    dots = _gram(p.X) if p.X.shape[0] <= DENSE_LIMIT else None
+    specs = list(dict.fromkeys(cfg.kernel for cfg in cfgs))
+    buf = _square(len(dots)) if dots is not None and len(specs) > 1 else None
+    machines: list[BinarySvm] = [None] * len(cfgs)
+    certified: list[tuple[SvmConfig, BinarySvm]] = []
+    for s, spec in enumerate(specs):
+        kernel = None
+        for k, cfg in enumerate(cfgs):
+            if cfg.kernel != spec:
+                continue
+            held = next((m for c, m in certified if c.C <= cfg.C and replace(c, C=cfg.C) == cfg), None)
+            if held is not None:
+                machines[k] = held
+                continue
+            wall, cpu = time.perf_counter(), time.process_time()
+            if kernel is None and dots is not None:
+                if s < len(specs) - 1:
+                    np.copyto(buf, dots)
+                    kernel = _polynomial(buf, spec)
+                else:
+                    kernel = _polynomial(dots, spec)
+            machines[k] = m = smo_train(p.X, p.yb, cfg, kernel=kernel)
+            seconds[k] += (time.perf_counter() - wall, time.process_time() - cpu)
+            if m.c_free:
+                certified.append((cfg, m))
+    return machines
+
+
+def train_from_problems(
+    mp: MulticlassProblem, cfgs: Sequence[SvmConfig]
+) -> tuple[list[SvmModel], list[tuple[float, float]]]:
+    """One model per config, and each config's (wall, CPU) seconds of its
+    own kernel powers and solves: 0 for a config that reuses every machine.
+
+    Training goes one class pair at a time, and a pair's matrices are freed
+    before the next pair starts: at most its dot products and one kernel
+    buffer are alive. Consecutive configs whose machines are the same
+    objects share one model.
+    """
+    cfgs = list(cfgs)
+    seconds = np.zeros((len(cfgs), 2))
+    columns = [_pair_machines(p, cfgs, seconds) for p in mp.problems]
+    models: list[SvmModel] = []
+    for k in range(len(cfgs)):
+        machines = [col[k] for col in columns]
+        if models and all(a is b for a, b in zip(models[-1].machines, machines)):
+            models.append(models[-1])
+            continue
+        models.append(SvmModel(
+            classes=mp.classes,
+            class_counts=mp.class_counts.copy(),
+            pairs=tuple((p.ci, p.cj) for p in mp.problems),
+            machines=machines,
+            feature_mask=mp.feature_mask,
+            standardizer=mp.standardizer,
+        ))
+    return models, [tuple(row) for row in seconds.tolist()]
 
 
 def train_multiclass(
@@ -680,7 +740,8 @@ def train_multiclass(
     feature_mask=None,
     standardizer: Standardizer | None = None,
 ) -> SvmModel:
-    return train_from_problems(pairwise_problems(train, feature_mask, standardizer), cfg)
+    models, _ = train_from_problems(pairwise_problems(train, feature_mask, standardizer), [cfg])
+    return models[0]
 
 
 # ---------------------------------------------------------------------------

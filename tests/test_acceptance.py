@@ -56,15 +56,15 @@ def pipe(ctg_table):
 
 @pytest.fixture(scope="module")
 def grid_models(pipe):
-    """All Table-style grid cells, trained once and shared across criteria."""
+    """All Table-style grid cells, trained once, by the one
+    train_from_problems call over the grid that exp1 makes, and shared
+    across criteria."""
     std = fit_standardizer(pipe.train)
     problems = pairwise_problems(pipe.train, None, std)
     t0 = time.perf_counter()
-    cells = {}
-    for degree in pipe.cfg.degree_grid:
-        for C in pipe.cfg.c_grid:
-            model = train_from_problems(problems, pipe.cfg.svm(C, degree))
-            cells[(C, degree)] = (model, pipe.accuracies(model))
+    keys = [(C, degree) for degree in pipe.cfg.degree_grid for C in pipe.cfg.c_grid]
+    models, _ = train_from_problems(problems, [pipe.cfg.svm(C, degree) for C, degree in keys])
+    cells = {key: (model, pipe.accuracies(model)) for key, model in zip(keys, models)}
     return cells, time.perf_counter() - t0
 
 

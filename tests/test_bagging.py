@@ -298,6 +298,46 @@ class TestStackedPrediction:
             with pytest.raises(DataError, match="feature width"):
                 ens.predict_values(row)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_data_error(self, ctg_table, value):
+        """A NaN or infinite value in a column the model reads names that
+        column, through a model and through an ensemble, one row or many."""
+        from ctgsvm.experiments import ExperimentConfig, build_pipeline
+
+        _, path, _ = ctg_table
+        pipe = build_pipeline(ExperimentConfig(data=path, seed=42, quick=True))
+        std = fit_standardizer(pipe.train)
+        ens = bagging_train(pipe.train, EnsembleConfig(members=3, base=base_cfg(), master_seed=42), standardizer=std)
+        feats = pipe.work.feature_matrix().copy()
+        feats[0, 2] = value
+        model = ens.members[0][0]
+        for predict in (model.predict_values, ens.predict_values):
+            with pytest.raises(DataError, match="prediction column 3 holds a non-finite value"):
+                predict(feats[0])
+            predict(feats[1])
+        with pytest.raises(DataError, match="prediction column 3 holds a non-finite value"):
+            model.predict_matrix(feats)
+
+    def test_non_finite_value_under_a_mask_names_the_table_column(self):
+        rng = np.random.default_rng(2)
+        ds = numeric_dataset(np.column_stack([rng.normal(size=(24, 2)), blobs().feature_matrix()]),
+                             ["lo"] * 12 + ["hi"] * 12)
+        ens = bagging_train(ds, EnsembleConfig(members=3, base=base_cfg(), master_seed=3), feature_mask=[2, 3])
+        for predict in (ens.predict_values, ens.members[0][0].predict_values):
+            with pytest.raises(DataError, match="prediction column 4 holds a non-finite value"):
+                predict([0.0, 0.0, 5.0, np.nan])
+            assert predict([np.nan, 0.0, 5.0, 5.0]) == "hi"  # a column the model does not read
+
+    @pytest.mark.parametrize(
+        "values", [np.zeros((2, 2)), np.zeros((1, 2)), 1.0], ids=["two-rows", "one-row-matrix", "scalar"]
+    )
+    def test_predict_values_takes_one_row(self, values):
+        ds = blobs()
+        ens = bagging_train(ds, EnsembleConfig(members=2, base=base_cfg(), master_seed=3))
+        for predict in (ens.predict_values, ens.members[0][0].predict_values):
+            with pytest.raises(DataError, match="one row of values"):
+                predict(values)
+
     def test_members_must_agree(self):
         ds = blobs()
         cfg = EnsembleConfig(members=1, base=base_cfg(), master_seed=1)

@@ -498,37 +498,68 @@ def quick_table():
     return work, train, fit_standardizer(train)
 
 
-class TestKernelMemo:
-    def test_grid_sweep_equals_fresh_training(self, quick_table):
-        """Degree outside, C inside, a return to an earlier degree and a new
-        coef0 at the same degree: every model equals a fresh training, and
-        each pair holds one kernel, the current spec's, at a time."""
-        import weakref
+def one_pair(p: svm.PairProblem) -> svm.MulticlassProblem:
+    """The multiclass problem of the single class pair p."""
+    return svm.MulticlassProblem(("a", "b"), np.array([1, 1]), [p], None, None)
 
+
+def fresh_machines(train, std, cfg):
+    """Each pair's machine under cfg, solved alone on a fresh problem."""
+    return [smo_train(p.X, p.yb, cfg) for p in pairwise_problems(train, None, std).problems]
+
+
+SWEEPS = {
+    # binding C values (below 0.005, the largest alpha of degree 3) and free
+    # ones, in each order; a degree met again after another; two coef0
+    # values at one degree
+    "ascending": [(2, 1.0, 0.0005), (2, 1.0, 0.01), (2, 1.0, 10.0), (2, 1.0, 1000.0), (3, 1.0, 10.0),
+                  (3, 1.0, 500.0)],
+    "descending": [(3, 1.0, 1000.0), (3, 1.0, 10.0), (3, 1.0, 0.001), (3, 1.0, 0.0005), (2, 1.0, 100.0),
+                   (2, 1.0, 0.0005)],
+    "shuffled": [(2, 1.0, 100.0), (3, 0.5, 10.0), (2, 1.0, 0.0005), (3, 1.0, 10.0), (2, 1.0, 1000.0),
+                 (3, 0.5, 0.001), (3, 1.0, 0.002), (2, 1.0, 10.0), (3, 0.5, 1000.0)],
+}
+
+
+class TestKernelMemo:
+    def test_grid_sweep_equals_fresh_training(self, quick_table, monkeypatch):
+        """A config sequence in one call: every config's model equals each
+        pair solved alone under that config, with the same model file,
+        update counts and certificates, whether the kernel powers share one
+        buffer (dense) or come row by row (row-cached), in each sweep order;
+        consecutive configs share a model exactly when they share every
+        machine."""
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
-        sweep = [(2, 1.0, 10.0), (2, 1.0, 1000.0), (3, 1.0, 10.0), (3, 1.0, 500.0),
-                 (3, 0.5, 10.0), (3, 0.5, 100.0), (2, 1.0, 100.0)]
-        previous = None
-        for degree, coef0, C in sweep:
-            cfg = cfgp(C, degree, coef0)
-            model = train_from_problems(mp, cfg)
-            fresh = train_multiclass(train, cfg, standardizer=std)
-            assert model_to_lines(model) == model_to_lines(fresh), (degree, coef0, C)
-            held = []
-            for p in mp.problems:
-                n = p.X.shape[0]
-                squares = [v for v in vars(p).values() if isinstance(v, np.ndarray) and v.shape == (n, n)]
-                assert len(squares) == 1
-                assert p.kernel(cfg.kernel) is squares[0]  # a memo hit, no rebuild
-                assert np.array_equal(squares[0], kernel_matrix(p.X, p.X, cfg.kernel))
-                held.append(weakref.ref(squares[0]))
-            del squares
-            if previous is not None:
-                spec_changed = previous[0] != (degree, coef0)
-                # a new spec frees the old kernel; the same spec keeps it
-                assert all((ref() is None) == spec_changed for ref in previous[1])
-            previous = ((degree, coef0), held)
+        for dense, order in itertools.product((True, False), SWEEPS):
+            with monkeypatch.context() as mpatch:
+                if not dense:
+                    mpatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
+                cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
+                models, seconds = train_from_problems(mp, cfgs)
+                assert len(models) == len(seconds) == len(cfgs)
+                for k, (cfg, model) in enumerate(zip(cfgs, models)):
+                    fresh = fresh_machines(train, std, cfg)
+                    where = (dense, order, cfg)
+                    assert model_to_lines(model) == model_to_lines(replace(model, machines=fresh)), where
+                    assert [(m.n_updates, m.c_free) for m in model.machines] == [
+                        (m.n_updates, m.c_free) for m in fresh], where
+                    if k:
+                        shared = all(a is b for a, b in zip(models[k - 1].machines, model.machines))
+                        assert (models[k - 1] is model) == shared, where
+                assert any(not m.c_free for model in models for m in model.machines)  # a binding C is covered
+
+    def test_one_config_copies_nothing(self, quick_table, monkeypatch):
+        """With one config, each pair's kernel is its dot products raised in
+        place: no buffer is filled."""
+        _, train, std = quick_table
+        dots, powered = [], []
+        gram, polynomial = svm._gram, svm._polynomial
+        monkeypatch.setattr(svm, "_gram", lambda X: dots.append(gram(X)) or dots[-1])
+        monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powered.append(a) or polynomial(a, spec))
+        train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3)])
+        assert len(dots) == len(powered) == 3
+        assert all(a is b for a, b in zip(powered, dots))
 
     def test_row_cache_evicts_the_oldest_row(self, monkeypatch):
         """Above DENSE_LIMIT the solver's kernel rows come from a cache of
@@ -548,11 +579,11 @@ class TestKernelMemo:
     def test_row_cache_mode_matches_dense_mode(self, quick_table, monkeypatch):
         work, train, std = quick_table
         cfg = cfgp(100.0, 3)
-        dense = train_from_problems(pairwise_problems(train, None, std), cfg)
+        dense = train_multiclass(train, cfg, standardizer=std)
         mp = pairwise_problems(train, None, std)
         monkeypatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
-        assert all(p.kernel(cfg.kernel) is None for p in mp.problems)
-        cached = train_from_problems(mp, cfg)
+        monkeypatch.setattr(svm, "_gram", None)  # no pair builds dot products
+        cached = train_from_problems(mp, [cfg])[0][0]
         assert cached.predict_dataset(work)[0] == dense.predict_dataset(work)[0]
         feats = std.transform_features(work.feature_matrix())
         for mc, md in zip(cached.machines, dense.machines):
@@ -586,35 +617,33 @@ def overlapping_pair(n=40, seed=3):
 class TestCertifiedReuse:
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "row-cached"])
     def test_exp1_grid_equals_fresh_training(self, quick_table, monkeypatch, smo_calls, dense):
-        """Every exp1 cell, in exp1's order, equals a fresh solve on a fresh
-        problem: same model file, update counts and convergence flags, in
-        both kernel modes; the C grid above 10 is served from the memo."""
+        """Every exp1 cell, from exp1's one call, equals a fresh solve on a
+        fresh problem: same model file, update counts and convergence flags,
+        in both kernel modes; the C grid above 10 reuses the C=10 machines."""
         from ctgsvm.experiments import DEFAULT_C_GRID, DEFAULT_DEGREE_GRID
 
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
         if not dense:
             monkeypatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
-        for degree in DEFAULT_DEGREE_GRID:
-            for C in DEFAULT_C_GRID:
-                cfg = cfgp(C, degree)
-                before = len(smo_calls)
-                model = train_from_problems(mp, cfg)
-                assert len(smo_calls) - before == (3 if C == DEFAULT_C_GRID[0] else 0)
-                fresh = pairwise_problems(train, None, std)
-                machines = [smo_train(p.X, p.yb, cfg) for p in fresh.problems]
-                assert model_to_lines(model) == model_to_lines(replace(model, machines=machines))
-                assert [m.n_updates for m in model.machines] == [m.n_updates for m in machines]
-                assert [m.converged for m in model.machines] == [m.converged for m in machines]
-                assert all(m.c_free for m in model.machines)
+        cfgs = [cfgp(C, degree) for degree in DEFAULT_DEGREE_GRID for C in DEFAULT_C_GRID]
+        models, _ = train_from_problems(mp, cfgs)
+        assert len(smo_calls) == 3 * len(DEFAULT_DEGREE_GRID)
+        assert len({id(m) for m in models}) == len(DEFAULT_DEGREE_GRID)  # one model per degree
+        for cfg, model in zip(cfgs, models):
+            machines = fresh_machines(train, std, cfg)
+            assert model_to_lines(model) == model_to_lines(replace(model, machines=machines))
+            assert [m.n_updates for m in model.machines] == [m.n_updates for m in machines]
+            assert [m.converged for m in model.machines] == [m.converged for m in machines]
+            assert all(m.c_free for m in model.machines)
 
     def test_binding_c_is_not_certified(self, smo_calls):
         p = overlapping_pair()
-        small = p.machine(cfgp(0.05, 2))
+        (small, large), _ = train_from_problems(one_pair(p), [cfgp(0.05, 2), cfgp(10.0, 2)])
+        small, large = small.machines[0], large.machines[0]
         assert small.alphas.max() == 0.05
         assert not small.c_free
-        large = p.machine(cfgp(10.0, 2))
-        assert len(smo_calls) == 2  # nothing was memoized to reuse
+        assert len(smo_calls) == 2  # nothing was certified to reuse
         assert not np.array_equal(decision_values(small, p.X), decision_values(large, p.X))
 
     @pytest.mark.parametrize(
@@ -661,28 +690,80 @@ class TestCertifiedReuse:
         _, train, std = quick_table
         p = pairwise_problems(train, None, std).problems[0]
         base = cfgp(10.0, 2)
-        held = p.machine(base)
+        models, _ = train_from_problems(one_pair(p), [base, replace(base, C=100.0), replace(base, **change)])
+        held, again, other = (m.machines[0] for m in models)
         assert held.c_free
-        assert p.machine(replace(base, C=100.0)) is held
-        assert len(smo_calls) == 1
-        assert p.machine(replace(base, **change)) is not held
+        assert again is held and models[1] is models[0]
+        assert other is not held and models[2] is not models[1]
         assert len(smo_calls) == 2
 
-    def test_exp1_trains_one_machine_per_pair_and_degree(self, ctg_table, smo_calls, tmp_path):
+    def test_exp1_trains_one_machine_per_pair_and_degree(self, ctg_table, smo_calls, monkeypatch, tmp_path):
+        """exp1's work on the quick table: 15 solves (3 pairs x 5 degrees;
+        the 75 larger-C cells reuse them), 3 dot-product builds (one per
+        pair), 15 kernel powers, and one train and one test prediction of
+        each of the 5 distinct models, the best cell's included."""
         from ctgsvm.experiments import ExperimentConfig, build_pipeline, run_exp1
 
         _, path, _ = ctg_table
         pipe = build_pipeline(ExperimentConfig(data=path, seed=42, quick=True, out_dir=str(tmp_path)))
+        sizes = {p.X.shape[0] for p in pairwise_problems(pipe.train).problems}
+        grams, powers, predictions = [], [], []
+        gram, polynomial, predict = svm._gram, svm._polynomial, svm.SvmModel.predict_matrix
+        monkeypatch.setattr(svm, "_gram", lambda X: grams.append(X.shape) or gram(X))
+        monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powers.append(a.shape) or polynomial(a, spec))
+        monkeypatch.setattr(svm.SvmModel, "predict_matrix", lambda m, f: predictions.append(m) or predict(m, f))
         run_exp1(pipe)
-        assert len(smo_calls) == 15  # 3 pairs x 5 degrees; the 75 larger-C cells reuse them
+        assert len(smo_calls) == 15
+        assert len(grams) == 3
+        assert len([s for s in powers if len(s) == 2 and s[0] == s[1] and s[0] in sizes]) == 15
+        assert len(predictions) == 10 and len({id(m) for m in predictions}) == 5
+
+    def test_exp1_peak_memory_below_three_kernel_slots(self, ctg_table, tmp_path, monkeypatch):
+        """exp1 on the full synthetic table holds no more memory at its peak
+        than when each pair problem held its kernel in a slot of its own.
+        That design held all three pairs' kernels, and predicted with them
+        held; this one holds one pair's dot products and one kernel buffer,
+        and predicts after training. The pair matrices live in memory maps
+        (`svm._square`), which tracemalloc does not see, so they are counted
+        apart: the most bytes mapped at once, added to the traced peak."""
+        import weakref
+
+        from ctgsvm.experiments import ExperimentConfig, build_pipeline, run_exp1
+
+        _, path, is_real = ctg_table
+        if is_real:
+            pytest.skip("the figure is of the bundled synthetic table, not of CTG_CSV")
+        pipe = build_pipeline(ExperimentConfig(data=path, seed=42, out_dir=str(tmp_path)))
+        sizes = [p.X.shape[0] for p in pairwise_problems(pipe.train).problems]
+        mapped = {"live": 0, "most": 0}
+        square = svm._square
+
+        def counted(n):
+            out = square(n)
+            mapped["live"] += out.nbytes
+            mapped["most"] = max(mapped["most"], mapped["live"])
+            weakref.finalize(out, lambda size=out.nbytes: mapped.update(live=mapped["live"] - size))
+            return out
+
+        monkeypatch.setattr(svm, "_square", counted)
+        tracemalloc.start()
+        try:
+            run_exp1(pipe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mapped["live"] == 0
+        assert mapped["most"] == 2 * 8 * max(sizes) ** 2  # the largest pair's dot products and buffer
+        # the three-slot design's traced peak here, which held every kernel
+        # on the heap: the lower of two runs (numpy 2.4.6); its three
+        # kernels alone were 28.9 MB
+        assert peak + mapped["most"] <= 32_676_638, (peak, mapped["most"])
 
     def test_certificate_not_saved(self, quick_table, tmp_path):
-        """A memo-served model saves to the same bytes as before the
+        """A model served by reuse saves to the same bytes as before the
         certificate existed and loads uncertified."""
         _, train, std = quick_table
-        mp = pairwise_problems(train, None, std)
-        train_from_problems(mp, cfgp(10.0, 3))
-        model = train_from_problems(mp, cfgp(1000.0, 3))
+        (_, model), _ = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3), cfgp(1000.0, 3)])
         assert all(m.c_free for m in model.machines)
         path = tmp_path / "model.txt"
         save_model(model, path)
