@@ -22,7 +22,6 @@ reuses a certified machine for larger C; the certificate is not saved.
 from __future__ import annotations
 
 import math
-import mmap
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -33,8 +32,7 @@ import numpy as np
 
 from .data import DataError, Dataset, Standardizer, _read_text
 
-DENSE_LIMIT = 4096
-CACHE_ROWS = 512  # kernel rows the solver keeps above DENSE_LIMIT
+_CACHE_BYTES = 32 << 20  # kernel rows a solve keeps: every row of a problem of up to 2048 rows
 _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
 EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of the in-place kernel power and of a prediction kernel (256 KiB)
@@ -107,74 +105,43 @@ def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return dots
 
 
-def _square(n: int) -> np.ndarray:
-    """A zeroed (n, n) float array in a private anonymous memory map of its
-    own, with huge pages asked for where the system has them, as numpy asks
-    for its large arrays. Freeing the array unmaps it, so its pages go back
-    to the system at once; from malloc, a freed matrix of a dense kernel's
-    size can stay resident at the top of the heap for the rest of the
-    process. Without private maps (Windows) it is a plain array."""
-    if not hasattr(mmap, "MAP_PRIVATE"):
-        return np.empty((n, n))
-    pages = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, dtype=float).reshape(n, n)
-
-
-def _gram(X: np.ndarray) -> np.ndarray:
-    """The dot products X @ X.T of the training rows X, in a `_square` of
-    their own: every dense kernel of X is raised from these bits, so each
-    spec's kernel is the same whether or not its dot products were shared."""
-    return np.matmul(X, X.T, out=_square(X.shape[0]))
-
-
-def _dense_kernel(X: np.ndarray, spec: KernelSpec) -> np.ndarray | None:
-    """The kernel matrix of X, or None above DENSE_LIMIT rows, where the
-    solver computes kernel rows on demand instead."""
-    if X.shape[0] > DENSE_LIMIT:
-        return None
-    return _polynomial(_gram(X), spec)
-
-
 class _KernelSource:
-    """Kernel rows for the solver: the dense matrix (given, or built here)
-    when the problem is small, otherwise an on-demand row cache with FIFO
-    eviction."""
+    """The kernel rows of X under spec for one solve, each built the first
+    time the solver reads it and kept, oldest evicted first, while the rows
+    fit in _CACHE_BYTES: the row cache of LIBSVM (Chang & Lin 2011). A solve
+    reads a small share of its rows, so no solve builds the whole kernel.
 
-    def __init__(self, X: np.ndarray, spec: KernelSpec, kernel: np.ndarray | None):
-        self.X = X
-        self.spec = spec
-        if kernel is None:
-            kernel = _dense_kernel(X, spec)
-        self.dense = kernel
-        if kernel is not None:
-            self.diag = np.ascontiguousarray(np.diagonal(kernel))
-        else:
-            self._cache: dict[int, np.ndarray] = {}  # oldest first
-            self.diag = _polynomial(np.einsum("ij,ij->i", X, X), spec)
+    Row i is powered from X[i] @ X.T, a product over a feature-major copy
+    of X padded with zero columns to a multiple of 4: OpenBLAS computes
+    four outputs at a time and sums the last n % 4 in another order, so
+    without the padding K[i, j] and K[j, i], or the entries of two equal
+    rows, could differ in the last bit. `diag` sums each row's squares in
+    numpy's order, which can differ from row(i)[i] in the last bit."""
+
+    def __init__(self, X: np.ndarray, spec: KernelSpec):
+        n = len(X)
+        self.X, self.spec = X, spec
+        self.columns = np.zeros((X.shape[1], n + -n % 4))
+        self.columns[:, :n] = X.T
+        self.rows: dict[int, np.ndarray] = {}  # oldest first
+        self.keep = max(1, _CACHE_BYTES // (8 * n))
+        self.diag = _polynomial(np.einsum("ij,ij->i", X, X), spec)
 
     def row(self, i: int) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense[i]
-        got = self._cache.get(i)
+        got = self.rows.get(i)
         if got is None:
-            got = _polynomial(self.X @ self.X[i], self.spec)
-            self._cache[i] = got
-            if len(self._cache) > CACHE_ROWS:
-                del self._cache[next(iter(self._cache))]
+            if len(self.rows) >= self.keep:
+                del self.rows[next(iter(self.rows))]
+            got = self.rows[i] = _polynomial(self.X[i] @ self.columns, self.spec)[:len(self.X)]
         return got
 
     def full_g(self, coef: np.ndarray) -> np.ndarray:
-        """K @ coef without materializing K in cached mode."""
-        if self.dense is not None:
-            return self.dense @ coef
-        n = self.X.shape[0]
-        out = np.empty(n)
-        for lo in range(0, n, 256):
-            hi = min(lo + 256, n)
-            out[lo:hi] = _polynomial(self.X[lo:hi] @ self.X.T, self.spec) @ coef
-        return out
+        """K @ coef, summed row by row over the nonzero coefficients in index
+        order. A row with a nonzero alpha has been updated, so it is built."""
+        g = np.zeros(len(self.X))
+        for j in np.flatnonzero(coef).tolist():
+            g += coef[j] * self.row(j)
+        return g
 
 
 @dataclass
@@ -374,17 +341,16 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
     return (i2, a1, a2, d1, d2, b_new), c_bound
 
 
-def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinarySvm:
+def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     """Train a binary soft-margin SVM by pairwise dual updates.
 
     Maximizes sum(a) - 1/2 sum a_i a_j y_i y_j K(x_i, x_j) subject to the
     box 0 <= a <= C and sum a_i y_i = 0. Hitting the update cap returns the
     best-so-far model flagged as non-converged instead of raising.
 
-    `kernel` is the finished kernel matrix of X under cfg.kernel, read and
-    never written; without it the kernel is built here (dense up to
-    DENSE_LIMIT rows, row-cached above). The machine's `c_free` says
-    whether the solve is certified to be the solve at any larger C.
+    Kernel rows are built when the solve first reads them (`_KernelSource`).
+    The machine's `c_free` says whether the solve is certified to be the
+    solve at any larger C.
 
     An update makes 13 passes over arrays of n entries when the eta row of
     its first row is memoized, and 4 more to build that row when it is not:
@@ -403,7 +369,7 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
 
     C = float(cfg.C)
     tol = float(cfg.tolerance)
-    K = _KernelSource(X, cfg.kernel, kernel)
+    K = _KernelSource(X, cfg.kernel)
     diag = K.diag
 
     # What an update reads and writes one entry at a time lives in Python
@@ -497,7 +463,7 @@ def smo_train(X, y, cfg: SvmConfig, kernel: np.ndarray | None = None) -> BinaryS
                 e_low[k] = e if low[k] else -np.inf
             b = b_new
             updates += 1
-            if K.dense is not None and updates % 4096 == 0:
+            if updates % 4096 == 0:
                 # shed accumulated drift
                 np.copyto(cache, np.where([up, low], K.full_g(np.array(alphas) * y) + b - y, fill))
         g = K.full_g(np.array(alphas) * y)
@@ -664,42 +630,23 @@ def _one_row(values) -> np.ndarray:
 
 
 def _pair_machines(p: PairProblem, cfgs: list[SvmConfig], seconds: np.ndarray) -> list[BinarySvm]:
-    """The machine of each config on pair p, adding each config's (wall, CPU)
-    seconds of kernel power and solve to its row of `seconds`.
-
-    The dot products X @ X.T are computed once. Each kernel spec, in order
-    of first use, fills one reused buffer with them and raises it in place;
-    the last spec raises the dot products themselves. A certified machine
-    (`c_free`) serves every later config that differs only by a C at least
-    as large, since that solve would repeat the certified one step for
-    step. Above DENSE_LIMIT rows there are no dot products: the solver
-    computes kernel rows on demand.
+    """The machine of each config on pair p, adding each solve's (wall, CPU)
+    seconds, its kernel rows' builds included, to its config's row of
+    `seconds`. A certified machine (`c_free`) serves every later config that
+    differs only by a C at least as large, since that solve would repeat
+    the certified one step for step.
     """
-    dots = _gram(p.X) if p.X.shape[0] <= DENSE_LIMIT else None
-    specs = list(dict.fromkeys(cfg.kernel for cfg in cfgs))
-    buf = _square(len(dots)) if dots is not None and len(specs) > 1 else None
-    machines: list[BinarySvm] = [None] * len(cfgs)
+    machines: list[BinarySvm] = []
     certified: list[tuple[SvmConfig, BinarySvm]] = []
-    for s, spec in enumerate(specs):
-        kernel = None
-        for k, cfg in enumerate(cfgs):
-            if cfg.kernel != spec:
-                continue
-            held = next((m for c, m in certified if c.C <= cfg.C and replace(c, C=cfg.C) == cfg), None)
-            if held is not None:
-                machines[k] = held
-                continue
+    for k, cfg in enumerate(cfgs):
+        m = next((m for c, m in certified if c.C <= cfg.C and replace(c, C=cfg.C) == cfg), None)
+        if m is None:
             wall, cpu = time.perf_counter(), time.process_time()
-            if kernel is None and dots is not None:
-                if s < len(specs) - 1:
-                    np.copyto(buf, dots)
-                    kernel = _polynomial(buf, spec)
-                else:
-                    kernel = _polynomial(dots, spec)
-            machines[k] = m = smo_train(p.X, p.yb, cfg, kernel=kernel)
+            m = smo_train(p.X, p.yb, cfg)
             seconds[k] += (time.perf_counter() - wall, time.process_time() - cpu)
             if m.c_free:
                 certified.append((cfg, m))
+        machines.append(m)
     return machines
 
 
@@ -707,12 +654,11 @@ def train_from_problems(
     mp: MulticlassProblem, cfgs: Sequence[SvmConfig]
 ) -> tuple[list[SvmModel], list[tuple[float, float]]]:
     """One model per config, and each config's (wall, CPU) seconds of its
-    own kernel powers and solves: 0 for a config that reuses every machine.
+    own solves: 0 for a config that reuses every machine.
 
-    Training goes one class pair at a time, and a pair's matrices are freed
-    before the next pair starts: at most its dot products and one kernel
-    buffer are alive. Consecutive configs whose machines are the same
-    objects share one model.
+    Training goes one class pair at a time; each solve builds the kernel
+    rows it reads and frees them when it ends. Consecutive configs whose
+    machines are the same objects share one model.
     """
     cfgs = list(cfgs)
     seconds = np.zeros((len(cfgs), 2))

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import os
 
-# The SMO solver's update counts follow the last bits of its kernel values,
-# and multi-threaded OpenBLAS sums matrix products in an order that depends
-# on the thread count. One BLAS thread keeps the pinned solver path
-# (solver_path_seed42.txt) the same on every machine. This only takes effect
-# before numpy loads, so it comes before the first numpy import.
+# The SMO solver's update counts follow the last bits of its kernel values.
+# Its kernel rows sum in an order that does not depend on the BLAS thread
+# count with OpenBLAS's x86-64 kernels (the README says how that was
+# checked), but another BLAS may differ. One BLAS thread keeps the pinned
+# solver path (solver_path_seed42.txt) the same on every machine. This only
+# takes effect before numpy loads, so it comes before the first numpy import.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from itertools import combinations

@@ -1,8 +1,8 @@
 """Property tests (hypothesis) of model persistence: a saved model or
 ensemble reloads to the same lines, and a truncated or corrupted file fails
 only with DataError. Also of the seeded row samplers: the stratified split
-and the stratified subsample; and of the ensemble vote against its
-label-based reference.
+and the stratified subsample; of the ensemble vote against its label-based
+reference; and of the bits of the solver's kernel rows.
 
 Every test runs a fixed, derandomized set of examples without an example
 database, so the suite does the same work on every run."""
@@ -21,6 +21,7 @@ from ctgsvm.data import (
     stratified_split,
     stratified_subsample,
 )
+from ctgsvm import svm
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
 from conftest import labelling_model, numeric_dataset
 from oracles import ensemble_vote
@@ -253,3 +254,30 @@ def test_vote_codes_is_the_label_vote(vote):
     winners, ties = ens.vote_codes(codes)
     assert [ens.classes[c] for c in winners] == [lab for lab, _ in want]
     assert ties == sum(tie for _, tie in want)
+
+
+@st.composite
+def row_tables(draw):
+    """A table of 2-150 rows, some of which repeat others, and a kernel spec.
+    Widths up to 24 reach the row product's vectorized sums, and row counts
+    of every residue mod 4 its last outputs."""
+    n = draw(st.integers(2, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0.0, draw(st.sampled_from([0.01, 1.0, 30.0])), (n, draw(st.integers(1, 24))))
+    copies = draw(st.integers(0, n // 2))
+    X[rng.integers(0, n, copies)] = X[rng.integers(0, n, copies)]
+    return X, KernelSpec(degree=draw(st.integers(1, 4)), coef0=draw(st.sampled_from([0.0, 0.5, 1.0])))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(row_tables())
+def test_kernel_rows_agree_bit_for_bit(table):
+    """The solver's kernel rows give K[i, j] == K[j, i], and K[i, i] ==
+    K[i, k] wherever rows i and k are equal, in every bit."""
+    X, spec = table
+    K = svm._KernelSource(X, spec)
+    rows = np.array([K.row(i) for i in range(len(X))])
+    assert np.array_equal(rows, rows.T)
+    _, group = np.unique(X, axis=0, return_inverse=True)
+    same = group.reshape(-1)[:, None] == group.reshape(-1)[None, :]
+    assert np.array_equal(rows[same], np.broadcast_to(np.diagonal(rows)[:, None], rows.shape)[same])

@@ -111,10 +111,12 @@ class TestPolynomialPower:
 
     @pytest.mark.parametrize("degree", [3, 4, 7])
     def test_dense_kernel_holds_one_matrix(self, degree):
+        """A prediction's kernel matrix is raised in place: no second matrix
+        of its size exists."""
         X = np.random.default_rng(3).normal(size=(1500, 21))
         tracemalloc.start()
         try:
-            kernel = svm._dense_kernel(X, KernelSpec(degree=degree, coef0=1.0))
+            kernel = kernel_matrix(X, X, KernelSpec(degree=degree, coef0=1.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -290,15 +292,14 @@ def sep3(n_per=8, seed=0):
     return numeric_dataset(np.vstack(rows), classes)
 
 
-def rebuild_reference(X, y, cfg, K=None):
+def rebuild_reference(X, y, cfg):
     """smo_train's selection loop as it was before its per-step arrays were
     kept between steps: both masks rebuilt from the alphas, and every
-    masked array and eta row computed afresh, at each step. K is the kernel
-    row source (a svm._KernelSource; by default the one smo_train would
-    build). Returns (alphas, bias, updates, c_free, converged, firsts), where
-    firsts is the number of distinct first rows of the solve's pairs."""
-    if K is None:
-        K = svm._KernelSource(X, cfg.kernel, None)
+    masked array and eta row computed afresh, at each step, with kernel rows
+    from a row source of its own (a svm._KernelSource). Returns (alphas,
+    bias, updates, c_free, converged, firsts), where firsts is the number of
+    distinct first rows of the solve's pairs."""
+    K = svm._KernelSource(X, cfg.kernel)
     diag = K.diag
     n, C, tol = len(y), cfg.C, cfg.tolerance
     alphas, b, E, updates, c_free, pos = np.zeros(n), 0.0, -y.copy(), 0, True, y > 0
@@ -333,7 +334,7 @@ def rebuild_reference(X, y, cfg, K=None):
             alphas[i], alphas[i2] = a1, a2
             b = b_new
             updates += 1
-            if K.dense is not None and updates % 4096 == 0:
+            if updates % 4096 == 0:
                 E[:] = K.full_g(alphas * y) + b - y
         g = K.full_g(alphas * y)
         b_est = y - g
@@ -348,9 +349,9 @@ def rebuild_reference(X, y, cfg, K=None):
 
 class TestKeptStepArrays:
     """The caches and buffers smo_train keeps between steps give the solve
-    of the per-step rebuild, bit for bit, also where alphas sit on C, in
-    either kernel mode, and when the solve's first rows outnumber the eta
-    memo."""
+    of the per-step rebuild, bit for bit, also where alphas sit on C, when
+    the solve's first rows outnumber the eta memo, and when its kernel rows
+    outnumber the row budget."""
 
     def problems(self):
         rng = np.random.default_rng(17)
@@ -366,24 +367,21 @@ class TestKeptStepArrays:
         yield X, np.where(X[:, 0] + rng.normal(0, 1.0, 300) > 0, 1.0, -1.0), cfgp(1e3, 3, max_iter=9000)
 
     def test_matches_per_step_rebuild(self):
-        self.assert_matches_rebuild(dense=True, eta_rows=None)
+        self.assert_matches_rebuild(small=False)
 
-    @pytest.mark.parametrize("dense, eta_rows", [(False, None), (True, 3), (False, 3)],
-                             ids=["row-cached", "dense-small-eta-memo", "row-cached-small-eta-memo"])
-    def test_other_modes_match_per_step_rebuild(self, monkeypatch, dense, eta_rows):
-        if not dense:
-            monkeypatch.setattr(svm, "DENSE_LIMIT", 10)  # below every problem's row count
-        if eta_rows is not None:
-            monkeypatch.setattr(svm, "_ETA_ROWS", eta_rows)
-        self.assert_matches_rebuild(dense, eta_rows)
+    @pytest.mark.parametrize("few_rows", [False, True], ids=["small-eta-memo", "small-eta-and-row-memos"])
+    def test_other_modes_match_per_step_rebuild(self, monkeypatch, few_rows):
+        monkeypatch.setattr(svm, "_ETA_ROWS", 3)
+        if few_rows:
+            # two kernel rows of the smallest problem, one of every other
+            monkeypatch.setattr(svm, "_CACHE_BYTES", 2 * 8 * 20)
+        self.assert_matches_rebuild(small=True)
 
-    def assert_matches_rebuild(self, dense, eta_rows):
+    def assert_matches_rebuild(self, small):
         bounded = drift = 0
         most_firsts = 0
         for k, (X, y, cfg) in enumerate(self.problems()):
-            K = svm._KernelSource(X, cfg.kernel, None)
-            assert (K.dense is not None) == dense
-            alphas, bias, updates, c_free, converged, firsts = rebuild_reference(X, y, cfg, K)
+            alphas, bias, updates, c_free, converged, firsts = rebuild_reference(X, y, cfg)
             m = smo_train(X, y, cfg)
             sv = alphas > 0
             assert np.array_equal(m.alphas, alphas[sv]), k
@@ -393,26 +391,26 @@ class TestKeptStepArrays:
             drift += updates > 4096
             most_firsts = max(most_firsts, firsts)
         assert bounded >= 3 and drift >= 1  # the fixtures reach C and the drift resync
-        if eta_rows is not None:
-            assert most_firsts > eta_rows  # the small memo evicts
+        if small:
+            assert most_firsts > 3  # the small memos evict
 
     def test_zero_gains_pick_the_first_eligible_partner(self, monkeypatch):
         """Where every eligible second-order gain is 0 (here eta overflows to
         inf), the partner is the first I_low row with E > E[i], as in the
         rebuild, not a row the gain's clamping zeroed."""
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        X = np.arange(4.0)[:, None]
-        # eta from row 0 is inf at rows 2 and 3 (8e307 + 1e308 overflows), finite at rows 0 and 1
-        kernel = np.diag([8e307, 8e307, 1e308, 1e308])
-        kernel.setflags(write=False)
+        # the linear kernel of these rows is diagonal, about (8e307, 8e307, 1e308,
+        # 1e308): eta from row 0 is inf at rows 2 and 3 (8e307 + 1e308
+        # overflows), finite at rows 0 and 1
+        X = np.diag(np.sqrt([8e307, 8e307, 1e308, 1e308]))
         cfg = cfgp(1.0, 1, 0.0)
         asked = []
         pair_step = svm._pair_step
         monkeypatch.setattr(svm, "_pair_step", lambda *a: asked.append(a[-2:]) or pair_step(*a))
         with np.errstate(over="ignore"):
-            smo_train(X, y, cfg, kernel=kernel)
+            smo_train(X, y, cfg)
             ours, asked[:] = asked[:], []
-            rebuild_reference(X, y, cfg, svm._KernelSource(X, cfg.kernel, kernel))
+            rebuild_reference(X, y, cfg)
         assert ours == asked == [(0, 2)] * 8  # nothing moves: each of 4 sweeps asks for j, then j_max
 
 
@@ -522,74 +520,80 @@ SWEEPS = {
 
 
 class TestKernelMemo:
-    def test_grid_sweep_equals_fresh_training(self, quick_table, monkeypatch):
+    def test_grid_sweep_equals_fresh_training(self, quick_table):
         """A config sequence in one call: every config's model equals each
         pair solved alone under that config, with the same model file,
-        update counts and certificates, whether the kernel powers share one
-        buffer (dense) or come row by row (row-cached), in each sweep order;
-        consecutive configs share a model exactly when they share every
-        machine."""
+        update counts and certificates, in each sweep order; consecutive
+        configs share a model exactly when they share every machine."""
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
-        for dense, order in itertools.product((True, False), SWEEPS):
-            with monkeypatch.context() as mpatch:
-                if not dense:
-                    mpatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
-                cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
-                models, seconds = train_from_problems(mp, cfgs)
-                assert len(models) == len(seconds) == len(cfgs)
-                for k, (cfg, model) in enumerate(zip(cfgs, models)):
-                    fresh = fresh_machines(train, std, cfg)
-                    where = (dense, order, cfg)
-                    assert model_to_lines(model) == model_to_lines(replace(model, machines=fresh)), where
-                    assert [(m.n_updates, m.c_free) for m in model.machines] == [
-                        (m.n_updates, m.c_free) for m in fresh], where
-                    if k:
-                        shared = all(a is b for a, b in zip(models[k - 1].machines, model.machines))
-                        assert (models[k - 1] is model) == shared, where
-                assert any(not m.c_free for model in models for m in model.machines)  # a binding C is covered
+        for order in SWEEPS:
+            cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
+            models, seconds = train_from_problems(mp, cfgs)
+            assert len(models) == len(seconds) == len(cfgs)
+            for k, (cfg, model) in enumerate(zip(cfgs, models)):
+                fresh = fresh_machines(train, std, cfg)
+                where = (order, cfg)
+                assert model_to_lines(model) == model_to_lines(replace(model, machines=fresh)), where
+                assert [(m.n_updates, m.c_free) for m in model.machines] == [
+                    (m.n_updates, m.c_free) for m in fresh], where
+                if k:
+                    shared = all(a is b for a, b in zip(models[k - 1].machines, model.machines))
+                    assert (models[k - 1] is model) == shared, where
+            assert any(not m.c_free for model in models for m in model.machines)  # a binding C is covered
 
-    def test_one_config_copies_nothing(self, quick_table, monkeypatch):
-        """With one config, each pair's kernel is its dot products raised in
-        place: no buffer is filled."""
+    def test_solves_build_only_the_rows_they_read(self, quick_table, monkeypatch):
+        """Each solve powers its diagonal and then each kernel row it reads,
+        once, as a row: no kernel matrix is built, and no solve reads half
+        of its rows."""
         _, train, std = quick_table
-        dots, powered = [], []
-        gram, polynomial = svm._gram, svm._polynomial
-        monkeypatch.setattr(svm, "_gram", lambda X: dots.append(gram(X)) or dots[-1])
-        monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powered.append(a) or polynomial(a, spec))
-        train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3)])
-        assert len(dots) == len(powered) == 3
-        assert all(a is b for a, b in zip(powered, dots))
+        sources, powered = [], []
+        source, polynomial = svm._KernelSource, svm._polynomial
+        monkeypatch.setattr(svm, "_KernelSource", lambda X, spec: sources.append(source(X, spec)) or sources[-1])
+        monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powered.append(a.shape) or polynomial(a, spec))
+        mp = pairwise_problems(train, None, std)
+        train_from_problems(mp, [cfgp(10.0, 3)])
+        assert len(sources) == len(mp.problems) == 3
+        assert all(len(shape) == 1 for shape in powered)
+        assert len(powered) == sum(1 + len(K.rows) for K in sources)
+        for K, p in zip(sources, mp.problems):
+            assert 0 < len(K.rows) < len(p.X) / 2
 
     def test_row_cache_evicts_the_oldest_row(self, monkeypatch):
-        """Above DENSE_LIMIT the solver's kernel rows come from a cache of
-        CACHE_ROWS rows that evicts in insertion order, a hit not renewing
-        a row; every row it gives equals the dense kernel's row."""
-        monkeypatch.setattr(svm, "DENSE_LIMIT", 3)
-        monkeypatch.setattr(svm, "CACHE_ROWS", 2)
+        """The rows a solve keeps fit in _CACHE_BYTES, and the oldest goes
+        first, a hit not renewing a row; every row it gives equals the
+        kernel matrix's row, and a rebuilt row has the bits it had."""
         X = np.random.default_rng(5).normal(size=(6, 2))
+        monkeypatch.setattr(svm, "_CACHE_BYTES", 2 * 8 * len(X))
         spec = KernelSpec(degree=2)
-        K = svm._KernelSource(X, spec, None)
-        assert K.dense is None
-        for i in (0, 1, 0, 2, 3, 1):
+        K = svm._KernelSource(X, spec)
+        first = K.row(0).copy()
+        for i in (1, 0, 2, 3, 1):
             assert np.allclose(K.row(i), kernel_matrix(X, X[i:i + 1], spec)[:, 0], rtol=1e-14)
         # 0 goes when 2 comes, though read after 1; then 1 goes for 3, and 2 for 1
-        assert list(K._cache) == [3, 1]
+        assert list(K.rows) == [3, 1]
+        assert np.array_equal(K.row(0), first)
 
-    def test_row_cache_mode_matches_dense_mode(self, quick_table, monkeypatch):
-        work, train, std = quick_table
-        cfg = cfgp(100.0, 3)
-        dense = train_multiclass(train, cfg, standardizer=std)
+    def test_row_budget_never_changes_a_result(self, quick_table, monkeypatch):
+        """A budget of a few rows, which evicts and rebuilds rows all through
+        each solve, gives the models, update counts and certificates of the
+        default budget, under a binding C and a free one."""
+        _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
-        monkeypatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
-        monkeypatch.setattr(svm, "_gram", None)  # no pair builds dot products
-        cached = train_from_problems(mp, [cfg])[0][0]
-        assert cached.predict_dataset(work)[0] == dense.predict_dataset(work)[0]
-        feats = std.transform_features(work.feature_matrix())
-        for mc, md in zip(cached.machines, dense.machines):
-            assert len(mc.alphas) == len(md.alphas)
-            diff = np.abs(decision_values(mc, feats) - decision_values(md, feats)).max()
-            assert diff <= 10 * cfg.tolerance
+        cfgs = [cfgp(0.0005, 2), cfgp(10.0, 3), cfgp(1000.0, 4, 0.5)]
+        powered = []
+        polynomial = svm._polynomial
+        monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powered.append(a.shape) or polynomial(a, spec))
+        roomy, _ = train_from_problems(mp, cfgs)
+        roomy_builds = len(powered)
+        # at most 4 rows per solve: 4 of the smallest pair's, fewer of the others
+        monkeypatch.setattr(svm, "_CACHE_BYTES", 4 * 8 * min(len(p.X) for p in mp.problems))
+        tight, _ = train_from_problems(mp, cfgs)
+        assert len(powered) - roomy_builds > 3 * roomy_builds  # rows were evicted and built again
+        for a, b in zip(roomy, tight):
+            assert model_to_lines(a) == model_to_lines(b)
+            assert [(m.n_updates, m.c_free) for m in a.machines] == [(m.n_updates, m.c_free) for m in b.machines]
+        assert {m.c_free for model in roomy for m in model.machines} == {True, False}
 
 
 @pytest.fixture
@@ -615,17 +619,14 @@ def overlapping_pair(n=40, seed=3):
 
 
 class TestCertifiedReuse:
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "row-cached"])
-    def test_exp1_grid_equals_fresh_training(self, quick_table, monkeypatch, smo_calls, dense):
+    def test_exp1_grid_equals_fresh_training(self, quick_table, smo_calls):
         """Every exp1 cell, from exp1's one call, equals a fresh solve on a
-        fresh problem: same model file, update counts and convergence flags,
-        in both kernel modes; the C grid above 10 reuses the C=10 machines."""
+        fresh problem: same model file, update counts and convergence flags;
+        the C grid above 10 reuses the C=10 machines."""
         from ctgsvm.experiments import DEFAULT_C_GRID, DEFAULT_DEGREE_GRID
 
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
-        if not dense:
-            monkeypatch.setattr(svm, "DENSE_LIMIT", min(p.X.shape[0] for p in mp.problems) - 1)
         cfgs = [cfgp(C, degree) for degree in DEFAULT_DEGREE_GRID for C in DEFAULT_C_GRID]
         models, _ = train_from_problems(mp, cfgs)
         assert len(smo_calls) == 3 * len(DEFAULT_DEGREE_GRID)
@@ -699,35 +700,27 @@ class TestCertifiedReuse:
 
     def test_exp1_trains_one_machine_per_pair_and_degree(self, ctg_table, smo_calls, monkeypatch, tmp_path):
         """exp1's work on the quick table: 15 solves (3 pairs x 5 degrees;
-        the 75 larger-C cells reuse them), 3 dot-product builds (one per
-        pair), 15 kernel powers, and one train and one test prediction of
-        each of the 5 distinct models, the best cell's included."""
+        the 75 larger-C cells reuse them), no kernel matrix of a pair, and
+        one train and one test prediction of each of the 5 distinct models,
+        the best cell's included."""
         from ctgsvm.experiments import ExperimentConfig, build_pipeline, run_exp1
 
         _, path, _ = ctg_table
         pipe = build_pipeline(ExperimentConfig(data=path, seed=42, quick=True, out_dir=str(tmp_path)))
         sizes = {p.X.shape[0] for p in pairwise_problems(pipe.train).problems}
-        grams, powers, predictions = [], [], []
-        gram, polynomial, predict = svm._gram, svm._polynomial, svm.SvmModel.predict_matrix
-        monkeypatch.setattr(svm, "_gram", lambda X: grams.append(X.shape) or gram(X))
+        powers, predictions = [], []
+        polynomial, predict = svm._polynomial, svm.SvmModel.predict_matrix
         monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powers.append(a.shape) or polynomial(a, spec))
         monkeypatch.setattr(svm.SvmModel, "predict_matrix", lambda m, f: predictions.append(m) or predict(m, f))
         run_exp1(pipe)
         assert len(smo_calls) == 15
-        assert len(grams) == 3
-        assert len([s for s in powers if len(s) == 2 and s[0] == s[1] and s[0] in sizes]) == 15
+        assert not [s for s in powers if len(s) == 2 and s[0] == s[1] and s[0] in sizes]
         assert len(predictions) == 10 and len({id(m) for m in predictions}) == 5
 
-    def test_exp1_peak_memory_below_three_kernel_slots(self, ctg_table, tmp_path, monkeypatch):
-        """exp1 on the full synthetic table holds no more memory at its peak
-        than when each pair problem held its kernel in a slot of its own.
-        That design held all three pairs' kernels, and predicted with them
-        held; this one holds one pair's dot products and one kernel buffer,
-        and predicts after training. The pair matrices live in memory maps
-        (`svm._square`), which tracemalloc does not see, so they are counted
-        apart: the most bytes mapped at once, added to the traced peak."""
-        import weakref
-
+    def test_exp1_peak_memory_below_one_kernel_slot(self, ctg_table, tmp_path):
+        """exp1 on the full synthetic table holds less memory at its peak
+        than the kernel matrix of its largest pair alone: each solve keeps
+        only the kernel rows it reads, and frees them when it ends."""
         from ctgsvm.experiments import ExperimentConfig, build_pipeline, run_exp1
 
         _, path, is_real = ctg_table
@@ -735,29 +728,13 @@ class TestCertifiedReuse:
             pytest.skip("the figure is of the bundled synthetic table, not of CTG_CSV")
         pipe = build_pipeline(ExperimentConfig(data=path, seed=42, out_dir=str(tmp_path)))
         sizes = [p.X.shape[0] for p in pairwise_problems(pipe.train).problems]
-        mapped = {"live": 0, "most": 0}
-        square = svm._square
-
-        def counted(n):
-            out = square(n)
-            mapped["live"] += out.nbytes
-            mapped["most"] = max(mapped["most"], mapped["live"])
-            weakref.finalize(out, lambda size=out.nbytes: mapped.update(live=mapped["live"] - size))
-            return out
-
-        monkeypatch.setattr(svm, "_square", counted)
         tracemalloc.start()
         try:
             run_exp1(pipe)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert mapped["live"] == 0
-        assert mapped["most"] == 2 * 8 * max(sizes) ** 2  # the largest pair's dot products and buffer
-        # the three-slot design's traced peak here, which held every kernel
-        # on the heap: the lower of two runs (numpy 2.4.6); its three
-        # kernels alone were 28.9 MB
-        assert peak + mapped["most"] <= 32_676_638, (peak, mapped["most"])
+        assert peak < 8 * max(sizes) ** 2, peak
 
     def test_certificate_not_saved(self, quick_table, tmp_path):
         """A model served by reuse saves to the same bytes as before the
@@ -768,9 +745,9 @@ class TestCertifiedReuse:
         path = tmp_path / "model.txt"
         save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        # train_multiclass's file for C=1000, degree 3 before `c_free` existed
-        # (numpy 2.4.6, one BLAS thread)
-        assert digest == "bf088591c457629d2cc0d9ce4b93aeef9e8c9cc4c7d59154faf9dba6d48fc637"
+        # train_multiclass's file for C=1000, degree 3, solved alone (numpy
+        # 2.4.6; the same at one and two BLAS threads)
+        assert digest == "be1ff27d57929d7dfaedd3962adc45dddee607e4ce55a0c39ec9ecea3f43524e"
         assert not any(m.c_free for m in load_model(path).machines)
 
 
