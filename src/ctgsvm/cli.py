@@ -18,7 +18,7 @@ from .bagging import ENSEMBLE_MAGIC, EnsembleConfig, bagging_train, load_ensembl
 from .data import DataError, _read_text, export_csv, fit_standardizer, mask_by_names, select_features
 from .experiments import config_from_sources, load_config_file
 from .filters import scores_to_csv
-from .fs_ensemble import SELECTION_HEADER, SelectorId, run_selector
+from .fs_ensemble import RANKER_CODES, SELECTION_HEADER, SelectorId, run_selector
 from .report import render_table
 from .search import trace_to_csv
 from .svm import KernelSpec, SvmConfig, load_model, save_model, train_multiclass
@@ -105,7 +105,7 @@ def _load_work(args, fit: bool = True, **overrides):
 def _cmd_select(args) -> int:
     search = args.search
     if search is None:
-        search = "ranker" if args.selector in ("FS3", "FS4") else "genetic"
+        search = "ranker" if args.selector in RANKER_CODES else "genetic"
     sel_id = SelectorId(args.selector, search)
     cfg, work = _load_work(args, seed=args.seed, cutoff=args.cutoff)
     trace: list | None = [] if args.trace else None
@@ -125,8 +125,7 @@ def _cmd_train(args) -> int:
     mask = None
     if args.features:
         mask = mask_by_names(work, keep=[n.strip() for n in args.features.split(",")])
-    base = select_features(work, mask) if mask else work
-    std = fit_standardizer(base)
+    std = fit_standardizer(select_features(work, mask) if mask else work)
     cfg = SvmConfig(C=args.c, kernel=KernelSpec(degree=args.degree, coef0=args.coef0))
     if args.members > 1:
         ens = bagging_train(

@@ -44,7 +44,7 @@ from .report import (
     timed,
 )
 from .search import BestFirstConfig, GeneticConfig
-from .svm import KernelSpec, SvmConfig, pairwise_problems, train_from_problems, train_multiclass
+from .svm import KernelSpec, SvmConfig, pairwise_problems, train_from_problems
 
 QUICK_ROWS = 400
 
@@ -212,7 +212,7 @@ class Pipeline:
     test: Dataset
     _dmap: object = None
     _selections: dict = field(default_factory=dict)
-    _model_cache: dict = field(default_factory=dict)
+    _models: dict = field(default_factory=dict)
     _ensembles: dict = field(default_factory=dict)
     _evaluations: dict = field(default_factory=dict)
 
@@ -259,39 +259,44 @@ class Pipeline:
         cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts)
         return cms
 
-    def fit_svm(self, mask, C: float, degree: int):
-        """Train (with caching) a single multiclass SVM on the given mask."""
-        key = (mask, C, degree)
-        if key not in self._model_cache:
-            mask_list = sorted(mask) if mask is not None else None
-            base = select_features(self.train, mask_list) if mask_list else self.train
-            std = fit_standardizer(base)
-            model, secs = timed(
-                lambda: train_multiclass(self.train, self.cfg.svm(C, degree), mask_list, std)
-            )
-            self._model_cache[key] = (model, secs)
-        return self._model_cache[key]
+    def _columns(self, mask) -> tuple:
+        """The sorted columns of a feature mask, None for a mask of every
+        feature, and the standardizer fitted on those training columns."""
+        cols = None if mask is None or len(mask) == self.train.n_features else tuple(sorted(mask))
+        return cols, fit_standardizer(select_features(self.train, cols) if cols else self.train)
 
-    def ensemble(
-        self, mask: frozenset, C: float, degree: int, members: int
-    ) -> tuple[EnsembleModel, int, tuple]:
+    def models(self, mask, cells) -> list[tuple]:
+        """The single SVM of each (C, degree) cell on `mask`, with the (wall,
+        CPU) seconds of the solves that produced it (0 where a certified
+        machine served every pair). The memo is keyed by (columns, C,
+        degree), a mask of every feature as None. The cells not in it train
+        in one `train_from_problems` call, so a certified machine also
+        serves the larger C that follow it."""
+        cols, std = self._columns(mask)
+        new = [cell for cell in dict.fromkeys(cells) if (cols, *cell) not in self._models]
+        if new:
+            problems = pairwise_problems(self.train, cols, std)
+            trained, secs = train_from_problems(problems, [self.cfg.svm(C, degree) for C, degree in new])
+            self._models.update(((cols, *cell), pair) for cell, pair in zip(new, zip(trained, secs)))
+        return [self._models[(cols, *cell)] for cell in cells]
+
+    def ensemble(self, mask, C: float, degree: int, members: int) -> tuple[EnsembleModel, int, tuple]:
         """The bagged ensemble of `members` members on `mask`, with the size
         and the (wall, CPU) seconds of the training that produced it.
 
         Member i depends only on (master seed, i), and the seed, training
         partition and vote rule are fixed per pipeline. So the memo keeps
-        the largest ensemble trained per (mask, C, degree) and answers any
+        the largest ensemble trained per (columns, C, degree) and answers any
         request up to its size with a prefix of it.
         """
-        key = (mask, C, degree)
+        cols, std = self._columns(mask)
+        key = (cols, C, degree)
         if key not in self._ensembles or len(self._ensembles[key][0].members) < members:
-            mask_list = sorted(mask)
-            std = fit_standardizer(select_features(self.train, mask_list))
             ens_cfg = EnsembleConfig(
                 members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed, vote=self.cfg.vote
             )
             self._ensembles[key] = timed(
-                lambda: bagging_train(self.train, ens_cfg, feature_mask=mask_list, standardizer=std)
+                lambda: bagging_train(self.train, ens_cfg, feature_mask=cols, standardizer=std)
             )
         ens, secs = self._ensembles[key]
         return ens.prefix(members), len(ens.members), secs
@@ -306,7 +311,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
 
 
 class _Out:
-    """Collects output files for one experiment run."""
+    """Collects the output files, timing rows and convergence of one run."""
 
     def __init__(self, cfg: ExperimentConfig, exp_id: str):
         self.dir = Path(cfg.out_dir)
@@ -315,6 +320,8 @@ class _Out:
         self.seed = cfg.seed
         self.fmt = cfg.fmt
         self.files: list[Path] = []
+        self.timings: list = []  # (label, (wall seconds, CPU seconds)) per timed step
+        self.converged = True
 
     def _write(self, name: str, header, rows, fmt: str) -> None:
         suffix = "md" if fmt == "markdown" else "csv"
@@ -327,36 +334,33 @@ class _Out:
         if self.fmt == "markdown":
             self._write(name, header, rows, "markdown")
 
-    def timing(self, rows) -> None:
-        """rows: (label, (wall seconds, CPU seconds)) per timed step."""
-        rows = [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in rows]
+    def write_timing(self) -> None:
+        rows = [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in self.timings]
         self._write("timing", ["row", "wall_seconds", "cpu_seconds"], rows, "csv")
 
-
-def _accuracy_row(lead, acc: dict, model, *extra) -> list:
-    """The lead columns, then train, test and combined accuracy, then the
-    extra columns, then the convergence flag."""
-    accs = [fmt_accuracy(acc[tag]) for tag in ("train", "test", "combined")]
-    return [*lead, *accs, *extra, "" if model.converged else "non_converged"]
+    def accuracy_row(self, lead, acc: dict, model, *extra) -> list:
+        """The lead columns, then train, test and combined accuracy, then the
+        extra columns, then the model's convergence flag, which also counts
+        toward the run's."""
+        self.converged &= model.converged
+        accs = [fmt_accuracy(acc[tag]) for tag in ("train", "test", "combined")]
+        return [*lead, *accs, *extra, "" if model.converged else "non_converged"]
 
 
 # ---------------------------------------------------------------------------
 # Experiment 1: single SVM over the C x degree grid
 
 
-def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
+def run_exp1(pipe: Pipeline) -> _Out:
     cfg = pipe.cfg
     out = _Out(cfg, "exp1")
-    std = fit_standardizer(pipe.train)
-    problems, prep_secs = timed(lambda: pairwise_problems(pipe.train, None, std))
     cells = [(C, degree) for degree in cfg.degree_grid for C in cfg.c_grid]
-    trained, secs = train_from_problems(problems, [cfg.svm(C, degree) for C, degree in cells])
-    rows, timing, models = [], [("prepare", prep_secs)], {}
-    for (C, degree), model, cell_secs in zip(cells, trained, secs):
+    rows, models = [], {}
+    for (C, degree), (model, secs) in zip(cells, pipe.models(None, cells)):
         acc = pipe.accuracies(model)
         models[(C, degree)] = (model, acc)
-        rows.append(_accuracy_row([_fmt_c(C), degree], acc, model))
-        timing.append((f"C={_fmt_c(C)},degree={degree}", cell_secs))
+        rows.append(out.accuracy_row([_fmt_c(C), degree], acc, model))
+        out.timings.append((f"C={_fmt_c(C)},degree={degree}", secs))
     out.table("grid", ["C", "degree", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"], rows)
 
     best_key = max(
@@ -371,8 +375,8 @@ def run_exp1(pipe: Pipeline) -> tuple[_Out, bool]:
             for j, a in enumerate(labels):
                 conf_rows.append([tag, d, a, str(cm.counts[i, j]), ""])
     out.table("confusion", ["partition", "desired", "actual", "count", "note"], conf_rows)
-    out.timing(timing)
-    return out, all(model.converged for model in trained)
+    out.write_timing()
+    return out
 
 
 def _fmt_c(C: float) -> str:
@@ -393,34 +397,33 @@ EXP2_SELECTORS = (
 )
 
 
-def run_exp2(pipe: Pipeline) -> tuple[_Out, bool]:
+def run_exp2(pipe: Pipeline) -> _Out:
     cfg = pipe.cfg
     out = _Out(cfg, "exp2")
     names = pipe.train.feature_names
-    timing, selections = [], []
+    selections = []
     for code, search in EXP2_SELECTORS:
         sel, secs = timed(lambda: pipe.selection(code, search))
         selections.append(sel)
-        timing.append((sel.selector.label, secs))
+        out.timings.append((sel.selector.label, secs))
     out.table("features", SELECTION_HEADER, [sel.row(names) for sel in selections])
 
-    rows = []
-    all_converged = True
     masks = [("none", None, len(names))]
-    masks += [(sel.selector.label, frozenset(sel.selected), len(sel.selected)) for sel in selections]
-    for C, degree in cfg.exp2_cells:
-        for label, mask, n_features in masks:
-            model, secs = pipe.fit_svm(mask, C, degree)
-            all_converged &= model.converged
-            timing.append((f"{label},C={_fmt_c(C)},degree={degree}", secs))
-            rows.append(_accuracy_row([label, _fmt_c(C), degree, n_features], pipe.accuracies(model), model))
+    masks += [(sel.selector.label, sel.selected, len(sel.selected)) for sel in selections]
+    models = {label: pipe.models(mask, cfg.exp2_cells) for label, mask, _ in masks}
+    rows = []
+    for k, (C, degree) in enumerate(cfg.exp2_cells):
+        for label, _, n_features in masks:
+            model, secs = models[label][k]
+            out.timings.append((f"{label},C={_fmt_c(C)},degree={degree}", secs))
+            rows.append(out.accuracy_row([label, _fmt_c(C), degree, n_features], pipe.accuracies(model), model))
     out.table(
         "results",
         ["model", "C", "degree", "n_features", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"],
         rows,
     )
-    out.timing(timing)
-    return out, all_converged
+    out.write_timing()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +468,11 @@ def efs_feature_sets(pipe: Pipeline, members) -> list[tuple[str, str, frozenset]
     return out
 
 
-def run_exp3(pipe: Pipeline) -> tuple[_Out, bool]:
+def run_exp3(pipe: Pipeline) -> _Out:
     cfg = pipe.cfg
     out = _Out(cfg, "exp3")
     names = pipe.train.feature_names
-    rows, feat_rows, timing = [], [], []
-    all_converged = True
+    rows, feat_rows = [], []
     for members in _exp3_combos():
         ids = [SelectorId(code, search) for code, search in members]
         label = combo_label(ids)
@@ -478,14 +480,12 @@ def run_exp3(pipe: Pipeline) -> tuple[_Out, bool]:
             feat_rows.append(
                 [label, mode, cut, str(len(feats)), ";".join(names[f] for f in sorted(feats))]
             )
-            for C, degree in cfg.exp3_cells:
-                model, secs = pipe.fit_svm(feats, C, degree)
+            for (C, degree), (model, secs) in zip(cfg.exp3_cells, pipe.models(feats, cfg.exp3_cells)):
                 acc = pipe.accuracies(model)
-                all_converged &= model.converged
-                timing.append((f"{label},{mode},{cut},C={_fmt_c(C)},degree={degree}", secs))
+                out.timings.append((f"{label},{mode},{cut},C={_fmt_c(C)},degree={degree}", secs))
                 highlight = "yes" if acc["combined"] > cfg.highlight_threshold else ""
                 lead = [label, mode, cut, _fmt_c(C), degree, len(feats)]
-                rows.append(_accuracy_row(lead, acc, model, highlight))
+                rows.append(out.accuracy_row(lead, acc, model, highlight))
     out.table(
         "results",
         ["label", "mode", "cutoff", "C", "degree", "n_features",
@@ -493,8 +493,8 @@ def run_exp3(pipe: Pipeline) -> tuple[_Out, bool]:
         rows,
     )
     out.table("features", ["label", "mode", "cutoff", "n_features", "features"], feat_rows)
-    out.timing(timing)
-    return out, all_converged
+    out.write_timing()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def exp4_feature_set(pipe: Pipeline) -> frozenset:
     return aggregate([cut, fs1], "union")
 
 
-def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
+def run_exp4(pipe: Pipeline) -> _Out:
     cfg = pipe.cfg
     out = _Out(cfg, "exp4")
     feats = exp4_feature_set(pipe)
@@ -523,12 +523,12 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
     )
     max_members = cfg.exp4_members
     full, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, max_members)
-    timing = [(f"train,members={trained}", secs)]
+    out.timings.append((f"train,members={trained}", secs))
     # every member is predicted once per partition, and each prefix of m
     # members votes over the first m columns
     partitions = (pipe.train, pipe.test, pipe.work)
     (train, test, work), secs = timed(lambda: [full.member_predictions(ds) for ds in partitions])
-    timing.append((f"predict,members={max_members}", secs))
+    out.timings.append((f"predict,members={max_members}", secs))
     member_cols = [""] * max_members
 
     def accuracies(train_codes, test_codes) -> dict:
@@ -540,68 +540,58 @@ def run_exp4(pipe: Pipeline) -> tuple[_Out, bool]:
         ens = full.prefix(m)
         acc = accuracies(ens.vote_codes(train[:, :m])[0], ens.vote_codes(test[:, :m])[0])
         agree = fmt_accuracy(100.0 * agreement(work[:, :m])) if m >= 2 else ""
-        return _accuracy_row([str(m), *member_cols], acc, ens, agree)
+        return out.accuracy_row([str(m), *member_cols], acc, ens, agree)
 
     rows = []
     for m in range(1, max_members + 1):
         row, secs = timed(lambda: evaluate(m))
         rows.append(row)
-        timing.append((f"evaluate,members={m}", secs))
+        out.timings.append((f"evaluate,members={m}", secs))
     header = (
         ["members"]
         + [f"member_{i}_accuracy" for i in range(1, max_members + 1)]
         + ["voting_train", "voting_test", "voting_combined", "agreement", "flags"]
     )
     out.table("sweep", header, rows)
-    out.timing(timing)
-    return out, full.converged
+    out.write_timing()
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Experiment 5: summary across the other four
 
 
-def run_exp5(pipe: Pipeline) -> tuple[_Out, bool]:
+def run_exp5(pipe: Pipeline) -> _Out:
     cfg = pipe.cfg
     out = _Out(cfg, "exp5")
-    rows, timing = [], []
-    all_converged = True
+    rows = []
 
     def single(experiment, label, mask, C, degree):
-        nonlocal all_converged
-        model, secs = pipe.fit_svm(mask, C, degree)
-        all_converged &= model.converged
+        [(model, secs)] = pipe.models(mask, [(C, degree)])
         # the seconds of the training that produced the model, which in an
-        # `all` run is the one exp2 or exp3 cached
-        timing.append((f"{label},train", secs))
-        rows.append(_accuracy_row([experiment, label, _fmt_c(C), degree, ""], pipe.accuracies(model), model))
+        # `all` run may be exp1's, exp2's or exp3's
+        out.timings.append((f"{label},train", secs))
+        rows.append(out.accuracy_row([experiment, label, _fmt_c(C), degree, ""], pipe.accuracies(model), model))
 
     single("1", "SVM", None, 10.0, 3)
-    for code, search, label in (
-        ("FS1", "genetic", "FS1-SVM"),
-        ("FS2", "genetic", "FS2-SVM"),
-        ("FS3", "ranker", "FS3-SVM"),
-        ("FS4", "ranker", "FS4-SVM"),
-    ):
-        sel = pipe.selection(code, search)
-        single("2", label, frozenset(sel.selected), 10.0, 3)
+    for code, search in EXP3_MEMBERS:
+        single("2", f"{code}-SVM", pipe.selection(code, search).selected, 10.0, 3)
 
     feats = exp4_feature_set(pipe)
     single("3", "EFS41-SVM", feats, cfg.exp4_c, cfg.exp4_degree)
 
     ens, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, cfg.exp5_members)
-    all_converged &= ens.converged
-    timing.append((f"EFS41-ESVM,train,members={trained}", secs))
+    out.timings.append((f"EFS41-ESVM,train,members={trained}", secs))
     lead = ["4", "EFS41-ESVM", _fmt_c(cfg.exp4_c), cfg.exp4_degree, str(cfg.exp5_members)]
-    rows.append(_accuracy_row(lead, pipe.accuracies(ens), ens))
+    rows.append(out.accuracy_row(lead, pipe.accuracies(ens), ens))
     out.table(
         "summary",
         ["experiment", "model", "C", "degree", "members",
          "train_accuracy", "test_accuracy", "combined_accuracy", "flags"],
         rows,
     )
-    out.timing(timing)
-    return out, all_converged
+    out.write_timing()
+    return out
 
 
 RUNNERS = {
@@ -630,13 +620,13 @@ def cmd_experiment(exp_id: str, cfg: ExperimentConfig, log=print) -> int:
         "combined-set voting accuracy; single-model accuracy columns use the "
         "same combined train+test convention"
     )
-    any_nonconverged = False
+    converged = True
     for i in ids:
         try:
-            out, converged = RUNNERS[i](pipe)
+            out = RUNNERS[i](pipe)
         except DataError as exc:
             raise DataError(f"{i}: {exc}") from exc
-        any_nonconverged |= not converged
+        converged &= out.converged
         for f in out.files:
             log(f"wrote {f}")
-    return 4 if any_nonconverged else 0
+    return 0 if converged else 4

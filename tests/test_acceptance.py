@@ -177,7 +177,7 @@ def test_criterion_3_search_correctness():
 @pytest.fixture(scope="module")
 def baseline_run(pipe):
     t0 = time.perf_counter()
-    model, _ = pipe.fit_svm(None, 10.0, 3)
+    [(model, _)] = pipe.models(None, [(10.0, 3)])
     acc = pipe.accuracies(model)
     return model, acc, time.perf_counter() - t0
 
@@ -214,14 +214,14 @@ def test_criterion_6_feature_selection_effect(pipe, baseline_run):
     for code in ("FS3", "FS4"):
         sel = pipe.selection(code, "ranker")
         assert sel.selected == frozenset(range(pipe.train.n_features))  # keep-all
-        model, _ = pipe.fit_svm(frozenset(sel.selected), 10.0, 3)
+        [(model, _)] = pipe.models(sel.selected, [(10.0, 3)])
         acc = pipe.accuracies(model)["combined"]
         exact.append(acc == base)
     deltas = {}
     for code in ("FS1", "FS2"):
         for search in ("best_first", "genetic"):
             sel = pipe.selection(code, search)
-            model, _ = pipe.fit_svm(frozenset(sel.selected), 10.0, 3)
+            [(model, _)] = pipe.models(sel.selected, [(10.0, 3)])
             deltas[f"{code}-{search}"] = base - pipe.accuracies(model)["combined"]
     worst = max(deltas.values())
     ok = all(exact) and worst <= 3.5
@@ -241,7 +241,7 @@ def ensemble_sweep(pipe):
     t0 = time.perf_counter()
     feats = exp4_feature_set(pipe)
     C, degree = pipe.cfg.exp4_c, pipe.cfg.exp4_degree
-    single, _ = pipe.fit_svm(feats, C, degree)
+    [(single, _)] = pipe.models(feats, [(C, degree)])
     single_acc = pipe.accuracies(single)["combined"]
     ens, _, _ = pipe.ensemble(feats, C, degree, 10)
     codes = {

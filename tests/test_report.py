@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctgsvm.data import DataError
-from ctgsvm.experiments import _accuracy_row
+from ctgsvm.experiments import ExperimentConfig, _Out
 from ctgsvm.report import (
     ConfusionMatrix,
     accuracy,
@@ -140,7 +140,7 @@ class TestRender:
         with pytest.raises(DataError):
             render_table(HEADER, ROWS, "html")
 
-    def test_accuracy_consistent_with_matrix(self):
+    def test_accuracy_consistent_with_matrix(self, tmp_path):
         cms = {
             "train": ConfusionMatrix(LABELS, TRAIN_COUNTS),
             "test": ConfusionMatrix(LABELS, TEST_COUNTS),
@@ -148,6 +148,13 @@ class TestRender:
         }
         acc = {tag: accuracy(cm) for tag, cm in cms.items()}
         assert acc["combined"] == pytest.approx(100.0 * 2113 / 2126, abs=1e-9)
-        row = _accuracy_row(["SVM"], acc, SimpleNamespace(converged=True))
-        text = render_table(("model", "train", "test", "combined", "flags"), [row], "csv")
-        assert text.splitlines()[1] == "SVM,99.79,98.49,99.39,"
+        out = _Out(ExperimentConfig(data="unused.csv", out_dir=str(tmp_path)), "exp1")
+        rows = [out.accuracy_row(["SVM"], acc, SimpleNamespace(converged=True))]
+        assert out.converged
+        # a row of a model that did not converge is flagged, and so is the run
+        rows.append(out.accuracy_row(["SVM"], acc, SimpleNamespace(converged=False)))
+        rows.append(out.accuracy_row(["SVM"], acc, SimpleNamespace(converged=True)))
+        assert not out.converged
+        text = render_table(("model", "train", "test", "combined", "flags"), rows, "csv")
+        assert text.splitlines()[1:] == ["SVM,99.79,98.49,99.39,", "SVM,99.79,98.49,99.39,non_converged",
+                                         "SVM,99.79,98.49,99.39,"]

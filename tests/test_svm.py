@@ -751,6 +751,57 @@ class TestCertifiedReuse:
         assert not any(m.c_free for m in load_model(path).machines)
 
 
+class TestSingleSvmMemo:
+    """`Pipeline.models`, the one memo of the experiments' single SVMs."""
+
+    @pytest.fixture
+    def quick_pipe(self, ctg_table, tmp_path):
+        from ctgsvm.experiments import ExperimentConfig, build_pipeline
+
+        _, path, _ = ctg_table
+        return build_pipeline(ExperimentConfig(data=path, seed=42, quick=True, out_dir=str(tmp_path)))
+
+    def test_memo_equals_fresh_training(self, quick_pipe, smo_calls):
+        """Every exp2 and exp3 cell of the quick table, as exp2 and exp3
+        trained it, equals train_multiclass on that mask alone: the same
+        machines, update counts and train and test labels. A mask of every
+        feature (FS3 and FS4 keep all) reads the `none` row's model."""
+        from ctgsvm.data import fit_standardizer, select_features
+        from ctgsvm.experiments import EXP2_SELECTORS, _exp3_combos, efs_feature_sets, run_exp2, run_exp3
+
+        pipe, cfg = quick_pipe, quick_pipe.cfg
+        run_exp2(pipe)
+        run_exp3(pipe)
+        solved = len(smo_calls)
+        masks = [None] + [pipe.selection(code, search).selected for code, search in EXP2_SELECTORS]
+        keys = [(mask, cell) for mask in masks for cell in cfg.exp2_cells]
+        keys += [(feats, cell) for members in _exp3_combos() for _, _, feats in efs_feature_sets(pipe, members)
+                 for cell in cfg.exp3_cells]
+        served = {(mask, cell): pipe.models(mask, [cell])[0][0] for mask, cell in keys}
+        assert len(smo_calls) == solved  # exp2 and exp3 trained every cell
+        every = frozenset(range(pipe.train.n_features))
+        assert all(served[(every, cell)] is served[(None, cell)] for cell in cfg.exp2_cells)
+        for (mask, (C, degree)), model in served.items():
+            cols = sorted(mask) if mask is not None else None
+            std = fit_standardizer(select_features(pipe.train, cols) if cols else pipe.train)
+            fresh = train_multiclass(pipe.train, cfg.svm(C, degree), cols, std)
+            for ds in (pipe.train, pipe.test):
+                assert model.predict_dataset(ds)[0] == fresh.predict_dataset(ds)[0]
+            for got, want in zip(model.machines, fresh.machines, strict=True):
+                assert np.array_equal(got.support_vectors, want.support_vectors)
+                assert np.array_equal(got.alphas, want.alphas)
+                assert (got.bias, got.n_updates) == (want.bias, want.n_updates)
+
+    def test_quick_all_run_solve_count(self, quick_pipe, smo_calls):
+        """The work of a quick `all` run: 133 solves, against 189 with one
+        training per exp2, exp3 and exp5 cell, keyed by the mask object."""
+        from ctgsvm.experiments import EXPERIMENT_IDS, RUNNERS
+
+        for exp_id in EXPERIMENT_IDS:
+            RUNNERS[exp_id](quick_pipe)
+        assert len(smo_calls) == 133
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         ds = sep3(seed=4)
