@@ -79,8 +79,8 @@ class EnsembleModel:
 
     def __post_init__(self):
         """Members must agree on everything one stacked evaluation shares:
-        the classes, the kernel, the one-vs-one pairs, the feature mask and
-        the standardizer."""
+        the classes (and so the one-vs-one pairs), the kernel, the feature
+        mask and the standardizer."""
         if not self.members:
             raise DataError("an ensemble needs at least one member")
         first = self.members[0][0]
@@ -91,7 +91,6 @@ class EnsembleModel:
                 )
             for what, got, want in (
                 ("kernel", m.machines[0].kernel, first.machines[0].kernel),
-                ("class pairs", m.pairs, first.pairs),
                 ("feature mask", m.feature_mask, first.feature_mask),
                 ("standardizer", _standardizer_key(m.standardizer), _standardizer_key(first.standardizer)),
             ):
@@ -106,7 +105,7 @@ class EnsembleModel:
     def _stack(self) -> _Stack:
         # one group of machines per member; built on first prediction
         machines = [mach for m, _, _ in self.members for mach in m.machines]
-        return _Stack.of(machines, self.members[0][0].pairs, len(self.classes))
+        return _Stack.of(machines, len(self.classes))
 
     @cached_property
     def _priors(self) -> np.ndarray:

@@ -24,7 +24,6 @@ from .data import (
     stratified_split,
     stratified_subsample,
 )
-from .filters import rank_cutoff
 from .fs_ensemble import (
     SELECTION_HEADER,
     FeatureSelection,
@@ -271,7 +270,7 @@ class Pipeline:
         machine served every pair). The memo is keyed by (columns, C,
         degree), a mask of every feature as None. The cells not in it train
         in one `train_from_problems` call, so a certified machine also
-        serves the larger C that follow it."""
+        serves every larger C among them, in any order."""
         cols, std = self._columns(mask)
         new = [cell for cell in dict.fromkeys(cells) if (cols, *cell) not in self._models]
         if new:
@@ -450,20 +449,12 @@ def efs_feature_sets(pipe: Pipeline, members) -> list[tuple[str, str, frozenset]
     """
     n = pipe.train.n_features
     sels = [pipe.selection(code, search) for code, search in members]
-    out = []
-    out.append(("union", "keep_all", aggregate(sels, "union")))
+    out = [("union", "keep_all", aggregate(sels, "union"))]
     subset_sizes = [len(s.selected) for s in sels if s.scores is None]
-    has_ranker = any(s.scores is not None for s in sels)
     if subset_sizes:
         k = min(subset_sizes)
-        if has_ranker:
-            cut = [
-                FeatureSelection(s.selector, rank_cutoff(s.scores, "top_k", k), scores=s.scores)
-                if s.scores is not None
-                else s
-                for s in sels
-            ]
-            out.append(("union", f"top_k:{k}", aggregate(cut, "union")))
+        if len(subset_sizes) < len(sels):  # a ranker member is present
+            out.append(("union", f"top_k:{k}", aggregate(sels, "union", k=k)))
         out.append(("mean_rank", f"top_k:{k}", aggregate(sels, "mean_rank_top_k", k=k, n_features=n)))
     return out
 
@@ -506,9 +497,7 @@ def exp4_feature_set(pipe: Pipeline) -> frozenset:
     subset's size, united with the correlation subset."""
     fs1 = pipe.selection("FS1", "genetic")
     fs4 = pipe.selection("FS4", "ranker")
-    k = max(1, len(fs1.selected))
-    cut = FeatureSelection(fs4.selector, rank_cutoff(fs4.scores, "top_k", k), scores=fs4.scores)
-    return aggregate([cut, fs1], "union")
+    return aggregate([fs4, fs1], "union", k=max(1, len(fs1.selected)))
 
 
 def run_exp4(pipe: Pipeline) -> _Out:

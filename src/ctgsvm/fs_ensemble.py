@@ -101,9 +101,9 @@ def run_selector(
     dmap: DiscretizationMap | None = None,
     trace: list | None = None,
 ) -> FeatureSelection:
-    """Execute one selector on the training partition. A subset search
-    appends its (evaluation, subset, score) steps to `trace` when given;
-    the rankers leave it untouched."""
+    """Execute one selector on the training partition. A subset search's
+    evaluator appends its (evaluation, subset, score) steps to `trace` when
+    given; the rankers leave it untouched."""
     if dmap is None:
         dmap = fit_discretization(train)
     if sel.code in SUBSET_CODES:
@@ -112,10 +112,11 @@ def run_selector(
             if sel.code == "FS1"
             else make_consistency_evaluator(train, dmap)
         )
+        evaluator.trace = trace
         if sel.search == "best_first":
-            res = best_first(evaluator, train.n_features, cfg.best_first, trace=trace)
+            res = best_first(evaluator, train.n_features, cfg.best_first)
         else:
-            res = genetic_search(evaluator, train.n_features, cfg.genetic, trace=trace)
+            res = genetic_search(evaluator, train.n_features, cfg.genetic)
         return FeatureSelection(sel, res.subset, value=res.value)
     scores = (
         relieff(train, m=cfg.relieff_m, k=cfg.relieff_k, seed=cfg.relieff_seed)
@@ -138,14 +139,17 @@ def aggregate(
 ) -> frozenset:
     """Merge several selector outputs into one feature set.
 
-    union keeps any feature some member chose; mean_rank_top_k averages
-    each feature's rank position across members and keeps the k best (ties
-    by ascending index).
+    union keeps any feature some member chose, with each ranker member
+    re-cut to its top k when k is given; mean_rank_top_k averages each
+    feature's rank position across members and keeps the k best (ties by
+    ascending index).
     """
     if len(selections) < 2:
         raise DataError("need at least 2 selections to aggregate")
     if mode == "union":
-        return frozenset().union(*(s.selected for s in selections))
+        return frozenset().union(*(
+            s.selected if k is None or s.scores is None else rank_cutoff(s.scores, "top_k", k) for s in selections
+        ))
     if mode == "mean_rank_top_k":
         if n_features is None:
             raise DataError("mean_rank_top_k requires n_features")

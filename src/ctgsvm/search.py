@@ -1,9 +1,10 @@
 """Feature-subset search: greedy best-first and a generational GA over
 bitmasks.
 
-All searches share one tie rule (higher score, then smaller subset, then
-lexicographically smallest index tuple), never return an empty subset, and
-are deterministic given their configuration and seed.
+All searches share one tie rule, carried by the key `_rank` (higher score,
+then smaller subset, then lexicographically smallest index tuple), never
+return an empty subset, and are deterministic given their configuration
+and seed.
 """
 from __future__ import annotations
 
@@ -19,12 +20,15 @@ from .report import render_table
 
 
 class SubsetEvaluator:
-    """Deterministic larger-is-better subset scorer with memo and call count."""
+    """Deterministic larger-is-better subset scorer with memo and call count.
+    While `trace` is a list, every call appends (call number, subset, score)
+    to it: the search's steps, memo hits included."""
 
     def __init__(self, fn: Callable[[frozenset], float]):
         self._fn = fn
         self.calls = 0
         self._memo: dict[frozenset, float] = {}
+        self.trace: list | None = None
 
     def score(self, subset: frozenset) -> float:
         self.calls += 1
@@ -32,6 +36,8 @@ class SubsetEvaluator:
         if got is None:
             got = float(self._fn(subset))
             self._memo[subset] = got
+        if self.trace is not None:
+            self.trace.append((self.calls, subset, got))
         return got
 
 
@@ -45,23 +51,15 @@ def make_consistency_evaluator(ds, dmap) -> SubsetEvaluator:
     return SubsetEvaluator(lambda s: -inconsistency_rate(ds, s, dmap, cache=cache))
 
 
-def _better(sub_a: frozenset, val_a: float, sub_b: frozenset, val_b: float) -> bool:
-    """True when (sub_a, val_a) wins under the shared tie rule."""
-    if val_a != val_b:
-        return val_a > val_b
-    return (len(sub_a), tuple(sorted(sub_a))) < (len(sub_b), tuple(sorted(sub_b)))
+def _rank(subset: frozenset, value: float) -> tuple:
+    """The shared tie rule as a key, smallest first: higher score, then
+    smaller subset, then lexicographically smallest index tuple."""
+    return (-value, len(subset), tuple(sorted(subset)))
 
 
-def _best_singleton(evaluator: SubsetEvaluator, n_features: int, trace=None):
-    best_sub, best_val = None, None
-    for f in range(n_features):
-        sub = frozenset([f])
-        val = evaluator.score(sub)
-        if trace is not None:
-            trace.append((evaluator.calls, sub, val))
-        if best_sub is None or _better(sub, val, best_sub, best_val):
-            best_sub, best_val = sub, val
-    return best_sub, best_val
+def _best_singleton(evaluator: SubsetEvaluator, n_features: int) -> SubsetEvaluation:
+    scored = [(frozenset([f]), evaluator.score(frozenset([f]))) for f in range(n_features)]
+    return SubsetEvaluation(*min(scored, key=lambda s: _rank(*s)))
 
 
 @dataclass(frozen=True)
@@ -77,34 +75,27 @@ def best_first(
     evaluator: SubsetEvaluator,
     n_features: int,
     cfg: BestFirstConfig = BestFirstConfig(),
-    trace: list | None = None,
 ) -> SubsetEvaluation:
     """Forward best-first search from the empty set over add-one neighbors.
 
-    Keeps an open list ordered by score, expands the best node, and stops
-    after stale_limit consecutive expansions that fail to improve the global
-    best. Total evaluations are capped at stale_limit * n * (n + 1). The
-    empty set is never returned; if nothing beats it, the best singleton is.
+    Keeps an open list ordered by the tie rule, expands the best node, and
+    stops after stale_limit consecutive expansions that fail to improve the
+    global best. Total evaluations are capped at stale_limit * n * (n + 1).
+    The empty set is never returned; if nothing beats it, the best singleton is.
     """
     if n_features < 1:
         raise DataError("n_features must be >= 1")
     cap = cfg.stale_limit * n_features * (n_features + 1)
 
-    def score(sub: frozenset) -> float:
-        val = evaluator.score(sub)
-        if trace is not None:
-            trace.append((evaluator.calls, sub, val))
-        return val
-
     empty = frozenset()
-    best_sub, best_val = empty, score(empty)
+    best_sub, best_val = empty, evaluator.score(empty)
+    best_key = _rank(empty, best_val)
     evaluated = 1
     visited = {empty}
-    counter = 0  # heap tiebreaker insertion order; deterministic push order
-    heap = [(-best_val, 0, (), counter, empty)]
+    heap = [(best_key, empty)]  # each node enters once, so no comparison reaches a subset
     stale = 0
     while heap and stale < cfg.stale_limit and evaluated < cap:
-        _, _, _, _, node = heapq.heappop(heap)
+        _, node = heapq.heappop(heap)
         improved = False
         for f in range(n_features):
             if f in node:
@@ -113,12 +104,12 @@ def best_first(
             if child in visited:
                 continue
             visited.add(child)
-            val = score(child)
+            val = evaluator.score(child)
             evaluated += 1
-            counter += 1
-            heapq.heappush(heap, (-val, len(child), tuple(sorted(child)), counter, child))
-            if _better(child, val, best_sub, best_val):
-                best_sub, best_val = child, val
+            key = _rank(child, val)
+            heapq.heappush(heap, (key, child))
+            if key < best_key:
+                best_sub, best_val, best_key = child, val, key
                 improved = True
             if evaluated >= cap:
                 break
@@ -127,7 +118,7 @@ def best_first(
         else:
             stale += 1
     if not best_sub:
-        best_sub, best_val = _best_singleton(evaluator, n_features, trace)
+        return _best_singleton(evaluator, n_features)
     return SubsetEvaluation(best_sub, best_val)
 
 
@@ -153,7 +144,6 @@ def genetic_search(
     evaluator: SubsetEvaluator,
     n_features: int,
     cfg: GeneticConfig = GeneticConfig(),
-    trace: list | None = None,
 ) -> SubsetEvaluation:
     """Generational GA over fixed-length bitmasks.
 
@@ -166,11 +156,10 @@ def genetic_search(
     rng = np.random.default_rng(int(cfg.seed))
     pop = rng.random((cfg.population, n_features)) < 0.5
 
-    best_sub: frozenset | None = None
-    best_val = 0.0
+    best = None  # (key, subset, value) of the best individual so far
 
     def evaluate(population: np.ndarray) -> np.ndarray:
-        nonlocal best_sub, best_val
+        nonlocal best
         raw = np.empty(len(population))
         zero = np.zeros(len(population), dtype=bool)
         for i, mask in enumerate(population):
@@ -181,10 +170,10 @@ def genetic_search(
                 continue
             val = evaluator.score(sub)
             raw[i] = val
-            if trace is not None:
-                trace.append((evaluator.calls, sub, val))
-            if best_sub is None or _better(sub, val, best_sub, best_val):
-                best_sub, best_val = sub, val
+            if best is None or -val <= best[0][0]:  # only a candidate that can win is keyed
+                key = _rank(sub, val)
+                if best is None or key < best[0]:
+                    best = (key, sub, val)
         if zero.any():
             worst = raw[~zero].min() - 1.0 if (~zero).any() else -1.0
             raw[zero] = worst
@@ -216,9 +205,9 @@ def genetic_search(
         pop = np.array(nxt)
         fitness = evaluate(pop)
 
-    if best_sub is None:
-        best_sub, best_val = _best_singleton(evaluator, n_features, trace)
-    return SubsetEvaluation(best_sub, best_val)
+    if best is None:
+        return _best_singleton(evaluator, n_features)
+    return SubsetEvaluation(best[1], best[2])
 
 
 def trace_to_csv(trace) -> str:

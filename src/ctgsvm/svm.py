@@ -35,7 +35,7 @@ from .data import DataError, Dataset, Standardizer, _read_text
 _CACHE_BYTES = 32 << 20  # kernel rows a solve keeps: every row of a problem of up to 2048 rows
 _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
 EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
-_BLOCK = 1 << 15  # elements per block of the in-place kernel power and of a prediction kernel (256 KiB)
+_BLOCK = 1 << 15  # elements per block of a prediction's kernel values and of its decisions (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
 MODEL_VERSION = 1
 
@@ -79,29 +79,22 @@ def kernel_matrix(U, V, spec: KernelSpec) -> np.ndarray:
 
 
 def _polynomial(dots: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """(dots + coef0) ** degree, computed in place on a C-contiguous array
-    of dot products that the caller hands over, and returned.
+    """(dots + coef0) ** degree, computed in place on the dot products that
+    the caller hands over (one kernel row, one diagonal or one block of a
+    prediction's kernel), and returned.
 
     The power is left-to-right square-and-multiply over the degree's bits,
-    one block of the flattened array at a time; a degree whose lower bits
-    are set keeps the block's base in a one-block scratch buffer. So no
-    second array of the kernel's size exists, and a few multiplies replace
-    libm `pow`. Values may differ from `**` in the last one or two ulps.
+    with a copy of the base when a lower bit is set: a few multiplies
+    replace libm `pow`. Values may differ from `**` in the last one or two
+    ulps.
     """
-    assert dots.flags.c_contiguous, "reshape of a non-contiguous array would copy"
-    flat = dots.reshape(-1)
+    dots += spec.coef0
     steps = bin(spec.degree)[3:]  # the bits below the leading one
-    base = np.empty(min(flat.size, _BLOCK)) if "1" in steps else None
-    for lo in range(0, flat.size, _BLOCK):
-        block = flat[lo:lo + _BLOCK]
-        block += spec.coef0
-        if base is not None:
-            held = base[:block.size]
-            np.copyto(held, block)
-        for bit in steps:
-            np.multiply(block, block, out=block)
-            if bit == "1":
-                np.multiply(block, held, out=block)
+    base = dots.copy() if "1" in steps else None
+    for bit in steps:
+        np.multiply(dots, dots, out=dots)
+        if bit == "1":
+            np.multiply(dots, base, out=dots)
     return dots
 
 
@@ -180,8 +173,8 @@ class _Stack:
     to_class: np.ndarray  # (classes, 2 * pairs): one-hot first classes, then second classes
 
     @classmethod
-    def of(cls, machines, pairs, n_classes: int) -> _Stack:
-        """The stack of `machines`, groups of len(pairs) machines in the order of `pairs`."""
+    def of(cls, machines, n_classes: int) -> _Stack:
+        """The stack of `machines`, groups of one machine per pair of `_pairs(n_classes)`."""
         kernel = machines[0].kernel
         if any(m.kernel != kernel for m in machines):
             raise DataError("machines evaluated together must share one kernel")
@@ -197,8 +190,8 @@ class _Stack:
         column = np.repeat(np.arange(len(machines)), [len(m.alphas) for m in machines])
         coef = np.zeros((len(support), len(machines)))
         np.add.at(coef, (where.reshape(-1), column), np.concatenate([m.alphas * m.labels for m in machines]))
-        onehot = np.eye(n_classes)
-        to_class = np.hstack([onehot[:, [ci for ci, _ in pairs]], onehot[:, [cj for _, cj in pairs]]])
+        onehot, (ci, cj) = np.eye(n_classes), np.array(_pairs(n_classes)).T
+        to_class = np.hstack([onehot[:, ci], onehot[:, cj]])
         return cls(support, coef, np.array([m.bias for m in machines]), kernel, to_class)
 
     def decisions(self, X: np.ndarray) -> np.ndarray:
@@ -502,6 +495,13 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
 # One-vs-one multiclass
 
 
+def _pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The one-vs-one class pairs of k classes in machine order: (0, 1),
+    (0, 2), ..., (1, 2), ..., (k - 2, k - 1). Models, stacks and model files
+    hold their machines in this order."""
+    return tuple((ci, cj) for ci in range(k) for cj in range(ci + 1, k))
+
+
 @dataclass(frozen=True)
 class PairProblem:
     """The training rows of one class pair: class ci's labelled +1, cj's -1."""
@@ -545,25 +545,27 @@ def pairwise_problems(
     if standardizer is not None:
         feats = standardizer.transform_features(feats)
     problems = []
-    for ci in range(k):
-        for cj in range(ci + 1, k):
-            idx = np.flatnonzero((codes == ci) | (codes == cj))
-            X = np.ascontiguousarray(feats[idx])
-            yb = np.where(codes[idx] == ci, 1.0, -1.0)
-            problems.append(PairProblem(ci, cj, X, yb))
+    for ci, cj in _pairs(k):
+        idx = np.flatnonzero((codes == ci) | (codes == cj))
+        X = np.ascontiguousarray(feats[idx])
+        yb = np.where(codes[idx] == ci, 1.0, -1.0)
+        problems.append(PairProblem(ci, cj, X, yb))
     return MulticlassProblem(train.class_labels, counts, problems, mask, standardizer)
 
 
 @dataclass
 class SvmModel:
-    """One binary machine per unordered class pair, voting for predictions."""
+    """One binary machine per unordered class pair, in `pairs` order, voting for predictions."""
 
     classes: tuple[str, ...]
     class_counts: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
     machines: list[BinarySvm]
     feature_mask: tuple[int, ...] | None = None
     standardizer: Standardizer | None = None
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return _pairs(len(self.classes))
 
     @property
     def converged(self) -> bool:
@@ -589,7 +591,7 @@ class SvmModel:
     @cached_property
     def _stack(self) -> _Stack:
         # built on first prediction; a model does not change once built
-        return _Stack.of(self.machines, self.pairs, len(self.classes))
+        return _Stack.of(self.machines, len(self.classes))
 
     def predict_matrix(self, feats: np.ndarray) -> tuple[list[str], dict]:
         feats = self._prepare(np.asarray(feats, dtype=float))
@@ -630,23 +632,24 @@ def _one_row(values) -> np.ndarray:
 
 
 def _pair_machines(p: PairProblem, cfgs: list[SvmConfig], seconds: np.ndarray) -> list[BinarySvm]:
-    """The machine of each config on pair p, adding each solve's (wall, CPU)
-    seconds, its kernel rows' builds included, to its config's row of
-    `seconds`. A certified machine (`c_free`) serves every later config that
-    differs only by a C at least as large, since that solve would repeat
-    the certified one step for step.
+    """The machine of each config on pair p, in the order of `cfgs`, adding
+    each solve's (wall, CPU) seconds, its kernel rows' builds included, to
+    its config's row of `seconds`. Configs are visited in ascending C
+    (stably), so that a certified machine (`c_free`) serves every config
+    that differs only by a larger or equal C, wherever it stands in `cfgs`:
+    that solve would repeat the certified one step for step.
     """
-    machines: list[BinarySvm] = []
+    machines: list[BinarySvm | None] = [None] * len(cfgs)
     certified: list[tuple[SvmConfig, BinarySvm]] = []
-    for k, cfg in enumerate(cfgs):
-        m = next((m for c, m in certified if c.C <= cfg.C and replace(c, C=cfg.C) == cfg), None)
+    for k, cfg in sorted(enumerate(cfgs), key=lambda kc: kc[1].C):
+        m = next((m for c, m in certified if replace(c, C=cfg.C) == cfg), None)
         if m is None:
             wall, cpu = time.perf_counter(), time.process_time()
             m = smo_train(p.X, p.yb, cfg)
             seconds[k] += (time.perf_counter() - wall, time.process_time() - cpu)
             if m.c_free:
                 certified.append((cfg, m))
-        machines.append(m)
+        machines[k] = m
     return machines
 
 
@@ -657,8 +660,8 @@ def train_from_problems(
     own solves: 0 for a config that reuses every machine.
 
     Training goes one class pair at a time; each solve builds the kernel
-    rows it reads and frees them when it ends. Consecutive configs whose
-    machines are the same objects share one model.
+    rows it reads and frees them when it ends. Configs whose machines are
+    the same objects share one model, the first such config's.
     """
     cfgs = list(cfgs)
     seconds = np.zeros((len(cfgs), 2))
@@ -666,13 +669,10 @@ def train_from_problems(
     models: list[SvmModel] = []
     for k in range(len(cfgs)):
         machines = [col[k] for col in columns]
-        if models and all(a is b for a, b in zip(models[-1].machines, machines)):
-            models.append(models[-1])
-            continue
-        models.append(SvmModel(
+        same = next((m for m in models if all(a is b for a, b in zip(m.machines, machines))), None)
+        models.append(same or SvmModel(
             classes=mp.classes,
             class_counts=mp.class_counts.copy(),
-            pairs=tuple((p.ci, p.cj) for p in mp.problems),
             machines=machines,
             feature_mask=mp.feature_mask,
             standardizer=mp.standardizer,
@@ -790,6 +790,7 @@ def _parse_model(cur: _Lines) -> SvmModel:
     from .data import AttributeSpec, NOMINAL, NUMERIC
 
     classes = tuple(cur.fields("classes"))
+    cur.require(len(classes) >= 2, "fewer than 2 classes")
     counts = np.array([int(c) for c in cur.fields("counts", len(classes))])
     kparts = cur.fields("kernel", 3)
     cur.require(kparts[0] == "polynomial", f"unsupported kernel kind {kparts[0]!r}")
@@ -826,11 +827,12 @@ def _parse_model(cur: _Lines) -> SvmModel:
         dim = len(standardizer.means)
     else:
         dim = None  # the first support row fixes the width
-    pairs, machines = [], []
-    while cur.pos < len(cur.lines) and cur.lines[cur.pos].startswith("machine\t"):
+    machines = []
+    for pair in _pairs(len(classes)):
         mp = cur.fields("machine", 5)
         ci, cj, n_sv, bias, conv = int(mp[0]), int(mp[1]), int(mp[2]), float.fromhex(mp[3]), bool(int(mp[4]))
-        cur.require(0 <= ci < len(classes) and 0 <= cj < len(classes) and n_sv >= 1, "bad machine header")
+        cur.require((ci, cj) == pair, "machine %d %d out of one-vs-one order, expected %d %d" % (ci, cj, *pair))
+        cur.require(n_sv >= 1, "machine without support rows")
         cur.require(math.isfinite(bias), "non-finite bias")
         labels, alphas, rows = [], [], []
         for _ in range(n_sv):
@@ -843,14 +845,11 @@ def _parse_model(cur: _Lines) -> SvmModel:
             rows.append([float.fromhex(v) for v in sp[2:]])
             ok = labels[-1] in (-1, 1) and 0.0 <= alphas[-1] < math.inf and all(map(math.isfinite, rows[-1]))
             cur.require(ok, "support row needs a label of +1 or -1, a finite alpha >= 0 and finite values")
-        pairs.append((ci, cj))
         machines.append(
             BinarySvm(np.array(rows), np.array(alphas), np.array(labels), bias, kernel, conv)
         )
-    if not machines or cur.lines[cur.pos:cur.pos + 1] != ["end"]:
-        raise DataError(f"malformed model file: expected a machine or the end marker at line {cur.pos + 1}")
-    cur.pos += 1
-    return SvmModel(classes, counts, tuple(pairs), machines, mask, standardizer)
+    cur.fields("end", 0)
+    return SvmModel(classes, counts, machines, mask, standardizer)
 
 
 def load_model(path) -> SvmModel:

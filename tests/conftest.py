@@ -58,13 +58,12 @@ def decision_model(decisions, classes, counts=None) -> SvmModel:
     every unit vector as a support row, with alpha * label set to its
     decision on that row. Class counts default to equal priors."""
     D = np.asarray(decisions, dtype=float)
-    pairs = tuple(combinations(range(len(classes)), 2))
-    assert D.shape[1] == len(pairs)
+    assert D.shape[1] == len(classes) * (len(classes) - 1) // 2
     kernel = KernelSpec(degree=1, coef0=0.0)
     eye = np.eye(D.shape[0])
     machines = [BinarySvm(eye, np.abs(d), np.where(d < 0, -1.0, 1.0), 0.0, kernel) for d in D.T]
     counts = np.ones(len(classes), dtype=int) if counts is None else np.asarray(counts)
-    return SvmModel(tuple(classes), counts, pairs, machines)
+    return SvmModel(tuple(classes), counts, machines)
 
 
 def labelling_model(labels, classes) -> SvmModel:

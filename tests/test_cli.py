@@ -146,6 +146,20 @@ class TestTrainPredict:
         assert code == 3
         assert "malformed model file" in capsys.readouterr().err
 
+    def test_machine_out_of_pair_order_is_data_error(self, small_csv, tmp_path, capsys):
+        """A machine header naming in-range classes in another pair's place
+        exits 3, naming its line, instead of predicting other labels."""
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--data", small_csv, "--out", str(model_path)]) == 0
+        lines = model_path.read_text().splitlines()
+        i = [i for i, ln in enumerate(lines) if ln.startswith("machine\t")][1]
+        lines[i] = lines[i].replace("machine\t0\t2\t", "machine\t0\t1\t")
+        model_path.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--model", str(model_path), "--data", small_csv,
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert f"out of one-vs-one order, expected 0 2 at line {i + 1}" in capsys.readouterr().err
+
     def test_bagged_train_and_predict(self, small_csv, tmp_path):
         model_path = tmp_path / "ens.txt"
         assert main(["train", "--data", small_csv, "--members", "3", "--c", "100",

@@ -102,11 +102,11 @@ class TestRunSelector:
         got = []
         sel = run_selector(SelectorId(code, search), ds, cfg, dmap, trace=got)
         evaluator = (make_cfs_evaluator if code == "FS1" else make_consistency_evaluator)(ds, dmap)
-        want = []
+        evaluator.trace = want = []
         if search == "best_first":
-            res = best_first(evaluator, ds.n_features, cfg.best_first, trace=want)
+            res = best_first(evaluator, ds.n_features, cfg.best_first)
         else:
-            res = genetic_search(evaluator, ds.n_features, cfg.genetic, trace=want)
+            res = genetic_search(evaluator, ds.n_features, cfg.genetic)
         assert want and got == want
         assert (sel.selected, sel.value) == (res.subset, res.value)
 
@@ -131,29 +131,39 @@ class TestRunSelector:
         assert 0 < len(binned) <= train.n_features
 
 
-FS2_TRACE = Path(__file__).with_name("fs2_trace_seed42.sha256")
+SUBSET_TRACE = Path(__file__).with_name("subset_trace_seed42.sha256")
 
 
-def fs2_trace_digests(train, dmap, cfg) -> dict[str, str]:
-    """SHA-256 of `trace_to_csv` for each FS2 subset search, by selector label."""
+def trace_digests(code, train, dmap, cfg) -> dict[str, str]:
+    """SHA-256 of `trace_to_csv` for each subset search of `code`, by selector label."""
     digests = {}
     for search in ("best_first", "genetic"):
         trace = []
-        run_selector(SelectorId("FS2", search), train, cfg, dmap, trace=trace)
-        digests[f"FS2-{search}"] = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
+        run_selector(SelectorId(code, search), train, cfg, dmap, trace=trace)
+        digests[f"{code}-{search}"] = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
     return digests
+
+
+def check_trace_pin(code, quick_train):
+    text = SUBSET_TRACE.read_text(encoding="utf-8")
+    pins = dict(reversed(ln.split()) for ln in text.splitlines() if ln and not ln.startswith("#"))
+    want = {label: digest for label, digest in pins.items() if label.startswith(f"{code}-")}
+    made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
+    assert len(want) == 2 and trace_digests(code, *quick_train) == want, (
+        f"pin made with {made_with[2:]}, running numpy {np.__version__}"
+    )
+
+
+def test_fs1_search_paths_match_pin(quick_train):
+    """Every correlation merit along both FS1 searches is as pinned."""
+    check_trace_pin("FS1", quick_train)
 
 
 def test_fs2_search_paths_match_pin(quick_train):
     """Every consistency score along both FS2 searches is as pinned: a
     change to a single score changes its trace line even when the selected
     features stay the same."""
-    text = FS2_TRACE.read_text(encoding="utf-8")
-    want = dict(reversed(ln.split()) for ln in text.splitlines() if ln and not ln.startswith("#"))
-    made_with = next(ln for ln in text.splitlines() if ln.startswith("# numpy"))
-    assert fs2_trace_digests(*quick_train) == want, (
-        f"pin made with {made_with[2:]}, running numpy {np.__version__}"
-    )
+    check_trace_pin("FS2", quick_train)
 
 
 def subset_selection(code, search, feats):
@@ -200,6 +210,16 @@ class TestAggregate:
         a = subset_selection("FS1", "genetic", {1, 3})
         b = ranked_selection("FS4", [0, 1, 2, 3], selected={0, 2})
         assert aggregate([a, b], "union") == aggregate([b, a], "union")
+
+    def test_union_recuts_rankers_to_k(self):
+        """With k, each ranker member joins the union with its top k only;
+        subset members join whole."""
+        a = subset_selection("FS1", "genetic", {1, 3})
+        b = ranked_selection("FS4", [4, 0, 2, 1, 3])
+        assert aggregate([a, b], "union") == frozenset(range(5))
+        assert aggregate([a, b], "union", k=2) == frozenset({0, 1, 3, 4})
+        with pytest.raises(DataError, match="top_k: k=6 out of range"):
+            aggregate([a, b], "union", k=6)
 
     def test_unknown_mode_rejected(self):
         pair = [subset_selection("FS1", "genetic", {1, 3}), subset_selection("FS2", "genetic", {3, 5})]

@@ -218,8 +218,9 @@ class TestEvaluatorFactories:
 
 
 def test_trace_csv():
-    trace = []
-    best_first(ev(two_good_features), 4, trace=trace)
+    evaluator = ev(two_good_features)
+    evaluator.trace = trace = []
+    best_first(evaluator, 4)
     text = trace_to_csv(trace)
     lines = text.strip().splitlines()
     assert lines[0] == "iteration,subset_hex,score"

@@ -87,7 +87,7 @@ BLOCK = svm._BLOCK
 
 
 class TestPolynomialPower:
-    """`_polynomial` raises to an integer power in place, block by block."""
+    """`_polynomial` raises to an integer power in place, in one pass."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -105,23 +105,25 @@ class TestPolynomialPower:
                 assert out is dots
                 np.testing.assert_allclose(dots, (x + coef0) ** degree, rtol=1e-14, atol=0)
 
-    def test_non_contiguous_input_refused(self):
-        with pytest.raises(AssertionError):
-            svm._polynomial(np.ones((4, 6))[:, ::2], KernelSpec(degree=3))
-
     @pytest.mark.parametrize("degree", [3, 4, 7])
     def test_dense_kernel_holds_one_matrix(self, degree):
-        """A prediction's kernel matrix is raised in place: no second matrix
-        of its size exists."""
-        X = np.random.default_rng(3).normal(size=(1500, 21))
+        """A prediction holds one block of kernel values at a time, raised in
+        place beside at most one copy of its base: no kernel matrix of the
+        batch against the support rows exists."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(1500, 21))
+        kernel = KernelSpec(degree=degree, coef0=1.0)
+        machines = [BinarySvm(X[i::3], rng.random(500), np.ones(500), 0.0, kernel) for i in range(3)]
+        stack = svm._Stack.of(machines, 3)
+        assert stack.support.shape == (1500, 21)
         tracemalloc.start()
         try:
-            kernel = kernel_matrix(X, X, KernelSpec(degree=degree, coef0=1.0))
+            decisions = stack.decisions(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kernel.shape == (1500, 1500)
-        assert peak < kernel.nbytes + 8 * BLOCK + 16 * 1024
+        assert decisions.shape == (1500, 3)
+        assert peak < 2 * decisions.nbytes + 2 * 8 * BLOCK + 16 * 1024
 
 
 class TestSmoAnalytic:
@@ -687,16 +689,26 @@ class TestCertifiedReuse:
          dict(kernel=KernelSpec(degree=3)), dict(kernel=KernelSpec(degree=2, coef0=0.5))],
         ids=["smaller-C", "tolerance", "max_iter", "degree", "coef0"],
     )
-    def test_memo_misses_on_other_configs(self, quick_table, smo_calls, change):
+    def test_memo_misses_on_other_configs(self, quick_table, smo_calls, monkeypatch, change):
+        """A certified machine serves only the configs that differ from its
+        own by a larger or equal C. Configs train in ascending C wherever
+        they stand, so a smaller C given last trains first, and its
+        certified machine serves the two configs given before it."""
         _, train, std = quick_table
         p = pairwise_problems(train, None, std).problems[0]
+        solved, counting = [], svm.smo_train
+        monkeypatch.setattr(svm, "smo_train", lambda X, y, cfg: solved.append(cfg) or counting(X, y, cfg))
         base = cfgp(10.0, 2)
-        models, _ = train_from_problems(one_pair(p), [base, replace(base, C=100.0), replace(base, **change)])
+        cfgs = [base, replace(base, C=100.0), replace(base, **change)]
+        models, _ = train_from_problems(one_pair(p), cfgs)
         held, again, other = (m.machines[0] for m in models)
-        assert held.c_free
         assert again is held and models[1] is models[0]
-        assert other is not held and models[2] is not models[1]
-        assert len(smo_calls) == 2
+        if change == dict(C=5.0):
+            assert solved == [cfgs[2]] and smo_calls == [other] and other.c_free
+            assert held is other and models[0] is models[2]
+        else:
+            assert solved == [base, cfgs[2]] and smo_calls == [held, other] and held.c_free
+            assert other is not held and models[2] is not models[1]
 
     def test_exp1_trains_one_machine_per_pair_and_degree(self, ctg_table, smo_calls, monkeypatch, tmp_path):
         """exp1's work on the quick table: 15 solves (3 pairs x 5 degrees;
@@ -793,13 +805,15 @@ class TestSingleSvmMemo:
                 assert (got.bias, got.n_updates) == (want.bias, want.n_updates)
 
     def test_quick_all_run_solve_count(self, quick_pipe, smo_calls):
-        """The work of a quick `all` run: 133 solves, against 189 with one
-        training per exp2, exp3 and exp5 cell, keyed by the mask object."""
+        """The work of a quick `all` run: 121 solves, against 133 when
+        certified reuse followed the order of the cells (exp3 lists C=1000
+        before C=500) and 189 with one training per exp2, exp3 and exp5
+        cell, keyed by the mask object."""
         from ctgsvm.experiments import EXPERIMENT_IDS, RUNNERS
 
         for exp_id in EXPERIMENT_IDS:
             RUNNERS[exp_id](quick_pipe)
-        assert len(smo_calls) == 133
+        assert len(smo_calls) == 121
 
 
 class TestPersistence:
@@ -851,6 +865,53 @@ class TestPersistence:
             path.write_text("".join(ln + "\n" for ln in bad))
             with pytest.raises(DataError):
                 load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            ({1: "0\t1"}, 1, "machine 0 1 out of one-vs-one order, expected 0 2"),
+            ({2: "2\t2"}, 2, "machine 2 2 out of one-vs-one order, expected 1 2"),
+            ({1: "1\t2", 2: "0\t2"}, 1, "machine 1 2 out of one-vs-one order, expected 0 2"),
+            ({0: "1\t0"}, 0, "machine 1 0 out of one-vs-one order, expected 0 1"),
+        ],
+        ids=["repeated-pair", "diagonal", "swapped", "reversed"],
+    )
+    def test_machines_out_of_pair_order_rejected(self, tmp_path, edit, line, message):
+        """A model file holds machine k for pair k of `_pairs`, so a header
+        naming any other pair is refused at its line, even one that names
+        in-range classes."""
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        lines = path.read_text().splitlines()
+        at = [i for i, ln in enumerate(lines) if ln.startswith("machine\t")]
+        assert [tuple(map(int, lines[i].split("\t")[1:3])) for i in at] == list(svm._pairs(3))
+        for k, pair in edit.items():
+            parts = lines[at[k]].split("\t")
+            lines[at[k]] = "\t".join(["machine", *pair.split("\t"), *parts[3:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"malformed model file: {message} at line {at[line] + 1}$"):
+            load_model(path)
+
+    def test_machine_count_is_the_pair_count(self, tmp_path):
+        """One machine too many or too few is refused: a third class's
+        machines end where the end marker must stand."""
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        lines = path.read_text().splitlines()
+        at = [i for i, ln in enumerate(lines) if ln.startswith("machine\t")]
+        for bad in (lines[:at[2]] + ["end"], lines[:-1] + lines[at[2]:]):
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(DataError, match="malformed model file: expected '(machine|end)' at line"):
+                load_model(path)
+
+    def test_fewer_than_two_classes_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
+        lines = path.read_text().splitlines()
+        lines[1:3] = ["classes\tA", "counts\t9"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="malformed model file: fewer than 2 classes at line 2$"):
+            load_model(path)
 
     @pytest.mark.parametrize("first_sv", ["sv", "sv\t+1", "sv\t+1\t0x1p-1"])
     def test_support_row_without_values_rejected(self, tmp_path, first_sv):
