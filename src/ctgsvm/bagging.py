@@ -64,7 +64,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.members < 1:
-            raise DataError("members must be >= 1")
+            raise DataError(f"members must be >= 1, not {self.members!r}")
         if self.vote not in VOTE_RULES:
             raise DataError(f"unknown vote rule {self.vote!r}")
 

@@ -8,6 +8,7 @@ sidecar files and never contaminate the deterministic outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .bagging import EnsembleConfig, EnsembleModel, agreement, bagging_train
@@ -43,7 +44,7 @@ from .report import (
     timed,
 )
 from .search import BestFirstConfig, GeneticConfig
-from .svm import KernelSpec, SvmConfig, pairwise_problems, train_from_problems
+from .svm import KernelSpec, SvmConfig, SvmModel, pairwise_problems, train_from_problems
 
 QUICK_ROWS = 400
 
@@ -53,6 +54,7 @@ DEFAULT_C_GRID = (10.0, 50.0, 100.0, 500.0, 1000.0, 10000.0)
 DEFAULT_DEGREE_GRID = (2, 3, 4, 5, 10)
 DEFAULT_EXP2_CELLS = ((10.0, 3), (500.0, 3), (500.0, 4), (100.0, 5), (10000.0, 5))
 DEFAULT_EXP3_CELLS = ((1000.0, 4), (500.0, 3), (500.0, 4), (100.0, 5))
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,16 @@ class ExperimentConfig:
         if not self.c_grid or not self.degree_grid:
             raise DataError("parameter grids must be non-empty")
         if not 1 <= self.exp4_members <= 32:
-            raise DataError("ensemble member range must lie within 1..32")
+            raise DataError(f"ensemble member range must lie within 1..32, not {self.exp4_members!r}")
         if self.fmt not in ("csv", "markdown"):
             raise DataError(f"unknown output format {self.fmt!r} (csv | markdown)")
+        # every value a step checks, checked before any step runs
+        self.selector_config()
+        grid = [(C, degree) for C in self.c_grid for degree in self.degree_grid]
+        for C, degree in (*grid, *self.exp2_cells, *self.exp3_cells):
+            self.svm(C, degree)
+        for members in (self.exp4_members, self.exp5_members):
+            EnsembleConfig(members, self.svm(self.exp4_c, self.exp4_degree), self.seed, self.vote)
 
     def load_work(self, fit: bool = True) -> Dataset:
         """The table at `data`, less whichever `exclude_features` it has. A
@@ -134,13 +143,13 @@ class ExperimentConfig:
 def _parse_cutoff(text: str) -> tuple[str, float | None]:
     if text == "keep_all":
         return "keep_all", None
-    if ":" in text:
-        rule, value = text.split(":", 1)
-        if rule in ("top_k", "threshold"):
-            try:
-                return rule, float(value)
-            except ValueError:
-                pass
+    rule, _, value = text.partition(":")
+    parse = {"top_k": int, "threshold": float}.get(rule)
+    if parse is not None:
+        try:
+            return rule, parse(value)
+        except ValueError:
+            pass
     raise DataError(f"malformed cutoff {text!r} (keep_all | top_k:K | threshold:T)")
 
 
@@ -171,7 +180,7 @@ def config_from_sources(file_values: dict, **overrides) -> ExperimentConfig:
     kw: dict = {}
     conv = {
         "data": str, "class_column": str, "out_dir": str, "fmt": str,
-        "train_fraction": float, "seed": int, "quick": lambda v: v.lower() in ("1", "true", "yes"),
+        "train_fraction": float, "seed": int, "quick": lambda v: _BOOLEANS[v.lower()],
         "highlight_threshold": float, "exp4_c": float, "exp4_degree": int,
         "exp4_members": int, "exp5_members": int, "vote": str, "coef0": float,
         "tolerance": float, "max_iter": int, "ga_population": int,
@@ -187,7 +196,7 @@ def config_from_sources(file_values: dict, **overrides) -> ExperimentConfig:
             raise DataError(f"unknown config key {key!r}")
         try:
             kw[key] = conv[key](raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise DataError(f"config key {key!r}: malformed value {raw!r}") from None
     for key, value in overrides.items():
         if value is not None:
@@ -209,17 +218,14 @@ class Pipeline:
     work: Dataset
     train: Dataset
     test: Dataset
-    _dmap: object = None
     _selections: dict = field(default_factory=dict)
     _models: dict = field(default_factory=dict)
     _ensembles: dict = field(default_factory=dict)
     _evaluations: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def dmap(self):
-        if self._dmap is None:
-            self._dmap = fit_discretization(self.train)
-        return self._dmap
+        return fit_discretization(self.train)
 
     def selection(self, code: str, search: str) -> FeatureSelection:
         key = (code, search)
@@ -264,24 +270,22 @@ class Pipeline:
         cols = None if mask is None or len(mask) == self.train.n_features else tuple(sorted(mask))
         return cols, fit_standardizer(select_features(self.train, cols) if cols else self.train)
 
-    def models(self, mask, cells) -> list[tuple]:
-        """The single SVM of each (C, degree) cell on `mask`, with the (wall,
-        CPU) seconds of the solves that produced it (0 where a certified
-        machine served every pair). The memo is keyed by (columns, C,
-        degree), a mask of every feature as None. The cells not in it train
-        in one `train_from_problems` call, so a certified machine also
-        serves every larger C among them, in any order."""
+    def models(self, mask, cells) -> list[SvmModel]:
+        """The single SVM of each (C, degree) cell on `mask`. The memo is
+        keyed by (columns, C, degree), a mask of every feature as None. The
+        cells not in it train in one `train_from_problems` call, so a
+        certified machine also serves every larger C among them, in any
+        order."""
         cols, std = self._columns(mask)
         new = [cell for cell in dict.fromkeys(cells) if (cols, *cell) not in self._models]
         if new:
             problems = pairwise_problems(self.train, cols, std)
-            trained, secs = train_from_problems(problems, [self.cfg.svm(C, degree) for C, degree in new])
-            self._models.update(((cols, *cell), pair) for cell, pair in zip(new, zip(trained, secs)))
+            trained = train_from_problems(problems, [self.cfg.svm(C, degree) for C, degree in new])
+            self._models.update(((cols, *cell), model) for cell, model in zip(new, trained))
         return [self._models[(cols, *cell)] for cell in cells]
 
-    def ensemble(self, mask, C: float, degree: int, members: int) -> tuple[EnsembleModel, int, tuple]:
-        """The bagged ensemble of `members` members on `mask`, with the size
-        and the (wall, CPU) seconds of the training that produced it.
+    def ensemble(self, mask, C: float, degree: int, members: int) -> EnsembleModel:
+        """The bagged ensemble of `members` members on `mask`.
 
         Member i depends only on (master seed, i), and the seed, training
         partition and vote rule are fixed per pipeline. So the memo keeps
@@ -290,15 +294,12 @@ class Pipeline:
         """
         cols, std = self._columns(mask)
         key = (cols, C, degree)
-        if key not in self._ensembles or len(self._ensembles[key][0].members) < members:
+        if key not in self._ensembles or len(self._ensembles[key].members) < members:
             ens_cfg = EnsembleConfig(
                 members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed, vote=self.cfg.vote
             )
-            self._ensembles[key] = timed(
-                lambda: bagging_train(self.train, ens_cfg, feature_mask=cols, standardizer=std)
-            )
-        ens, secs = self._ensembles[key]
-        return ens.prefix(members), len(ens.members), secs
+            self._ensembles[key] = bagging_train(self.train, ens_cfg, feature_mask=cols, standardizer=std)
+        return self._ensembles[key].prefix(members)
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
@@ -333,6 +334,13 @@ class _Out:
         if self.fmt == "markdown":
             self._write(name, header, rows, "markdown")
 
+    def timed(self, label: str, fn):
+        """Run fn and return its result, recording its (wall, CPU) seconds
+        as the timing row `label`: the one clock of the experiments."""
+        result, secs = timed(fn)
+        self.timings.append((label, secs))
+        return result
+
     def write_timing(self) -> None:
         rows = [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in self.timings]
         self._write("timing", ["row", "wall_seconds", "cpu_seconds"], rows, "csv")
@@ -355,11 +363,10 @@ def run_exp1(pipe: Pipeline) -> _Out:
     out = _Out(cfg, "exp1")
     cells = [(C, degree) for degree in cfg.degree_grid for C in cfg.c_grid]
     rows, models = [], {}
-    for (C, degree), (model, secs) in zip(cells, pipe.models(None, cells)):
+    for (C, degree), model in zip(cells, out.timed("train", lambda: pipe.models(None, cells))):
         acc = pipe.accuracies(model)
         models[(C, degree)] = (model, acc)
         rows.append(out.accuracy_row([_fmt_c(C), degree], acc, model))
-        out.timings.append((f"C={_fmt_c(C)},degree={degree}", secs))
     out.table("grid", ["C", "degree", "train_accuracy", "test_accuracy", "combined_accuracy", "flags"], rows)
 
     best_key = max(
@@ -400,21 +407,21 @@ def run_exp2(pipe: Pipeline) -> _Out:
     cfg = pipe.cfg
     out = _Out(cfg, "exp2")
     names = pipe.train.feature_names
-    selections = []
-    for code, search in EXP2_SELECTORS:
-        sel, secs = timed(lambda: pipe.selection(code, search))
-        selections.append(sel)
-        out.timings.append((sel.selector.label, secs))
+    selections = [
+        out.timed(SelectorId(code, search).label, lambda: pipe.selection(code, search))
+        for code, search in EXP2_SELECTORS
+    ]
     out.table("features", SELECTION_HEADER, [sel.row(names) for sel in selections])
 
     masks = [("none", None, len(names))]
     masks += [(sel.selector.label, sel.selected, len(sel.selected)) for sel in selections]
-    models = {label: pipe.models(mask, cfg.exp2_cells) for label, mask, _ in masks}
+    models = {
+        label: out.timed(f"{label},train", lambda: pipe.models(mask, cfg.exp2_cells)) for label, mask, _ in masks
+    }
     rows = []
     for k, (C, degree) in enumerate(cfg.exp2_cells):
         for label, _, n_features in masks:
-            model, secs = models[label][k]
-            out.timings.append((f"{label},C={_fmt_c(C)},degree={degree}", secs))
+            model = models[label][k]
             rows.append(out.accuracy_row([label, _fmt_c(C), degree, n_features], pipe.accuracies(model), model))
     out.table(
         "results",
@@ -471,9 +478,9 @@ def run_exp3(pipe: Pipeline) -> _Out:
             feat_rows.append(
                 [label, mode, cut, str(len(feats)), ";".join(names[f] for f in sorted(feats))]
             )
-            for (C, degree), (model, secs) in zip(cfg.exp3_cells, pipe.models(feats, cfg.exp3_cells)):
+            trained = out.timed(f"{label},{mode},{cut},train", lambda: pipe.models(feats, cfg.exp3_cells))
+            for (C, degree), model in zip(cfg.exp3_cells, trained):
                 acc = pipe.accuracies(model)
-                out.timings.append((f"{label},{mode},{cut},C={_fmt_c(C)},degree={degree}", secs))
                 highlight = "yes" if acc["combined"] > cfg.highlight_threshold else ""
                 lead = [label, mode, cut, _fmt_c(C), degree, len(feats)]
                 rows.append(out.accuracy_row(lead, acc, model, highlight))
@@ -510,14 +517,14 @@ def run_exp4(pipe: Pipeline) -> _Out:
         ["label", "mode", "n_features", "features"],
         [["EFS41", "union", str(len(feats)), ";".join(names[f] for f in sorted(feats))]],
     )
-    max_members = cfg.exp4_members
-    full, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, max_members)
-    out.timings.append((f"train,members={trained}", secs))
+    C, degree, max_members = cfg.exp4_c, cfg.exp4_degree, cfg.exp4_members
+    full = out.timed(f"train,members={max_members}", lambda: pipe.ensemble(feats, C, degree, max_members))
     # every member is predicted once per partition, and each prefix of m
     # members votes over the first m columns
     partitions = (pipe.train, pipe.test, pipe.work)
-    (train, test, work), secs = timed(lambda: [full.member_predictions(ds) for ds in partitions])
-    out.timings.append((f"predict,members={max_members}", secs))
+    train, test, work = out.timed(
+        f"predict,members={max_members}", lambda: [full.member_predictions(ds) for ds in partitions]
+    )
     member_cols = [""] * max_members
 
     def accuracies(train_codes, test_codes) -> dict:
@@ -531,11 +538,7 @@ def run_exp4(pipe: Pipeline) -> _Out:
         agree = fmt_accuracy(100.0 * agreement(work[:, :m])) if m >= 2 else ""
         return out.accuracy_row([str(m), *member_cols], acc, ens, agree)
 
-    rows = []
-    for m in range(1, max_members + 1):
-        row, secs = timed(lambda: evaluate(m))
-        rows.append(row)
-        out.timings.append((f"evaluate,members={m}", secs))
+    rows = [out.timed(f"evaluate,members={m}", lambda: evaluate(m)) for m in range(1, max_members + 1)]
     header = (
         ["members"]
         + [f"member_{i}_accuracy" for i in range(1, max_members + 1)]
@@ -556,10 +559,7 @@ def run_exp5(pipe: Pipeline) -> _Out:
     rows = []
 
     def single(experiment, label, mask, C, degree):
-        [(model, secs)] = pipe.models(mask, [(C, degree)])
-        # the seconds of the training that produced the model, which in an
-        # `all` run may be exp1's, exp2's or exp3's
-        out.timings.append((f"{label},train", secs))
+        [model] = out.timed(f"{label},train", lambda: pipe.models(mask, [(C, degree)]))
         rows.append(out.accuracy_row([experiment, label, _fmt_c(C), degree, ""], pipe.accuracies(model), model))
 
     single("1", "SVM", None, 10.0, 3)
@@ -567,11 +567,11 @@ def run_exp5(pipe: Pipeline) -> _Out:
         single("2", f"{code}-SVM", pipe.selection(code, search).selected, 10.0, 3)
 
     feats = exp4_feature_set(pipe)
-    single("3", "EFS41-SVM", feats, cfg.exp4_c, cfg.exp4_degree)
+    C, degree, members = cfg.exp4_c, cfg.exp4_degree, cfg.exp5_members
+    single("3", "EFS41-SVM", feats, C, degree)
 
-    ens, trained, secs = pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, cfg.exp5_members)
-    out.timings.append((f"EFS41-ESVM,train,members={trained}", secs))
-    lead = ["4", "EFS41-ESVM", _fmt_c(cfg.exp4_c), cfg.exp4_degree, str(cfg.exp5_members)]
+    ens = out.timed(f"EFS41-ESVM,train,members={members}", lambda: pipe.ensemble(feats, C, degree, members))
+    lead = ["4", "EFS41-ESVM", _fmt_c(C), degree, str(members)]
     rows.append(out.accuracy_row(lead, pipe.accuracies(ens), ens))
     out.table(
         "summary",

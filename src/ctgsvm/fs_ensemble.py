@@ -61,6 +61,12 @@ class SelectorConfig:
     cutoff_rule: str = "keep_all"
     cutoff_value: float | None = None
 
+    def __post_init__(self):
+        if self.relieff_k < 1:
+            raise DataError(f"relieff_k must be >= 1, not {self.relieff_k!r}")
+        if self.relieff_m is not None and self.relieff_m < 1:
+            raise DataError(f"relieff_m must be >= 1, not {self.relieff_m!r}")
+
 
 @dataclass(frozen=True)
 class FeatureSelection:

@@ -68,7 +68,7 @@ class BestFirstConfig:
 
     def __post_init__(self):
         if self.stale_limit < 1:
-            raise DataError("stale_limit must be >= 1")
+            raise DataError(f"stale_limit must be >= 1, not {self.stale_limit!r}")
 
 
 def best_first(
@@ -132,12 +132,12 @@ class GeneticConfig:
 
     def __post_init__(self):
         if self.population < 2 or self.population % 2:
-            raise DataError("population must be even and >= 2")
+            raise DataError(f"population must be even and >= 2, not {self.population!r}")
         if self.generations < 0:
-            raise DataError("generations must be >= 0")
+            raise DataError(f"generations must be >= 0, not {self.generations!r}")
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
-                raise DataError("probabilities must lie in [0, 1]")
+                raise DataError(f"probabilities must lie in [0, 1], not {p!r}")
 
 
 def genetic_search(

@@ -22,7 +22,6 @@ reuses a certified machine for larger C; the certificate is not saved.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -631,41 +630,34 @@ def _one_row(values) -> np.ndarray:
     return row[None]
 
 
-def _pair_machines(p: PairProblem, cfgs: list[SvmConfig], seconds: np.ndarray) -> list[BinarySvm]:
-    """The machine of each config on pair p, in the order of `cfgs`, adding
-    each solve's (wall, CPU) seconds, its kernel rows' builds included, to
-    its config's row of `seconds`. Configs are visited in ascending C
-    (stably), so that a certified machine (`c_free`) serves every config
-    that differs only by a larger or equal C, wherever it stands in `cfgs`:
-    that solve would repeat the certified one step for step.
+def _pair_machines(p: PairProblem, cfgs: list[SvmConfig]) -> list[BinarySvm]:
+    """The machine of each config on pair p, in the order of `cfgs`.
+    Configs are visited in ascending C (stably), so that a certified machine
+    (`c_free`) serves every config that differs only by a larger or equal
+    C, wherever it stands in `cfgs`: that solve would repeat the certified
+    one step for step.
     """
     machines: list[BinarySvm | None] = [None] * len(cfgs)
     certified: list[tuple[SvmConfig, BinarySvm]] = []
     for k, cfg in sorted(enumerate(cfgs), key=lambda kc: kc[1].C):
         m = next((m for c, m in certified if replace(c, C=cfg.C) == cfg), None)
         if m is None:
-            wall, cpu = time.perf_counter(), time.process_time()
             m = smo_train(p.X, p.yb, cfg)
-            seconds[k] += (time.perf_counter() - wall, time.process_time() - cpu)
             if m.c_free:
                 certified.append((cfg, m))
         machines[k] = m
     return machines
 
 
-def train_from_problems(
-    mp: MulticlassProblem, cfgs: Sequence[SvmConfig]
-) -> tuple[list[SvmModel], list[tuple[float, float]]]:
-    """One model per config, and each config's (wall, CPU) seconds of its
-    own solves: 0 for a config that reuses every machine.
+def train_from_problems(mp: MulticlassProblem, cfgs: Sequence[SvmConfig]) -> list[SvmModel]:
+    """One model per config.
 
     Training goes one class pair at a time; each solve builds the kernel
     rows it reads and frees them when it ends. Configs whose machines are
     the same objects share one model, the first such config's.
     """
     cfgs = list(cfgs)
-    seconds = np.zeros((len(cfgs), 2))
-    columns = [_pair_machines(p, cfgs, seconds) for p in mp.problems]
+    columns = [_pair_machines(p, cfgs) for p in mp.problems]
     models: list[SvmModel] = []
     for k in range(len(cfgs)):
         machines = [col[k] for col in columns]
@@ -677,7 +669,7 @@ def train_from_problems(
             feature_mask=mp.feature_mask,
             standardizer=mp.standardizer,
         ))
-    return models, [tuple(row) for row in seconds.tolist()]
+    return models
 
 
 def train_multiclass(
@@ -686,8 +678,7 @@ def train_multiclass(
     feature_mask=None,
     standardizer: Standardizer | None = None,
 ) -> SvmModel:
-    models, _ = train_from_problems(pairwise_problems(train, feature_mask, standardizer), [cfg])
-    return models[0]
+    return train_from_problems(pairwise_problems(train, feature_mask, standardizer), [cfg])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctgsvm import experiments
 from ctgsvm.bagging import EnsembleConfig, agreement, bagging_train, bootstrap_sample
 from ctgsvm.data import fit_standardizer, select_features
 from ctgsvm.experiments import (
+    EXPERIMENT_IDS,
     ExperimentConfig,
     build_pipeline,
     cmd_experiment,
@@ -29,9 +31,7 @@ from ctgsvm.svm import (
     KernelSpec,
     SvmConfig,
     kernel_matrix,
-    pairwise_problems,
     smo_train,
-    train_from_problems,
 )
 from conftest import numeric_dataset
 from oracles import decision_values, dual_objective, exhaustive_best, ovo_predict, qp_bias, qp_reference
@@ -56,15 +56,11 @@ def pipe(ctg_table):
 
 @pytest.fixture(scope="module")
 def grid_models(pipe):
-    """All Table-style grid cells, trained once, by the one
-    train_from_problems call over the grid that exp1 makes, and shared
-    across criteria."""
-    std = fit_standardizer(pipe.train)
-    problems = pairwise_problems(pipe.train, None, std)
+    """All Table-style grid cells, trained once by exp1's own call,
+    `pipe.models(None, keys)`, and shared across criteria."""
     t0 = time.perf_counter()
     keys = [(C, degree) for degree in pipe.cfg.degree_grid for C in pipe.cfg.c_grid]
-    models, _ = train_from_problems(problems, [pipe.cfg.svm(C, degree) for C, degree in keys])
-    cells = {key: (model, pipe.accuracies(model)) for key, model in zip(keys, models)}
+    cells = {key: (model, pipe.accuracies(model)) for key, model in zip(keys, pipe.models(None, keys))}
     return cells, time.perf_counter() - t0
 
 
@@ -177,7 +173,7 @@ def test_criterion_3_search_correctness():
 @pytest.fixture(scope="module")
 def baseline_run(pipe):
     t0 = time.perf_counter()
-    [(model, _)] = pipe.models(None, [(10.0, 3)])
+    [model] = pipe.models(None, [(10.0, 3)])
     acc = pipe.accuracies(model)
     return model, acc, time.perf_counter() - t0
 
@@ -214,14 +210,14 @@ def test_criterion_6_feature_selection_effect(pipe, baseline_run):
     for code in ("FS3", "FS4"):
         sel = pipe.selection(code, "ranker")
         assert sel.selected == frozenset(range(pipe.train.n_features))  # keep-all
-        [(model, _)] = pipe.models(sel.selected, [(10.0, 3)])
+        [model] = pipe.models(sel.selected, [(10.0, 3)])
         acc = pipe.accuracies(model)["combined"]
         exact.append(acc == base)
     deltas = {}
     for code in ("FS1", "FS2"):
         for search in ("best_first", "genetic"):
             sel = pipe.selection(code, search)
-            [(model, _)] = pipe.models(sel.selected, [(10.0, 3)])
+            [model] = pipe.models(sel.selected, [(10.0, 3)])
             deltas[f"{code}-{search}"] = base - pipe.accuracies(model)["combined"]
     worst = max(deltas.values())
     ok = all(exact) and worst <= 3.5
@@ -241,9 +237,9 @@ def ensemble_sweep(pipe):
     t0 = time.perf_counter()
     feats = exp4_feature_set(pipe)
     C, degree = pipe.cfg.exp4_c, pipe.cfg.exp4_degree
-    [(single, _)] = pipe.models(feats, [(C, degree)])
+    [single] = pipe.models(feats, [(C, degree)])
     single_acc = pipe.accuracies(single)["combined"]
-    ens, _, _ = pipe.ensemble(feats, C, degree, 10)
+    ens = pipe.ensemble(feats, C, degree, 10)
     codes = {
         tag: ens.member_predictions(ds) for tag, ds in (("train", pipe.train), ("test", pipe.test), ("work", pipe.work))
     }
@@ -462,7 +458,7 @@ def test_summary_rows_consistent_with_detail_files(quick_runs):
     assert seven["voting_combined"] == summary["EFS41-ESVM"]["combined_accuracy"]
 
 
-def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path):
+def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path, monkeypatch):
     """exp4 votes over prefixes of one memoized ensemble and predicts each
     member once; every sweep row must equal the row of an ensemble trained
     afresh with that many members and evaluated the plain way."""
@@ -502,9 +498,11 @@ def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path):
         assert row == want, f"sweep row {m}"
 
     # the memo answers a smaller request with a prefix, without training
-    small, trained, _ = memo_pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, 2)
-    full, _, _ = memo_pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, members)
-    assert trained == members and len(small.members) == 2
+    trainings = []
+    monkeypatch.setattr(experiments, "bagging_train", lambda *a, **kw: trainings.append(a) or bagging_train(*a, **kw))
+    small = memo_pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, 2)
+    full = memo_pipe.ensemble(feats, cfg.exp4_c, cfg.exp4_degree, members)
+    assert not trainings and len(small.members) == 2 and len(full.members) == members
     assert all(a is b for a, b in zip(small.members, full.members))
 
 
@@ -520,21 +518,51 @@ def test_exp5_ensemble_row_same_alone_and_after_exp4(ctg_table, quick_runs, tmp_
     in_all = {r["model"]: r for r in _csv_rows(all_dir / name)}
     assert alone["EFS41-ESVM"] == in_all["EFS41-ESVM"]
     assert (tmp_path / name).read_bytes() == (all_dir / name).read_bytes()
-    # the timing sidecars say which training each run's row comes from
-    timing = {r["row"] for r in _csv_rows(all_dir / f"exp5_timing_seed{SEED}.csv")}
-    assert f"EFS41-ESVM,train,members={cfg.exp4_members}" in timing
-    timing = {r["row"] for r in _csv_rows(tmp_path / f"exp5_timing_seed{SEED}.csv")}
-    assert f"EFS41-ESVM,train,members={cfg.exp5_members}" in timing
+    # both sidecars name the same steps; alone they train, in an `all` run
+    # every step is a memo hit and trains nothing
+    timing = [_csv_rows(d / f"exp5_timing_seed{SEED}.csv") for d in (tmp_path, all_dir)]
+    assert [r["row"] for r in timing[0]] == [r["row"] for r in timing[1]]
+    assert timing[0][-1]["row"] == f"EFS41-ESVM,train,members={cfg.exp5_members}"
+    alone_s, in_all_s = (sum(float(r["wall_seconds"]) for r in rows) for rows in timing)
+    assert in_all_s < alone_s / 10, (in_all_s, alone_s)
 
 
 def test_exp5_timing_rows_name_the_training(quick_runs):
-    """exp5's single-SVM rows time the training that produced the model,
-    which in an `all` run is one exp2 or exp3 cached, and say so."""
+    """exp5's rows each time the step that asks for one model: a single
+    SVM, then the bagged ensemble at exp5's own member count."""
     _, _, all_dir = quick_runs
     rows = [r["row"] for r in _csv_rows(all_dir / f"exp5_timing_seed{SEED}.csv")]
     singles = ["SVM", "FS1-SVM", "FS2-SVM", "FS3-SVM", "FS4-SVM", "EFS41-SVM"]
-    assert rows[:-1] == [f"{m},train" for m in singles]
-    assert rows[-1].startswith("EFS41-ESVM,train,members=")
+    assert rows == [f"{m},train" for m in singles] + ["EFS41-ESVM,train,members=7"]
+
+
+def test_timing_rows_never_overlap(ctg_table, tmp_path):
+    """Each sidecar row times one step of this run, and no step holds
+    another: over a quick `all` run the rows of the five sidecars sum to at
+    most the run's own wall and CPU seconds, give or take the 0.5 ms each
+    row's rounding may add. Each experiment's row labels are pinned."""
+    _, path, _ = ctg_table
+    cfg = ExperimentConfig(data=path, seed=SEED, quick=True, out_dir=str(tmp_path))
+    code, (wall, cpu) = timed(lambda: cmd_experiment("all", cfg, log=lambda *a: None))
+    assert code == 0
+    sidecars = {exp_id: _csv_rows(tmp_path / f"{exp_id}_timing_seed{SEED}.csv") for exp_id in EXPERIMENT_IDS}
+    rows = [r for rs in sidecars.values() for r in rs]
+    slack = 0.0005 * len(rows)
+    summed = {col: sum(float(r[col]) for r in rows) for col in ("wall_seconds", "cpu_seconds")}
+    assert summed["wall_seconds"] <= wall + slack, (summed, wall)
+    assert summed["cpu_seconds"] <= cpu + slack, (summed, cpu)
+
+    labels = {exp_id: [r["row"] for r in rs] for exp_id, rs in sidecars.items()}
+    selectors = ["FS1-best_first", "FS1-genetic", "FS2-best_first", "FS2-genetic", "FS3-ranker", "FS4-ranker"]
+    feature_sets = _csv_rows(tmp_path / f"exp3_features_seed{SEED}.csv")
+    singles = ["SVM", "FS1-SVM", "FS2-SVM", "FS3-SVM", "FS4-SVM", "EFS41-SVM"]
+    assert labels == {
+        "exp1": ["train"],
+        "exp2": selectors + [f"{mask},train" for mask in ["none", *selectors]],
+        "exp3": [f"{r['label']},{r['mode']},{r['cutoff']},train" for r in feature_sets],
+        "exp4": ["train,members=10", "predict,members=10"] + [f"evaluate,members={m}" for m in range(1, 11)],
+        "exp5": [f"{m},train" for m in singles] + ["EFS41-ESVM,train,members=7"],
+    }
 
 
 def test_criterion_9_invariant_suites(pipe, grid_models):

@@ -385,10 +385,10 @@ class TestExperimentCommand:
         assert grid.is_file()
         lines = grid.read_text().strip().splitlines()
         assert len(lines) == 31  # header + 6 C values x 5 degrees
-        # one row per cell, each timing the solves that produced its model
+        # one row: the grid's one training step
         timing = (out / "exp1_timing_seed42.csv").read_text().splitlines()
         assert timing[0] == "row,wall_seconds,cpu_seconds"
-        assert timing[1].startswith('"C=10,degree=2",') and len(timing) == 31
+        assert timing[1].startswith("train,") and len(timing) == 2
         assert (out / "exp1_confusion_seed42.csv").is_file()
 
     @pytest.mark.parametrize(
@@ -436,6 +436,7 @@ class TestExperimentCommand:
             ("seed=abc", ["experiment", "--id", "exp1"], "abc"),
             ("exp2_cells=10;3", ["experiment", "--id", "exp2"], "10;3"),
             ("", ["select", "--selector", "FS4", "--cutoff", "top_k:abc"], "top_k:abc"),
+            ("", ["select", "--selector", "FS4", "--cutoff", "top_k:2.5"], "top_k:2.5"),
         ],
     )
     def test_malformed_config_value_is_data_error(self, small_csv, tmp_path, capsys, config_line, args, bad):
@@ -446,14 +447,29 @@ class TestExperimentCommand:
         assert code == 3
         assert bad in capsys.readouterr().err
 
-    def test_unknown_format_in_config_is_data_error(self, small_csv, tmp_path, capsys):
+    MALFORMED = [
+        ("exp5", "fmt=html", "'html'"),
+        ("all", "exp4_c=-1", "not -1.0"),
+        ("exp1", "ga_population=3", "not 3"),
+        ("exp1", "vote=bogus", "'bogus'"),
+        ("exp1", "quick=ture", "'ture'"),
+        ("exp1", "relieff_k=0", "relieff_k must be >= 1, not 0"),
+        ("exp1", "relieff_m=0", "relieff_m must be >= 1, not 0"),
+        ("exp1", "exp5_members=0", "members must be >= 1, not 0"),
+        ("exp1", "exp3_cells=500:0", "degree must be an integer >= 1, not 0"),
+    ]
+
+    @pytest.mark.parametrize("exp_id, config_line, named", MALFORMED, ids=[line for _, line, _ in MALFORMED])
+    def test_unknown_format_in_config_is_data_error(self, small_csv, tmp_path, capsys, exp_id, config_line, named):
+        """A malformed value is refused before any experiment runs, even one
+        only a later experiment (or none of those asked for) would use."""
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("fmt=html\n", encoding="utf-8")
+        cfgfile.write_text(config_line + "\n", encoding="utf-8")
         out = tmp_path / "out"
-        code = main(["experiment", "--id", "exp5", "--quick", "--config", str(cfgfile),
+        code = main(["experiment", "--id", exp_id, "--quick", "--config", str(cfgfile),
                      "--data", small_csv, "--out", str(out)])
         assert code == 3
-        assert "'html'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_markdown_format_also_written(self, small_csv, tmp_path, capsys):

@@ -531,8 +531,8 @@ class TestKernelMemo:
         mp = pairwise_problems(train, None, std)
         for order in SWEEPS:
             cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
-            models, seconds = train_from_problems(mp, cfgs)
-            assert len(models) == len(seconds) == len(cfgs)
+            models = train_from_problems(mp, cfgs)
+            assert len(models) == len(cfgs)
             for k, (cfg, model) in enumerate(zip(cfgs, models)):
                 fresh = fresh_machines(train, std, cfg)
                 where = (order, cfg)
@@ -586,11 +586,11 @@ class TestKernelMemo:
         powered = []
         polynomial = svm._polynomial
         monkeypatch.setattr(svm, "_polynomial", lambda a, spec: powered.append(a.shape) or polynomial(a, spec))
-        roomy, _ = train_from_problems(mp, cfgs)
+        roomy = train_from_problems(mp, cfgs)
         roomy_builds = len(powered)
         # at most 4 rows per solve: 4 of the smallest pair's, fewer of the others
         monkeypatch.setattr(svm, "_CACHE_BYTES", 4 * 8 * min(len(p.X) for p in mp.problems))
-        tight, _ = train_from_problems(mp, cfgs)
+        tight = train_from_problems(mp, cfgs)
         assert len(powered) - roomy_builds > 3 * roomy_builds  # rows were evicted and built again
         for a, b in zip(roomy, tight):
             assert model_to_lines(a) == model_to_lines(b)
@@ -630,7 +630,7 @@ class TestCertifiedReuse:
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
         cfgs = [cfgp(C, degree) for degree in DEFAULT_DEGREE_GRID for C in DEFAULT_C_GRID]
-        models, _ = train_from_problems(mp, cfgs)
+        models = train_from_problems(mp, cfgs)
         assert len(smo_calls) == 3 * len(DEFAULT_DEGREE_GRID)
         assert len({id(m) for m in models}) == len(DEFAULT_DEGREE_GRID)  # one model per degree
         for cfg, model in zip(cfgs, models):
@@ -642,7 +642,7 @@ class TestCertifiedReuse:
 
     def test_binding_c_is_not_certified(self, smo_calls):
         p = overlapping_pair()
-        (small, large), _ = train_from_problems(one_pair(p), [cfgp(0.05, 2), cfgp(10.0, 2)])
+        small, large = train_from_problems(one_pair(p), [cfgp(0.05, 2), cfgp(10.0, 2)])
         small, large = small.machines[0], large.machines[0]
         assert small.alphas.max() == 0.05
         assert not small.c_free
@@ -700,7 +700,7 @@ class TestCertifiedReuse:
         monkeypatch.setattr(svm, "smo_train", lambda X, y, cfg: solved.append(cfg) or counting(X, y, cfg))
         base = cfgp(10.0, 2)
         cfgs = [base, replace(base, C=100.0), replace(base, **change)]
-        models, _ = train_from_problems(one_pair(p), cfgs)
+        models = train_from_problems(one_pair(p), cfgs)
         held, again, other = (m.machines[0] for m in models)
         assert again is held and models[1] is models[0]
         if change == dict(C=5.0):
@@ -752,7 +752,7 @@ class TestCertifiedReuse:
         """A model served by reuse saves to the same bytes as before the
         certificate existed and loads uncertified."""
         _, train, std = quick_table
-        (_, model), _ = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3), cfgp(1000.0, 3)])
+        _, model = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3), cfgp(1000.0, 3)])
         assert all(m.c_free for m in model.machines)
         path = tmp_path / "model.txt"
         save_model(model, path)
@@ -789,7 +789,7 @@ class TestSingleSvmMemo:
         keys = [(mask, cell) for mask in masks for cell in cfg.exp2_cells]
         keys += [(feats, cell) for members in _exp3_combos() for _, _, feats in efs_feature_sets(pipe, members)
                  for cell in cfg.exp3_cells]
-        served = {(mask, cell): pipe.models(mask, [cell])[0][0] for mask, cell in keys}
+        served = {(mask, cell): pipe.models(mask, [cell])[0] for mask, cell in keys}
         assert len(smo_calls) == solved  # exp2 and exp3 trained every cell
         every = frozenset(range(pipe.train.n_features))
         assert all(served[(every, cell)] is served[(None, cell)] for cell in cfg.exp2_cells)
