@@ -25,6 +25,7 @@ from .data import (
     stratified_split,
     stratified_subsample,
 )
+from .filters import rank_cutoff, rank_features, relief_sample_count
 from .fs_ensemble import (
     SELECTION_HEADER,
     FeatureSelection,
@@ -96,11 +97,14 @@ class ExperimentConfig:
             raise DataError(f"ensemble member range must lie within 1..32, not {self.exp4_members!r}")
         if self.fmt not in ("csv", "markdown"):
             raise DataError(f"unknown output format {self.fmt!r} (csv | markdown)")
-        # every value a step checks, checked before any step runs
+        # every value a step checks, checked before any step runs, naming its key
         self.selector_config()
-        grid = [(C, degree) for C in self.c_grid for degree in self.degree_grid]
-        for C, degree in (*grid, *self.exp2_cells, *self.exp3_cells):
-            self.svm(C, degree)
+        self.svm(1.0, 1)  # tolerance, max_iter and coef0, whose errors name them
+        cells = [("c_grid", (C, 1)) for C in self.c_grid] + [("degree_grid", (1.0, d)) for d in self.degree_grid]
+        cells += [(key, cell) for key in ("exp2_cells", "exp3_cells") for cell in getattr(self, key)]
+        cells += [("exp4_c", (self.exp4_c, 1)), ("exp4_degree", (1.0, self.exp4_degree))]
+        for key, (C, degree) in cells:
+            _named(key, self.svm, C, degree)
         for members in (self.exp4_members, self.exp5_members):
             EnsembleConfig(members, self.svm(self.exp4_c, self.exp4_degree), self.seed, self.vote)
 
@@ -138,6 +142,15 @@ class ExperimentConfig:
             cutoff_rule=rule,
             cutoff_value=value,
         )
+
+
+def _named(key: str, check, *args):
+    """check(*args), a rule's test of the value of config key `key`, whose
+    DataError names the key."""
+    try:
+        return check(*args)
+    except DataError as exc:
+        raise DataError(f"{key}: {exc}") from None
 
 
 def _parse_cutoff(text: str) -> tuple[str, float | None]:
@@ -219,7 +232,7 @@ class Pipeline:
     train: Dataset
     test: Dataset
     _selections: dict = field(default_factory=dict)
-    _models: dict = field(default_factory=dict)
+    _problems: dict = field(default_factory=dict)  # columns -> MulticlassProblem
     _ensembles: dict = field(default_factory=dict)
     _evaluations: dict = field(default_factory=dict)
 
@@ -271,18 +284,12 @@ class Pipeline:
         return cols, fit_standardizer(select_features(self.train, cols) if cols else self.train)
 
     def models(self, mask, cells) -> list[SvmModel]:
-        """The single SVM of each (C, degree) cell on `mask`. The memo is
-        keyed by (columns, C, degree), a mask of every feature as None. The
-        cells not in it train in one `train_from_problems` call, so a
-        certified machine also serves every larger C among them, in any
-        order."""
+        """The single SVM of each (C, degree) cell on `mask`, trained on the
+        one problem of its columns, which keeps every machine solved on it."""
         cols, std = self._columns(mask)
-        new = [cell for cell in dict.fromkeys(cells) if (cols, *cell) not in self._models]
-        if new:
-            problems = pairwise_problems(self.train, cols, std)
-            trained = train_from_problems(problems, [self.cfg.svm(C, degree) for C, degree in new])
-            self._models.update(((cols, *cell), model) for cell, model in zip(new, trained))
-        return [self._models[(cols, *cell)] for cell in cells]
+        if cols not in self._problems:
+            self._problems[cols] = pairwise_problems(self.train, cols, std)
+        return train_from_problems(self._problems[cols], [self.cfg.svm(C, degree) for C, degree in cells])
 
     def ensemble(self, mask, C: float, degree: int, members: int) -> EnsembleModel:
         """The bagged ensemble of `members` members on `mask`.
@@ -307,6 +314,9 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     if cfg.quick:
         work = stratified_subsample(work, QUICK_ROWS, cfg.seed)
     train, test = stratified_split(work, SplitSpec(cfg.train_fraction, cfg.seed))
+    # the values checked against the table, by the selectors' own rules, before any step runs
+    _named("relieff_m", relief_sample_count, cfg.relieff_m, train.n_rows)
+    _named("cutoff", rank_cutoff, rank_features("cutoff", [0.0] * train.n_features), *_parse_cutoff(cfg.cutoff))
     return Pipeline(cfg, work, train, test)
 
 

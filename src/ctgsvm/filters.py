@@ -194,6 +194,13 @@ class SubsetEvaluation:
 _RELIEF_BLOCK = 16  # sampled rows per neighbour search; larger blocks hold more memory
 
 
+def relief_sample_count(m: int | None, n_rows: int) -> int:
+    """The rows `relieff` samples from a table of n_rows: m, or all for None."""
+    if m is not None and not 1 <= m <= n_rows:
+        raise DataError(f"sample count m={m} out of range 1..{n_rows} rows")
+    return n_rows if m is None else m
+
+
 def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> FeatureScores:
     """Relief-style feature weights from nearest hits and misses.
 
@@ -213,10 +220,7 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
     row-at-a-time order, so every score is the same float.
     """
     n = ds.n_rows
-    if m is None:
-        m = n
-    if not 1 <= m <= n:
-        raise DataError("sample count m must lie in 1..n_rows")
+    m = relief_sample_count(m, n)
     if k < 1:
         raise DataError("k must be >= 1")
     n_feat = ds.n_features

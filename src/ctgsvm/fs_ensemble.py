@@ -64,8 +64,6 @@ class SelectorConfig:
     def __post_init__(self):
         if self.relieff_k < 1:
             raise DataError(f"relieff_k must be >= 1, not {self.relieff_k!r}")
-        if self.relieff_m is not None and self.relieff_m < 1:
-            raise DataError(f"relieff_m must be >= 1, not {self.relieff_m!r}")
 
 
 @dataclass(frozen=True)

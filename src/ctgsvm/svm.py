@@ -16,14 +16,15 @@ bound derived from C, no pair took the eta <= 0 branch, and every alpha
 stayed below C. Every comparison the solver makes then comes out the same
 for any larger C, so that solve is, operation for operation, the solve at
 the larger C (the dual path is constant in C until an alpha meets the
-wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). `train_from_problems`
-reuses a certified machine for larger C; the certificate is not saved.
+wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). A `PairProblem` keeps
+its machines, and a certified one serves any larger C on that problem in
+any later call; the certificate is not saved.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -503,21 +504,27 @@ def _pairs(k: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PairProblem:
-    """The training rows of one class pair: class ci's labelled +1, cj's -1."""
+    """The training rows of one class pair: class ci's labelled +1, cj's -1,
+    and the (config, machine) of each solve made on them, in solve order."""
 
     ci: int
     cj: int
     X: np.ndarray
     yb: np.ndarray
+    solves: list[tuple[SvmConfig, BinarySvm]] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass
 class MulticlassProblem:
+    """The pair problems of one table, and the models built from their
+    machines, keyed by the machines' ids, which the pairs keep alive."""
+
     classes: tuple[str, ...]
     class_counts: np.ndarray
     problems: list[PairProblem]
     feature_mask: tuple[int, ...] | None
     standardizer: Standardizer | None
+    models: dict[tuple[int, ...], SvmModel] = field(default_factory=dict, init=False, repr=False)
 
 
 def pairwise_problems(
@@ -525,8 +532,8 @@ def pairwise_problems(
     feature_mask=None,
     standardizer: Standardizer | None = None,
 ) -> MulticlassProblem:
-    """Precompute the per-pair training matrices once, for one
-    `train_from_problems` call over a parameter grid."""
+    """The training matrices of each class pair of `train`, built once for
+    every `train_from_problems` call on them."""
     k = len(train.class_labels)
     if k < 2:
         raise DataError("need at least 2 classes")
@@ -630,23 +637,22 @@ def _one_row(values) -> np.ndarray:
     return row[None]
 
 
-def _pair_machines(p: PairProblem, cfgs: list[SvmConfig]) -> list[BinarySvm]:
-    """The machine of each config on pair p, in the order of `cfgs`.
-    Configs are visited in ascending C (stably), so that a certified machine
-    (`c_free`) serves every config that differs only by a larger or equal
-    C, wherever it stands in `cfgs`: that solve would repeat the certified
-    one step for step.
+def _pair_machines(p: PairProblem, cfgs: Sequence[SvmConfig]) -> list[BinarySvm]:
+    """The machine of each config on pair p, in the order of `cfgs`: a
+    machine p already holds for that config, or a certified one (`c_free`)
+    whose config differs only by a smaller C, as that solve would repeat the
+    certified one step for step. The configs p cannot serve are solved in
+    ascending C (stably), so that a certified solve serves every larger C
+    wherever it stands in `cfgs`, and p keeps each new machine.
     """
-    machines: list[BinarySvm | None] = [None] * len(cfgs)
-    certified: list[tuple[SvmConfig, BinarySvm]] = []
-    for k, cfg in sorted(enumerate(cfgs), key=lambda kc: kc[1].C):
-        m = next((m for c, m in certified if replace(c, C=cfg.C) == cfg), None)
-        if m is None:
-            m = smo_train(p.X, p.yb, cfg)
-            if m.c_free:
-                certified.append((cfg, m))
-        machines[k] = m
-    return machines
+    def held(cfg: SvmConfig) -> BinarySvm | None:
+        served = (m for c, m in p.solves if c == cfg or (m.c_free and c.C < cfg.C and replace(c, C=cfg.C) == cfg))
+        return next(served, None)
+
+    for cfg in sorted(cfgs, key=lambda c: c.C):
+        if held(cfg) is None:
+            p.solves.append((cfg, smo_train(p.X, p.yb, cfg)))
+    return [held(cfg) for cfg in cfgs]
 
 
 def train_from_problems(mp: MulticlassProblem, cfgs: Sequence[SvmConfig]) -> list[SvmModel]:
@@ -654,21 +660,15 @@ def train_from_problems(mp: MulticlassProblem, cfgs: Sequence[SvmConfig]) -> lis
 
     Training goes one class pair at a time; each solve builds the kernel
     rows it reads and frees them when it ends. Configs whose machines are
-    the same objects share one model, the first such config's.
+    the same objects share one model, the first one `mp` built of them.
     """
-    cfgs = list(cfgs)
-    columns = [_pair_machines(p, cfgs) for p in mp.problems]
     models: list[SvmModel] = []
-    for k in range(len(cfgs)):
-        machines = [col[k] for col in columns]
-        same = next((m for m in models if all(a is b for a, b in zip(m.machines, machines))), None)
-        models.append(same or SvmModel(
-            classes=mp.classes,
-            class_counts=mp.class_counts.copy(),
-            machines=machines,
-            feature_mask=mp.feature_mask,
-            standardizer=mp.standardizer,
-        ))
+    for machines in zip(*[_pair_machines(p, cfgs) for p in mp.problems]):
+        key = tuple(map(id, machines))
+        if key not in mp.models:
+            mp.models[key] = SvmModel(mp.classes, mp.class_counts.copy(), list(machines), mp.feature_mask,
+                                      mp.standardizer)
+        models.append(mp.models[key])
     return models
 
 

@@ -449,20 +449,27 @@ class TestExperimentCommand:
 
     MALFORMED = [
         ("exp5", "fmt=html", "'html'"),
-        ("all", "exp4_c=-1", "not -1.0"),
+        ("all", "exp4_c=-1", "exp4_c: C must be positive and finite, not -1.0"),
+        ("exp1", "c_grid=10,-1", "c_grid: C must be positive and finite, not -1.0"),
+        ("all", "exp2_cells=10:3;-5:3", "exp2_cells: C must be positive and finite, not -5.0"),
+        ("exp1", "exp3_cells=0:3", "exp3_cells: C must be positive and finite, not 0.0"),
+        # checked against the table before exp1 runs, though exp2 is the first to use them
+        ("all", "cutoff=top_k:99", "cutoff: top_k: k=99 out of range 1..21"),
+        ("all", "relieff_m=5000", "relieff_m: sample count m=5000 out of range 1.."),
         ("exp1", "ga_population=3", "not 3"),
         ("exp1", "vote=bogus", "'bogus'"),
         ("exp1", "quick=ture", "'ture'"),
         ("exp1", "relieff_k=0", "relieff_k must be >= 1, not 0"),
-        ("exp1", "relieff_m=0", "relieff_m must be >= 1, not 0"),
+        ("exp1", "relieff_m=0", "relieff_m: sample count m=0 out of range 1.."),
         ("exp1", "exp5_members=0", "members must be >= 1, not 0"),
-        ("exp1", "exp3_cells=500:0", "degree must be an integer >= 1, not 0"),
+        ("exp1", "exp3_cells=500:0", "exp3_cells: kernel degree must be an integer >= 1, not 0"),
     ]
 
     @pytest.mark.parametrize("exp_id, config_line, named", MALFORMED, ids=[line for _, line, _ in MALFORMED])
     def test_unknown_format_in_config_is_data_error(self, small_csv, tmp_path, capsys, exp_id, config_line, named):
         """A malformed value is refused before any experiment runs, even one
-        only a later experiment (or none of those asked for) would use."""
+        only a later experiment (or none of those asked for) would use: no
+        output directory, so no exp1 file, is made."""
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(config_line + "\n", encoding="utf-8")
         out = tmp_path / "out"

@@ -526,12 +526,12 @@ class TestKernelMemo:
         """A config sequence in one call: every config's model equals each
         pair solved alone under that config, with the same model file,
         update counts and certificates, in each sweep order; consecutive
-        configs share a model exactly when they share every machine."""
+        configs share a model exactly when they share every machine. Each
+        order trains on a fresh problem, which holds no machine yet."""
         _, train, std = quick_table
-        mp = pairwise_problems(train, None, std)
         for order in SWEEPS:
             cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
-            models = train_from_problems(mp, cfgs)
+            models = train_from_problems(pairwise_problems(train, None, std), cfgs)
             assert len(models) == len(cfgs)
             for k, (cfg, model) in enumerate(zip(cfgs, models)):
                 fresh = fresh_machines(train, std, cfg)
@@ -579,7 +579,8 @@ class TestKernelMemo:
     def test_row_budget_never_changes_a_result(self, quick_table, monkeypatch):
         """A budget of a few rows, which evicts and rebuilds rows all through
         each solve, gives the models, update counts and certificates of the
-        default budget, under a binding C and a free one."""
+        default budget, under a binding C and a free one. Each budget trains
+        on a fresh problem, which holds no machine yet."""
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
         cfgs = [cfgp(0.0005, 2), cfgp(10.0, 3), cfgp(1000.0, 4, 0.5)]
@@ -590,7 +591,7 @@ class TestKernelMemo:
         roomy_builds = len(powered)
         # at most 4 rows per solve: 4 of the smallest pair's, fewer of the others
         monkeypatch.setattr(svm, "_CACHE_BYTES", 4 * 8 * min(len(p.X) for p in mp.problems))
-        tight = train_from_problems(mp, cfgs)
+        tight = train_from_problems(pairwise_problems(train, None, std), cfgs)
         assert len(powered) - roomy_builds > 3 * roomy_builds  # rows were evicted and built again
         for a, b in zip(roomy, tight):
             assert model_to_lines(a) == model_to_lines(b)
@@ -764,7 +765,8 @@ class TestCertifiedReuse:
 
 
 class TestSingleSvmMemo:
-    """`Pipeline.models`, the one memo of the experiments' single SVMs."""
+    """`Pipeline.models` and the one problem per column set it keeps: the
+    one memo of the experiments' single SVMs."""
 
     @pytest.fixture
     def quick_pipe(self, ctg_table, tmp_path):
@@ -805,15 +807,32 @@ class TestSingleSvmMemo:
                 assert (got.bias, got.n_updates) == (want.bias, want.n_updates)
 
     def test_quick_all_run_solve_count(self, quick_pipe, smo_calls):
-        """The work of a quick `all` run: 121 solves, against 133 when
-        certified reuse followed the order of the cells (exp3 lists C=1000
-        before C=500) and 189 with one training per exp2, exp3 and exp5
-        cell, keyed by the mask object."""
+        """The work of a quick `all` run: 118 solves, now that a certified
+        machine also serves a larger C asked for in a later call on its
+        columns. It was 121 when certified reuse lasted one call, 133 when
+        it also followed the order of the cells (exp3 lists C=1000 before
+        C=500), and 189 with one training per exp2, exp3 and exp5 cell,
+        keyed by the mask object."""
         from ctgsvm.experiments import EXPERIMENT_IDS, RUNNERS
 
         for exp_id in EXPERIMENT_IDS:
             RUNNERS[exp_id](quick_pipe)
-        assert len(smo_calls) == 121
+        assert len(smo_calls) == 118
+
+    def test_certified_reuse_lasts_across_calls(self, quick_pipe, smo_calls, tmp_path):
+        """C=1000 asked for after C=500 at degree 4, in two calls, reuses the
+        3 certified C=500 machines, and the model saves to the bytes of
+        train_multiclass at C=1000 on a fresh problem."""
+        from ctgsvm.data import fit_standardizer
+
+        pipe = quick_pipe
+        pipe.models(None, [(500.0, 4)])
+        [model] = pipe.models(None, [(1000.0, 4)])
+        assert len(smo_calls) == 3 and all(m.c_free for m in smo_calls)
+        fresh = train_multiclass(pipe.train, pipe.cfg.svm(1000.0, 4), None, fit_standardizer(pipe.train))
+        save_model(model, tmp_path / "served.txt")
+        save_model(fresh, tmp_path / "fresh.txt")
+        assert (tmp_path / "served.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
 
 
 class TestPersistence:
