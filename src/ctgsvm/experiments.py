@@ -277,18 +277,21 @@ class Pipeline:
         cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts)
         return cms
 
-    def _columns(self, mask) -> tuple:
-        """The sorted columns of a feature mask, None for a mask of every
-        feature, and the standardizer fitted on those training columns."""
-        cols = None if mask is None or len(mask) == self.train.n_features else tuple(sorted(mask))
-        return cols, fit_standardizer(select_features(self.train, cols) if cols else self.train)
+    def _columns(self, mask) -> tuple[int, ...] | None:
+        """The sorted columns of a feature mask, None for a mask of every feature."""
+        return None if mask is None or len(mask) == self.train.n_features else tuple(sorted(mask))
+
+    def _standardizer(self, cols):
+        """The standardizer fitted on the training columns `cols`, fitted
+        anew for each problem or ensemble built on them."""
+        return fit_standardizer(select_features(self.train, cols) if cols else self.train)
 
     def models(self, mask, cells) -> list[SvmModel]:
         """The single SVM of each (C, degree) cell on `mask`, trained on the
         one problem of its columns, which keeps every machine solved on it."""
-        cols, std = self._columns(mask)
+        cols = self._columns(mask)
         if cols not in self._problems:
-            self._problems[cols] = pairwise_problems(self.train, cols, std)
+            self._problems[cols] = pairwise_problems(self.train, cols, self._standardizer(cols))
         return train_from_problems(self._problems[cols], [self.cfg.svm(C, degree) for C, degree in cells])
 
     def ensemble(self, mask, C: float, degree: int, members: int) -> EnsembleModel:
@@ -299,13 +302,15 @@ class Pipeline:
         the largest ensemble trained per (columns, C, degree) and answers any
         request up to its size with a prefix of it.
         """
-        cols, std = self._columns(mask)
+        cols = self._columns(mask)
         key = (cols, C, degree)
         if key not in self._ensembles or len(self._ensembles[key].members) < members:
             ens_cfg = EnsembleConfig(
                 members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed, vote=self.cfg.vote
             )
-            self._ensembles[key] = bagging_train(self.train, ens_cfg, feature_mask=cols, standardizer=std)
+            self._ensembles[key] = bagging_train(
+                self.train, ens_cfg, feature_mask=cols, standardizer=self._standardizer(cols)
+            )
         return self._ensembles[key].prefix(members)
 
 

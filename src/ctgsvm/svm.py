@@ -10,15 +10,26 @@ the update cap. Convergence is then verified against the dual feasibility
 gap of the resynced error cache, with at most three more sweeps, and the
 bias is recomputed from the unbounded support rows.
 
+SMO finds its support set early and spends most of its updates polishing
+it. So once the free set F, the rows with 0 < alpha < C, has not changed
+for _FINISH_AFTER updates, the solve tries to finish exactly on it: it
+solves the KKT system of F with every other alpha held at its bound, the
+active-set step of SimpleSVM (Vishwanathan, Smola & Murty, ICML 2003),
+stepping a row that leaves the box to its bound and solving again for a
+few rounds. The finish ends the solve only if the full dual feasibility
+gap, over every row, is then within tolerance; otherwise SMO goes on from
+the state before it, and tries again once F has changed and settled.
+
 A solve in which the box wall C never decided anything is certified
 (`BinarySvm.c_free`): no pair clipped to, clamped to or snapped onto a
-bound derived from C, no pair took the eta <= 0 branch, and every alpha
-stayed below C. Every comparison the solver makes then comes out the same
-for any larger C, so that solve is, operation for operation, the solve at
-the larger C (the dual path is constant in C until an alpha meets the
-wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). A `PairProblem` keeps
-its machines, and a certified one serves any larger C on that problem in
-any later call; the certificate is not saved.
+bound derived from C, no pair took the eta <= 0 branch, every alpha
+stayed below C, and no finish held a row at C or solved to a value at or
+above C, kept or not. Every comparison the solver makes then comes out
+the same for any larger C, so that solve is, operation for operation, the
+solve at the larger C (the dual path is constant in C until an alpha
+meets the wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). A
+`PairProblem` keeps its machines, and a certified one serves any larger C
+on that problem in any later call; the certificate is not saved.
 """
 from __future__ import annotations
 
@@ -34,6 +45,9 @@ from .data import DataError, Dataset, Standardizer, _read_text
 
 _CACHE_BYTES = 32 << 20  # kernel rows a solve keeps: every row of a problem of up to 2048 rows
 _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
+_FINISH_AFTER = 128  # updates with an unchanged free set before a solve tries to finish on it
+_FINISH_ROWS = 256  # the largest free set a finish solves: two buffers of at most 0.5 MB
+_FINISH_ROUNDS = 10  # systems a finish solves, each with one row fewer, before it gives up
 EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of a prediction's kernel values and of its decisions (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
@@ -334,6 +348,106 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
     return (i2, a1, a2, d1, d2, b_new), c_bound
 
 
+def _kkt(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float):
+    """g = K @ (a * y), b_est = y - g, and the ends m_up and m_low of the
+    dual feasibility gap m_up - m_low: the largest b_est over I_up and the
+    smallest over I_low."""
+    g = K.full_g(a * y)
+    b_est = y - g
+    pos = y > 0
+    return g, b_est, b_est[np.where(pos, a < C, a > 0.0)].max(), b_est[np.where(pos, a > 0.0, a < C)].min()
+
+
+def _eliminate(M: np.ndarray, rhs: np.ndarray, scratch: np.ndarray) -> np.ndarray | None:
+    """The solution of M x = rhs by Gaussian elimination in row order
+    without pivoting, overwriting M and rhs (scratch holds at least M.size
+    values), or None when a pivot is 0 or the solution is not finite.
+
+    Every operation is elementwise, with no BLAS or LAPACK call, so the
+    solution does not depend on the BLAS library or its thread count (with
+    OpenBLAS 0.3.31, a LAPACK solve of 128 rows differs in its last bits
+    between 1 and 2 threads). A KKT system needs no pivoting while Q_FF is
+    positive definite, and two equal rows of it, up to sign, leave an exact
+    0 pivot.
+    """
+    n = len(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            if M[k, k] == 0.0:
+                return None
+            col = M[k + 1:, k] / M[k, k]
+            m = n - k - 1
+            outer = scratch[:m * m].reshape(m, m)
+            np.multiply.outer(col, M[k, k + 1:], out=outer)
+            M[k + 1:, k + 1:] -= outer
+            rhs[k + 1:] -= col * rhs[k]
+        for k in range(n - 1, -1, -1):
+            rhs[k] /= M[k, k]
+            rhs[:k] -= M[:k, k] * rhs[k]
+    return rhs if np.isfinite(rhs).all() else None
+
+
+def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float):
+    """The exact optimum on the free set F of the alphas a (0 < a < C), with
+    the bounded alphas B held fixed: the active-set step of SimpleSVM
+    (Vishwanathan, Smola & Murty, ICML 2003). Returns (alphas, c_bound):
+    the finished alphas, or None when there is no finish, and whether C
+    entered the finish, as a row held at C or a solution that reached C.
+
+    Each round solves the KKT system of the rows of F,
+    [Q_FF y_F; y_F' 0] [a_F; b] = [1 - Q_FB a_B; -y_B' a_B], Q = yy' o K,
+    by `_eliminate`, in buffers sized for the first F. A solution outside
+    the box steps from a to the first bound it meets, moves that row to B
+    and solves again, at most _FINISH_ROUNDS times. The finished alphas are
+    kept only if the full dual feasibility gap, over every row, is within
+    tol. An F of more than _FINISH_ROWS rows or of none, a singular system
+    and a solution still outside the box after the last round give None.
+    """
+    free = np.flatnonzero((a > 0.0) & (a < C))
+    if not 0 < len(free) <= _FINISH_ROWS:
+        return None, False
+    a = a.copy()
+    c_bound = bool((a >= C).any())
+    buf, scratch = np.empty((2, (len(free) + 1) ** 2))
+    for _ in range(_FINISH_ROUNDS):
+        f = len(free)
+        yf = y[free]
+        M = buf[:(f + 1) ** 2].reshape(f + 1, f + 1)
+        for r, i in enumerate(free.tolist()):
+            np.take(K.row(i), free, out=M[r, :f])
+        M[:f, :f] *= yf[:, None]
+        M[:f, :f] *= yf
+        M[:f, f] = M[f, :f] = yf
+        M[f, f] = 0.0
+        coef = a * y
+        coef[free] = 0.0
+        rhs = np.append(1.0 - yf * K.full_g(coef)[free], -coef.sum())
+        new = _eliminate(M, rhs, scratch)
+        if new is None:  # singular, as with two free copies of one row
+            return None, c_bound
+        new = new[:f]
+        below, above = new < 0.0, new > C
+        c_bound = c_bound or bool((new >= C).any())
+        if not (below | above).any():
+            a[free] = new
+            break
+        # the share of the way from a to the solution at which each row
+        # leaving the box meets its bound; a_F lies in the box and each
+        # leaving row strictly outside it, so no denominator is 0
+        old = a[free]
+        t = np.full(f, np.inf)
+        t[below] = old[below] / (old[below] - new[below])
+        t[above] = (C - old[above]) / (new[above] - old[above])
+        k = int(t.argmin())
+        a[free] = np.clip(old + t[k] * (new - old), 0.0, C)
+        a[free[k]] = 0.0 if below[k] else C
+        free = np.delete(free, k)
+    else:
+        return None, c_bound
+    _, _, m_up, m_low = _kkt(K, y, a, C)
+    return (a if m_up - m_low <= tol else None), c_bound
+
+
 def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     """Train a binary soft-margin SVM by pairwise dual updates.
 
@@ -342,8 +456,10 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     best-so-far model flagged as non-converged instead of raising.
 
     Kernel rows are built when the solve first reads them (`_KernelSource`).
-    The machine's `c_free` says whether the solve is certified to be the
-    solve at any larger C.
+    Once the free set has stayed the same for _FINISH_AFTER updates, the
+    solve tries to end exactly on it (`_finish`); a finish that fails leaves
+    the state as it was. The machine's `c_free` says whether the solve is
+    certified to be the solve at any larger C.
 
     An update makes 13 passes over arrays of n entries when the eta row of
     its first row is memoized, and 4 more to build that row when it is not:
@@ -376,6 +492,7 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     b = 0.0
     g = np.zeros(n)  # K @ (alphas * y) as of the last resync
     updates = 0
+    since = 0  # the update that last changed the free set, the rows with 0 < alpha < C
     c_free = True
     # The error cache E = decision - label is held only as two masked
     # copies, rows of one array so that an update adds its delta to both in
@@ -448,21 +565,29 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
             np.add(delta, scratch, out=delta)
             np.add(delta, b_new - b, out=delta)
             np.add(cache, delta, out=cache)
+            changed = False
             for k, a in ((i, a1), (i2, a2)):
                 e = err(k)
+                free = up[k] and low[k]
                 alphas[k] = a
                 up[k], low[k] = (a < C, a > 0.0) if pos[k] else (a > 0.0, a < C)
+                changed = changed or free != (up[k] and low[k])
                 e_up[k] = e if up[k] else np.inf
                 e_low[k] = e if low[k] else -np.inf
             b = b_new
             updates += 1
+            if changed:
+                since = updates
+            elif updates - since == _FINISH_AFTER:
+                done, c_bound = _finish(K, y, np.array(alphas), C, tol)
+                c_free = c_free and not c_bound
+                if done is not None:
+                    alphas = done.tolist()
+                    break
             if updates % 4096 == 0:
                 # shed accumulated drift
                 np.copyto(cache, np.where([up, low], K.full_g(np.array(alphas) * y) + b - y, fill))
-        g = K.full_g(np.array(alphas) * y)
-        b_est = y - g
-        m_up = b_est[np.array(up)].max()
-        m_low = b_est[np.array(low)].min()
+        g, b_est, m_up, m_low = _kkt(K, y, np.array(alphas), C)
         if m_up - m_low <= tol or updates >= cfg.max_iter:
             break
 

@@ -12,9 +12,11 @@ import os
 # Its kernel rows sum in an order that does not depend on the BLAS thread
 # count with OpenBLAS's x86-64 kernels (the README says how that was
 # checked), but another BLAS may differ. One BLAS thread keeps the pinned
-# solver path (solver_path_seed42.txt) the same on every machine. This only
-# takes effect before numpy loads, so it comes before the first numpy import.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# solver path (solver_path_seed42.txt) the same on every machine;
+# CTGSVM_TEST_BLAS_THREADS=N runs the tests at N threads instead, to check
+# that claim. This only takes effect before numpy loads, so it comes before
+# the first numpy import.
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ.get("CTGSVM_TEST_BLAS_THREADS") or "1"
 
 from itertools import combinations
 

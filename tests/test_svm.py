@@ -294,17 +294,36 @@ def sep3(n_per=8, seed=0):
     return numeric_dataset(np.vstack(rows), classes)
 
 
+@pytest.fixture
+def finishes(monkeypatch):
+    """Records each svm._finish call as (alphas it started from, alphas it
+    returned or None, c_bound)."""
+    made = []
+    real = svm._finish
+
+    def recording(K, y, a, C, tol):
+        done, c_bound = real(K, y, a, C, tol)
+        made.append((a.copy(), done, c_bound))
+        return done, c_bound
+
+    monkeypatch.setattr(svm, "_finish", recording)
+    return made
+
+
 def rebuild_reference(X, y, cfg):
     """smo_train's selection loop as it was before its per-step arrays were
     kept between steps: both masks rebuilt from the alphas, and every
     masked array and eta row computed afresh, at each step, with kernel rows
-    from a row source of its own (a svm._KernelSource). Returns (alphas,
-    bias, updates, c_free, converged, firsts), where firsts is the number of
-    distinct first rows of the solve's pairs."""
+    from a row source of its own (a svm._KernelSource). Once the free set
+    has stayed the same for svm._FINISH_AFTER updates, it calls svm._finish
+    as the solver does. Returns (alphas, bias, updates, c_free, converged,
+    firsts), where firsts is the number of distinct first rows of the
+    solve's pairs."""
     K = svm._KernelSource(X, cfg.kernel)
     diag = K.diag
     n, C, tol = len(y), cfg.C, cfg.tolerance
     alphas, b, E, updates, c_free, pos = np.zeros(n), 0.0, -y.copy(), 0, True, y > 0
+    since = 0
     eta, gain, firsts = np.empty(n), np.empty(n), set()
     for sweep in range(4):
         if sweep:
@@ -333,9 +352,18 @@ def rebuild_reference(X, y, cfg):
                 break
             i2, a1, a2, d1, d2, b_new = step
             E += y[i] * d1 * K.row(i) + y[i2] * d2 * K.row(i2) + (b_new - b)
+            free = (alphas > 0) & (alphas < C)
             alphas[i], alphas[i2] = a1, a2
             b = b_new
             updates += 1
+            if not np.array_equal(free, (alphas > 0) & (alphas < C)):
+                since = updates
+            elif updates - since == svm._FINISH_AFTER:
+                done, c_bound = svm._finish(K, y, alphas, C, tol)
+                c_free = c_free and not c_bound
+                if done is not None:
+                    alphas = done
+                    break
             if updates % 4096 == 0:
                 E[:] = K.full_g(alphas * y) + b - y
         g = K.full_g(alphas * y)
@@ -368,18 +396,18 @@ class TestKeptStepArrays:
         X = rng.normal(0, 1, (300, 2))
         yield X, np.where(X[:, 0] + rng.normal(0, 1.0, 300) > 0, 1.0, -1.0), cfgp(1e3, 3, max_iter=9000)
 
-    def test_matches_per_step_rebuild(self):
-        self.assert_matches_rebuild(small=False)
+    def test_matches_per_step_rebuild(self, finishes):
+        self.assert_matches_rebuild(finishes, small=False)
 
     @pytest.mark.parametrize("few_rows", [False, True], ids=["small-eta-memo", "small-eta-and-row-memos"])
-    def test_other_modes_match_per_step_rebuild(self, monkeypatch, few_rows):
+    def test_other_modes_match_per_step_rebuild(self, monkeypatch, finishes, few_rows):
         monkeypatch.setattr(svm, "_ETA_ROWS", 3)
         if few_rows:
             # two kernel rows of the smallest problem, one of every other
             monkeypatch.setattr(svm, "_CACHE_BYTES", 2 * 8 * 20)
-        self.assert_matches_rebuild(small=True)
+        self.assert_matches_rebuild(finishes, small=True)
 
-    def assert_matches_rebuild(self, small):
+    def assert_matches_rebuild(self, finishes, small):
         bounded = drift = 0
         most_firsts = 0
         for k, (X, y, cfg) in enumerate(self.problems()):
@@ -393,6 +421,8 @@ class TestKeptStepArrays:
             drift += updates > 4096
             most_firsts = max(most_firsts, firsts)
         assert bounded >= 3 and drift >= 1  # the fixtures reach C and the drift resync
+        kept = sum(done is not None for _, done, _ in finishes)  # the solver's and the rebuild's
+        assert kept >= 4 and len(finishes) - kept >= 4  # finishes kept and refused
         if small:
             assert most_firsts > 3  # the small memos evict
 
@@ -414,6 +444,97 @@ class TestKeptStepArrays:
             ours, asked[:] = asked[:], []
             rebuild_reference(X, y, cfg)
         assert ours == asked == [(0, 2)] * 8  # nothing moves: each of 4 sweeps asks for j, then j_max
+
+
+def full_alphas(X, m):
+    """The alpha of each row of X under machine m, 0 off its support set
+    (each support row matched to its first equal row of X)."""
+    a = np.zeros(len(X))
+    for row, alpha in zip(m.support_vectors, m.alphas):
+        a[np.flatnonzero((X == row).all(axis=1))[0]] += alpha
+    return a
+
+
+def assert_matches_qp_reference(X, y, cfg, m):
+    K = kernel_matrix(X, X, cfg.kernel)
+    a_ref, obj_ref = qp_reference(K, y, cfg.C)
+    assert dual_objective(m) == pytest.approx(obj_ref, abs=1e-6)
+    d_ref = K @ (a_ref * y) + qp_bias(K, y, cfg.C, a_ref)
+    assert np.array_equal(d_ref >= 0, decision_values(m, X) >= 0)
+
+
+class TestFinish:
+    """svm._finish, the exact solve on a stable free set that ends a solve."""
+
+    def test_stalled_pair_subsample_matches_qp_reference(self, finishes):
+        """The class pair 1-2 of `train --features LB,AC,FM,UC,ASTV` on the
+        synthetic table, whose machine stopped at the 200 000-update cap
+        before solves finished on their free sets, subsampled to 40 rows.
+        At C=10 no row of a 40-row subsample binds, and on larger ones
+        qp_reference stops short of the optimum, so C is 0.1: the finish
+        then holds a row at C in its right-hand side and is kept."""
+        from ctgsvm.data import fit_standardizer, mask_by_names, select_features
+        from ctgsvm.synth import make_ctg_like
+
+        ds = make_ctg_like()
+        mask = mask_by_names(ds, keep=["LB", "AC", "FM", "UC", "ASTV"])
+        p = pairwise_problems(ds, mask, fit_standardizer(select_features(ds, mask))).problems[2]
+        assert (p.ci, p.cj, len(p.X)) == (1, 2, 471)
+        idx = np.sort(np.random.default_rng(2).choice(len(p.X), 40, replace=False))
+        X, y, cfg = p.X[idx], p.yb[idx], cfgp(0.1, 3)
+        m = smo_train(X, y, cfg)
+        assert m.converged and (m.alphas == cfg.C).sum() >= 1
+        [(start, done, c_bound)] = finishes
+        assert done is not None and (start == cfg.C).any() and c_bound and not m.c_free
+        assert_matches_qp_reference(X, y, cfg, m)
+
+    def test_two_free_copies_fall_back_to_smo(self, finishes):
+        """A finish whose free set holds two copies of one row meets a
+        singular system and is refused; SMO goes on from where it was and
+        still reaches the QP optimum."""
+        rng = np.random.default_rng(12)
+        X = rng.normal(0, 1, (24, 2))
+        y = np.where(X[:, 0] + rng.normal(0, 1.0, 24) > 0, 1.0, -1.0)
+        X[:6], y[:6] = X[6:12], y[6:12]
+        cfg = cfgp(10.0, 1)
+        m = smo_train(X, y, cfg)
+        [(start, done, _)] = finishes
+        free = np.flatnonzero((start > 0) & (start < cfg.C))
+        assert len({X[i].tobytes() for i in free}) < len(free)  # two free copies of one row
+        assert done is None and m.converged
+        assert_matches_qp_reference(X, y, cfg, m)
+
+    def test_never_kept_while_a_zero_alpha_row_violates_kkt(self):
+        """From a converged solve's alphas the finish is kept. With free row
+        s moved to 0, the finish solves the same system as on the table
+        without row s, where it is kept; with s present at 0 it is refused,
+        as s then violates its KKT condition."""
+        rng = np.random.default_rng(7)
+        X = rng.normal(0, 1, (30, 2))
+        y = np.where(X[:, 0] + rng.normal(0, 1.0, 30) > 0, 1.0, -1.0)
+        cfg = cfgp(10.0, 2)
+        a = full_alphas(X, smo_train(X, y, cfg))
+        K = svm._KernelSource(X, cfg.kernel)
+        assert svm._finish(K, y, a, cfg.C, cfg.tolerance)[0] is not None
+        s = np.flatnonzero((a > 0) & (a < cfg.C))[2]
+        a[s] = 0.0
+        keep = np.arange(len(X)) != s
+        without_s, _ = svm._finish(svm._KernelSource(X[keep], cfg.kernel), y[keep], a[keep], cfg.C, cfg.tolerance)
+        assert without_s is not None
+        assert svm._finish(K, y, a, cfg.C, cfg.tolerance)[0] is None
+
+    def test_certified_finished_solve_serves_a_larger_c(self, quick_table, finishes, tmp_path):
+        """A finished solve in which C decided nothing is certified, and the
+        model it serves at C=1000 saves to the bytes of a fresh solve at
+        C=1000."""
+        _, train, std = quick_table
+        _, model = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 5), cfgp(1000.0, 5)])
+        kept = [done for _, done, c_bound in finishes if done is not None and not c_bound]
+        assert len(kept) == 1 and all(m.c_free for m in model.machines)
+        fresh = train_multiclass(train, cfgp(1000.0, 5), None, std)
+        save_model(model, tmp_path / "served.txt")
+        save_model(fresh, tmp_path / "fresh.txt")
+        assert (tmp_path / "served.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
 
 
 class TestMulticlass:
@@ -818,6 +939,19 @@ class TestSingleSvmMemo:
         for exp_id in EXPERIMENT_IDS:
             RUNNERS[exp_id](quick_pipe)
         assert len(smo_calls) == 118
+
+    def test_quick_all_run_fits_a_standardizer_per_build(self, quick_pipe, monkeypatch):
+        """A quick `all` run fits 10 standardizers: one for each of its 9
+        problems, one per column set, and one for its one ensemble. It
+        fitted 46 when every `models` and `ensemble` call fitted one."""
+        from ctgsvm import experiments
+
+        fitted = []
+        real = experiments.fit_standardizer
+        monkeypatch.setattr(experiments, "fit_standardizer", lambda ds: fitted.append(ds) or real(ds))
+        for exp_id in experiments.EXPERIMENT_IDS:
+            experiments.RUNNERS[exp_id](quick_pipe)
+        assert (len(fitted), len(quick_pipe._problems), len(quick_pipe._ensembles)) == (10, 9, 1)
 
     def test_certified_reuse_lasts_across_calls(self, quick_pipe, smo_calls, tmp_path):
         """C=1000 asked for after C=500 at degree 4, in two calls, reuses the
