@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--c", type=float, default=10.0)
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--coef0", type=float, default=1.0)
+    p.add_argument("--coef0", type=float, default=KernelSpec.coef0)
     p.add_argument("--members", type=int, default=1, help=">1 trains a bagged ensemble")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--features", help="comma-separated feature names to keep")

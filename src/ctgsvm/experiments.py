@@ -78,9 +78,9 @@ class ExperimentConfig:
     exp4_members: int = 10
     exp5_members: int = 7
     vote: str = "unweighted_majority"
-    coef0: float = 1.0
-    tolerance: float = 1e-3
-    max_iter: int = 200_000
+    coef0: float = KernelSpec.coef0
+    tolerance: float = SvmConfig.tolerance
+    max_iter: int = SvmConfig.max_iter
     ga_population: int = 20
     ga_generations: int = 20
     ga_crossover: float = 0.6

@@ -20,16 +20,13 @@ few rounds. The finish ends the solve only if the full dual feasibility
 gap, over every row, is then within tolerance; otherwise SMO goes on from
 the state before it, and tries again once F has changed and settled.
 
-A solve in which the box wall C never decided anything is certified
-(`BinarySvm.c_free`): no pair clipped to, clamped to or snapped onto a
-bound derived from C, no pair took the eta <= 0 branch, every alpha
-stayed below C, and no finish held a row at C or solved to a value at or
-above C, kept or not. Every comparison the solver makes then comes out
-the same for any larger C, so that solve is, operation for operation, the
-solve at the larger C (the dual path is constant in C until an alpha
-meets the wall; Hastie, Rosset, Tibshirani & Zhu, JMLR 2004). A
-`PairProblem` keeps its machines, and a certified one serves any larger C
-on that problem in any later call; the certificate is not saved.
+A converged machine whose every alpha lies below C has the same free set,
+bounded set, gap and bias at any C' above its largest alpha, as C enters
+the KKT conditions only through a < C (the dual solution is constant in C
+until an alpha meets the wall; Hastie, Rosset, Tibshirani & Zhu, JMLR
+2004). So a `PairProblem` keeps its machines, and such a machine serves
+any such C' on that problem in any later call: an optimum at C', though a
+fresh solve at C' may reach it by another path.
 """
 from __future__ import annotations
 
@@ -162,7 +159,6 @@ class BinarySvm:
     kernel: KernelSpec
     converged: bool = True
     n_updates: int = 0
-    c_free: bool = False  # the solve's certificate (see the module docstring); not saved
 
     def __post_init__(self):
         if len(self.alphas) == 0:
@@ -257,16 +253,14 @@ def _ovo_vote(d: np.ndarray, to_class: np.ndarray, priors: np.ndarray) -> tuple[
 
 def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
     """The analytic update of the pair (i1, i2), whose errors are e1 and e2,
-    not yet applied: returns
-    (step, c_bound). step is (i2, a1, a2, d1, d2, b_new), or None when the
-    pair cannot move; c_bound is True when C decided anything here, moved
-    or not, so that a larger C could have given a different step.
+    not yet applied: (i2, a1, a2, d1, d2, b_new), or None when the pair
+    cannot move.
 
     `row1` is the kernel row of i1; a pair whose second-derivative eta is
     not positive takes whichever clip bound gives the larger objective.
     """
     if i1 == i2:
-        return None, False
+        return None
     # Python floats: the same IEEE double arithmetic as numpy scalars, at a
     # fraction of the per-operation cost
     a1o, a2o = float(alphas[i1]), float(alphas[i2])
@@ -275,16 +269,13 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
     if s < 0:
         L = max(0.0, a2o - a1o)
         H = min(C, C + a2o - a1o)
-        c_low, c_high = False, True  # whether L and H derive from C
     else:
         L = max(0.0, a1o + a2o - C)
         H = min(C, a1o + a2o)
-        c_low = c_high = a1o + a2o > C
     if L >= H:
-        return None, c_high
+        return None
     k11, k12, k22 = float(diag[i1]), float(row1[i2]), float(diag[i2])
     eta = k11 + k22 - 2.0 * k12
-    c_bound = eta <= 0.0  # that branch compares the objective at L and H
     if eta > 0.0:
         a2 = a2o + y2 * (e1 - e2) / eta
         a2 = min(max(a2, L), H)
@@ -302,11 +293,9 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
             a2 = H
         else:
             a2 = a2o
-    c_bound = c_bound or (c_low and a2 == L) or (c_high and a2 == H)
     if abs(a2 - a2o) < EPSILON * (a2 + a2o + EPSILON):
-        return None, c_bound
+        return None
     a1 = a1o + s * (a2o - a2)
-    c_bound = c_bound or a1 >= C
     # push any float residue outside the box back into a2, keeping the
     # equality constraint intact
     if a1 < 0.0:
@@ -325,17 +314,14 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
     elif 0.0 < C - a1 < crumb:
         a2 += s * (a1 - C)
         a1 = C
-        c_bound = True
     if 0.0 < a2 < crumb:
         a1 += s * a2
         a2 = 0.0
     elif 0.0 < C - a2 < crumb:
         a1 += s * (a2 - C)
         a2 = C
-        c_bound = True
     a1 = min(max(a1, 0.0), C)
     a2 = min(max(a2, 0.0), C)
-    c_bound = c_bound or a1 >= C or a2 >= C
     d1, d2 = a1 - a1o, a2 - a2o
     b1 = b - e1 - y1 * d1 * k11 - y2 * d2 * k12
     b2 = b - e2 - y1 * d1 * k12 - y2 * d2 * k22
@@ -345,7 +331,7 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
         b_new = b2
     else:
         b_new = (b1 + b2) / 2.0
-    return (i2, a1, a2, d1, d2, b_new), c_bound
+    return i2, a1, a2, d1, d2, b_new
 
 
 def _kkt(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float):
@@ -390,9 +376,8 @@ def _eliminate(M: np.ndarray, rhs: np.ndarray, scratch: np.ndarray) -> np.ndarra
 def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float):
     """The exact optimum on the free set F of the alphas a (0 < a < C), with
     the bounded alphas B held fixed: the active-set step of SimpleSVM
-    (Vishwanathan, Smola & Murty, ICML 2003). Returns (alphas, c_bound):
-    the finished alphas, or None when there is no finish, and whether C
-    entered the finish, as a row held at C or a solution that reached C.
+    (Vishwanathan, Smola & Murty, ICML 2003). Returns the finished alphas,
+    or None when there is no finish.
 
     Each round solves the KKT system of the rows of F,
     [Q_FF y_F; y_F' 0] [a_F; b] = [1 - Q_FB a_B; -y_B' a_B], Q = yy' o K,
@@ -405,9 +390,8 @@ def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float
     """
     free = np.flatnonzero((a > 0.0) & (a < C))
     if not 0 < len(free) <= _FINISH_ROWS:
-        return None, False
+        return None
     a = a.copy()
-    c_bound = bool((a >= C).any())
     buf, scratch = np.empty((2, (len(free) + 1) ** 2))
     for _ in range(_FINISH_ROUNDS):
         f = len(free)
@@ -424,10 +408,9 @@ def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float
         rhs = np.append(1.0 - yf * K.full_g(coef)[free], -coef.sum())
         new = _eliminate(M, rhs, scratch)
         if new is None:  # singular, as with two free copies of one row
-            return None, c_bound
+            return None
         new = new[:f]
         below, above = new < 0.0, new > C
-        c_bound = c_bound or bool((new >= C).any())
         if not (below | above).any():
             a[free] = new
             break
@@ -443,9 +426,9 @@ def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float
         a[free[k]] = 0.0 if below[k] else C
         free = np.delete(free, k)
     else:
-        return None, c_bound
+        return None
     _, _, m_up, m_low = _kkt(K, y, a, C)
-    return (a if m_up - m_low <= tol else None), c_bound
+    return a if m_up - m_low <= tol else None
 
 
 def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
@@ -458,8 +441,7 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     Kernel rows are built when the solve first reads them (`_KernelSource`).
     Once the free set has stayed the same for _FINISH_AFTER updates, the
     solve tries to end exactly on it (`_finish`); a finish that fails leaves
-    the state as it was. The machine's `c_free` says whether the solve is
-    certified to be the solve at any larger C.
+    the state as it was.
 
     An update makes 13 passes over arrays of n entries when the eta row of
     its first row is memoized, and 4 more to build that row when it is not:
@@ -493,7 +475,6 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     g = np.zeros(n)  # K @ (alphas * y) as of the last resync
     updates = 0
     since = 0  # the update that last changed the free set, the rows with 0 < alpha < C
-    c_free = True
     # The error cache E = decision - label is held only as two masked
     # copies, rows of one array so that an update adds its delta to both in
     # one call: e_up is E on I_up and +inf elsewhere, e_low is E on I_low
@@ -552,11 +533,9 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
                 # -inf, argmax picks as the plain masked gain does
                 np.putmask(gain, e_low <= e_i, -np.inf)
                 j = int(gain.argmax())
-            step, c_bound = _pair_step(alphas, ys, e_i, err(j), b, C, dg, row1, i, j)
+            step = _pair_step(alphas, ys, e_i, err(j), b, C, dg, row1, i, j)
             if step is None:
-                step, c_max = _pair_step(alphas, ys, e_i, err(j_max), b, C, dg, row1, i, j_max)
-                c_bound = c_bound or c_max
-            c_free = c_free and not c_bound
+                step = _pair_step(alphas, ys, e_i, err(j_max), b, C, dg, row1, i, j_max)
             if step is None:
                 break  # numerically stuck; the gap check below decides
             i2, a1, a2, d1, d2, b_new = step
@@ -579,8 +558,7 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
             if changed:
                 since = updates
             elif updates - since == _FINISH_AFTER:
-                done, c_bound = _finish(K, y, np.array(alphas), C, tol)
-                c_free = c_free and not c_bound
+                done = _finish(K, y, np.array(alphas), C, tol)
                 if done is not None:
                     alphas = done.tolist()
                     break
@@ -612,7 +590,6 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
         kernel=cfg.kernel,
         converged=converged,
         n_updates=updates,
-        c_free=c_free,
     )
 
 
@@ -764,14 +741,16 @@ def _one_row(values) -> np.ndarray:
 
 def _pair_machines(p: PairProblem, cfgs: Sequence[SvmConfig]) -> list[BinarySvm]:
     """The machine of each config on pair p, in the order of `cfgs`: a
-    machine p already holds for that config, or a certified one (`c_free`)
-    whose config differs only by a smaller C, as that solve would repeat the
-    certified one step for step. The configs p cannot serve are solved in
-    ascending C (stably), so that a certified solve serves every larger C
-    wherever it stands in `cfgs`, and p keeps each new machine.
+    machine p already holds for that config, or a converged one whose config
+    differs only by C and whose alphas all lie below both Cs, as it then
+    meets the KKT conditions at either C (see the module docstring). The
+    configs p cannot serve are solved in ascending C (stably), so that a
+    machine free of its wall serves every larger C wherever it stands in
+    `cfgs`, and p keeps each new machine.
     """
     def held(cfg: SvmConfig) -> BinarySvm | None:
-        served = (m for c, m in p.solves if c == cfg or (m.c_free and c.C < cfg.C and replace(c, C=cfg.C) == cfg))
+        served = (m for c, m in p.solves if c == cfg or (
+            replace(c, C=cfg.C) == cfg and m.converged and m.alphas.max() < min(c.C, cfg.C)))
         return next(served, None)
 
     for cfg in sorted(cfgs, key=lambda c: c.C):
@@ -908,6 +887,7 @@ def _parse_model(cur: _Lines) -> SvmModel:
     classes = tuple(cur.fields("classes"))
     cur.require(len(classes) >= 2, "fewer than 2 classes")
     counts = np.array([int(c) for c in cur.fields("counts", len(classes))])
+    cur.require((counts >= 1).all(), "class count below 1")  # as pairwise_problems rejects an absent class
     kparts = cur.fields("kernel", 3)
     cur.require(kparts[0] == "polynomial", f"unsupported kernel kind {kparts[0]!r}")
     try:

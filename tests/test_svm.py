@@ -1,7 +1,6 @@
 """Solver correctness against the QP reference, kernel math, multiclass
 voting, and model persistence."""
 import hashlib
-import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -148,7 +147,6 @@ class TestSmoAnalytic:
         _, obj_ref = qp_reference(K, y, 5.0)
         assert m.converged or np.all(m.alphas <= 5.0)
         assert dual_objective(m) == pytest.approx(obj_ref, abs=1e-6)
-        assert not m.c_free  # identical rows: eta = 0 for every pair
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="single-class"):
@@ -275,7 +273,7 @@ class TestSolverInvariants:
     def test_stuck_pair_ends_the_solve_flagged(self, monkeypatch):
         """A pair that cannot move ends the sweep; the gap check then flags
         the machine instead of the solver raising or spinning."""
-        monkeypatch.setattr(svm, "_pair_step", lambda *args: (None, False))
+        monkeypatch.setattr(svm, "_pair_step", lambda *args: None)
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         m = smo_train(X, y, cfgp(10.0, 1, 0.0))
@@ -297,14 +295,14 @@ def sep3(n_per=8, seed=0):
 @pytest.fixture
 def finishes(monkeypatch):
     """Records each svm._finish call as (alphas it started from, alphas it
-    returned or None, c_bound)."""
+    returned or None)."""
     made = []
     real = svm._finish
 
     def recording(K, y, a, C, tol):
-        done, c_bound = real(K, y, a, C, tol)
-        made.append((a.copy(), done, c_bound))
-        return done, c_bound
+        done = real(K, y, a, C, tol)
+        made.append((a.copy(), done))
+        return done
 
     monkeypatch.setattr(svm, "_finish", recording)
     return made
@@ -316,13 +314,13 @@ def rebuild_reference(X, y, cfg):
     masked array and eta row computed afresh, at each step, with kernel rows
     from a row source of its own (a svm._KernelSource). Once the free set
     has stayed the same for svm._FINISH_AFTER updates, it calls svm._finish
-    as the solver does. Returns (alphas, bias, updates, c_free, converged,
-    firsts), where firsts is the number of distinct first rows of the
-    solve's pairs."""
+    as the solver does. Returns (alphas, bias, updates, converged, firsts),
+    where firsts is the number of distinct first rows of the solve's
+    pairs."""
     K = svm._KernelSource(X, cfg.kernel)
     diag = K.diag
     n, C, tol = len(y), cfg.C, cfg.tolerance
-    alphas, b, E, updates, c_free, pos = np.zeros(n), 0.0, -y.copy(), 0, True, y > 0
+    alphas, b, E, updates, pos = np.zeros(n), 0.0, -y.copy(), 0, y > 0
     since = 0
     eta, gain, firsts = np.empty(n), np.empty(n), set()
     for sweep in range(4):
@@ -343,11 +341,9 @@ def rebuild_reference(X, y, cfg):
             np.divide((E - E[i]) ** 2, eta, out=gain)
             gain[e_low <= E[i]] = -np.inf
             j = int(np.argmax(gain))
-            step, c_bound = svm._pair_step(alphas, y, E[i], E[j], b, C, diag, K.row(i), i, j)
+            step = svm._pair_step(alphas, y, E[i], E[j], b, C, diag, K.row(i), i, j)
             if step is None:
-                step, c_max = svm._pair_step(alphas, y, E[i], E[j_max], b, C, diag, K.row(i), i, j_max)
-                c_bound = c_bound or c_max
-            c_free = c_free and not c_bound
+                step = svm._pair_step(alphas, y, E[i], E[j_max], b, C, diag, K.row(i), i, j_max)
             if step is None:
                 break
             i2, a1, a2, d1, d2, b_new = step
@@ -359,8 +355,7 @@ def rebuild_reference(X, y, cfg):
             if not np.array_equal(free, (alphas > 0) & (alphas < C)):
                 since = updates
             elif updates - since == svm._FINISH_AFTER:
-                done, c_bound = svm._finish(K, y, alphas, C, tol)
-                c_free = c_free and not c_bound
+                done = svm._finish(K, y, alphas, C, tol)
                 if done is not None:
                     alphas = done
                     break
@@ -374,7 +369,7 @@ def rebuild_reference(X, y, cfg):
             break
     unbounded = (alphas > 0.0) & (alphas < C)
     bias = float(b_est[unbounded].mean()) if unbounded.any() else float((m_up + m_low) / 2.0)
-    return alphas, bias, updates, c_free, m_up - m_low <= tol, len(firsts)
+    return alphas, bias, updates, m_up - m_low <= tol, len(firsts)
 
 
 class TestKeptStepArrays:
@@ -411,17 +406,17 @@ class TestKeptStepArrays:
         bounded = drift = 0
         most_firsts = 0
         for k, (X, y, cfg) in enumerate(self.problems()):
-            alphas, bias, updates, c_free, converged, firsts = rebuild_reference(X, y, cfg)
+            alphas, bias, updates, converged, firsts = rebuild_reference(X, y, cfg)
             m = smo_train(X, y, cfg)
             sv = alphas > 0
             assert np.array_equal(m.alphas, alphas[sv]), k
             assert np.array_equal(m.support_vectors, X[sv]), k
-            assert (m.bias, m.n_updates, m.c_free, m.converged) == (bias, updates, c_free, converged), k
+            assert (m.bias, m.n_updates, m.converged) == (bias, updates, converged), k
             bounded += int((alphas == cfg.C).any())
             drift += updates > 4096
             most_firsts = max(most_firsts, firsts)
         assert bounded >= 3 and drift >= 1  # the fixtures reach C and the drift resync
-        kept = sum(done is not None for _, done, _ in finishes)  # the solver's and the rebuild's
+        kept = sum(done is not None for _, done in finishes)  # the solver's and the rebuild's
         assert kept >= 4 and len(finishes) - kept >= 4  # finishes kept and refused
         if small:
             assert most_firsts > 3  # the small memos evict
@@ -484,8 +479,8 @@ class TestFinish:
         X, y, cfg = p.X[idx], p.yb[idx], cfgp(0.1, 3)
         m = smo_train(X, y, cfg)
         assert m.converged and (m.alphas == cfg.C).sum() >= 1
-        [(start, done, c_bound)] = finishes
-        assert done is not None and (start == cfg.C).any() and c_bound and not m.c_free
+        [(start, done)] = finishes
+        assert done is not None and (start == cfg.C).any()
         assert_matches_qp_reference(X, y, cfg, m)
 
     def test_two_free_copies_fall_back_to_smo(self, finishes):
@@ -498,7 +493,7 @@ class TestFinish:
         X[:6], y[:6] = X[6:12], y[6:12]
         cfg = cfgp(10.0, 1)
         m = smo_train(X, y, cfg)
-        [(start, done, _)] = finishes
+        [(start, done)] = finishes
         free = np.flatnonzero((start > 0) & (start < cfg.C))
         assert len({X[i].tobytes() for i in free}) < len(free)  # two free copies of one row
         assert done is None and m.converged
@@ -515,22 +510,23 @@ class TestFinish:
         cfg = cfgp(10.0, 2)
         a = full_alphas(X, smo_train(X, y, cfg))
         K = svm._KernelSource(X, cfg.kernel)
-        assert svm._finish(K, y, a, cfg.C, cfg.tolerance)[0] is not None
+        assert svm._finish(K, y, a, cfg.C, cfg.tolerance) is not None
         s = np.flatnonzero((a > 0) & (a < cfg.C))[2]
         a[s] = 0.0
         keep = np.arange(len(X)) != s
-        without_s, _ = svm._finish(svm._KernelSource(X[keep], cfg.kernel), y[keep], a[keep], cfg.C, cfg.tolerance)
+        without_s = svm._finish(svm._KernelSource(X[keep], cfg.kernel), y[keep], a[keep], cfg.C, cfg.tolerance)
         assert without_s is not None
-        assert svm._finish(K, y, a, cfg.C, cfg.tolerance)[0] is None
+        assert svm._finish(K, y, a, cfg.C, cfg.tolerance) is None
 
     def test_certified_finished_solve_serves_a_larger_c(self, quick_table, finishes, tmp_path):
-        """A finished solve in which C decided nothing is certified, and the
-        model it serves at C=1000 saves to the bytes of a fresh solve at
-        C=1000."""
+        """A finished solve whose alphas all lie below C serves a larger C,
+        and the model it serves at C=1000 saves to the bytes of a fresh solve
+        at C=1000."""
         _, train, std = quick_table
-        _, model = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 5), cfgp(1000.0, 5)])
-        kept = [done for _, done, c_bound in finishes if done is not None and not c_bound]
-        assert len(kept) == 1 and all(m.c_free for m in model.machines)
+        small, model = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 5), cfgp(1000.0, 5)])
+        assert model is small and all(m.alphas.max() < 10.0 for m in model.machines)
+        kept = [done[done > 0] for _, done in finishes if done is not None]
+        assert any(np.array_equal(a, m.alphas) for a in kept for m in model.machines)
         fresh = train_multiclass(train, cfgp(1000.0, 5), None, std)
         save_model(model, tmp_path / "served.txt")
         save_model(fresh, tmp_path / "fresh.txt")
@@ -645,10 +641,10 @@ SWEEPS = {
 class TestKernelMemo:
     def test_grid_sweep_equals_fresh_training(self, quick_table):
         """A config sequence in one call: every config's model equals each
-        pair solved alone under that config, with the same model file,
-        update counts and certificates, in each sweep order; consecutive
-        configs share a model exactly when they share every machine. Each
-        order trains on a fresh problem, which holds no machine yet."""
+        pair solved alone under that config, with the same model file and
+        update counts, in each sweep order; consecutive configs share a
+        model exactly when they share every machine. Each order trains on a
+        fresh problem, which holds no machine yet."""
         _, train, std = quick_table
         for order in SWEEPS:
             cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
@@ -658,12 +654,12 @@ class TestKernelMemo:
                 fresh = fresh_machines(train, std, cfg)
                 where = (order, cfg)
                 assert model_to_lines(model) == model_to_lines(replace(model, machines=fresh)), where
-                assert [(m.n_updates, m.c_free) for m in model.machines] == [
-                    (m.n_updates, m.c_free) for m in fresh], where
+                assert [m.n_updates for m in model.machines] == [m.n_updates for m in fresh], where
                 if k:
                     shared = all(a is b for a, b in zip(models[k - 1].machines, model.machines))
                     assert (models[k - 1] is model) == shared, where
-            assert any(not m.c_free for model in models for m in model.machines)  # a binding C is covered
+            # a binding C is covered
+            assert any((m.alphas == cfg.C).any() for cfg, model in zip(cfgs, models) for m in model.machines)
 
     def test_solves_build_only_the_rows_they_read(self, quick_table, monkeypatch):
         """Each solve powers its diagonal and then each kernel row it reads,
@@ -699,9 +695,9 @@ class TestKernelMemo:
 
     def test_row_budget_never_changes_a_result(self, quick_table, monkeypatch):
         """A budget of a few rows, which evicts and rebuilds rows all through
-        each solve, gives the models, update counts and certificates of the
-        default budget, under a binding C and a free one. Each budget trains
-        on a fresh problem, which holds no machine yet."""
+        each solve, gives the models and update counts of the default
+        budget, under a binding C and a free one. Each budget trains on a
+        fresh problem, which holds no machine yet."""
         _, train, std = quick_table
         mp = pairwise_problems(train, None, std)
         cfgs = [cfgp(0.0005, 2), cfgp(10.0, 3), cfgp(1000.0, 4, 0.5)]
@@ -716,8 +712,9 @@ class TestKernelMemo:
         assert len(powered) - roomy_builds > 3 * roomy_builds  # rows were evicted and built again
         for a, b in zip(roomy, tight):
             assert model_to_lines(a) == model_to_lines(b)
-            assert [(m.n_updates, m.c_free) for m in a.machines] == [(m.n_updates, m.c_free) for m in b.machines]
-        assert {m.c_free for model in roomy for m in model.machines} == {True, False}
+            assert [m.n_updates for m in a.machines] == [m.n_updates for m in b.machines]
+        bound = [(m.alphas == cfg.C).any() for cfg, model in zip(cfgs, roomy) for m in model.machines]
+        assert any(bound) and not all(bound)
 
 
 @pytest.fixture
@@ -760,50 +757,88 @@ class TestCertifiedReuse:
             assert model_to_lines(model) == model_to_lines(replace(model, machines=machines))
             assert [m.n_updates for m in model.machines] == [m.n_updates for m in machines]
             assert [m.converged for m in model.machines] == [m.converged for m in machines]
-            assert all(m.c_free for m in model.machines)
 
     def test_binding_c_is_not_certified(self, smo_calls):
         p = overlapping_pair()
         small, large = train_from_problems(one_pair(p), [cfgp(0.05, 2), cfgp(10.0, 2)])
         small, large = small.machines[0], large.machines[0]
         assert small.alphas.max() == 0.05
-        assert not small.c_free
-        assert len(smo_calls) == 2  # nothing was certified to reuse
+        assert len(smo_calls) == 2  # an alpha at C serves no other C
         assert not np.array_equal(decision_values(small, p.X), decision_values(large, p.X))
 
+    def test_unconverged_machine_is_not_certified(self, smo_calls):
+        """A machine stopped at the update cap serves no other C, though its
+        alphas all lie below C."""
+        small, _ = train_from_problems(one_pair(overlapping_pair()), [cfgp(10.0, 2, max_iter=2),
+                                                                      cfgp(100.0, 2, max_iter=2)])
+        assert not small.converged and small.machines[0].alphas.max() < 10.0
+        assert len(smo_calls) == 2
+
+    def test_served_machines_meet_kkt_at_the_c_they_serve(self, quick_table, smo_calls):
+        """Every machine served without a solve, in each sweep order and at
+        a C' between the largest alpha of a C=1000 solve and 1000 asked for
+        in a later call, meets the KKT conditions at C': its gap is within
+        tolerance, with the free set and bias it has at its own C. A machine
+        with an alpha at its C serves no other C, and none serves a C below
+        its largest alpha."""
+        _, train, std = quick_table
+        runs = []
+        for order in SWEEPS:
+            mp = pairwise_problems(train, None, std)
+            cfgs = [cfgp(C, degree, coef0) for degree, coef0, C in SWEEPS[order]]
+            runs.append((mp, cfgs, train_from_problems(mp, cfgs)))
+        mp = pairwise_problems(train, None, std)
+        [solved] = train_from_problems(mp, [cfgp(1000.0, 3)])
+        top = max(m.alphas.max() for m in solved.machines)
+        between = [cfgp(2.0 * top, 3)]
+        assert 2.0 * top < 1000.0
+        made = len(smo_calls)
+        runs.append((mp, between, train_from_problems(mp, between)))
+        assert len(smo_calls) == made
+        train_from_problems(mp, [cfgp(0.5 * min(m.alphas.max() for m in solved.machines), 3)])
+        assert len(smo_calls) == made + len(mp.problems)
+        served = 0
+        for mp, cfgs, models in runs:
+            for cfg, model in zip(cfgs, models):
+                for p, m in zip(mp.problems, model.machines):
+                    [own] = [c for c, held in p.solves if held is m]
+                    if own == cfg:
+                        continue
+                    served += 1
+                    assert not (m.alphas == own.C).any()
+                    a = full_alphas(p.X, m)  # the quick table's pairs hold no two equal rows
+                    K = svm._KernelSource(p.X, cfg.kernel)
+                    _, b_est, m_up, m_low = svm._kkt(K, p.yb, a, cfg.C)
+                    assert m_up - m_low <= cfg.tolerance
+                    free = (a > 0.0) & (a < cfg.C)
+                    assert free.any() and np.array_equal(free, (a > 0.0) & (a < own.C))
+                    assert m.bias == pytest.approx(b_est[free].mean(), rel=1e-12)
+        assert served == 8 + 7 + 13 + 3  # the sweeps in their order, then C'
+
     @pytest.mark.parametrize(
-        "X, y, alphas, C, i2, moved, bound",
+        "X, y, alphas, C, i2, moved",
         [
-            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 1, True, False),  # to the optimum 0.5
-            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 0.3, 1, True, True),  # a2 clipped to H = C
-            ([-1.0, 1.0], [-1.0, 1.0], [0.3, 0.1], 0.3, 1, False, True),  # clipped to H = a2o, as a1 = C
-            ([-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], 1.0, 1, False, True),  # L = H = C
-            ([1.0, 1.0], [1.0, 1.0], [0.1, 0.1], 1.0, 1, False, True),  # eta = 0: the objective at L and H
-            ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5], 1.0, 1, True, True),  # a2 to L = 0, so a1 = a1o + a2o = C
-            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 0, False, False),  # a pair of one row
+            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 1, True),  # to the optimum 0.5
+            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 0.3, 1, True),  # a2 clipped to H = C
+            ([-1.0, 1.0], [-1.0, 1.0], [0.3, 0.1], 0.3, 1, False),  # clipped to H = a2o, as a1 = C
+            ([-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], 1.0, 1, False),  # L = H = C
+            ([1.0, 1.0], [1.0, 1.0], [0.1, 0.1], 1.0, 1, False),  # eta = 0: the objective at L and H
+            ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5], 1.0, 1, True),  # a2 to L = 0, so a1 = a1o + a2o = C
+            ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 0, False),  # a pair of one row
         ],
         ids=["interior", "clipped-at-C", "clipped-in-place", "stuck-at-C", "zero-curvature", "a1-reaches-C",
              "same-row"],
     )
-    def test_pair_step_reports_c_binding(self, X, y, alphas, C, i2, moved, bound):
-        """Whether C decided the step, including steps that do not move."""
+    def test_pair_step_reports_c_binding(self, X, y, alphas, C, i2, moved):
+        """Whether the step moves where C binds the pair or could: None
+        when the pair cannot move."""
         X = np.array(X)[:, None]
         y = np.array(y)
         K = kernel_matrix(X, X, KernelSpec(degree=1, coef0=0.0))
         alphas = np.array(alphas)
         E = K @ (alphas * y) - y
-        step, c_bound = svm._pair_step(alphas, y, E[0], E[i2], 0.0, C, np.diagonal(K), K[0], 0, i2)
-        assert (step is not None, c_bound) == (moved, bound)
-
-    @pytest.mark.parametrize("first, second", [(True, False), (False, True), (False, False)])
-    def test_every_pair_evaluation_counts(self, monkeypatch, first, second):
-        """A partner that cannot move still reports whether C decided that;
-        both partners' reports reach the certificate."""
-        reports = itertools.cycle([(None, first), (None, second)])  # one pair per sweep
-        monkeypatch.setattr(svm, "_pair_step", lambda *args: next(reports))
-        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        m = smo_train(X, np.array([-1.0, -1.0, 1.0, 1.0]), cfgp(10.0, 1, 0.0))
-        assert m.c_free == (not first and not second)
+        step = svm._pair_step(alphas, y, E[0], E[i2], 0.0, C, np.diagonal(K), K[0], 0, i2)
+        assert (step is not None) == moved
 
     @pytest.mark.parametrize(
         "change",
@@ -812,10 +847,10 @@ class TestCertifiedReuse:
         ids=["smaller-C", "tolerance", "max_iter", "degree", "coef0"],
     )
     def test_memo_misses_on_other_configs(self, quick_table, smo_calls, monkeypatch, change):
-        """A certified machine serves only the configs that differ from its
-        own by a larger or equal C. Configs train in ascending C wherever
-        they stand, so a smaller C given last trains first, and its
-        certified machine serves the two configs given before it."""
+        """A machine serves only the configs that differ from its own by C
+        alone. Configs train in ascending C wherever they stand, so a
+        smaller C given last trains first, and its machine, whose alphas lie
+        below that C, serves the two configs given before it."""
         _, train, std = quick_table
         p = pairwise_problems(train, None, std).problems[0]
         solved, counting = [], svm.smo_train
@@ -826,10 +861,10 @@ class TestCertifiedReuse:
         held, again, other = (m.machines[0] for m in models)
         assert again is held and models[1] is models[0]
         if change == dict(C=5.0):
-            assert solved == [cfgs[2]] and smo_calls == [other] and other.c_free
+            assert solved == [cfgs[2]] and smo_calls == [other] and other.alphas.max() < 5.0
             assert held is other and models[0] is models[2]
         else:
-            assert solved == [base, cfgs[2]] and smo_calls == [held, other] and held.c_free
+            assert solved == [base, cfgs[2]] and smo_calls == [held, other] and held.alphas.max() < 10.0
             assert other is not held and models[2] is not models[1]
 
     def test_exp1_trains_one_machine_per_pair_and_degree(self, ctg_table, smo_calls, monkeypatch, tmp_path):
@@ -871,18 +906,19 @@ class TestCertifiedReuse:
         assert peak < 8 * max(sizes) ** 2, peak
 
     def test_certificate_not_saved(self, quick_table, tmp_path):
-        """A model served by reuse saves to the same bytes as before the
-        certificate existed and loads uncertified."""
+        """Reuse is decided from the machine, and nothing of it is saved: the
+        C=1000 model served by the C=10 machines saves to the bytes of a
+        fresh solve at C=1000."""
         _, train, std = quick_table
-        _, model = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3), cfgp(1000.0, 3)])
-        assert all(m.c_free for m in model.machines)
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        small, model = train_from_problems(pairwise_problems(train, None, std), [cfgp(10.0, 3), cfgp(1000.0, 3)])
+        assert model is small
+        save_model(model, tmp_path / "served.txt")
+        save_model(train_multiclass(train, cfgp(1000.0, 3), None, std), tmp_path / "fresh.txt")
+        served = (tmp_path / "served.txt").read_bytes()
+        assert served == (tmp_path / "fresh.txt").read_bytes()
         # train_multiclass's file for C=1000, degree 3, solved alone (numpy
         # 2.4.6; the same at one and two BLAS threads)
-        assert digest == "be1ff27d57929d7dfaedd3962adc45dddee607e4ce55a0c39ec9ecea3f43524e"
-        assert not any(m.c_free for m in load_model(path).machines)
+        assert hashlib.sha256(served).hexdigest() == "be1ff27d57929d7dfaedd3962adc45dddee607e4ce55a0c39ec9ecea3f43524e"
 
 
 class TestSingleSvmMemo:
@@ -962,7 +998,7 @@ class TestSingleSvmMemo:
         pipe = quick_pipe
         pipe.models(None, [(500.0, 4)])
         [model] = pipe.models(None, [(1000.0, 4)])
-        assert len(smo_calls) == 3 and all(m.c_free for m in smo_calls)
+        assert len(smo_calls) == 3 and all(a is b for a, b in zip(model.machines, smo_calls, strict=True))
         fresh = train_multiclass(pipe.train, pipe.cfg.svm(1000.0, 4), None, fit_standardizer(pipe.train))
         save_model(model, tmp_path / "served.txt")
         save_model(fresh, tmp_path / "fresh.txt")
@@ -1104,6 +1140,8 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "prefix, field, value",
         [
+            ("counts", 1, "0"),
+            ("counts", 2, "-3"),
             ("kernel", 1, "rbf"),
             ("kernel", 3, "nan"),
             ("feat", 3, "inf"),
@@ -1116,7 +1154,7 @@ class TestPersistence:
             ("sv", 2, "-0x1.0p-3"),
             ("sv", 3, "-inf"),
         ],
-        ids=["kind-rbf", "coef0-nan", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
+        ids=["count-zero", "count-negative", "kind-rbf", "coef0-nan", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
              "label-7", "alpha-nan", "alpha-negative", "support-value-inf"],
     )
     def test_invalid_field_rejected(self, tmp_path, prefix, field, value):
