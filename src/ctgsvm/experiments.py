@@ -7,6 +7,7 @@ sidecar files and never contaminate the deterministic outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -160,10 +161,14 @@ def _parse_cutoff(text: str) -> tuple[str, float | None]:
     parse = {"top_k": int, "threshold": float}.get(rule)
     if parse is not None:
         try:
-            return rule, parse(value)
+            got = parse(value)
         except ValueError:
             pass
-    raise DataError(f"malformed cutoff {text!r} (keep_all | top_k:K | threshold:T)")
+        else:
+            # a NaN threshold keeps no feature and an infinite one all or none
+            if math.isfinite(got):
+                return rule, got
+    raise DataError(f"malformed cutoff {text!r} (keep_all | top_k:K | threshold:T, T finite)")
 
 
 def _parse_cells(text: str) -> tuple[tuple[float, int], ...]:

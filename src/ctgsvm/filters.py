@@ -191,7 +191,62 @@ class SubsetEvaluation:
     value: float
 
 
-_RELIEF_BLOCK = 16  # sampled rows per neighbour search; larger blocks hold more memory
+# rows and columns of a relief distance tile: five scratch tiles of 138 KB
+# (at k = 10) keep relief's working memory near 1.7 MB on 1487 rows;
+# smaller tiles take more numpy calls per distance
+_RELIEF_TILE = 128
+
+
+class _Scratch:
+    """Reused flat buffers of `size` 8-byte items, lent out as arrays."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.free: list[np.ndarray] = []
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        buf = self.free.pop() if self.free else np.empty(self.size)
+        return buf[:math.prod(shape)].view(dtype).reshape(shape)
+
+    def give(self, arr: np.ndarray) -> None:
+        self.free.append(arr.base)
+
+
+def _sum_order(lo: int, hi: int) -> list | tuple:
+    """The order in which numpy's sum adds a contiguous row of the terms
+    lo..hi-1, as a plan for `_plan_sum`: an int is that term, a tuple
+    (a, b) is a + b, and a list [a, b, c, ...] is ((a + b) + c) + ....
+
+    numpy sums pairwise: below 8 terms, left to right; up to 128, eight
+    strided partial sums p[i] = t[i] + t[i + 8] + ... over the first
+    count - count % 8 terms, combined as ((p0 + p1) + (p2 + p3)) +
+    ((p4 + p5) + (p6 + p7)), then the last count % 8 terms left to right;
+    above 128, the two halves split at half the count rounded down to a
+    multiple of 8, each summed the same way.
+    """
+    count = hi - lo
+    if count < 8:
+        return list(range(lo, hi))
+    if count <= 128:
+        tail = hi - count % 8
+        p = [list(range(lo + i, tail, 8)) for i in range(8)]
+        return [(((p[0], p[1]), (p[2], p[3])), ((p[4], p[5]), (p[6], p[7]))), *range(tail, hi)]
+    mid = lo + count // 2 - count // 2 % 8
+    return _sum_order(lo, mid), _sum_order(mid, hi)
+
+
+def _plan_sum(plan, term, out: np.ndarray, scratch: _Scratch) -> None:
+    """out = the sum of terms that `plan` (see `_sum_order`) describes,
+    where term(j, buf) writes term j into buf."""
+    if isinstance(plan, int):
+        term(plan, out)
+        return
+    _plan_sum(plan[0], term, out, scratch)
+    part = scratch.take(out.shape)
+    for later in plan[1:]:
+        _plan_sum(later, term, part, scratch)
+        out += part
+    scratch.give(part)
 
 
 def relief_sample_count(m: int | None, n_rows: int) -> int:
@@ -214,90 +269,130 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
     class is smaller than k + 1. Neighbours are ordered by distance, then by
     a value-based tie rank, then by row index.
 
-    Sampled rows go _RELIEF_BLOCK at a time, with one partition per class
-    for the block; a row whose k-th distance ties, or a class of k rows or
-    fewer, takes the full per-row sort. Sums and weights add up in the
-    row-at-a-time order, so every score is the same float.
+    Each distance is computed once, in square tiles of a feature-major copy
+    of the normalized table. Its features are added in the order numpy's
+    row sum adds them (`_sum_order`), so it is the same float. The
+    sampled rows come first, then the rest, each grouped by class so that
+    most tiles hold one class. A tile of sampled rows against sampled rows
+    serves both its rows and its columns; one against unsampled rows serves
+    its rows. Each sampled row keeps its k nearest per class so far: one
+    partition per tile and class, and the full order where the k-th
+    distance ties or fewer than k rows were met. Last, each row's neighbour
+    differences are summed in neighbour order and the weights added in
+    sample order, so every score is the same float as the row-at-a-time
+    loop gives.
     """
     n = ds.n_rows
     m = relief_sample_count(m, n)
     if k < 1:
         raise DataError("k must be >= 1")
     n_feat = ds.n_features
-    feats = ds.feature_matrix()
-    numeric = np.array([ds.feature_spec(f).kind == NUMERIC for f in range(n_feat)])
-    nominal = np.flatnonzero(~numeric)
-    spans = feats.max(axis=0) - feats.min(axis=0)
-    norm = np.zeros((n, n_feat))
-    for f in range(n_feat):
-        if numeric[f]:
-            norm[:, f] = (feats[:, f] - feats[:, f].min()) / spans[f] if spans[f] > 0 else 0.0
-        else:
-            norm[:, f] = feats[:, f]
-
-    def diff_sums(rows: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-        """(len(rows), features): each row's differences to its neighbours
-        nbrs (len(rows), j), summed over the j neighbours in order."""
-        other, own_row = norm[nbrs], norm[rows, None]
-        d = np.abs(other - own_row)
-        if len(nominal):
-            d[..., nominal] = other[..., nominal] != own_row[..., nominal]
-        return d.sum(axis=1)
-
-    y = ds.class_codes()
-    n_classes = len(ds.class_labels)
-    sizes = np.bincount(y, minlength=n_classes)
-    prior = sizes / n
-    groups = [np.flatnonzero(y == c) for c in range(n_classes)]
-    # value-based tie rank: identical rows share a rank, so neighbor choice
-    # among ties never depends on row order
-    _, tie_rank = np.unique(norm, axis=0, return_inverse=True)
-
+    numeric = [ds.feature_spec(f).kind == NUMERIC for f in range(n_feat)]
+    nominal = np.flatnonzero(np.logical_not(numeric))
     if m == n:
         sample = np.arange(n)
     else:
         sample = np.random.default_rng(int(seed)).choice(n, size=m, replace=False)
+    # the table row at each position: the sampled rows, then the rest, each
+    # grouped by class, so that most tiles hold one class
+    classes = ds.class_codes()
+    rest = np.setdiff1d(np.arange(n), sample)
+    by_class = np.argsort(classes[sample], kind="stable")
+    at = np.concatenate((sample[by_class], rest[np.argsort(classes[rest], kind="stable")]))
+    y = classes[at]
+    cols = np.empty((n_feat, n))  # the normalized table, feature-major
+    for f in range(n_feat):
+        cols[f] = ds.feature_column(f)[at]
+        if numeric[f]:
+            low, span = cols[f].min(), np.ptp(cols[f])
+            cols[f] = (cols[f] - low) / span if span > 0 else 0.0
+    rows = cols.T  # a row-major view of it
+    # neighbours at one distance go by a value-based tie rank, in which
+    # identical rows share a rank, so the choice never depends on row
+    # order; then by row index
+    tie_key = np.unique(rows, axis=0, return_inverse=True)[1].ravel() * n + at
+    n_classes = len(ds.class_labels)
+    sizes = np.bincount(y, minlength=n_classes)
+    prior = sizes / n
+    scratch = _Scratch(_RELIEF_TILE * (_RELIEF_TILE + k))
 
+    # each sampled row's k nearest per class so far; an inf distance stands
+    # for no row, as long as fewer than k rows of the class were met
+    near_d = np.full((m, n_classes, k), np.inf)
+    near_i = np.zeros((m, n_classes, k), dtype=np.int32)
+
+    def merge(rs: slice, cs: slice, d: np.ndarray) -> None:
+        """Fold the distances d of rows rs to rows cs into the k nearest of rs."""
+        line = np.arange(len(d))[:, None]
+        bounds = np.searchsorted(y[cs], np.arange(n_classes + 1))
+        for c in np.flatnonzero(np.diff(bounds)):
+            a, b = bounds[c], bounds[c + 1]
+            cand = scratch.take((len(d), k + b - a))
+            ids = scratch.take(cand.shape, np.int64)
+            cand[:, :k], cand[:, k:] = near_d[rs, c], d[:, a:b]
+            ids[:, :k], ids[:, k:] = near_i[rs, c], np.arange(cs.start + a, cs.start + b)
+            # a row with exactly k candidates at or below its k-th distance
+            # keeps those; a tie there, or fewer than k met, takes the full order
+            kth = np.partition(cand, k - 1, axis=1)[:, k - 1:k]
+            near = cand <= kth
+            fast = np.count_nonzero(near, axis=1) == k
+            pick = np.empty((len(d), k), dtype=np.intp)
+            pick[fast] = np.nonzero(near[fast])[1].reshape(-1, k)
+            slow = np.flatnonzero(~fast)
+            if len(slow):
+                pick[slow] = np.lexsort((tie_key[ids[slow]], cand[slow]), axis=-1)[:, :k]
+            near_d[rs, c] = cand[line, pick]
+            near_i[rs, c] = ids[line, pick]
+            scratch.give(cand)
+            scratch.give(ids)
+
+    def diff(f: int, rs: slice, cs: slice, out: np.ndarray) -> None:
+        if numeric[f]:
+            np.subtract(cols[f, rs, None], cols[f, None, cs], out=out)
+            np.abs(out, out=out)
+        else:
+            np.not_equal(cols[f, rs, None], cols[f, None, cs], out=out)
+
+    plan = _sum_order(0, n_feat)
+    blocks = [slice(lo, min(lo + _RELIEF_TILE, m)) for lo in range(0, m, _RELIEF_TILE)]
+    others = [slice(lo, min(lo + _RELIEF_TILE, n)) for lo in range(m, n, _RELIEF_TILE)]
+    for i, rs in enumerate(blocks):
+        for cs in blocks[i:] + others:
+            d = scratch.take((rs.stop - rs.start, cs.stop - cs.start))
+            _plan_sum(plan, lambda f, out: diff(f, rs, cs, out), d, scratch)
+            if cs is rs:
+                np.fill_diagonal(d, np.inf)  # a row is not its own neighbour
+            merge(rs, cs, d)
+            if cs is not rs and cs.stop <= m:
+                merge(cs, rs, d.T)
+            scratch.give(d)
+
+    # the weights, 16 sampled rows at a time in sample order
+    where = np.argsort(by_class)  # the position of each sampled row
     w = np.zeros(n_feat)
-    buf = np.empty((n, n_feat))
-    dist = np.empty((_RELIEF_BLOCK, n))
-    for lo in range(0, m, _RELIEF_BLOCK):
-        rows = sample[lo:lo + _RELIEF_BLOCK]
-        for i, r in enumerate(rows):
-            np.subtract(norm, norm[r], out=buf)
-            np.abs(buf, out=buf)
-            if len(nominal):
-                buf[:, nominal] = norm[:, nominal] != norm[r, nominal]
-            buf.sum(axis=1, out=dist[i])
-        # term[i, cls]: row i's mean difference to its cls neighbours
-        term = np.empty((len(rows), n_classes, n_feat))
-        for cls, grp in enumerate(groups):
-            own = y[rows] == cls
-            d = dist[:len(rows), grp]
-            d[grp == rows[:, None]] = np.inf  # a row is not its own neighbour
-            fast = np.zeros(len(rows), dtype=bool)
-            if len(grp) > k:
-                kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-                near = d <= kth
-                fast = np.count_nonzero(near, axis=1) == k
-                at = np.nonzero(near[fast])[1].reshape(-1, k)  # in group order
-                keys = (tie_rank[grp[at]], np.take_along_axis(d[fast], at, axis=1))
-                nbrs = grp[np.take_along_axis(at, np.lexsort(keys, axis=-1), axis=1)]
-                term[fast, cls] = diff_sums(rows[fast], nbrs) / (m * k)
-            for i in np.flatnonzero(~fast):
-                k_use = min(k, len(grp) - int(own[i]))
-                if k_use:
-                    nbrs = grp[np.lexsort((tie_rank[grp], d[i]))[:k_use]]
-                    term[i, cls] = diff_sums(rows[i:i + 1], nbrs[None])[0] / (m * k_use)
-        # a row has neighbours in every class but its own one-row class
-        has = sizes > (y[rows, None] == np.arange(n_classes))
-        for i, r in enumerate(rows):
-            c = y[r]
-            for cls in np.flatnonzero(has[i]):
-                if cls == c:
-                    w -= term[i, cls]
-                else:
-                    w += prior[cls] / (1.0 - prior[c]) * term[i, cls]
+    for lo in range(0, m, 16):
+        part = where[lo:lo + 16]
+        nd, ni = near_d[part], near_i[part]
+        nbrs = np.take_along_axis(ni, np.lexsort((tie_key[ni], nd), axis=-1), axis=-1)
+        diffs, mine = rows[nbrs], rows[part][:, None, None]
+        mismatch = diffs[..., nominal] != mine[..., nominal]
+        np.subtract(diffs, mine, out=diffs)
+        np.abs(diffs, out=diffs)
+        diffs[..., nominal] = mismatch
+        # each row's differences to its k_use nearest of a class, summed
+        # in neighbour order as one (k_use, features) array sums
+        own = y[part, None] == np.arange(n_classes)
+        use = np.minimum(k, sizes - own)
+        sums = np.empty((len(part), n_classes, n_feat))
+        for u in np.unique(use):
+            sums[use == u] = diffs[use == u][:, :u].sum(axis=1)
+        # a class with no neighbours adds nothing, also in a table of one
+        # class, where 1 - prior is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where(own, -1.0, prior / (1.0 - prior[y[part], None]))
+            terms = coef[..., None] * (sums / (m * use[..., None]))
+        terms[use == 0] = 0.0
+        w = np.add.accumulate(np.vstack((w, terms.reshape(-1, n_feat))), axis=0)[-1]
     return rank_features("relieff", w)
 
 

@@ -132,9 +132,11 @@ def relieff_brute(feats, kinds, classes, k, m=None):
 
 def relieff_rowwise(feats, numeric, y, n_classes, m=None, k=10, seed=0):
     """ReliefF one sampled row at a time, as filters.relieff computed it
-    before its blocked neighbour search; filters.relieff must match it bit
-    for bit. feats: (n, features) array; numeric: bool per feature; y: class
-    codes. Returns the weight vector."""
+    before its tiled distances and streamed neighbour search;
+    filters.relieff must match it bit for bit. Each distance is numpy's
+    row sum over the features, which fixes the order they are added in.
+    feats: (n, features) array; numeric: bool per feature; y: class codes.
+    Returns the weight vector."""
     n, n_feat = feats.shape
     if m is None:
         m = n

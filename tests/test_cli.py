@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ctgsvm.cli import main
-from ctgsvm.data import load_dataset
+from ctgsvm.data import DataError, load_dataset
+from ctgsvm.experiments import ExperimentConfig
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, save_model, train_multiclass
 
 
@@ -366,6 +367,17 @@ class TestOneClassTable:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("text", ["threshold:nan", "threshold:inf", "threshold:-inf", "top_k:", "bogus:1"])
+    def test_malformed_cutoff_is_data_error(self, text):
+        with pytest.raises(DataError, match=f"malformed cutoff '{text}'"):
+            ExperimentConfig(data="ctg.csv", cutoff=text)
+
+    @pytest.mark.parametrize("text, parsed", [("keep_all", ("keep_all", None)), ("top_k:3", ("top_k", 3)),
+                                              ("threshold:-0.5", ("threshold", -0.5))])
+    def test_cutoff_is_parsed(self, text, parsed):
+        cfg = ExperimentConfig(data="ctg.csv", cutoff=text).selector_config()
+        assert (cfg.cutoff_rule, cfg.cutoff_value) == parsed
+
     def test_missing_data_is_data_error(self, tmp_path):
         code = main(["experiment", "--id", "exp1", "--data", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path)])
@@ -437,6 +449,8 @@ class TestExperimentCommand:
             ("exp2_cells=10;3", ["experiment", "--id", "exp2"], "10;3"),
             ("", ["select", "--selector", "FS4", "--cutoff", "top_k:abc"], "top_k:abc"),
             ("", ["select", "--selector", "FS4", "--cutoff", "top_k:2.5"], "top_k:2.5"),
+            # a NaN threshold would keep no feature, and exit 0
+            ("", ["select", "--selector", "FS3", "--cutoff", "threshold:nan"], "threshold:nan"),
         ],
     )
     def test_malformed_config_value_is_data_error(self, small_csv, tmp_path, capsys, config_line, args, bad):
@@ -455,6 +469,8 @@ class TestExperimentCommand:
         ("exp1", "exp3_cells=0:3", "exp3_cells: C must be positive and finite, not 0.0"),
         # checked against the table before exp1 runs, though exp2 is the first to use them
         ("all", "cutoff=top_k:99", "cutoff: top_k: k=99 out of range 1..21"),
+        ("all", "cutoff=threshold:nan", "malformed cutoff 'threshold:nan'"),
+        ("all", "cutoff=threshold:inf", "malformed cutoff 'threshold:inf'"),
         ("all", "relieff_m=5000", "relieff_m: sample count m=5000 out of range 1.."),
         ("exp1", "ga_population=3", "not 3"),
         ("exp1", "vote=bogus", "'bogus'"),

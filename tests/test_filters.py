@@ -1,5 +1,6 @@
 """Filter scores against spec examples and brute-force references."""
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,9 @@ from ctgsvm.data import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, _en
 from ctgsvm.filters import (
     CLASS,
     SuCache,
+    _Scratch,
+    _plan_sum,
+    _sum_order,
     cfs_merit,
     inconsistency_rate,
     info_gain,
@@ -318,11 +322,19 @@ def relief_tables(draw):
     return mixed_dataset(columns, kinds, codes)
 
 
+@pytest.fixture(scope="module")
+def seed42_train(ctg_table):
+    """The training partition of a full seed-42 run."""
+    from ctgsvm.experiments import ExperimentConfig, build_pipeline
+
+    return build_pipeline(ExperimentConfig(data=ctg_table[1], seed=42)).train
+
+
 class TestRelieffMatchesRowwise:
-    """relieff's blocked neighbour search gives the same floats as the
-    row-at-a-time reference, on every path: nominal features, sampling,
-    small classes, the per-row sort for ties, constant columns and more
-    rows than one block."""
+    """relieff's tiled distances and streamed neighbours give the same floats
+    as the row-at-a-time reference, on every path: nominal features,
+    sampling, small classes, the full sort for ties, constant columns,
+    every feature-sum order and more rows than one tile."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(relief_tables(), st.integers(1, 6), st.data())
@@ -350,6 +362,85 @@ class TestRelieffMatchesRowwise:
         ds = mixed_dataset(columns, [NUMERIC, NOMINAL, NUMERIC, NUMERIC, NUMERIC], codes)
         for m, seed in ((None, 0), (70, 3)):
             assert hexes(relieff(ds, m=m, seed=seed).scores) == hexes(relieff_reference(ds, m=m, seed=seed))
+
+    @pytest.mark.parametrize("k", [10, 150])
+    def test_one_feature_and_classes_shorter_than_k(self, k):
+        """With one feature numpy sums a row's neighbour differences
+        pairwise, so a class of fewer than k rows must add exactly its
+        k_use differences, with no padding."""
+        rng = np.random.default_rng(k)
+        codes = np.array([0] * 6 + [1] * 68 + [2] * 12)
+        ds = mixed_dataset([np.round(rng.normal(size=len(codes)), 2)], [NUMERIC], codes)
+        for m in (None, 40):
+            assert hexes(relieff(ds, m=m, k=k).scores) == hexes(relieff_reference(ds, m=m, k=k))
+
+    @pytest.mark.parametrize("n_feat", [8, 9, 16, 17, 21, 24, 130])
+    def test_wide_tables_over_many_tiles(self, n_feat):
+        """From 8 features on, a row sum adds eight strided partial sums, and
+        above 128 two halves; each distance must still be the same float.
+        Nominal, few-valued and constant columns, several tiles of rows, a
+        sample of part of them and a class of fewer than k + 1 rows. Twins
+        make the order count: each of 24 rows has two near copies whose
+        offsets are the same exact values in two orders over the columns,
+        so which copy is nearer, and which comes first among the
+        neighbours, is decided by rounding alone."""
+        rng = np.random.default_rng(n_feat)
+        n = 300 + 3 * n_feat
+        kinds = [NOMINAL if f % 4 == 3 else NUMERIC for f in range(n_feat)]
+        fine = [f for f in range(n_feat) if f % 4 in (0, 2)]
+
+        def column(f):
+            if kinds[f] == NOMINAL:
+                return rng.integers(0, 3, n).astype(float)
+            if f == 5:
+                return np.full(n, 2.0)
+            if f % 4 == 1:
+                return rng.integers(0, 4, n) * 0.5  # few values, so distances tie
+            col = rng.integers(16, 48, n) / 64  # spans exactly [0, 1]: normalizing is exact
+            col[:2] = 0.0, 1.0
+            return col
+
+        table = np.column_stack([column(f) for f in range(n_feat)])
+        codes = rng.choice(3, size=n, p=[0.7, 0.25, 0.05])
+        codes[rng.choice(n, size=6, replace=False)] = 3
+        twins = rng.choice(np.arange(2, n), size=24, replace=False)
+        # exact on the 1/64 grid, with 9 to 46 significant bits: sums of them round
+        bits = rng.integers(10, 48, (24, len(fine)))
+        offsets = rng.integers(2 ** (bits - 1), 2**bits) * 2.0**-53
+        copies = np.repeat(table[twins], 2, axis=0)
+        copies[0::2, fine] += offsets
+        copies[1::2, fine] += rng.permuted(offsets, axis=1)
+        ds = mixed_dataset(list(np.vstack((table, copies)).T), kinds, np.concatenate((codes, np.repeat(codes[twins], 2))))
+        for m in (None, n // 2 + 7):
+            got = relieff(ds, m=m, seed=n_feat).scores
+            assert hexes(got) == hexes(relieff_reference(ds, m=m, seed=n_feat))
+
+    @pytest.mark.parametrize("m", [None, 300])
+    def test_seed42_training_partition(self, seed42_train, m):
+        assert hexes(relieff(seed42_train, m=m).scores) == hexes(relieff_reference(seed42_train, m=m))
+
+    def test_working_memory_stays_small(self, seed42_train):
+        """Relief's working memory on the 1487-row partition stays at most
+        2 MB: distances come one tile at a time."""
+        relieff(seed42_train)  # one-time allocations, such as lazy imports, are not working memory
+        tracemalloc.start()
+        try:
+            relieff(seed42_train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+
+def test_sum_order_is_numpys_row_sum():
+    """`_sum_order` is the order numpy's sum adds a contiguous row in, on
+    every path: left to right, strided partials and halves."""
+    rng = np.random.default_rng(5)
+    for count in range(1, 300):
+        terms = rng.random((count, 6)) * 10.0 ** rng.integers(-6, 7, (count, 6))
+        out = np.empty(6)
+        _plan_sum(_sum_order(0, count), lambda j, buf: np.copyto(buf, terms[j]), out, _Scratch(6))
+        assert hexes(out) == hexes(np.ascontiguousarray(terms.T).sum(axis=1)), count
 
 
 class TestRankCutoff:
