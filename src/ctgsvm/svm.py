@@ -385,7 +385,9 @@ def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float
     the box steps from a to the first bound it meets, moves that row to B
     and solves again, at most _FINISH_ROUNDS times. The finished alphas are
     kept only if the full dual feasibility gap, over every row, is within
-    tol. An F of more than _FINISH_ROWS rows or of none, a singular system
+    tol, and sum(a y) is 0 within EPSILON of sum(a): an ill-conditioned
+    system, which elimination without pivoting solves inexactly, can leave
+    the equality constraint broken by far more. An F of more than _FINISH_ROWS rows or of none, a singular system
     and a solution still outside the box after the last round give None.
     """
     free = np.flatnonzero((a > 0.0) & (a < C))
@@ -428,7 +430,8 @@ def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float
     else:
         return None
     _, _, m_up, m_low = _kkt(K, y, a, C)
-    return a if m_up - m_low <= tol else None
+    balanced = abs(math.fsum((a * y).tolist())) <= EPSILON * math.fsum(a.tolist())
+    return a if balanced and m_up - m_low <= tol else None
 
 
 def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:

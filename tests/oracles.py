@@ -451,3 +451,65 @@ def qp_bias(K, y, C, a, tol=1e-8):
     i_up = ((y > 0) & (a < C)) | ((y < 0) & (a > 0))
     i_low = ((y > 0) & (a > 0)) | ((y < 0) & (a < C))
     return float((b_est[i_up].max() + b_est[i_low].min()) / 2.0)
+
+
+def certificate(X, y, a, C, kernel):
+    """What a binary machine's alphas a certify on rows X, labels y and
+    bound C, computed from the alphas alone with a kernel of Python floats
+    summed by math.fsum: none of the solver's own arithmetic is trusted.
+
+    Returns a dict:
+      box      whether 0 <= a <= C;
+      balance  |sum a y| / sum a (0 when every alpha is 0);
+      gap      m_up - m_low, the dual feasibility gap, each b_est = y - K(a y)
+               moved by its slack towards a smaller gap;
+      b_est    the list of y_i - sum_j a_j y_j K_ij;
+      slack    per row, 1e-12 * sum_j a_j S_ij, S_ij = (sum_k |x_ik x_jk| +
+               |coef0|) ** degree: a bound on how far a solver's own b_est,
+               from kernel values and sums rounded another way, may lie
+               from this one;
+      reach    1e-12 * C * max_i sum_j S_ij, the largest slack any alphas
+               in the box can have: where it exceeds the tolerance, double
+               arithmetic cannot resolve a gap that small;
+      objective  sum a - 1/2 sum_ij a_i a_j y_i y_j K_ij;
+      K        the kernel matrix, as a list of lists.
+    """
+    rows, ys, al = X.tolist(), [float(v) for v in y], [float(v) for v in a]
+    c0, d = float(kernel.coef0), int(kernel.degree)
+    K = [[(math.fsum(u * v for u, v in zip(r, s)) + c0) ** d for s in rows] for r in rows]
+    S = [[(math.fsum(abs(u * v) for u, v in zip(r, s)) + abs(c0)) ** d for s in rows] for r in rows]
+    ay = [ai * yi for ai, yi in zip(al, ys)]
+    g = [math.fsum(c * k for c, k in zip(ay, Kr)) for Kr in K]
+    b_est = [yi - gi for yi, gi in zip(ys, g)]
+    slack = [1e-12 * math.fsum(ai * s for ai, s in zip(al, Sr)) for Sr in S]
+    up = [(yi > 0 and ai < C) or (yi < 0 and ai > 0) for yi, ai in zip(ys, al)]
+    low = [(yi > 0 and ai > 0) or (yi < 0 and ai < C) for yi, ai in zip(ys, al)]
+    m_up = max(b - s for b, s, u in zip(b_est, slack, up) if u)
+    m_low = min(b + s for b, s, lo in zip(b_est, slack, low) if lo)
+    total = math.fsum(al)
+    return {
+        "box": all(0.0 <= ai <= C for ai in al),
+        "balance": abs(math.fsum(ay)) / total if total else 0.0,
+        "gap": m_up - m_low,
+        "b_est": b_est,
+        "slack": slack,
+        "reach": 1e-12 * C * max(math.fsum(Sr) for Sr in S),
+        "objective": total - 0.5 * math.fsum(c * gi for c, gi in zip(ay, g)),
+        "K": K,
+    }
+
+
+def row_alphas(X, y, m) -> np.ndarray:
+    """The alpha of each row of X (labels y) under machine m, whose support
+    rows are a subsequence of X's rows in order: each support row goes to
+    the first row after the last one matched with its bytes and label. Where
+    X holds equal rows of one label, that may be another copy than the
+    solver's, which has the same kernel row and so the same certificate."""
+    a = np.zeros(len(X))
+    at = 0
+    for row, lab, alpha in zip(m.support_vectors, m.labels, m.alphas):
+        while not (np.array_equal(X[at], row) and y[at] == lab):
+            at += 1
+        a[at] = alpha
+        at += 1
+    return a

@@ -2,7 +2,8 @@
 ensemble reloads to the same lines, and a truncated or corrupted file fails
 only with DataError. Also of the seeded row samplers: the stratified split
 and the stratified subsample; of the ensemble vote against its label-based
-reference; and of the bits of the solver's kernel rows.
+reference; of the bits of the solver's kernel rows; and of every machine
+the solver returns, certified from its alphas alone.
 
 Every test runs a fixed, derandomized set of examples without an example
 database, so the suite does the same work on every run."""
@@ -24,7 +25,7 @@ from ctgsvm.data import (
 from ctgsvm import svm
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
 from conftest import labelling_model, numeric_dataset
-from oracles import ensemble_vote
+from oracles import certificate, ensemble_vote, qp_reference, row_alphas
 
 PROPERTY = settings(
     max_examples=25,
@@ -281,3 +282,55 @@ def test_kernel_rows_agree_bit_for_bit(table):
     _, group = np.unique(X, axis=0, return_inverse=True)
     same = group.reshape(-1)[:, None] == group.reshape(-1)[None, :]
     assert np.array_equal(rows[same], np.broadcast_to(np.diagonal(rows)[:, None], rows.shape)[same])
+
+
+@st.composite
+def binary_problems(draw):
+    """A two-class problem of 2-60 rows and 1-6 features, with copies of
+    rows (of either label) and constant columns, both of which give eta = 0
+    pairs, labels of any balance and noise, and a sweep of 1-3 ascending Cs
+    from 1e-3 to 1e4 at one degree from 1 to 10. The update cap is 1-30,
+    or 20 000, which stops the few solves that stall in a fraction of a
+    second rather than the default cap's few seconds."""
+    n = draw(st.integers(2, 60))
+    width = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0.0, 1.0, (n, width))
+    X[:, rng.random(width) < 0.2] = rng.normal()
+    copies = draw(st.integers(0, n // 2))
+    X[rng.integers(0, n, copies)] = X[rng.integers(0, n, copies)]
+    score = X @ rng.normal(0.0, 1.0, width) + draw(st.sampled_from([0.0, 0.5, 3.0])) * rng.normal(0.0, 1.0, n)
+    y = np.full(n, -1.0)
+    y[np.argsort(score, kind="stable")[n - draw(st.integers(1, n - 1)):]] = 1.0
+    kernel = KernelSpec(degree=draw(st.integers(1, 10)), coef0=draw(st.sampled_from([0.0, 1.0])))
+    Cs = draw(st.lists(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3, 1e4]), min_size=1, max_size=3, unique=True))
+    max_iter = draw(st.sampled_from([20_000]) | st.integers(1, 30))
+    return np.ascontiguousarray(X), y, [SvmConfig(C, kernel, max_iter=max_iter) for C in sorted(Cs)]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(binary_problems())
+def test_every_machine_is_certified(problem):
+    """Each machine of a sweep, solved or served by another C's machine, is
+    certified at its own C from its alphas alone (oracles.certificate): the
+    alphas lie in the box and sum(a y) is 0 within a relative 1e-12. A
+    machine that says it converged has a gap within tolerance, a bias within
+    tolerance of b_est on every free row, and a dual objective no worse than
+    qp_reference's, less 1e-6 and tolerance * sum(a): SMO stops within
+    tolerance of the KKT conditions, short of the optimum. So a machine
+    stopped early by a small update cap must say it did not converge. A
+    machine that did not converge met its cap, unless its problem lies
+    beyond what double arithmetic resolves (the certificate's reach)."""
+    X, y, cfgs = problem
+    for cfg, m in zip(cfgs, svm._pair_machines(svm.PairProblem(0, 1, X, y), cfgs)):
+        a = row_alphas(X, y, m)
+        cert = certificate(X, y, a, cfg.C, cfg.kernel)
+        assert cert["box"] and cert["balance"] <= 1e-12
+        if not m.converged:
+            assert m.n_updates == cfg.max_iter or cert["reach"] > cfg.tolerance
+            continue
+        assert cert["gap"] <= cfg.tolerance
+        for i in np.flatnonzero((a > 0.0) & (a < cfg.C)).tolist():
+            assert abs(m.bias - cert["b_est"][i]) <= cfg.tolerance + cert["slack"][i]
+        _, ref = qp_reference(np.array(cert["K"]), y, cfg.C, max_iter=1000)
+        assert cert["objective"] >= ref - 1e-6 - cfg.tolerance * math.fsum(a.tolist())

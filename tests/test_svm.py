@@ -23,7 +23,7 @@ from ctgsvm.svm import (
     train_multiclass,
 )
 from conftest import decision_model, numeric_dataset, unit_rows
-from oracles import decision_values, dual_objective, ovo_predict, qp_bias, qp_reference
+from oracles import certificate, decision_values, dual_objective, ovo_predict, qp_bias, qp_reference, row_alphas
 
 
 def cfgp(C, degree, coef0=1.0, **kw):
@@ -498,6 +498,22 @@ class TestFinish:
         assert len({X[i].tobytes() for i in free}) < len(free)  # two free copies of one row
         assert done is None and m.converged
         assert_matches_qp_reference(X, y, cfg, m)
+
+    def test_never_kept_with_the_equality_broken(self, finishes):
+        """Two copies of a row with coef0 = 0 give a nearly singular KKT
+        system, which elimination without pivoting solves inexactly: on this
+        problem a finish once kept alphas whose sum(a y) was 0.9% of
+        sum(a), with a gap within tolerance. Such a finish is refused, and
+        the machine is certified from its alphas alone."""
+        rng = np.random.default_rng(6)
+        X = rng.normal(0, 1, (22, 2))
+        X[rng.integers(0, 22, 8)] = X[rng.integers(0, 22, 8)]
+        y = np.where(X @ rng.normal(0, 1, 2) > 0, 1.0, -1.0)
+        cfg = cfgp(10.0, 4, 0.0)
+        m = smo_train(X, y, cfg)
+        assert finishes and all(done is None for _, done in finishes)
+        cert = certificate(X, y, row_alphas(X, y, m), cfg.C, cfg.kernel)
+        assert m.converged and cert["balance"] <= 1e-12 and cert["gap"] <= cfg.tolerance
 
     def test_never_kept_while_a_zero_alpha_row_violates_kkt(self):
         """From a converged solve's alphas the finish is kept. With free row
