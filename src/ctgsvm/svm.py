@@ -45,7 +45,7 @@ _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
 _FINISH_AFTER = 128  # updates with an unchanged free set before a solve tries to finish on it
 _FINISH_ROWS = 256  # the largest free set a finish solves: two buffers of at most 0.5 MB
 _FINISH_ROUNDS = 10  # systems a finish solves, each with one row fewer, before it gives up
-EPSILON = 1e-12  # alpha moves and objective gaps below this scale count as zero
+EPSILON = 1e-12  # alpha moves, and a finished sum(a y) relative to sum(a), below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of a prediction's kernel values and of its decisions (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
 MODEL_VERSION = 1
@@ -251,21 +251,22 @@ def _ovo_vote(d: np.ndarray, to_class: np.ndarray, priors: np.ndarray) -> tuple[
     return cand.argmax(axis=0), tied
 
 
-def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
-    """The analytic update of the pair (i1, i2), whose errors are e1 and e2,
-    not yet applied: (i2, a1, a2, d1, d2, b_new), or None when the pair
-    cannot move.
+def _pair_step(alphas, y, e1, e2, C, eta, i1, i2):
+    """The analytic update of the pair (i1, i2), whose errors are e1 and e2
+    and whose curvature is eta, not yet applied: (i2, a1, a2, d1, d2), or
+    None when the pair cannot move.
 
-    `row1` is the kernel row of i1; a pair whose second-derivative eta is
-    not positive takes whichever clip bound gives the larger objective.
+    eta is the pair's entry of the eta row the selection holds, clamped at
+    1e-12, so a pair of zero or negative curvature takes a long step that
+    the box clips, as in LIBSVM (Fan, Chen & Lin, JMLR 2005).
     """
     if i1 == i2:
         return None
     # Python floats: the same IEEE double arithmetic as numpy scalars, at a
     # fraction of the per-operation cost
     a1o, a2o = float(alphas[i1]), float(alphas[i2])
-    y1, y2 = float(y[i1]), float(y[i2])
-    s = y1 * y2
+    y2 = float(y[i2])
+    s = float(y[i1]) * y2
     if s < 0:
         L = max(0.0, a2o - a1o)
         H = min(C, C + a2o - a1o)
@@ -274,25 +275,7 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
         H = min(C, a1o + a2o)
     if L >= H:
         return None
-    k11, k12, k22 = float(diag[i1]), float(row1[i2]), float(diag[i2])
-    eta = k11 + k22 - 2.0 * k12
-    if eta > 0.0:
-        a2 = a2o + y2 * (e1 - e2) / eta
-        a2 = min(max(a2, L), H)
-    else:
-        # pair objective evaluated at both clip bounds
-        f1 = y1 * (e1 - b) - a1o * k11 - s * a2o * k12
-        f2 = y2 * (e2 - b) - s * a1o * k12 - a2o * k22
-        l1 = a1o + s * (a2o - L)
-        h1 = a1o + s * (a2o - H)
-        lobj = l1 * f1 + L * f2 + 0.5 * l1 * l1 * k11 + 0.5 * L * L * k22 + s * L * l1 * k12
-        hobj = h1 * f1 + H * f2 + 0.5 * h1 * h1 * k11 + 0.5 * H * H * k22 + s * H * h1 * k12
-        if lobj < hobj - EPSILON:
-            a2 = L
-        elif lobj > hobj + EPSILON:
-            a2 = H
-        else:
-            a2 = a2o
+    a2 = min(max(a2o + y2 * (e1 - e2) / eta, L), H)
     if abs(a2 - a2o) < EPSILON * (a2 + a2o + EPSILON):
         return None
     a1 = a1o + s * (a2o - a2)
@@ -322,16 +305,7 @@ def _pair_step(alphas, y, e1, e2, b, C, diag, row1, i1, i2):
         a2 = C
     a1 = min(max(a1, 0.0), C)
     a2 = min(max(a2, 0.0), C)
-    d1, d2 = a1 - a1o, a2 - a2o
-    b1 = b - e1 - y1 * d1 * k11 - y2 * d2 * k12
-    b2 = b - e2 - y1 * d1 * k12 - y2 * d2 * k22
-    if 0.0 < a1 < C:
-        b_new = b1
-    elif 0.0 < a2 < C:
-        b_new = b2
-    else:
-        b_new = (b1 + b2) / 2.0
-    return i2, a1, a2, d1, d2, b_new
+    return i2, a1, a2, a1 - a1o, a2 - a2o
 
 
 def _kkt(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float):
@@ -385,10 +359,10 @@ def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float
     the box steps from a to the first bound it meets, moves that row to B
     and solves again, at most _FINISH_ROUNDS times. The finished alphas are
     kept only if the full dual feasibility gap, over every row, is within
-    tol, and sum(a y) is 0 within EPSILON of sum(a): an ill-conditioned
-    system, which elimination without pivoting solves inexactly, can leave
-    the equality constraint broken by far more. An F of more than _FINISH_ROWS rows or of none, a singular system
-    and a solution still outside the box after the last round give None.
+    tol and sum(a y) is 0 within EPSILON of sum(a), which elimination
+    without pivoting can miss on a nearly singular system. An F of more than
+    _FINISH_ROWS rows or of none, a singular system and a solution still
+    outside the box after the last round give None.
     """
     free = np.flatnonzero((a > 0.0) & (a < C))
     if not 0 < len(free) <= _FINISH_ROWS:
@@ -446,10 +420,12 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     solve tries to end exactly on it (`_finish`); a finish that fails leaves
     the state as it was.
 
-    An update makes 13 passes over arrays of n entries when the eta row of
+    The error cache holds E = g - y with no bias, which cancels out of every
+    selection and step; the bias is computed once, from the final alphas.
+    An update makes 12 passes over arrays of n entries when the eta row of
     its first row is memoized, and 4 more to build that row when it is not:
     two to pick the most-violating pair, five for the second-order gain,
-    four for the error delta and two to add it to both masked error caches.
+    three for the error delta and two to add it to both masked error caches.
     """
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -464,25 +440,24 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     C = float(cfg.C)
     tol = float(cfg.tolerance)
     K = _KernelSource(X, cfg.kernel)
-    diag = K.diag
 
     # What an update reads and writes one entry at a time lives in Python
     # lists; the alphas become an array only where the solve needs all of
     # them. I_up holds the rows whose y * alpha can still rise (y = +1 below
     # C, y = -1 above 0), I_low the mirror; all alphas start at 0 < C.
-    ys, dg = y.tolist(), diag.tolist()
+    ys = y.tolist()
     pos = [v > 0 for v in ys]
     alphas = [0.0] * n
     up, low = pos[:], [not p for p in pos]
-    b = 0.0
     g = np.zeros(n)  # K @ (alphas * y) as of the last resync
     updates = 0
     since = 0  # the update that last changed the free set, the rows with 0 < alpha < C
-    # The error cache E = decision - label is held only as two masked
-    # copies, rows of one array so that an update adds its delta to both in
-    # one call: e_up is E on I_up and +inf elsewhere, e_low is E on I_low
-    # and -inf elsewhere. Every row is in I_up or I_low, so one of the two
-    # holds its E; adding a finite delta keeps +-inf where it is.
+    # The error cache E = g - y, the gradient form of LIBSVM (Chang & Lin
+    # 2011), is held only as two masked copies, rows of one array so that an
+    # update adds its delta to both in one call: e_up is E on I_up and +inf
+    # elsewhere, e_low is E on I_low and -inf elsewhere. Every row is in I_up
+    # or I_low, so one of the two holds its E; adding a finite delta keeps
+    # +-inf where it is.
     cache = np.empty((2, n))
     e_up, e_low = cache
     fill = np.array([[np.inf], [-np.inf]])
@@ -497,15 +472,13 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
     eta_rows = np.empty((min(_ETA_ROWS, n), n))
     gain, delta, scratch = np.empty(n), np.empty(n), np.empty(n)
     for sweep in range(4):
-        # at sweep 0, g + b - y is -y; later sweeps resync the incremental
+        # at sweep 0, g - y is -y; later sweeps resync the incremental
         # cache, which can drift, and re-verify
-        np.copyto(cache, np.where([up, low], g + b - y, fill))
-        # Most-violating pair with second-order partner choice. b cancels
-        # out of every comparison, so the selection reads the error cache
-        # directly: I_up rows want smaller E, I_low rows larger. eta is
-        # built in the float order of diag[i] + diag - 2 K[i], the gain in
-        # that of (E - E[i]) ** 2 / eta, and the error update in that of
-        # y1 d1 K[i] + y2 d2 K[i2] + (b_new - b).
+        np.copyto(cache, np.where([up, low], g - y, fill))
+        # Most-violating pair with second-order partner choice: I_up rows
+        # want smaller E, I_low rows larger. eta is built in the float order
+        # of diag[i] + diag - 2 K[i], the gain in that of (E - E[i]) ** 2 /
+        # eta, and the error update in that of y1 d1 K[i] + y2 d2 K[i2].
         while updates < cfg.max_iter:
             i = int(e_up.argmin())
             j_max = int(e_low.argmax())
@@ -517,7 +490,7 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
             if eta is None:
                 # a free row of the block, or else the oldest one's
                 eta = eta_rows[len(etas)] if len(etas) < len(eta_rows) else etas.pop(next(iter(etas)))
-                np.add(diag, diag[i], out=eta)
+                np.add(K.diag, K.diag[i], out=eta)
                 np.multiply(row1, 2.0, out=gain)
                 np.subtract(eta, gain, out=eta)
                 np.maximum(eta, 1e-12, out=eta)
@@ -536,16 +509,15 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
                 # -inf, argmax picks as the plain masked gain does
                 np.putmask(gain, e_low <= e_i, -np.inf)
                 j = int(gain.argmax())
-            step = _pair_step(alphas, ys, e_i, err(j), b, C, dg, row1, i, j)
+            step = _pair_step(alphas, ys, e_i, err(j), C, float(eta[j]), i, j)
             if step is None:
-                step = _pair_step(alphas, ys, e_i, err(j_max), b, C, dg, row1, i, j_max)
+                step = _pair_step(alphas, ys, e_i, err(j_max), C, float(eta[j_max]), i, j_max)
             if step is None:
                 break  # numerically stuck; the gap check below decides
-            i2, a1, a2, d1, d2, b_new = step
+            i2, a1, a2, d1, d2 = step
             np.multiply(row1, ys[i] * d1, out=delta)
             np.multiply(K.row(i2), ys[i2] * d2, out=scratch)
             np.add(delta, scratch, out=delta)
-            np.add(delta, b_new - b, out=delta)
             np.add(cache, delta, out=cache)
             changed = False
             for k, a in ((i, a1), (i2, a2)):
@@ -556,7 +528,6 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
                 changed = changed or free != (up[k] and low[k])
                 e_up[k] = e if up[k] else np.inf
                 e_low[k] = e if low[k] else -np.inf
-            b = b_new
             updates += 1
             if changed:
                 since = updates
@@ -567,7 +538,7 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
                     break
             if updates % 4096 == 0:
                 # shed accumulated drift
-                np.copyto(cache, np.where([up, low], K.full_g(np.array(alphas) * y) + b - y, fill))
+                np.copyto(cache, np.where([up, low], K.full_g(np.array(alphas) * y) - y, fill))
         g, b_est, m_up, m_low = _kkt(K, y, np.array(alphas), C)
         if m_up - m_low <= tol or updates >= cfg.max_iter:
             break

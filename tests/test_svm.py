@@ -310,7 +310,7 @@ def finishes(monkeypatch):
 
 def rebuild_reference(X, y, cfg):
     """smo_train's selection loop as it was before its per-step arrays were
-    kept between steps: both masks rebuilt from the alphas, and every
+    kept between steps, in its gradient form (E = g - y, no bias): both masks rebuilt from the alphas, and every
     masked array and eta row computed afresh, at each step, with kernel rows
     from a row source of its own (a svm._KernelSource). Once the free set
     has stayed the same for svm._FINISH_AFTER updates, it calls svm._finish
@@ -320,12 +320,12 @@ def rebuild_reference(X, y, cfg):
     K = svm._KernelSource(X, cfg.kernel)
     diag = K.diag
     n, C, tol = len(y), cfg.C, cfg.tolerance
-    alphas, b, E, updates, pos = np.zeros(n), 0.0, -y.copy(), 0, y > 0
+    alphas, E, updates, pos = np.zeros(n), -y.copy(), 0, y > 0
     since = 0
     eta, gain, firsts = np.empty(n), np.empty(n), set()
     for sweep in range(4):
         if sweep:
-            E[:] = g + b - y
+            E[:] = g - y
         while updates < cfg.max_iter:
             up = np.where(pos, alphas < C, alphas > 0)
             low = np.where(pos, alphas > 0, alphas < C)
@@ -341,16 +341,15 @@ def rebuild_reference(X, y, cfg):
             np.divide((E - E[i]) ** 2, eta, out=gain)
             gain[e_low <= E[i]] = -np.inf
             j = int(np.argmax(gain))
-            step = svm._pair_step(alphas, y, E[i], E[j], b, C, diag, K.row(i), i, j)
+            step = svm._pair_step(alphas, y, E[i], E[j], C, eta[j], i, j)
             if step is None:
-                step = svm._pair_step(alphas, y, E[i], E[j_max], b, C, diag, K.row(i), i, j_max)
+                step = svm._pair_step(alphas, y, E[i], E[j_max], C, eta[j_max], i, j_max)
             if step is None:
                 break
-            i2, a1, a2, d1, d2, b_new = step
-            E += y[i] * d1 * K.row(i) + y[i2] * d2 * K.row(i2) + (b_new - b)
+            i2, a1, a2, d1, d2 = step
+            E += y[i] * d1 * K.row(i) + y[i2] * d2 * K.row(i2)
             free = (alphas > 0) & (alphas < C)
             alphas[i], alphas[i2] = a1, a2
-            b = b_new
             updates += 1
             if not np.array_equal(free, (alphas > 0) & (alphas < C)):
                 since = updates
@@ -360,7 +359,7 @@ def rebuild_reference(X, y, cfg):
                     alphas = done
                     break
             if updates % 4096 == 0:
-                E[:] = K.full_g(alphas * y) + b - y
+                E[:] = K.full_g(alphas * y) - y
         g = K.full_g(alphas * y)
         b_est = y - g
         m_up = b_est[np.where(pos, alphas < C, alphas > 0)].max()
@@ -387,7 +386,7 @@ class TestKeptStepArrays:
             if np.all(y == y[0]):
                 y[0] = -y[0]
             X[: n // 4] = X[n // 4: 2 * (n // 4)]  # duplicate rows: eta = 0 pairs
-            yield X, y, cfgp(float(rng.choice([0.05, 1.0, 10.0, 100.0])), int(rng.integers(1, 4)), max_iter=5000)
+            yield X, y, cfgp(float(rng.choice([0.05, 1.0, 10.0, 100.0])), int(rng.integers(1, 4)), max_iter=9000)
         X = rng.normal(0, 1, (300, 2))
         yield X, np.where(X[:, 0] + rng.normal(0, 1.0, 300) > 0, 1.0, -1.0), cfgp(1e3, 3, max_iter=9000)
 
@@ -483,21 +482,25 @@ class TestFinish:
         assert done is not None and (start == cfg.C).any()
         assert_matches_qp_reference(X, y, cfg, m)
 
-    def test_two_free_copies_fall_back_to_smo(self, finishes):
-        """A finish whose free set holds two copies of one row meets a
-        singular system and is refused; SMO goes on from where it was and
-        still reaches the QP optimum."""
+    def test_two_free_copies_fall_back_to_smo(self):
+        """A finish whose free set holds two copies of one row meets an
+        exact 0 pivot and is refused, so SMO goes on from where it was. The
+        state is the optimum of a problem whose first six rows copy the next
+        six, with a free row's alpha split evenly between it and its copy:
+        the same decisions and objective, and a singular system."""
         rng = np.random.default_rng(12)
         X = rng.normal(0, 1, (24, 2))
         y = np.where(X[:, 0] + rng.normal(0, 1.0, 24) > 0, 1.0, -1.0)
         X[:6], y[:6] = X[6:12], y[6:12]
         cfg = cfgp(10.0, 1)
         m = smo_train(X, y, cfg)
-        [(start, done)] = finishes
-        free = np.flatnonzero((start > 0) & (start < cfg.C))
-        assert len({X[i].tobytes() for i in free}) < len(free)  # two free copies of one row
-        assert done is None and m.converged
+        assert m.converged
         assert_matches_qp_reference(X, y, cfg, m)
+        a = row_alphas(X, y, m)
+        i = next(i for i in range(6) if 0.0 < a[i] + a[i + 6] < 2.0 * cfg.C)
+        a[i] = a[i + 6] = (a[i] + a[i + 6]) / 2.0
+        assert 0.0 < a[i] < cfg.C
+        assert svm._finish(svm._KernelSource(X, cfg.kernel), y, a, cfg.C, cfg.tolerance) is None
 
     def test_never_kept_with_the_equality_broken(self, finishes):
         """Two copies of a row with coef0 = 0 give a nearly singular KKT
@@ -838,7 +841,7 @@ class TestCertifiedReuse:
             ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 0.3, 1, True),  # a2 clipped to H = C
             ([-1.0, 1.0], [-1.0, 1.0], [0.3, 0.1], 0.3, 1, False),  # clipped to H = a2o, as a1 = C
             ([-1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], 1.0, 1, False),  # L = H = C
-            ([1.0, 1.0], [1.0, 1.0], [0.1, 0.1], 1.0, 1, False),  # eta = 0: the objective at L and H
+            ([1.0, 1.0], [1.0, 1.0], [0.1, 0.1], 1.0, 1, False),  # eta = 0, clamped; E1 = E2, so no step
             ([0.0, 1.0], [1.0, 1.0], [0.5, 0.5], 1.0, 1, True),  # a2 to L = 0, so a1 = a1o + a2o = C
             ([-1.0, 1.0], [-1.0, 1.0], [0.1, 0.1], 1.0, 0, False),  # a pair of one row
         ],
@@ -847,13 +850,15 @@ class TestCertifiedReuse:
     )
     def test_pair_step_reports_c_binding(self, X, y, alphas, C, i2, moved):
         """Whether the step moves where C binds the pair or could: None
-        when the pair cannot move."""
+        when the pair cannot move. eta is the pair's entry of the selection's
+        eta row, clamped at 1e-12."""
         X = np.array(X)[:, None]
         y = np.array(y)
         K = kernel_matrix(X, X, KernelSpec(degree=1, coef0=0.0))
         alphas = np.array(alphas)
         E = K @ (alphas * y) - y
-        step = svm._pair_step(alphas, y, E[0], E[i2], 0.0, C, np.diagonal(K), K[0], 0, i2)
+        eta = max(K[0, 0] + K[i2, i2] - 2.0 * K[0, i2], 1e-12)
+        step = svm._pair_step(alphas, y, E[0], E[i2], C, eta, 0, i2)
         assert (step is not None) == moved
 
     @pytest.mark.parametrize(
@@ -934,7 +939,7 @@ class TestCertifiedReuse:
         assert served == (tmp_path / "fresh.txt").read_bytes()
         # train_multiclass's file for C=1000, degree 3, solved alone (numpy
         # 2.4.6; the same at one and two BLAS threads)
-        assert hashlib.sha256(served).hexdigest() == "be1ff27d57929d7dfaedd3962adc45dddee607e4ce55a0c39ec9ecea3f43524e"
+        assert hashlib.sha256(served).hexdigest() == "85322a5aa71bdd4c329f3634dd26850bceb1c7a973e4d4003691bf462e7b39cd"
 
 
 class TestSingleSvmMemo:
