@@ -190,10 +190,10 @@ def bagging_train(
         if sample is None:
             raise DataError(f"member {i}: bootstrap kept losing a class after 10 retries")
         model = train_multiclass(sample, cfg.base, feature_mask, standardizer)
-        preds, _ = model.predict_dataset(train)
+        index = {lab: c for c, lab in enumerate(train.class_labels)}
+        codes = [index[lab] for lab in model.predict_dataset(train)[0]]
         del model._stack  # the ensemble stacks every member's machines itself
-        truth = [train.class_labels[c] for c in train.class_codes()]
-        acc = sum(p == t for p, t in zip(preds, truth)) / train.n_rows
+        acc = np.count_nonzero(np.array(codes) == train.class_codes()) / train.n_rows
         members.append((model, seed, acc))
     priors = np.bincount(train.class_codes(), minlength=k) / train.n_rows
     return EnsembleModel(members, cfg.vote, train.class_labels, priors, cfg.master_seed)

@@ -216,6 +216,8 @@ def _parse_arff(text: str, class_column: str) -> Dataset:
 
 
 def _build_typed(names, raw_rows, cls_pos, declared_nominals) -> Dataset:
+    if not raw_rows:
+        raise DataError("the table has a header but no data rows")
     n_cols = len(names)
     # class labels: declared order for ARFF nominals, else sorted raw strings
     if cls_pos in declared_nominals:

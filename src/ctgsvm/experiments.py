@@ -39,7 +39,7 @@ from .fs_ensemble import (
 from .report import (
     ConfusionMatrix,
     accuracy,
-    confusion_from_labels,
+    confusion_from_codes,
     fmt_accuracy,
     fmt_seconds,
     render_table,
@@ -259,24 +259,21 @@ class Pipeline:
         the object, so an id is never reused while its entry lives."""
         key = id(model)
         if key not in self._evaluations:
-            preds = [model.predict_dataset(ds)[0] for ds in (self.train, self.test)]
-            self._evaluations[key] = (model, self.confusions(*preds))
+            index = {lab: c for c, lab in enumerate(self.train.class_labels)}
+            codes = [[index[lab] for lab in model.predict_dataset(ds)[0]] for ds in (self.train, self.test)]
+            self._evaluations[key] = (model, self.confusions(*codes))
         return self._evaluations[key][1]
 
     def accuracies(self, model) -> dict:
         """train/test/combined percent accuracy of a model."""
         return {tag: accuracy(cm) for tag, cm in self.evaluation(model).items()}
 
-    def label_accuracies(self, train_preds, test_preds) -> dict:
-        """accuracies() of labels already predicted on train and test."""
-        return {tag: accuracy(cm) for tag, cm in self.confusions(train_preds, test_preds).items()}
-
-    def confusions(self, train_preds, test_preds) -> dict:
-        """train/test/combined confusion matrices of labels predicted on
-        train and test."""
+    def confusions(self, train_codes, test_codes) -> dict:
+        """train/test/combined confusion matrices of class indexes predicted
+        on train and test."""
         cms = {
-            tag: confusion_from_labels([ds.class_labels[c] for c in ds.class_codes()], preds, ds.class_labels)
-            for tag, ds, preds in (("train", self.train, train_preds), ("test", self.test, test_preds))
+            tag: confusion_from_codes(ds.class_codes(), codes, ds.class_labels)
+            for tag, ds, codes in (("train", self.train, train_codes), ("test", self.test, test_codes))
         }
         train, test = cms["train"], cms["test"]
         cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts)
@@ -548,7 +545,7 @@ def run_exp4(pipe: Pipeline) -> _Out:
     member_cols = [""] * max_members
 
     def accuracies(train_codes, test_codes) -> dict:
-        return pipe.label_accuracies(*([full.classes[c] for c in codes] for codes in (train_codes, test_codes)))
+        return {tag: accuracy(cm) for tag, cm in pipe.confusions(train_codes, test_codes).items()}
 
     def evaluate(m: int) -> list:
         member = accuracies(train[:, m - 1].tolist(), test[:, m - 1].tolist())

@@ -128,6 +128,9 @@ def run_selector(
         else info_gain_scores(train, dmap)
     )
     selected = rank_cutoff(scores, cfg.cutoff_rule, cfg.cutoff_value)
+    if not selected:  # only a threshold above every score keeps nothing
+        raise DataError(f"{sel.label}: cutoff threshold:{cfg.cutoff_value!r} keeps no feature; "
+                        f"the top score is {max(scores.scores)!r}")
     return FeatureSelection(sel, selected, scores=scores)
 
 

@@ -32,15 +32,13 @@ class ConfusionMatrix:
         return int(np.trace(self.counts))
 
 
-def confusion_from_labels(desired, actual, labels) -> ConfusionMatrix:
-    index = {lab: i for i, lab in enumerate(labels)}
+def confusion_from_codes(desired, actual, labels) -> ConfusionMatrix:
+    """The confusion matrix of desired and actual class indexes into labels."""
     k = len(labels)
-    cells = []
-    for d, a in zip(desired, actual):
-        if d not in index or a not in index:
-            raise DataError(f"label {a if d in index else d!r} not in matrix labels")
-        cells.append(index[d] * k + index[a])
-    counts = np.bincount(np.asarray(cells, dtype=np.int64), minlength=k * k).reshape(k, k)
+    desired, actual = np.asarray(desired, dtype=np.int64), np.asarray(actual, dtype=np.int64)
+    if desired.shape != actual.shape or not ((0 <= desired) & (desired < k) & (0 <= actual) & (actual < k)).all():
+        raise DataError(f"confusion needs two equal-length lists of class indexes below {k}")
+    counts = np.bincount(desired * k + actual, minlength=k * k).reshape(k, k)
     counts.setflags(write=False)
     return ConfusionMatrix(tuple(labels), counts)
 

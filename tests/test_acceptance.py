@@ -25,7 +25,7 @@ from ctgsvm.experiments import (
     exp4_feature_set,
     run_exp4,
 )
-from ctgsvm.report import fmt_accuracy, timed
+from ctgsvm.report import accuracy, fmt_accuracy, timed
 from ctgsvm.search import GeneticConfig, SubsetEvaluator, best_first, genetic_search
 from ctgsvm.svm import (
     KernelSpec,
@@ -244,18 +244,14 @@ def ensemble_sweep(pipe):
         tag: ens.member_predictions(ds) for tag, ds in (("train", pipe.train), ("test", pipe.test), ("work", pipe.work))
     }
 
-    def labels(winners):
-        return [ens.classes[c] for c in winners]
+    def combined(train, test):
+        return accuracy(pipe.confusions(train, test)["combined"])
 
-    member_accs = [
-        pipe.label_accuracies(labels(train), labels(test))["combined"]
-        for train, test in zip(codes["train"].T.tolist(), codes["test"].T.tolist())
-    ]
+    member_accs = [combined(train, test) for train, test in zip(codes["train"].T, codes["test"].T)]
     voting, agreement_of = {}, {}
     for m in range(1, 11):
         prefix = ens.prefix(m)
-        train, test = (labels(prefix.vote_codes(codes[tag][:, :m])[0]) for tag in ("train", "test"))
-        voting[m] = pipe.label_accuracies(train, test)["combined"]
+        voting[m] = combined(*(prefix.vote_codes(codes[tag][:, :m])[0] for tag in ("train", "test")))
         if m >= 2:
             agreement_of[m] = agreement(codes["work"][:, :m])
     took = time.perf_counter() - t0
@@ -582,7 +578,7 @@ def test_criterion_9_invariant_suites(pipe, grid_models):
 
     # confusion totals equal evaluated rows
     model, _ = cells[(10.0, 3)]
-    cms = pipe.confusions(*(model.predict_dataset(ds)[0] for ds in (pipe.train, pipe.test)))
+    cms = pipe.evaluation(model)
     assert cms["train"].total == pipe.train.n_rows and cms["test"].total == pipe.test.n_rows
     assert cms["combined"].total == pipe.train.n_rows + pipe.test.n_rows
 

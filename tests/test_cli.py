@@ -94,6 +94,24 @@ class TestTrainPredict:
         got = [ln.split(",")[1] for ln in lines[1:]]
         assert got == expect
 
+    @pytest.mark.parametrize("suffix", ["csv", "arff"])
+    def test_header_only_table_is_data_error(self, small_csv, tmp_path, capsys, suffix):
+        """A table with the training header and no rows exits 3 and says so,
+        where an ARFF one used to predict into an empty file."""
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--data", small_csv, "--out", str(model_path)]) == 0
+        header = Path(small_csv).read_text(encoding="utf-8").splitlines()[0]
+        if suffix == "arff":
+            header = "@relation ctg\n" + "".join(
+                "@attribute NSP {Normal, Suspect, Pathologic}\n" if name == "NSP" else f"@attribute {name} numeric\n"
+                for name in header.split(",")
+            ) + "@data"
+        data = tmp_path / f"empty.{suffix}"
+        data.write_text(header + "\n", encoding="utf-8")
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(out)]) == 3
+        assert "no data rows" in capsys.readouterr().err and not out.exists()
+
     def test_separable_training_recall(self, tmp_path):
         from ctgsvm.data import export_csv
         from conftest import numeric_dataset
@@ -451,6 +469,8 @@ class TestExperimentCommand:
             ("", ["select", "--selector", "FS4", "--cutoff", "top_k:2.5"], "top_k:2.5"),
             # a NaN threshold would keep no feature, and exit 0
             ("", ["select", "--selector", "FS3", "--cutoff", "threshold:nan"], "threshold:nan"),
+            # a finite threshold above every score keeps no feature either
+            ("", ["select", "--selector", "FS4", "--cutoff", "threshold:5"], "threshold:5.0 keeps no feature"),
         ],
     )
     def test_malformed_config_value_is_data_error(self, small_csv, tmp_path, capsys, config_line, args, bad):

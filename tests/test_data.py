@@ -121,6 +121,12 @@ class TestArffLoading:
             load_dataset(write(tmp_path, "t.arff", bad), class_column="cls")
 
 
+@pytest.mark.parametrize("name, text", [("t.csv", "a,b,cls\n"), ("t.arff", ARFF[:ARFF.index("1.5")])])
+def test_header_without_rows_rejected(tmp_path, name, text):
+    with pytest.raises(DataError, match="the table has a header but no data rows"):
+        load_dataset(write(tmp_path, name, text), class_column="cls")
+
+
 class TestSelectFeatures:
     def setup_method(self):
         self.ds = numeric_dataset([[1, 2, 3], [4, 5, 6]], ["a", "b"])

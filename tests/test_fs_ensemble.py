@@ -66,6 +66,28 @@ class TestRunSelector:
         assert sel.selected == frozenset(range(4))
         assert sel.scores is not None
 
+    def test_threshold_above_every_score_is_data_error(self):
+        """A threshold that keeps no feature names the selector, the
+        threshold and the top score, instead of an empty selection."""
+        ds = toy_dataset()
+        sel = run_selector(SelectorId("FS4", "ranker"), ds, dmap=passthrough_dmap(ds))
+        top = max(sel.scores.scores)
+        cfg = SelectorConfig(cutoff_rule="threshold", cutoff_value=top)
+        with pytest.raises(DataError, match=f"FS4-ranker: cutoff threshold:{top!r} keeps no feature; "
+                                            f"the top score is {top!r}"):
+            run_selector(SelectorId("FS4", "ranker"), ds, cfg, dmap=passthrough_dmap(ds))
+
+    def test_threshold_selection_sizes(self, ctg_table, tmp_path):
+        """threshold:0.01 keeps 21 relief and 17 information-gain features
+        of the synthetic table's training partition, seed 42."""
+        from ctgsvm.experiments import ExperimentConfig, build_pipeline
+
+        _, path, is_real = ctg_table
+        if is_real:
+            pytest.skip("the sizes are of the bundled synthetic table, not of CTG_CSV")
+        pipe = build_pipeline(ExperimentConfig(data=path, seed=42, cutoff="threshold:0.01", out_dir=str(tmp_path)))
+        assert [len(pipe.selection(code, "ranker").selected) for code in ("FS3", "FS4")] == [21, 17]
+
     def test_cfs_genetic_drops_redundant_duplicate(self):
         ds = toy_dataset()
         cfg = SelectorConfig(genetic=GeneticConfig(seed=7))
