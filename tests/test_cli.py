@@ -97,7 +97,7 @@ class TestTrainPredict:
     @pytest.mark.parametrize("suffix", ["csv", "arff"])
     def test_header_only_table_is_data_error(self, small_csv, tmp_path, capsys, suffix):
         """A table with the training header and no rows exits 3 and says so,
-        where an ARFF one used to predict into an empty file."""
+        in either format, and writes no predictions."""
         model_path = tmp_path / "model.txt"
         assert main(["train", "--data", small_csv, "--out", str(model_path)]) == 0
         header = Path(small_csv).read_text(encoding="utf-8").splitlines()[0]

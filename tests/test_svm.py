@@ -504,10 +504,10 @@ class TestFinish:
 
     def test_never_kept_with_the_equality_broken(self, finishes):
         """Two copies of a row with coef0 = 0 give a nearly singular KKT
-        system, which elimination without pivoting solves inexactly: on this
-        problem a finish once kept alphas whose sum(a y) was 0.9% of
-        sum(a), with a gap within tolerance. Such a finish is refused, and
-        the machine is certified from its alphas alone."""
+        system, which elimination without pivoting solves inexactly: here
+        every finish's sum(a y) is far from 0 (0.9% of sum(a) for one whose
+        gap is within tolerance), so each is refused, and the machine is
+        certified from its alphas alone."""
         rng = np.random.default_rng(6)
         X = rng.normal(0, 1, (22, 2))
         X[rng.integers(0, 22, 8)] = X[rng.integers(0, 22, 8)]
