@@ -31,9 +31,7 @@ from .svm import (
 )
 
 ENSEMBLE_MAGIC = "ctgsvm-ensemble"
-ENSEMBLE_VERSION = 1
-
-VOTE_RULES = ("unweighted_majority", "weighted_by_train_accuracy")
+ENSEMBLE_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,19 +58,15 @@ class EnsembleConfig:
     members: int
     base: SvmConfig
     master_seed: int
-    vote: str = "unweighted_majority"
 
     def __post_init__(self):
         if self.members < 1:
             raise DataError(f"members must be >= 1, not {self.members!r}")
-        if self.vote not in VOTE_RULES:
-            raise DataError(f"unknown vote rule {self.vote!r}")
 
 
 @dataclass
 class EnsembleModel:
-    members: list[tuple[SvmModel, int, float]]  # (model, bootstrap seed, train accuracy)
-    vote: str
+    members: list[tuple[SvmModel, int]]  # (model, bootstrap seed)
     classes: tuple[str, ...]
     class_priors: np.ndarray
     master_seed: int
@@ -84,7 +78,7 @@ class EnsembleModel:
         if not self.members:
             raise DataError("an ensemble needs at least one member")
         first = self.members[0][0]
-        for i, (m, _, _) in enumerate(self.members, start=1):
+        for i, (m, _) in enumerate(self.members, start=1):
             if m.classes != self.classes:
                 raise DataError(
                     f"ensemble member {i}: classes {m.classes} differ from the ensemble's {self.classes}"
@@ -99,19 +93,19 @@ class EnsembleModel:
 
     @property
     def converged(self) -> bool:
-        return all(m.converged for m, _, _ in self.members)
+        return all(m.converged for m, _ in self.members)
 
     @cached_property
     def _stack(self) -> _Stack:
         # one group of machines per member; built on first prediction
-        machines = [mach for m, _, _ in self.members for mach in m.machines]
+        machines = [mach for m, _ in self.members for mach in m.machines]
         return _Stack.of(machines, len(self.classes))
 
     @cached_property
     def _priors(self) -> np.ndarray:
         """(members, classes): each member's training class shares, which
         break ties in its vote."""
-        counts = np.array([m.class_counts for m, _, _ in self.members])
+        counts = np.array([m.class_counts for m, _ in self.members])
         return counts / counts.sum(axis=1, keepdims=True)
 
     def _member_codes(self, feats: np.ndarray) -> np.ndarray:
@@ -126,7 +120,7 @@ class EnsembleModel:
         """
         if not 1 <= m <= len(self.members):
             raise DataError(f"prefix of {m} members from an ensemble of {len(self.members)}")
-        return EnsembleModel(self.members[:m], self.vote, self.classes, self.class_priors, self.master_seed)
+        return EnsembleModel(self.members[:m], self.classes, self.class_priors, self.master_seed)
 
     def member_predictions(self, ds: Dataset) -> np.ndarray:
         """(rows, members): each member's class index per row of ds."""
@@ -134,23 +128,19 @@ class EnsembleModel:
         return self._member_codes(ds.feature_matrix())
 
     def vote_codes(self, codes: np.ndarray) -> tuple[list[int], int]:
-        """Each row's vote over a (rows, members) class-index matrix: a vote
-        weighs 1, or its member's training accuracy, summed in member order,
-        and a tie goes to the larger prior, then the earlier class. Returns
-        the winning class indexes and the number of tied rows."""
+        """Each row's majority vote over a (rows, members) class-index
+        matrix, a tie going to the larger prior, then the earlier class.
+        Returns the winning class indexes and the number of tied rows."""
         if codes.shape[1] != len(self.members):
             raise DataError(f"{codes.shape[1]} member columns for {len(self.members)} members")
-        weighted = self.vote == "weighted_by_train_accuracy"
-        weights = [acc if weighted else 1 for _, _, acc in self.members]
         order = sorted(range(len(self.classes)), key=lambda c: (-self.class_priors[c], c))  # tie-break order
         winners, ties = [], 0
         for row in codes.tolist():
             totals = [0] * len(order)
-            for c, w in zip(row, weights):
-                totals[c] += w
+            for c in row:
+                totals[c] += 1
             top = max(totals)
-            # a class no member voted for is no candidate, even at a total of 0
-            cands = [c for c in order if totals[c] == top and c in row]
+            cands = [c for c in order if totals[c] == top]
             winners.append(cands[0])
             ties += len(cands) > 1
         return winners, ties
@@ -173,8 +163,7 @@ def bagging_train(
     """Train cfg.members machines on seeded bootstrap resamples.
 
     A bootstrap that drops a class entirely is redrawn from a further
-    derived seed (up to 10 retries). Each member's accuracy on the full
-    training set is recorded for the weighted voting rule.
+    derived seed (up to 10 retries).
     """
     k = len(train.class_labels)
     members = []
@@ -189,14 +178,9 @@ def bagging_train(
                 break
         if sample is None:
             raise DataError(f"member {i}: bootstrap kept losing a class after 10 retries")
-        model = train_multiclass(sample, cfg.base, feature_mask, standardizer)
-        index = {lab: c for c, lab in enumerate(train.class_labels)}
-        codes = [index[lab] for lab in model.predict_dataset(train)[0]]
-        del model._stack  # the ensemble stacks every member's machines itself
-        acc = np.count_nonzero(np.array(codes) == train.class_codes()) / train.n_rows
-        members.append((model, seed, acc))
+        members.append((train_multiclass(sample, cfg.base, feature_mask, standardizer), seed))
     priors = np.bincount(train.class_codes(), minlength=k) / train.n_rows
-    return EnsembleModel(members, cfg.vote, train.class_labels, priors, cfg.master_seed)
+    return EnsembleModel(members, train.class_labels, priors, cfg.master_seed)
 
 
 def _standardizer_key(s: Standardizer | None):
@@ -219,13 +203,11 @@ def agreement(codes: np.ndarray) -> float:
 
 def save_ensemble(model: EnsembleModel, path) -> None:
     lines = [f"{ENSEMBLE_MAGIC} {ENSEMBLE_VERSION}"]
-    lines.append(
-        "manifest\t%d\t%d\t%s" % (len(model.members), model.master_seed, model.vote)
-    )
+    lines.append("manifest\t%d\t%d" % (len(model.members), model.master_seed))
     lines.append("classes\t" + "\t".join(model.classes))
     lines.append("priors\t" + "\t".join(float(p).hex() for p in model.class_priors))
-    for m, seed, acc in model.members:
-        lines.append("member\t%d\t%s" % (seed, float(acc).hex()))
+    for m, seed in model.members:
+        lines.append("member\t%d" % seed)
         lines.extend(model_to_lines(m))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -239,17 +221,14 @@ def load_ensemble(path) -> EnsembleModel:
 
 
 def _parse_ensemble(cur: _Lines) -> EnsembleModel:
-    n_members, master_seed, vote = cur.fields("manifest", 3)
-    n_members, master_seed = int(n_members), int(master_seed)
-    cur.require(n_members >= 1 and vote in VOTE_RULES, "bad manifest")
+    n_members, master_seed = map(int, cur.fields("manifest", 2))
+    cur.require(n_members >= 1, "bad manifest")
     classes = tuple(cur.fields("classes"))
     priors = [float.fromhex(p) for p in cur.fields("priors", len(classes))]
     cur.require(all(0.0 <= p <= 1.0 for p in priors), "prior not in [0, 1]")
     members = []
     for _ in range(n_members):
-        seed, acc = cur.fields("member", 2)
-        acc = float.fromhex(acc)
-        cur.require(0.0 <= acc <= 1.0, "accuracy not in [0, 1]")
+        (seed,) = cur.fields("member", 1)
         model, cur.pos = model_from_lines(cur.lines, cur.pos)
-        members.append((model, int(seed), acc))
-    return EnsembleModel(members, vote, classes, np.array(priors), master_seed)
+        members.append((model, int(seed)))
+    return EnsembleModel(members, classes, np.array(priors), master_seed)

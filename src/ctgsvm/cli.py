@@ -127,13 +127,9 @@ def _cmd_train(args) -> int:
         mask = mask_by_names(work, keep=[n.strip() for n in args.features.split(",")])
     std = fit_standardizer(select_features(work, mask) if mask else work)
     cfg = SvmConfig(C=args.c, kernel=KernelSpec(degree=args.degree, coef0=args.coef0))
-    if args.members > 1:
-        ens = bagging_train(
-            work,
-            EnsembleConfig(members=args.members, base=cfg, master_seed=args.seed),
-            feature_mask=mask,
-            standardizer=std,
-        )
+    ens_cfg = EnsembleConfig(members=args.members, base=cfg, master_seed=args.seed)
+    if ens_cfg.members > 1:
+        ens = bagging_train(work, ens_cfg, feature_mask=mask, standardizer=std)
         save_ensemble(ens, args.out)
         converged = ens.converged
     else:

@@ -78,7 +78,6 @@ class ExperimentConfig:
     exp4_degree: int = 4
     exp4_members: int = 10
     exp5_members: int = 7
-    vote: str = "unweighted_majority"
     coef0: float = KernelSpec.coef0
     tolerance: float = SvmConfig.tolerance
     max_iter: int = SvmConfig.max_iter
@@ -92,6 +91,8 @@ class ExperimentConfig:
     cutoff: str = "keep_all"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, not {self.seed!r}")
         if not self.c_grid or not self.degree_grid:
             raise DataError("parameter grids must be non-empty")
         if not 1 <= self.exp4_members <= 32:
@@ -107,7 +108,7 @@ class ExperimentConfig:
         for key, (C, degree) in cells:
             _named(key, self.svm, C, degree)
         for members in (self.exp4_members, self.exp5_members):
-            EnsembleConfig(members, self.svm(self.exp4_c, self.exp4_degree), self.seed, self.vote)
+            EnsembleConfig(members, self.svm(self.exp4_c, self.exp4_degree), self.seed)
 
     def load_work(self, fit: bool = True) -> Dataset:
         """The table at `data`, less whichever `exclude_features` it has. A
@@ -200,7 +201,7 @@ def config_from_sources(file_values: dict, **overrides) -> ExperimentConfig:
         "data": str, "class_column": str, "out_dir": str, "fmt": str,
         "train_fraction": float, "seed": int, "quick": lambda v: _BOOLEANS[v.lower()],
         "highlight_threshold": float, "exp4_c": float, "exp4_degree": int,
-        "exp4_members": int, "exp5_members": int, "vote": str, "coef0": float,
+        "exp4_members": int, "exp5_members": int, "coef0": float,
         "tolerance": float, "max_iter": int, "ga_population": int,
         "ga_generations": int, "ga_crossover": float, "ga_mutation": float,
         "bf_stale_limit": int, "relieff_k": int, "relieff_m": int, "cutoff": str,
@@ -299,17 +300,15 @@ class Pipeline:
     def ensemble(self, mask, C: float, degree: int, members: int) -> EnsembleModel:
         """The bagged ensemble of `members` members on `mask`.
 
-        Member i depends only on (master seed, i), and the seed, training
-        partition and vote rule are fixed per pipeline. So the memo keeps
-        the largest ensemble trained per (columns, C, degree) and answers any
-        request up to its size with a prefix of it.
+        Member i depends only on (master seed, i), and the seed and training
+        partition are fixed per pipeline. So the memo keeps the largest
+        ensemble trained per (columns, C, degree) and answers any request up
+        to its size with a prefix of it.
         """
         cols = self._columns(mask)
         key = (cols, C, degree)
         if key not in self._ensembles or len(self._ensembles[key].members) < members:
-            ens_cfg = EnsembleConfig(
-                members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed, vote=self.cfg.vote
-            )
+            ens_cfg = EnsembleConfig(members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed)
             self._ensembles[key] = bagging_train(
                 self.train, ens_cfg, feature_mask=cols, standardizer=self._standardizer(cols)
             )
@@ -328,28 +327,32 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
 
 
 class _Out:
-    """Collects the output files, timing rows and convergence of one run."""
+    """Collects the rendered output files, timing rows and convergence of
+    one run; `save` writes the files."""
 
     def __init__(self, cfg: ExperimentConfig, exp_id: str):
         self.dir = Path(cfg.out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.exp_id = exp_id
         self.seed = cfg.seed
         self.fmt = cfg.fmt
-        self.files: list[Path] = []
+        self.files: dict[Path, str] = {}  # path -> rendered table
         self.timings: list = []  # (label, (wall seconds, CPU seconds)) per timed step
         self.converged = True
 
-    def _write(self, name: str, header, rows, fmt: str) -> None:
+    def _render(self, name: str, header, rows, fmt: str) -> None:
         suffix = "md" if fmt == "markdown" else "csv"
-        path = self.dir / f"{self.exp_id}_{name}_seed{self.seed}.{suffix}"
-        path.write_text(render_table(header, rows, fmt), encoding="utf-8", newline="")
-        self.files.append(path)
+        self.files[self.dir / f"{self.exp_id}_{name}_seed{self.seed}.{suffix}"] = render_table(header, rows, fmt)
+
+    def save(self) -> None:
+        """Make the output directory and write the files."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        for path, text in self.files.items():
+            path.write_text(text, encoding="utf-8", newline="")
 
     def table(self, name: str, header, rows) -> None:
-        self._write(name, header, rows, "csv")
+        self._render(name, header, rows, "csv")
         if self.fmt == "markdown":
-            self._write(name, header, rows, "markdown")
+            self._render(name, header, rows, "markdown")
 
     def timed(self, label: str, fn):
         """Run fn and return its result, recording its (wall, CPU) seconds
@@ -360,7 +363,7 @@ class _Out:
 
     def write_timing(self) -> None:
         rows = [(label, fmt_seconds(wall), fmt_seconds(cpu)) for label, (wall, cpu) in self.timings]
-        self._write("timing", ["row", "wall_seconds", "cpu_seconds"], rows, "csv")
+        self._render("timing", ["row", "wall_seconds", "cpu_seconds"], rows, "csv")
 
     def accuracy_row(self, lead, acc: dict, model, *extra) -> list:
         """The lead columns, then train, test and combined accuracy, then the
@@ -610,7 +613,8 @@ RUNNERS = {
 
 
 def cmd_experiment(exp_id: str, cfg: ExperimentConfig, log=print) -> int:
-    """Run one experiment (or all); returns the process exit code."""
+    """Run one experiment (or all), then write the files of every one, so
+    that a run that fails writes none; returns the process exit code."""
     ids = EXPERIMENT_IDS if exp_id == "all" else (exp_id,)
     for i in ids:
         if i not in RUNNERS:
@@ -626,13 +630,14 @@ def cmd_experiment(exp_id: str, cfg: ExperimentConfig, log=print) -> int:
         "combined-set voting accuracy; single-model accuracy columns use the "
         "same combined train+test convention"
     )
-    converged = True
+    outs = []
     for i in ids:
         try:
-            out = RUNNERS[i](pipe)
+            outs.append(RUNNERS[i](pipe))
         except DataError as exc:
             raise DataError(f"{i}: {exc}") from exc
-        converged &= out.converged
+    for out in outs:
+        out.save()
         for f in out.files:
             log(f"wrote {f}")
-    return 0 if converged else 4
+    return 0 if all(out.converged for out in outs) else 4

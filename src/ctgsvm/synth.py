@@ -67,6 +67,8 @@ def _class_sizes(n_rows: int) -> dict[str, int]:
 def make_ctg_like(seed: int = DEFAULT_SEED, n_rows: int = N_ROWS) -> Dataset:
     """Build the synthetic table of n_rows rows, with class sizes from
     `_class_sizes`."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, not {seed!r}")
     rng = np.random.default_rng(int(seed))
     sizes = _class_sizes(n_rows)
     cols = {name: [] for name in FEATURES}

@@ -419,18 +419,12 @@ def ovo_predict(model, feats) -> tuple[list[str], int]:
     return labels, ties
 
 
-def ensemble_vote(predictions, priors, class_order, weights=None) -> tuple[str, int]:
-    """The ensemble's vote on one row from each member's label, in member
-    order, and whether the row tied: each label weighs 1, or its member's
-    weight, summed in member order; a tie goes to the larger prior (a dict
-    by label), then to the class earlier in class_order. The label-based
+def ensemble_vote(predictions, priors, class_order) -> tuple[str, int]:
+    """The ensemble's majority vote on one row from each member's label,
+    and whether the row tied: a tie goes to the larger prior (a dict by
+    label), then to the class earlier in class_order. The label-based
     reference for the class-index vote."""
-    totals: Counter = Counter()
-    if weights is None:
-        totals.update(predictions)
-    else:
-        for lab, w in zip(predictions, weights):
-            totals[lab] += w
+    totals = Counter(predictions)
     top = max(totals.values())
     cands = [lab for lab, v in totals.items() if v == top]
     if len(cands) == 1:

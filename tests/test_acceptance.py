@@ -312,7 +312,7 @@ def test_ensemble_training_time_grows_with_members(ctg_table):
             gc.collect()  # so that no collection of earlier garbage lands inside a timing
             ens, (_, secs) = timed(lambda: bagging_train(quick.train, ens_cfg, feature_mask=mask, standardizer=std))
             cpu[m].append(secs)
-            updates[m] = sum(mc.n_updates for model, _, _ in ens.members for mc in model.machines)
+            updates[m] = sum(mc.n_updates for model, _ in ens.members for mc in model.machines)
     for m in range(2, 11):
         assert updates[m] > updates[m - 1], f"{m} members made {updates[m]} SMO updates, {m-1} made {updates[m-1]}"
         ratio = statistics.median(now / before for now, before in zip(cpu[m], cpu[m - 1]))
@@ -386,7 +386,7 @@ def solver_path_lines(grid_models, ensemble_sweep) -> list[str]:
     cells, _ = grid_models
     machines = [
         (f"grid C={C:g} degree={degree}", model) for (C, degree), (model, _) in cells.items()
-    ] + [(f"member {i}", model) for i, (model, _, _) in enumerate(ensemble_sweep["ensemble"].members)]
+    ] + [(f"member {i}", model) for i, (model, _) in enumerate(ensemble_sweep["ensemble"].members)]
     return [
         f"{where} pair={ci}-{cj} updates={m.n_updates} sv={len(m.alphas)}"
         for where, model in machines
@@ -462,7 +462,7 @@ def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path, monkeypatch
     members = 4
     cfg = ExperimentConfig(data=path, seed=SEED, quick=True, exp4_members=members, out_dir=str(tmp_path))
     memo_pipe = build_pipeline(cfg)
-    run_exp4(memo_pipe)
+    run_exp4(memo_pipe).save()
     got = _csv_rows(tmp_path / f"exp4_sweep_seed{SEED}.csv")
     assert [r["members"] for r in got] == [str(m) for m in range(1, members + 1)]
 
@@ -474,7 +474,7 @@ def test_exp4_sweep_matches_naive_recomputation(ctg_table, tmp_path, monkeypatch
     for m, row in enumerate(got, start=1):
         ens = bagging_train(
             pipe.train,
-            EnsembleConfig(members=m, base=base, master_seed=SEED, vote=cfg.vote),
+            EnsembleConfig(members=m, base=base, master_seed=SEED),
             feature_mask=mask,
             standardizer=std,
         )

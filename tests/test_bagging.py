@@ -75,7 +75,7 @@ class TestBaggingTrain:
         ds = blobs()
         ens = bagging_train(ds, EnsembleConfig(members=1, base=base_cfg(), master_seed=5))
         votes, _ = ens.predict_dataset(ds)
-        member, _, _ = ens.members[0]
+        member, _ = ens.members[0]
         assert votes == member.predict_dataset(ds)[0]
 
     def test_deterministic_given_master_seed(self):
@@ -83,8 +83,8 @@ class TestBaggingTrain:
         cfg = EnsembleConfig(members=3, base=base_cfg(), master_seed=11)
         a = bagging_train(ds, cfg)
         b = bagging_train(ds, cfg)
-        for (m1, s1, acc1), (m2, s2, acc2) in zip(a.members, b.members):
-            assert s1 == s2 and acc1 == acc2
+        for (m1, s1), (m2, s2) in zip(a.members, b.members):
+            assert s1 == s2
             for x1, x2 in zip(m1.machines, m2.machines):
                 assert np.array_equal(x1.alphas, x2.alphas)
 
@@ -94,20 +94,19 @@ class TestBaggingTrain:
         ds = blobs()
         small = bagging_train(ds, EnsembleConfig(members=2, base=base_cfg(), master_seed=3))
         big = bagging_train(ds, EnsembleConfig(members=4, base=base_cfg(), master_seed=3))
-        for (m1, s1, _), (m2, s2, _) in zip(small.members, big.members):
+        for (m1, s1), (m2, s2) in zip(small.members, big.members):
             assert s1 == s2
             assert np.array_equal(m1.machines[0].alphas, m2.machines[0].alphas)
 
-    @pytest.mark.parametrize("vote", ["unweighted_majority", "weighted_by_train_accuracy"])
-    def test_prefix_equals_fresh_ensemble(self, tmp_path, vote):
+    def test_prefix_equals_fresh_ensemble(self, tmp_path):
         ds = blobs(seed=4)
-        big = bagging_train(ds, EnsembleConfig(members=4, base=base_cfg(), master_seed=8, vote=vote))
+        big = bagging_train(ds, EnsembleConfig(members=4, base=base_cfg(), master_seed=8))
         for m in range(1, 5):
-            fresh = bagging_train(ds, EnsembleConfig(members=m, base=base_cfg(), master_seed=8, vote=vote))
+            fresh = bagging_train(ds, EnsembleConfig(members=m, base=base_cfg(), master_seed=8))
             prefix = big.prefix(m)
-            for (p_model, p_seed, p_acc), (f_model, f_seed, f_acc) in zip(prefix.members, fresh.members):
+            for (p_model, p_seed), (f_model, f_seed) in zip(prefix.members, fresh.members):
                 assert model_to_lines(p_model) == model_to_lines(f_model)
-                assert (p_seed, p_acc) == (f_seed, f_acc)
+                assert p_seed == f_seed
             save_ensemble(prefix, tmp_path / "prefix.txt")
             save_ensemble(fresh, tmp_path / "fresh.txt")
             assert (tmp_path / "prefix.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
@@ -125,12 +124,10 @@ class TestBaggingTrain:
         assert abs(ens.class_priors.sum() - 1.0) < 1e-12
 
 
-def label_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2),
-                   vote="unweighted_majority", accs=None):
+def label_ensemble(label_rows, classes=("N", "P", "S"), priors=(0.7, 0.1, 0.2)):
     """An ensemble whose member i predicts label_rows[i][r] on unit row r."""
-    accs = accs or [0.9] * len(label_rows)
-    members = [(labelling_model(labels, classes), i, acc) for i, (labels, acc) in enumerate(zip(label_rows, accs))]
-    return EnsembleModel(members, vote, tuple(classes), np.array(priors), master_seed=0)
+    members = [(labelling_model(labels, classes), i) for i, labels in enumerate(label_rows)]
+    return EnsembleModel(members, tuple(classes), np.array(priors), master_seed=0)
 
 
 def codes_of(ens, label_rows) -> np.ndarray:
@@ -153,22 +150,15 @@ class TestVoting:
         assert vote_one_row(["N", "S"]) == "N"
         assert vote_one_row(["S", "P"]) == "S"
 
-    def test_weighted_rule(self):
-        got = vote_one_row(["N", "S"], vote="weighted_by_train_accuracy", accs=[0.4, 0.6])
-        assert got == "S"
-
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             label_ensemble([["N"], ["S"]]).vote_codes(np.zeros((0, 0), dtype=int))
 
-    @pytest.mark.parametrize("vote", ["unweighted_majority", "weighted_by_train_accuracy"])
-    def test_single_row_vote_is_predict_dataset(self, vote):
-        # row 0 ties under both rules (weights 0.9 + 0.6 = 0.75 + 0.75),
-        # row 2 only under the unweighted one
+    def test_single_row_vote_is_predict_dataset(self):
+        # rows 0 and 2 tie 2 to 2
         rows = [["hi", "hi", "lo", "lo"], ["hi", "lo", "lo", "lo"], ["hi", "lo", "lo", "hi"]]
         members = [list(col) for col in zip(*rows)]
-        ens = label_ensemble(members, classes=("hi", "lo"), priors=(0.4, 0.6), vote=vote,
-                             accs=[0.9, 0.6, 0.75, 0.75])
+        ens = label_ensemble(members, classes=("hi", "lo"), priors=(0.4, 0.6))
         ds = unit_rows(["hi", "lo", "hi"])
         labels, stats = ens.predict_dataset(ds)
         assert stats["vote_ties"] >= 1
@@ -245,7 +235,7 @@ class TestStackedPrediction:
         ens = bagging_train(
             ds, EnsembleConfig(members=4, base=base_cfg(), master_seed=7), standardizer=fit_standardizer(ds)
         )
-        machines = [mach for m, _, _ in ens.members for mach in m.machines]
+        machines = [mach for m, _ in ens.members for mach in m.machines]
         # a bootstrap row held twice by one machine: its weights are summed
         assert any(len(np.unique(m.support_vectors, axis=0)) < len(m.alphas) for m in machines)
         feats = ds.feature_matrix()
@@ -254,8 +244,8 @@ class TestStackedPrediction:
         got = ens._stack.decisions(X)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want).max(axis=0))
         per_member = [[ens.classes[c] for c in column] for column in ens.member_predictions(ds).T.tolist()]
-        assert per_member == [ovo_predict(m, feats)[0] for m, _, _ in ens.members]
-        assert per_member == [m.predict_dataset(ds)[0] for m, _, _ in ens.members]
+        assert per_member == [ovo_predict(m, feats)[0] for m, _ in ens.members]
+        assert per_member == [m.predict_dataset(ds)[0] for m, _ in ens.members]
         assert [ens.predict_values(row) for row in feats] == ens.predict_dataset(ds)[0]
 
     def test_stack_built_once_on_first_prediction(self, tmp_path):
@@ -277,7 +267,7 @@ class TestStackedPrediction:
         loaded = load_ensemble(tmp_path / "e.txt")
         for model in (ens, loaded):
             model.predict_dataset(ds)
-            assert not any("_stack" in vars(m) for m, _, _ in model.members)
+            assert not any("_stack" in vars(m) for m, _ in model.members)
 
     def test_one_row_narrower_than_the_mask_is_data_error(self):
         rng = np.random.default_rng(2)
@@ -345,9 +335,9 @@ class TestStackedPrediction:
         b = bagging_train(ds, replace(cfg, base=base_cfg(degree=3))).members[0]
         priors = np.array([0.5, 0.5])
         with pytest.raises(DataError, match="ensemble member 2: kernel"):
-            EnsembleModel([a, b], cfg.vote, ds.class_labels, priors, 1)
+            EnsembleModel([a, b], ds.class_labels, priors, 1)
         with pytest.raises(DataError, match="at least one member"):
-            EnsembleModel([], cfg.vote, ds.class_labels, priors, 1)
+            EnsembleModel([], ds.class_labels, priors, 1)
 
 
 class TestEnsemblePersistence:
@@ -359,8 +349,8 @@ class TestEnsemblePersistence:
         loaded = load_ensemble(path)
         assert loaded.predict_dataset(ds)[0] == ens.predict_dataset(ds)[0]
         assert loaded.master_seed == 21
-        for (m1, s1, a1), (m2, s2, a2) in zip(ens.members, loaded.members):
-            assert s1 == s2 and a1 == a2
+        for (m1, s1), (m2, s2) in zip(ens.members, loaded.members):
+            assert s1 == s2
             assert np.array_equal(m1.machines[0].alphas, m2.machines[0].alphas)
 
     def test_not_an_ensemble_file(self, tmp_path):
@@ -410,19 +400,17 @@ class TestCorruptEnsembleFile:
             self.load_lines(tmp_path, saved + ["junk"])
 
     def test_bad_manifest_rejected(self, saved, tmp_path):
-        for manifest in ("manifest\t0\t21\tunweighted_majority", "manifest\t3\t21\tnope", "manifest\t3"):
+        for manifest in ("manifest\t0\t21", "manifest\t3\t21\tunweighted_majority", "manifest\t3"):
             with pytest.raises(DataError):
                 self.load_lines(tmp_path, saved[:1] + [manifest] + saved[2:])
 
     @pytest.mark.parametrize(
         "prefix, field, value",
-        [("priors", 1, "nan"), ("priors", 2, "inf"), ("priors", 1, "-0x1p+0"), ("priors", 2, "0x1.8p+0"),
-         ("member", 2, "nan"), ("member", 2, "-inf"), ("member", 2, "0x1.0000000000001p+0")],
-        ids=["prior-nan", "prior-inf", "prior-negative", "prior-above-1",
-             "accuracy-nan", "accuracy-inf", "accuracy-above-1"],
+        [("priors", 1, "nan"), ("priors", 2, "inf"), ("priors", 1, "-0x1p+0"), ("priors", 2, "0x1.8p+0")],
+        ids=["prior-nan", "prior-inf", "prior-negative", "prior-above-1"],
     )
     def test_share_out_of_range_rejected(self, saved, tmp_path, prefix, field, value):
-        """Priors and member accuracies are shares: finite and in [0, 1]."""
+        """Priors are shares: finite and in [0, 1]."""
         i = next(i for i, ln in enumerate(saved) if ln.startswith(prefix + "\t"))
         parts = saved[i].split("\t")
         parts[field] = value
@@ -436,5 +424,3 @@ class TestCorruptEnsembleFile:
 def test_config_validation():
     with pytest.raises(DataError):
         EnsembleConfig(members=0, base=base_cfg(), master_seed=1)
-    with pytest.raises(DataError):
-        EnsembleConfig(members=2, base=base_cfg(), master_seed=1, vote="nope")

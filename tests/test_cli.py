@@ -37,6 +37,12 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(tmp_path / "t.csv"), "--rows", "5"]) == 3
         assert "at least 6 rows" in capsys.readouterr().err
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 3
+        assert "seed must be >= 0, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSelectCommand:
     def test_ranker_writes_scores(self, small_csv, tmp_path):
@@ -183,9 +189,16 @@ class TestTrainPredict:
         model_path = tmp_path / "ens.txt"
         assert main(["train", "--data", small_csv, "--members", "3", "--c", "100",
                      "--degree", "2", "--out", str(model_path)]) == 0
-        assert model_path.read_text().startswith("ctgsvm-ensemble 1")
+        assert model_path.read_text().startswith("ctgsvm-ensemble 2\nmanifest\t3\t42\n")
         assert main(["predict", "--model", str(model_path), "--data", small_csv,
                      "--out", str(tmp_path / "p.csv")]) == 0
+
+    @pytest.mark.parametrize("members", ["0", "-2"])
+    def test_members_below_one_is_data_error(self, small_csv, tmp_path, capsys, members):
+        out = tmp_path / "m.txt"
+        assert main(["train", "--data", small_csv, "--members", members, "--out", str(out)]) == 3
+        assert f"members must be >= 1, not {members}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.fixture(scope="class")
     def saved_ensemble(self, small_csv, tmp_path_factory):
@@ -193,6 +206,20 @@ class TestTrainPredict:
         assert main(["train", "--data", small_csv, "--members", "2", "--c", "100",
                      "--degree", "2", "--out", str(path)]) == 0
         return path.read_text().splitlines()
+
+    def test_version_1_ensemble_is_data_error(self, saved_ensemble, small_csv, tmp_path, capsys):
+        """A file of the format that also held a vote rule and member
+        accuracies is refused by its version line."""
+        lines = [ln + "\t0x1.0p+0" if ln.startswith("member\t") else ln for ln in saved_ensemble]
+        lines[0] = "ctgsvm-ensemble 1"
+        lines[1] += "\tunweighted_majority"
+        model_path = tmp_path / "ens.txt"
+        model_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model_path), "--data", small_csv, "--out", str(out)])
+        assert code == 3
+        assert "unsupported ensemble version '1' at line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep", [0, 1, 4, 6, 12, 40, -1])
     def test_truncated_ensemble_is_data_error(self, saved_ensemble, small_csv, tmp_path, keep):
@@ -471,6 +498,8 @@ class TestExperimentCommand:
             ("", ["select", "--selector", "FS3", "--cutoff", "threshold:nan"], "threshold:nan"),
             # a finite threshold above every score keeps no feature either
             ("", ["select", "--selector", "FS4", "--cutoff", "threshold:5"], "threshold:5.0 keeps no feature"),
+            # a negative seed used to end in numpy's ValueError, exit 1
+            ("", ["select", "--selector", "FS1", "--seed", "-1"], "seed must be >= 0, not -1"),
         ],
     )
     def test_malformed_config_value_is_data_error(self, small_csv, tmp_path, capsys, config_line, args, bad):
@@ -493,12 +522,16 @@ class TestExperimentCommand:
         ("all", "cutoff=threshold:inf", "malformed cutoff 'threshold:inf'"),
         ("all", "relieff_m=5000", "relieff_m: sample count m=5000 out of range 1.."),
         ("exp1", "ga_population=3", "not 3"),
-        ("exp1", "vote=bogus", "'bogus'"),
+        ("exp1", "vote=bogus", "unknown config key 'vote'"),
         ("exp1", "quick=ture", "'ture'"),
         ("exp1", "relieff_k=0", "relieff_k must be >= 1, not 0"),
         ("exp1", "relieff_m=0", "relieff_m: sample count m=0 out of range 1.."),
         ("exp1", "exp5_members=0", "members must be >= 1, not 0"),
         ("exp1", "exp3_cells=500:0", "exp3_cells: kernel degree must be an integer >= 1, not 0"),
+        ("exp1", "seed=-1", "seed must be >= 0, not -1"),
+        # passes every check made before exp1 runs; exp2's selectors keep no
+        # feature, and exp1's files, already computed, are not written
+        ("all", "cutoff=threshold:5", "keeps no feature"),
     ]
 
     @pytest.mark.parametrize("exp_id, config_line, named", MALFORMED, ids=[line for _, line, _ in MALFORMED])

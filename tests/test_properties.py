@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ctgsvm.bagging import VOTE_RULES, EnsembleConfig, EnsembleModel, bagging_train, load_ensemble, save_ensemble
+from ctgsvm.bagging import EnsembleConfig, EnsembleModel, bagging_train, load_ensemble, save_ensemble
 from ctgsvm.data import (
     DataError,
     SplitSpec,
@@ -78,13 +78,12 @@ def test_model_round_trip(problem):
 
 
 @PROPERTY
-@given(problems(), st.integers(1, 3), st.integers(0, 2**63 - 1),
-       st.sampled_from(["unweighted_majority", "weighted_by_train_accuracy"]))
-def test_ensemble_round_trip(tmp_path, problem, members, seed, vote):
+@given(problems(), st.integers(1, 3), st.integers(0, 2**63 - 1))
+def test_ensemble_round_trip(tmp_path, problem, members, seed):
     ds, cfg, mask, standardize = problem
     ens = bagging_train(
         ds,
-        EnsembleConfig(members=members, base=cfg, master_seed=seed, vote=vote),
+        EnsembleConfig(members=members, base=cfg, master_seed=seed),
         feature_mask=mask,
         standardizer=_standardizer(ds, mask, standardize),
     )
@@ -222,26 +221,22 @@ def test_stratified_subsample(ds, n_target, seed):
     assert _ids(stratified_subsample(ds, n_target, seed)) == ids
 
 
-# dyadic weights and priors sum exactly, so equal totals and equal priors,
-# the two tie cases, come up often
+# equal priors, a tie case of its own, come up often
 SHARES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
 
 
 @st.composite
 def votes(draw):
-    """An ensemble of 1-12 members over 2-5 classes, with its vote rule,
-    member accuracies and class priors, and a (rows, members) matrix of
-    class indexes."""
+    """An ensemble of 1-12 members over 2-5 classes, with its class priors,
+    and a (rows, members) matrix of class indexes."""
     k = draw(st.integers(2, 5))
     members = draw(st.integers(1, 12))
     rows = draw(st.integers(1, 30))
     codes = np.array(draw(st.lists(st.integers(0, k - 1), min_size=rows * members, max_size=rows * members)))
     classes = tuple(f"c{c}" for c in range(k))
     model = labelling_model([classes[0]], classes)  # vote_codes reads no member's machines
-    accs = draw(st.lists(SHARES, min_size=members, max_size=members))
     priors = np.array(draw(st.lists(SHARES, min_size=k, max_size=k)))
-    ens = EnsembleModel([(model, i, acc) for i, acc in enumerate(accs)], draw(st.sampled_from(VOTE_RULES)),
-                        classes, priors, master_seed=0)
+    ens = EnsembleModel([(model, i) for i in range(members)], classes, priors, master_seed=0)
     return ens, codes.reshape(rows, members)
 
 
@@ -249,9 +244,8 @@ def votes(draw):
 @given(votes())
 def test_vote_codes_is_the_label_vote(vote):
     ens, codes = vote
-    weights = [acc for _, _, acc in ens.members] if ens.vote == "weighted_by_train_accuracy" else None
     priors = {c: float(p) for c, p in zip(ens.classes, ens.class_priors)}
-    want = [ensemble_vote([ens.classes[c] for c in row], priors, ens.classes, weights) for row in codes.tolist()]
+    want = [ensemble_vote([ens.classes[c] for c in row], priors, ens.classes) for row in codes.tolist()]
     winners, ties = ens.vote_codes(codes)
     assert [ens.classes[c] for c in winners] == [lab for lab, _ in want]
     assert ties == sum(tie for _, tie in want)
