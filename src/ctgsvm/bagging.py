@@ -62,6 +62,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.members < 1:
             raise DataError(f"members must be >= 1, not {self.members!r}")
+        if self.master_seed < 0:
+            raise DataError(f"seed must be >= 0, not {self.master_seed!r}")
 
 
 @dataclass

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .bagging import EnsembleConfig, EnsembleModel, agreement, bagging_train
 from .data import (
     DataError,
@@ -540,10 +542,10 @@ def run_exp4(pipe: Pipeline) -> _Out:
     C, degree, max_members = cfg.exp4_c, cfg.exp4_degree, cfg.exp4_members
     full = out.timed(f"train,members={max_members}", lambda: pipe.ensemble(feats, C, degree, max_members))
     # every member is predicted once per partition, and each prefix of m
-    # members votes over the first m columns
-    partitions = (pipe.train, pipe.test, pipe.work)
-    train, test, work = out.timed(
-        f"predict,members={max_members}", lambda: [full.member_predictions(ds) for ds in partitions]
+    # members votes over the first m columns; each table row is in exactly
+    # one partition, so agreement over the table is agreement over both
+    train, test = out.timed(
+        f"predict,members={max_members}", lambda: [full.member_predictions(ds) for ds in (pipe.train, pipe.test)]
     )
     member_cols = [""] * max_members
 
@@ -555,7 +557,7 @@ def run_exp4(pipe: Pipeline) -> _Out:
         member_cols[m - 1] = fmt_accuracy(member["combined"])
         ens = full.prefix(m)
         acc = accuracies(ens.vote_codes(train[:, :m])[0], ens.vote_codes(test[:, :m])[0])
-        agree = fmt_accuracy(100.0 * agreement(work[:, :m])) if m >= 2 else ""
+        agree = fmt_accuracy(100.0 * agreement(np.vstack((train, test))[:, :m])) if m >= 2 else ""
         return out.accuracy_row([str(m), *member_cols], acc, ens, agree)
 
     rows = [out.timed(f"evaluate,members={m}", lambda: evaluate(m)) for m in range(1, max_members + 1)]

@@ -191,8 +191,8 @@ class SubsetEvaluation:
     value: float
 
 
-# rows and columns of a relief distance tile: five scratch tiles of 138 KB
-# (at k = 10) keep relief's working memory near 1.7 MB on 1487 rows;
+# rows and columns of a relief distance tile: three scratch tiles of 138 KB
+# (at k = 10) keep relief's working memory near 1.5 MB on 1487 rows;
 # smaller tiles take more numpy calls per distance
 _RELIEF_TILE = 128
 
@@ -210,43 +210,6 @@ class _Scratch:
 
     def give(self, arr: np.ndarray) -> None:
         self.free.append(arr.base)
-
-
-def _sum_order(lo: int, hi: int) -> list | tuple:
-    """The order in which numpy's sum adds a contiguous row of the terms
-    lo..hi-1, as a plan for `_plan_sum`: an int is that term, a tuple
-    (a, b) is a + b, and a list [a, b, c, ...] is ((a + b) + c) + ....
-
-    numpy sums pairwise: below 8 terms, left to right; up to 128, eight
-    strided partial sums p[i] = t[i] + t[i + 8] + ... over the first
-    count - count % 8 terms, combined as ((p0 + p1) + (p2 + p3)) +
-    ((p4 + p5) + (p6 + p7)), then the last count % 8 terms left to right;
-    above 128, the two halves split at half the count rounded down to a
-    multiple of 8, each summed the same way.
-    """
-    count = hi - lo
-    if count < 8:
-        return list(range(lo, hi))
-    if count <= 128:
-        tail = hi - count % 8
-        p = [list(range(lo + i, tail, 8)) for i in range(8)]
-        return [(((p[0], p[1]), (p[2], p[3])), ((p[4], p[5]), (p[6], p[7]))), *range(tail, hi)]
-    mid = lo + count // 2 - count // 2 % 8
-    return _sum_order(lo, mid), _sum_order(mid, hi)
-
-
-def _plan_sum(plan, term, out: np.ndarray, scratch: _Scratch) -> None:
-    """out = the sum of terms that `plan` (see `_sum_order`) describes,
-    where term(j, buf) writes term j into buf."""
-    if isinstance(plan, int):
-        term(plan, out)
-        return
-    _plan_sum(plan[0], term, out, scratch)
-    part = scratch.take(out.shape)
-    for later in plan[1:]:
-        _plan_sum(later, term, part, scratch)
-        out += part
-    scratch.give(part)
 
 
 def relief_sample_count(m: int | None, n_rows: int) -> int:
@@ -270,8 +233,7 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
     a value-based tie rank, then by row index.
 
     Each distance is computed once, in square tiles of a feature-major copy
-    of the normalized table. Its features are added in the order numpy's
-    row sum adds them (`_sum_order`), so it is the same float. The
+    of the normalized table, adding its features in index order. The
     sampled rows come first, then the rest, each grouped by class so that
     most tiles hold one class. A tile of sampled rows against sampled rows
     serves both its rows and its columns; one against unsampled rows serves
@@ -353,13 +315,17 @@ def relieff(ds: Dataset, m: int | None = None, k: int = 10, seed: int = 0) -> Fe
         else:
             np.not_equal(cols[f, rs, None], cols[f, None, cs], out=out)
 
-    plan = _sum_order(0, n_feat)
     blocks = [slice(lo, min(lo + _RELIEF_TILE, m)) for lo in range(0, m, _RELIEF_TILE)]
     others = [slice(lo, min(lo + _RELIEF_TILE, n)) for lo in range(m, n, _RELIEF_TILE)]
     for i, rs in enumerate(blocks):
         for cs in blocks[i:] + others:
             d = scratch.take((rs.stop - rs.start, cs.stop - cs.start))
-            _plan_sum(plan, lambda f, out: diff(f, rs, cs, out), d, scratch)
+            part = scratch.take(d.shape)
+            diff(0, rs, cs, d)
+            for f in range(1, n_feat):
+                diff(f, rs, cs, part)
+                d += part
+            scratch.give(part)
             if cs is rs:
                 np.fill_diagonal(d, np.inf)  # a row is not its own neighbour
             merge(rs, cs, d)

@@ -131,10 +131,9 @@ def relieff_brute(feats, kinds, classes, k, m=None):
 
 
 def relieff_rowwise(feats, numeric, y, n_classes, m=None, k=10, seed=0):
-    """ReliefF one sampled row at a time, as filters.relieff computed it
-    before its tiled distances and streamed neighbour search;
-    filters.relieff must match it bit for bit. Each distance is numpy's
-    row sum over the features, which fixes the order they are added in.
+    """ReliefF one sampled row at a time. filters.relieff, which tiles its
+    distances and streams its neighbour search, must match it bit for bit.
+    Each distance adds its features left to right, in index order.
     feats: (n, features) array; numeric: bool per feature; y: class codes.
     Returns the weight vector."""
     n, n_feat = feats.shape
@@ -163,7 +162,10 @@ def relieff_rowwise(feats, numeric, y, n_classes, m=None, k=10, seed=0):
         sample = np.random.default_rng(int(seed)).choice(n, size=m, replace=False)
     w = np.zeros(n_feat)
     for r in sample:
-        dist = diffs(np.arange(n), r).sum(axis=1)
+        per_feature = diffs(np.arange(n), r)
+        dist = per_feature[:, 0].copy()
+        for f in range(1, n_feat):
+            dist += per_feature[:, f]
         c = y[r]
         for cls in range(n_classes):
             grp = groups[cls]

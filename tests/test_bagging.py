@@ -424,3 +424,5 @@ class TestCorruptEnsembleFile:
 def test_config_validation():
     with pytest.raises(DataError):
         EnsembleConfig(members=0, base=base_cfg(), master_seed=1)
+    with pytest.raises(DataError):
+        EnsembleConfig(members=1, base=base_cfg(), master_seed=-1)

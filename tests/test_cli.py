@@ -200,6 +200,13 @@ class TestTrainPredict:
         assert f"members must be >= 1, not {members}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("members", [[], ["--members", "2"]], ids=["single", "bagged"])
+    def test_negative_seed_is_data_error(self, small_csv, tmp_path, capsys, members):
+        out = tmp_path / "m.txt"
+        assert main(["train", "--data", small_csv, "--seed", "-1", *members, "--out", str(out)]) == 3
+        assert "seed must be >= 0, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.fixture(scope="class")
     def saved_ensemble(self, small_csv, tmp_path_factory):
         path = tmp_path_factory.mktemp("ens") / "ens.txt"

@@ -11,9 +11,6 @@ from ctgsvm.data import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, _en
 from ctgsvm.filters import (
     CLASS,
     SuCache,
-    _Scratch,
-    _plan_sum,
-    _sum_order,
     cfs_merit,
     inconsistency_rate,
     info_gain,
@@ -376,14 +373,14 @@ class TestRelieffMatchesRowwise:
 
     @pytest.mark.parametrize("n_feat", [8, 9, 16, 17, 21, 24, 130])
     def test_wide_tables_over_many_tiles(self, n_feat):
-        """From 8 features on, a row sum adds eight strided partial sums, and
-        above 128 two halves; each distance must still be the same float.
-        Nominal, few-valued and constant columns, several tiles of rows, a
-        sample of part of them and a class of fewer than k + 1 rows. Twins
-        make the order count: each of 24 rows has two near copies whose
-        offsets are the same exact values in two orders over the columns,
-        so which copy is nearer, and which comes first among the
-        neighbours, is decided by rounding alone."""
+        """Each distance adds its features in index order, up to 130 of
+        them, so it is the same float as the row-at-a-time sum. Nominal,
+        few-valued and constant columns, several tiles of rows, a sample of
+        part of them and a class of fewer than k + 1 rows. Twins pin the
+        order: each of 24 rows has two near copies whose offsets are the
+        same exact values in two orders over the columns, so which copy is
+        nearer, and which comes first among the neighbours, is decided by
+        rounding alone."""
         rng = np.random.default_rng(n_feat)
         n = 300 + 3 * n_feat
         kinds = [NOMINAL if f % 4 == 3 else NUMERIC for f in range(n_feat)]
@@ -430,17 +427,6 @@ class TestRelieffMatchesRowwise:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
-
-
-def test_sum_order_is_numpys_row_sum():
-    """`_sum_order` is the order numpy's sum adds a contiguous row in, on
-    every path: left to right, strided partials and halves."""
-    rng = np.random.default_rng(5)
-    for count in range(1, 300):
-        terms = rng.random((count, 6)) * 10.0 ** rng.integers(-6, 7, (count, 6))
-        out = np.empty(6)
-        _plan_sum(_sum_order(0, count), lambda j, buf: np.copyto(buf, terms[j]), out, _Scratch(6))
-        assert hexes(out) == hexes(np.ascontiguousarray(terms.T).sum(axis=1)), count
 
 
 class TestRankCutoff:
