@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer, _read_text
+from .data import DataError, Dataset, Standardizer, _read_text, fit_standardizer
 from .svm import (
     SvmConfig,
     SvmModel,
@@ -165,8 +165,12 @@ def bagging_train(
     """Train cfg.members machines on seeded bootstrap resamples.
 
     A bootstrap that drops a class entirely is redrawn from a further
-    derived seed (up to 10 retries).
+    derived seed (up to 10 retries). Every member shares `standardizer`,
+    by default the one fitted on the masked columns of `train`, not of a
+    resample.
     """
+    if standardizer is None:
+        standardizer = fit_standardizer(train, feature_mask)
     k = len(train.class_labels)
     members = []
     for i in range(cfg.members):
@@ -185,9 +189,7 @@ def bagging_train(
     return EnsembleModel(members, train.class_labels, priors, cfg.master_seed)
 
 
-def _standardizer_key(s: Standardizer | None):
-    if s is None:
-        return None
+def _standardizer_key(s: Standardizer):
     return s.means.tolist(), s.sigmas.tolist(), [spec.name for spec in s.feature_schema]
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import experiments
 from .bagging import ENSEMBLE_MAGIC, EnsembleConfig, bagging_train, load_ensemble, save_ensemble
-from .data import DataError, _read_text, export_csv, fit_standardizer, mask_by_names, select_features
+from .data import DataError, _read_text, export_csv, mask_by_names
 from .experiments import config_from_sources, load_config_file
 from .filters import scores_to_csv
 from .fs_ensemble import RANKER_CODES, SELECTION_HEADER, SelectorId, run_selector
@@ -125,15 +125,14 @@ def _cmd_train(args) -> int:
     mask = None
     if args.features:
         mask = mask_by_names(work, keep=[n.strip() for n in args.features.split(",")])
-    std = fit_standardizer(select_features(work, mask) if mask else work)
     cfg = SvmConfig(C=args.c, kernel=KernelSpec(degree=args.degree, coef0=args.coef0))
     ens_cfg = EnsembleConfig(members=args.members, base=cfg, master_seed=args.seed)
     if ens_cfg.members > 1:
-        ens = bagging_train(work, ens_cfg, feature_mask=mask, standardizer=std)
+        ens = bagging_train(work, ens_cfg, feature_mask=mask)
         save_ensemble(ens, args.out)
         converged = ens.converged
     else:
-        model = train_multiclass(work, cfg, mask, std)
+        model = train_multiclass(work, cfg, mask)
         save_model(model, args.out)
         converged = model.converged
     print(f"wrote {args.out}", file=sys.stderr)

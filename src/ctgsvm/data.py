@@ -433,7 +433,11 @@ class Standardizer:
         return (feats - self.means) / self.sigmas
 
 
-def fit_standardizer(train: Dataset) -> Standardizer:
+def fit_standardizer(train: Dataset, columns=None) -> Standardizer:
+    """The standardizer of the feature columns `columns` of `train` (every
+    feature when None), fitted on its rows."""
+    if columns is not None:
+        train = select_features(train, columns)
     if train.n_rows == 0:
         raise DataError("cannot fit standardizer on an empty dataset")
     feats = train.feature_matrix()

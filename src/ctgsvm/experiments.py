@@ -21,7 +21,6 @@ from .data import (
     SplitSpec,
     _read_text,
     fit_discretization,
-    fit_standardizer,
     load_dataset,
     mask_by_names,
     select_features,
@@ -98,10 +97,12 @@ class ExperimentConfig:
         if not self.c_grid or not self.degree_grid:
             raise DataError("parameter grids must be non-empty")
         if not 1 <= self.exp4_members <= 32:
-            raise DataError(f"ensemble member range must lie within 1..32, not {self.exp4_members!r}")
+            raise DataError(f"exp4_members: ensemble member range must lie within 1..32, not {self.exp4_members!r}")
         if self.fmt not in ("csv", "markdown"):
             raise DataError(f"unknown output format {self.fmt!r} (csv | markdown)")
         # every value a step checks, checked before any step runs, naming its key
+        _named("bf_stale_limit", BestFirstConfig, self.bf_stale_limit)
+        _named("ga_population", GeneticConfig, self.ga_population)
         self.selector_config()
         self.svm(1.0, 1)  # tolerance, max_iter and coef0, whose errors name them
         cells = [("c_grid", (C, 1)) for C in self.c_grid] + [("degree_grid", (1.0, d)) for d in self.degree_grid]
@@ -109,8 +110,13 @@ class ExperimentConfig:
         cells += [("exp4_c", (self.exp4_c, 1)), ("exp4_degree", (1.0, self.exp4_degree))]
         for key, (C, degree) in cells:
             _named(key, self.svm, C, degree)
-        for members in (self.exp4_members, self.exp5_members):
-            EnsembleConfig(members, self.svm(self.exp4_c, self.exp4_degree), self.seed)
+        for key in ("exp4_members", "exp5_members"):
+            _named(key, EnsembleConfig, getattr(self, key), self.svm(self.exp4_c, self.exp4_degree), self.seed)
+        # a repeated grid value or cell would train and write its rows twice
+        for key in ("c_grid", "degree_grid", "exp2_cells", "exp3_cells"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise DataError(f"{key}: repeated value in {values!r}")
 
     def load_work(self, fit: bool = True) -> Dataset:
         """The table at `data`, less whichever `exclude_features` it has. A
@@ -286,17 +292,12 @@ class Pipeline:
         """The sorted columns of a feature mask, None for a mask of every feature."""
         return None if mask is None or len(mask) == self.train.n_features else tuple(sorted(mask))
 
-    def _standardizer(self, cols):
-        """The standardizer fitted on the training columns `cols`, fitted
-        anew for each problem or ensemble built on them."""
-        return fit_standardizer(select_features(self.train, cols) if cols else self.train)
-
     def models(self, mask, cells) -> list[SvmModel]:
         """The single SVM of each (C, degree) cell on `mask`, trained on the
         one problem of its columns, which keeps every machine solved on it."""
         cols = self._columns(mask)
         if cols not in self._problems:
-            self._problems[cols] = pairwise_problems(self.train, cols, self._standardizer(cols))
+            self._problems[cols] = pairwise_problems(self.train, cols)
         return train_from_problems(self._problems[cols], [self.cfg.svm(C, degree) for C, degree in cells])
 
     def ensemble(self, mask, C: float, degree: int, members: int) -> EnsembleModel:
@@ -311,9 +312,7 @@ class Pipeline:
         key = (cols, C, degree)
         if key not in self._ensembles or len(self._ensembles[key].members) < members:
             ens_cfg = EnsembleConfig(members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed)
-            self._ensembles[key] = bagging_train(
-                self.train, ens_cfg, feature_mask=cols, standardizer=self._standardizer(cols)
-            )
+            self._ensembles[key] = bagging_train(self.train, ens_cfg, feature_mask=cols)
         return self._ensembles[key].prefix(members)
 
 

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer, _read_text
+from .data import DataError, Dataset, Standardizer, _read_text, fit_standardizer
 
 _CACHE_BYTES = 32 << 20  # kernel rows a solve keeps: every row of a problem of up to 2048 rows
 _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
@@ -599,7 +599,7 @@ class MulticlassProblem:
     class_counts: np.ndarray
     problems: list[PairProblem]
     feature_mask: tuple[int, ...] | None
-    standardizer: Standardizer | None
+    standardizer: Standardizer
     models: dict[tuple[int, ...], SvmModel] = field(default_factory=dict, init=False, repr=False)
 
 
@@ -609,7 +609,9 @@ def pairwise_problems(
     standardizer: Standardizer | None = None,
 ) -> MulticlassProblem:
     """The training matrices of each class pair of `train`, built once for
-    every `train_from_problems` call on them."""
+    every `train_from_problems` call on them. Features are standardized by
+    `standardizer`, by default the one fitted on the masked columns of
+    `train`."""
     k = len(train.class_labels)
     if k < 2:
         raise DataError("need at least 2 classes")
@@ -618,14 +620,13 @@ def pairwise_problems(
     if (counts == 0).any():
         missing = train.class_labels[int(np.flatnonzero(counts == 0)[0])]
         raise DataError(f"class {missing!r} absent from training data")
+    if standardizer is None:
+        standardizer = fit_standardizer(train, feature_mask)
     feats = train.feature_matrix()
     mask = tuple(sorted(feature_mask)) if feature_mask is not None else None
     if mask is not None:
-        if not mask:
-            raise DataError("empty feature mask")
         feats = feats[:, list(mask)]
-    if standardizer is not None:
-        feats = standardizer.transform_features(feats)
+    feats = standardizer.transform_features(feats)
     problems = []
     for ci, cj in _pairs(k):
         idx = np.flatnonzero((codes == ci) | (codes == cj))
@@ -642,8 +643,8 @@ class SvmModel:
     classes: tuple[str, ...]
     class_counts: np.ndarray
     machines: list[BinarySvm]
-    feature_mask: tuple[int, ...] | None = None
-    standardizer: Standardizer | None = None
+    feature_mask: tuple[int, ...] | None
+    standardizer: Standardizer
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -666,9 +667,7 @@ class SvmModel:
         if not np.isfinite(feats).all():
             j = int(np.flatnonzero(~np.isfinite(feats).all(axis=0))[0])
             raise DataError(f"prediction column {(j if cols is None else cols[j]) + 1} holds a non-finite value")
-        if self.standardizer is not None:
-            feats = self.standardizer.transform_features(feats)
-        return feats
+        return self.standardizer.transform_features(feats)
 
     @cached_property
     def _stack(self) -> _Stack:
@@ -687,8 +686,6 @@ class SvmModel:
         standardizer records, so a reordered table fails here, not silently."""
         if self.feature_mask is not None and self.feature_mask[-1] >= len(names):
             raise DataError(f"feature width {len(names)}: the model reads column {self.feature_mask[-1] + 1}")
-        if self.standardizer is None:
-            return
         cols = self.feature_mask if self.feature_mask is not None else range(len(names))
         want = [spec.name for spec in self.standardizer.feature_schema]
         if len(cols) != len(want):
@@ -787,12 +784,9 @@ def model_to_lines(model: SvmModel) -> list[str]:
     else:
         lines.append("mask\t" + "\t".join(str(i) for i in model.feature_mask))
     s = model.standardizer
-    if s is None:
-        lines.append("standardizer\tnone")
-    else:
-        lines.append(f"standardizer\t{len(s.means)}")
-        for mu, sg, spec in zip(s.means, s.sigmas, s.feature_schema):
-            lines.append(f"feat\t{spec.name}\t{spec.kind}\t{_hex(mu)}\t{_hex(sg)}")
+    lines.append(f"standardizer\t{len(s.means)}")
+    for mu, sg, spec in zip(s.means, s.sigmas, s.feature_schema):
+        lines.append(f"feat\t{spec.name}\t{spec.kind}\t{_hex(mu)}\t{_hex(sg)}")
     for pair, m in zip(model.pairs, model.machines):
         _write_machine(lines, pair, m)
     lines.append("end")
@@ -872,31 +866,27 @@ def _parse_model(cur: _Lines) -> SvmModel:
     mask = None if mparts == ["all"] else tuple(int(i) for i in mparts)
     ok = mask is None or (list(mask) == sorted(set(mask)) and min(mask, default=-1) >= 0)
     cur.require(ok, "mask not strictly increasing column indexes from 0")  # as pairwise_problems writes it
-    sparts = cur.fields("standardizer", 1)
-    standardizer = None
-    if sparts != ["none"]:
-        width = int(sparts[0])
-        means, sigmas, fschema = [], [], []
-        for _ in range(width):
-            fp = cur.fields("feat", 4)
-            # nominal label lists are not persisted; a placeholder keeps the
-            # width/kind contract, which is all prediction needs
-            if fp[1] == NOMINAL:
-                fschema.append(AttributeSpec(fp[0], NOMINAL, ("0",)))
-            else:
-                fschema.append(AttributeSpec(fp[0], NUMERIC))
-            means.append(float.fromhex(fp[2]))
-            sigmas.append(float.fromhex(fp[3]))
-            cur.require(math.isfinite(means[-1]), "non-finite mean")
-            cur.require(0.0 < sigmas[-1] < math.inf, "sigma not positive and finite")
-        standardizer = Standardizer(np.array(means), np.array(sigmas), tuple(fschema))
-    # support rows live in the masked, standardized feature space
+    (swidth,) = cur.fields("standardizer", 1)
+    cur.require(swidth != "none", "model has no standardizer")
+    dim = int(swidth)
+    cur.require(dim >= 1, "standardizer without features")
     if mask is not None:
-        dim = len(mask)
-    elif standardizer is not None:
-        dim = len(standardizer.means)
-    else:
-        dim = None  # the first support row fixes the width
+        cur.require(dim == len(mask), f"standardizer width {dim} differs from the mask's {len(mask)}")
+    means, sigmas, fschema = [], [], []
+    for _ in range(dim):
+        fp = cur.fields("feat", 4)
+        # nominal label lists are not persisted; a placeholder keeps the
+        # width/kind contract, which is all prediction needs
+        if fp[1] == NOMINAL:
+            fschema.append(AttributeSpec(fp[0], NOMINAL, ("0",)))
+        else:
+            fschema.append(AttributeSpec(fp[0], NUMERIC))
+        means.append(float.fromhex(fp[2]))
+        sigmas.append(float.fromhex(fp[3]))
+        cur.require(math.isfinite(means[-1]), "non-finite mean")
+        cur.require(0.0 < sigmas[-1] < math.inf, "sigma not positive and finite")
+    standardizer = Standardizer(np.array(means), np.array(sigmas), tuple(fschema))
+    # support rows live in the masked, standardized feature space, of the standardizer's width
     machines = []
     for pair in _pairs(len(classes)):
         mp = cur.fields("machine", 5)
@@ -906,10 +896,7 @@ def _parse_model(cur: _Lines) -> SvmModel:
         cur.require(math.isfinite(bias), "non-finite bias")
         labels, alphas, rows = [], [], []
         for _ in range(n_sv):
-            sp = cur.fields("sv", None if dim is None else dim + 2)
-            if dim is None:
-                dim = len(sp) - 2
-                cur.require(dim >= 1, "support row without values")
+            sp = cur.fields("sv", dim + 2)
             labels.append(float(sp[0]))
             alphas.append(float.fromhex(sp[1]))
             rows.append([float.fromhex(v) for v in sp[2:]])

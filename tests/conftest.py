@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ctgsvm.data import AttributeSpec, Dataset, DiscretizationMap, NOMINAL, NUMERIC, load_dataset
+from ctgsvm.data import AttributeSpec, Dataset, DiscretizationMap, NOMINAL, NUMERIC, Standardizer, load_dataset
 from ctgsvm.svm import BinarySvm, KernelSpec, SvmModel
 from ctgsvm.synth import make_ctg_like
 
@@ -58,14 +58,22 @@ def decision_model(decisions, classes, counts=None) -> SvmModel:
     decisions on unit row r (the r-th unit vector of width len(decisions))
     are decisions[r], exactly: under the linear kernel each machine holds
     every unit vector as a support row, with alpha * label set to its
-    decision on that row. Class counts default to equal priors."""
+    decision on that row. Its standardizer is the identity on the unit
+    rows' columns. Class counts default to equal priors."""
     D = np.asarray(decisions, dtype=float)
     assert D.shape[1] == len(classes) * (len(classes) - 1) // 2
     kernel = KernelSpec(degree=1, coef0=0.0)
     eye = np.eye(D.shape[0])
     machines = [BinarySvm(eye, np.abs(d), np.where(d < 0, -1.0, 1.0), 0.0, kernel) for d in D.T]
     counts = np.ones(len(classes), dtype=int) if counts is None else np.asarray(counts)
-    return SvmModel(tuple(classes), counts, machines)
+    return SvmModel(tuple(classes), counts, machines, None, identity_standardizer(D.shape[0]))
+
+
+def identity_standardizer(width: int) -> Standardizer:
+    """A standardizer that leaves `width` numeric columns, named as
+    `numeric_dataset` names them, as they are."""
+    names = tuple(AttributeSpec(f"f{i}", NUMERIC) for i in range(width))
+    return Standardizer(np.zeros(width), np.ones(width), names)
 
 
 def labelling_model(labels, classes) -> SvmModel:

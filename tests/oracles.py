@@ -398,8 +398,7 @@ def ovo_predict(model, feats) -> tuple[list[str], int]:
     feats = np.asarray(feats, dtype=float)
     if model.feature_mask is not None:
         feats = feats[:, list(model.feature_mask)]
-    if model.standardizer is not None:
-        feats = (feats - model.standardizer.means) / model.standardizer.sigmas
+    feats = (feats - model.standardizer.means) / model.standardizer.sigmas
     n, k = feats.shape[0], len(model.classes)
     votes = [[0] * k for _ in range(n)]
     strength = [[0.0] * k for _ in range(n)]

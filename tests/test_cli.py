@@ -8,7 +8,7 @@ import pytest
 from ctgsvm.cli import main
 from ctgsvm.data import DataError, load_dataset
 from ctgsvm.experiments import ExperimentConfig
-from ctgsvm.svm import KernelSpec, SvmConfig, load_model, save_model, train_multiclass
+from ctgsvm.svm import load_model
 
 
 @pytest.fixture(scope="module")
@@ -344,27 +344,33 @@ class TestTrainPredict:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mask", ["0\t99", "-1\t2", "2\t1", "1\t1", ""])
-    def test_bad_mask_is_data_error(self, small_csv, tmp_path, mask, capsys):
-        """A hand-edited mask that reads past the table, or that is not
-        strictly increasing from 0, exits 3: one past the table's width
-        would index out of range and a negative one would read the last
-        column, as a model without a standardizer checks no column names."""
-        from conftest import numeric_dataset
+    BAD_HEADERS = [
+        ("mask\t0\t99", "width 21: the model reads column 100"),
+        ("mask\t-1\t2", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\t2\t1", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\t1\t1", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\t", "malformed model file"),
+        ("mask\t0\t1\t2", "standardizer width 2 differs from the mask's 3 at line 6"),
+        ("standardizer\tnone", "model has no standardizer at line 6"),
+    ]
 
-        rows = np.random.default_rng(0).normal(size=(12, 3)) + np.repeat([[0.0], [4.0]], 6, axis=0)
-        model = train_multiclass(numeric_dataset(rows, ["1"] * 6 + ["2"] * 6),
-                                 SvmConfig(C=10.0, kernel=KernelSpec(degree=1)), feature_mask=[0, 1])
+    @pytest.mark.parametrize("line, message", BAD_HEADERS,
+                             ids=["0\t99", "-1\t2", "2\t1", "1\t1", "", "0\t1\t2", "standardizer-none"])
+    def test_bad_mask_is_data_error(self, small_csv, tmp_path, line, message, capsys):
+        """A hand-edited `--features LB,AC` model whose mask reads past the
+        table, is not strictly increasing from 0 or is not the
+        standardizer's width, or whose standardizer line says `none`,
+        exits 3."""
         model_path = tmp_path / "model.txt"
-        save_model(model, model_path)
-        text = model_path.read_text()
-        assert "\nmask\t0\t1\n" in text and "\nstandardizer\tnone\n" in text
+        assert main(["train", "--data", small_csv, "--features", "LB,AC", "--out", str(model_path)]) == 0
         args = ["predict", "--model", str(model_path), "--data", small_csv, "--out", str(tmp_path / "p.csv")]
         assert main(args) == 0
-        model_path.write_text(text.replace("\nmask\t0\t1\n", f"\nmask\t{mask}\n"))
+        lines = model_path.read_text().splitlines()
+        assert lines[4:6] == ["mask\t0\t1", "standardizer\t2"]
+        lines[4 if line.startswith("mask") else 5] = line
+        model_path.write_text("\n".join(lines) + "\n")
         assert main(args) == 3
-        err = capsys.readouterr().err
-        assert "width 21: the model reads column 100" in err if mask == "0\t99" else "malformed model file" in err
+        assert message in capsys.readouterr().err
 
 
 GOLDEN_CLI = Path(__file__).with_name("golden_cli_seed42.sha256")
@@ -528,12 +534,19 @@ class TestExperimentCommand:
         ("all", "cutoff=threshold:nan", "malformed cutoff 'threshold:nan'"),
         ("all", "cutoff=threshold:inf", "malformed cutoff 'threshold:inf'"),
         ("all", "relieff_m=5000", "relieff_m: sample count m=5000 out of range 1.."),
-        ("exp1", "ga_population=3", "not 3"),
+        ("exp1", "ga_population=3", "ga_population: population must be even and >= 2, not 3"),
+        ("exp1", "bf_stale_limit=0", "bf_stale_limit: stale_limit must be >= 1, not 0"),
         ("exp1", "vote=bogus", "unknown config key 'vote'"),
         ("exp1", "quick=ture", "'ture'"),
         ("exp1", "relieff_k=0", "relieff_k must be >= 1, not 0"),
         ("exp1", "relieff_m=0", "relieff_m: sample count m=0 out of range 1.."),
-        ("exp1", "exp5_members=0", "members must be >= 1, not 0"),
+        ("exp1", "exp5_members=0", "exp5_members: members must be >= 1, not 0"),
+        ("exp1", "exp4_members=0", "exp4_members: ensemble member range must lie within 1..32, not 0"),
+        # a repeated grid value or cell would write its rows twice
+        ("exp1", "c_grid=10,10", "c_grid: repeated value in (10.0, 10.0)"),
+        ("exp1", "degree_grid=2,3,2", "degree_grid: repeated value in (2, 3, 2)"),
+        ("exp2", "exp2_cells=10:3;100:3;10:3", "exp2_cells: repeated value"),
+        ("exp3", "exp3_cells=500:4;500:4", "exp3_cells: repeated value"),
         ("exp1", "exp3_cells=500:0", "exp3_cells: kernel degree must be an integer >= 1, not 0"),
         ("exp1", "seed=-1", "seed must be >= 0, not -1"),
         # passes every check made before exp1 runs; exp2's selectors keep no

@@ -14,14 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ctgsvm.bagging import EnsembleConfig, EnsembleModel, bagging_train, load_ensemble, save_ensemble
-from ctgsvm.data import (
-    DataError,
-    SplitSpec,
-    fit_standardizer,
-    select_features,
-    stratified_split,
-    stratified_subsample,
-)
+from ctgsvm.data import DataError, SplitSpec, stratified_split, stratified_subsample
 from ctgsvm import svm
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
 from conftest import labelling_model, numeric_dataset
@@ -38,8 +31,7 @@ PROPERTY = settings(
 
 @st.composite
 def problems(draw):
-    """A small numeric dataset with its SVM config, feature mask and
-    standardizer choice."""
+    """A small numeric dataset with its SVM config and feature mask."""
     k = draw(st.integers(2, 3))
     width = draw(st.integers(1, 3))
     per_class = draw(st.integers(2, 6))
@@ -56,21 +48,14 @@ def problems(draw):
         max_iter=2000,
     )
     mask = draw(st.none() | st.lists(st.integers(0, width - 1), min_size=1, unique=True))
-    standardize = draw(st.booleans())
-    return ds, cfg, mask, standardize
-
-
-def _standardizer(ds, mask, standardize):
-    if not standardize:
-        return None
-    return fit_standardizer(select_features(ds, mask) if mask else ds)
+    return ds, cfg, mask
 
 
 @PROPERTY
 @given(problems())
 def test_model_round_trip(problem):
-    ds, cfg, mask, standardize = problem
-    model = train_multiclass(ds, cfg, mask, _standardizer(ds, mask, standardize))
+    ds, cfg, mask = problem
+    model = train_multiclass(ds, cfg, mask)
     lines = model_to_lines(model)
     again, end = model_from_lines(lines)
     assert end == len(lines)
@@ -80,13 +65,8 @@ def test_model_round_trip(problem):
 @PROPERTY
 @given(problems(), st.integers(1, 3), st.integers(0, 2**63 - 1))
 def test_ensemble_round_trip(tmp_path, problem, members, seed):
-    ds, cfg, mask, standardize = problem
-    ens = bagging_train(
-        ds,
-        EnsembleConfig(members=members, base=cfg, master_seed=seed),
-        feature_mask=mask,
-        standardizer=_standardizer(ds, mask, standardize),
-    )
+    ds, cfg, mask = problem
+    ens = bagging_train(ds, EnsembleConfig(members=members, base=cfg, master_seed=seed), feature_mask=mask)
     path, again = tmp_path / "ens.txt", tmp_path / "again.txt"
     save_ensemble(ens, path)
     save_ensemble(load_ensemble(path), again)  # every member as its model_to_lines
@@ -101,8 +81,7 @@ def saved_files(tmp_path_factory):
     rows = np.vstack([rng.normal(c, 0.5, (6, 3)) for c in (0.0, 3.0, 6.0)])
     ds = numeric_dataset(rows, ["a"] * 6 + ["b"] * 6 + ["c"] * 6)
     cfg = SvmConfig(C=10.0, kernel=KernelSpec(degree=2))
-    std = fit_standardizer(select_features(ds, [0, 2]))
-    model_lines = model_to_lines(train_multiclass(ds, cfg, [0, 2], std))
+    model_lines = model_to_lines(train_multiclass(ds, cfg, [0, 2]))
     path = tmp_path_factory.mktemp("fuzz") / "ens.txt"
     save_ensemble(bagging_train(ds, EnsembleConfig(members=2, base=cfg, master_seed=3)), path)
     return {"model": model_lines, "ensemble": path.read_text(encoding="utf-8").splitlines()}

@@ -22,7 +22,7 @@ from ctgsvm.svm import (
     train_from_problems,
     train_multiclass,
 )
-from conftest import decision_model, numeric_dataset, unit_rows
+from conftest import decision_model, identity_standardizer, numeric_dataset, unit_rows
 from oracles import certificate, decision_values, dual_objective, ovo_predict, qp_bias, qp_reference, row_alphas
 
 
@@ -616,6 +616,9 @@ class TestMulticlass:
             model.predict_dataset(renamed)
         with pytest.raises(DataError, match="width"):
             model.predict_dataset(numeric_dataset(noisy.feature_matrix()[:, :2], truth))
+        # a model trained with no standardizer given fits one, which records the names
+        with pytest.raises(DataError, match="prediction column 2 is 'f2'; the model expects 'f1'"):
+            train_multiclass(noisy, cfgp(10.0, 2)).predict_dataset(renamed)
 
 
 @pytest.fixture(scope="module")
@@ -636,7 +639,7 @@ def quick_table():
 
 def one_pair(p: svm.PairProblem) -> svm.MulticlassProblem:
     """The multiclass problem of the single class pair p."""
-    return svm.MulticlassProblem(("a", "b"), np.array([1, 1]), [p], None, None)
+    return svm.MulticlassProblem(("a", "b"), np.array([1, 1]), [p], None, identity_standardizer(p.X.shape[1]))
 
 
 def fresh_machines(train, std, cfg):
@@ -999,13 +1002,15 @@ class TestSingleSvmMemo:
 
     def test_quick_all_run_fits_a_standardizer_per_build(self, quick_pipe, monkeypatch):
         """A quick `all` run fits 10 standardizers: one for each of its 9
-        problems, one per column set, and one for its one ensemble. It
-        fitted 46 when every `models` and `ensemble` call fitted one."""
-        from ctgsvm import experiments
+        problems, one per column set, and one for its one ensemble, where
+        `pairwise_problems` and `bagging_train` build them. It fitted 46
+        when every `models` and `ensemble` call fitted one."""
+        from ctgsvm import bagging, experiments
 
         fitted = []
-        real = experiments.fit_standardizer
-        monkeypatch.setattr(experiments, "fit_standardizer", lambda ds: fitted.append(ds) or real(ds))
+        real = svm.fit_standardizer
+        for module in (svm, bagging):
+            monkeypatch.setattr(module, "fit_standardizer", lambda ds, cols: fitted.append(cols) or real(ds, cols))
         for exp_id in experiments.EXPERIMENT_IDS:
             experiments.RUNNERS[exp_id](quick_pipe)
         assert (len(fitted), len(quick_pipe._problems), len(quick_pipe._ensembles)) == (10, 9, 1)
@@ -1125,8 +1130,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("first_sv", ["sv", "sv\t+1", "sv\t+1\t0x1p-1"])
     def test_support_row_without_values_rejected(self, tmp_path, first_sv):
-        """Without a mask or a standardizer the first support row fixes the
-        width, so it must hold a label, an alpha and at least one value."""
+        """A support row holds a label, an alpha and one value per column
+        of the standardizer."""
         path = tmp_path / "model.txt"
         save_model(train_multiclass(sep3(seed=4), cfgp(10.0, 3)), path)
         lines = path.read_text().splitlines()
@@ -1165,6 +1170,8 @@ class TestPersistence:
             ("counts", 2, "-3"),
             ("kernel", 1, "rbf"),
             ("kernel", 3, "nan"),
+            ("standardizer", 1, "0"),
+            ("standardizer", 1, "-1"),
             ("feat", 3, "inf"),
             ("feat", 4, "nan"),
             ("feat", 4, "0x0.0p+0"),
@@ -1175,7 +1182,7 @@ class TestPersistence:
             ("sv", 2, "-0x1.0p-3"),
             ("sv", 3, "-inf"),
         ],
-        ids=["count-zero", "count-negative", "kind-rbf", "coef0-nan", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
+        ids=["count-zero", "count-negative", "kind-rbf", "coef0-nan", "width-zero", "width-negative", "mean-inf", "sigma-nan", "sigma-zero", "sigma-negative", "bias-nan",
              "label-7", "alpha-nan", "alpha-negative", "support-value-inf"],
     )
     def test_invalid_field_rejected(self, tmp_path, prefix, field, value):
