@@ -179,8 +179,9 @@ def _parse_arff(text: str, class_column: str) -> Dataset:
         if lower.startswith("@attribute"):
             rest = stripped[len("@attribute"):].strip()
             if rest.startswith(("'", '"')):
-                quote = rest[0]
-                end = rest.index(quote, 1)
+                end = rest.find(rest[0], 1)
+                if end < 0:
+                    raise DataError(f"attribute name without its closing quote: {stripped!r}")
                 name, type_part = rest[1:end], rest[end + 1:].strip()
             else:
                 parts = rest.split(None, 1)
@@ -193,6 +194,9 @@ def _parse_arff(text: str, class_column: str) -> Dataset:
                 values = tuple(
                     v.strip().strip('"').strip("'") for v in type_part[1:-1].split(",")
                 )
+                if len(set(values)) < len(values):
+                    dup = next(v for k, v in enumerate(values) if v in values[:k])
+                    raise DataError(f"nominal spec for {name!r} repeats the value {dup!r}")
                 declared[len(names)] = values
             elif type_part.lower() not in ("numeric", "real", "integer"):
                 raise DataError(f"unsupported attribute type {type_part!r} for {name!r}")

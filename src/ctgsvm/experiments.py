@@ -102,7 +102,9 @@ class ExperimentConfig:
             raise DataError(f"unknown output format {self.fmt!r} (csv | markdown)")
         # every value a step checks, checked before any step runs, naming its key
         _named("bf_stale_limit", BestFirstConfig, self.bf_stale_limit)
-        _named("ga_population", GeneticConfig, self.ga_population)
+        for key, field in (("ga_population", "population"), ("ga_generations", "generations"),
+                           ("ga_crossover", "crossover_prob"), ("ga_mutation", "mutation_prob")):
+            _named(key, GeneticConfig, **{field: getattr(self, key)})
         self.selector_config()
         self.svm(1.0, 1)  # tolerance, max_iter and coef0, whose errors name them
         cells = [("c_grid", (C, 1)) for C in self.c_grid] + [("degree_grid", (1.0, d)) for d in self.degree_grid]
@@ -154,11 +156,11 @@ class ExperimentConfig:
         )
 
 
-def _named(key: str, check, *args):
-    """check(*args), a rule's test of the value of config key `key`, whose
-    DataError names the key."""
+def _named(key: str, check, *args, **kwargs):
+    """check(*args, **kwargs), a rule's test of the value of config key
+    `key`, whose DataError names the key."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except DataError as exc:
         raise DataError(f"{key}: {exc}") from None
 

@@ -135,9 +135,9 @@ class GeneticConfig:
             raise DataError(f"population must be even and >= 2, not {self.population!r}")
         if self.generations < 0:
             raise DataError(f"generations must be >= 0, not {self.generations!r}")
-        for p in (self.crossover_prob, self.mutation_prob):
-            if not 0.0 <= p <= 1.0:
-                raise DataError(f"probabilities must lie in [0, 1], not {p!r}")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DataError(f"{name} must lie in [0, 1], not {getattr(self, name)!r}")
 
 
 def genetic_search(

@@ -12,13 +12,16 @@ bias is recomputed from the unbounded support rows.
 
 SMO finds its support set early and spends most of its updates polishing
 it. So once the free set F, the rows with 0 < alpha < C, has not changed
-for _FINISH_AFTER updates, the solve tries to finish exactly on it: it
-solves the KKT system of F with every other alpha held at its bound, the
-active-set step of SimpleSVM (Vishwanathan, Smola & Murty, ICML 2003),
-stepping a row that leaves the box to its bound and solving again for a
-few rounds. The finish ends the solve only if the full dual feasibility
-gap, over every row, is then within tolerance; otherwise SMO goes on from
-the state before it, and tries again once F has changed and settled.
+for _FINISH_AFTER updates, the solve tries to finish exactly from there by
+active-set steps (SimpleSVM, Vishwanathan, Smola & Murty, ICML 2003;
+incremental SVM, Cauwenberghs & Poggio, NIPS 2000): it solves the KKT
+system of F with every other alpha held at its bound, steps a row that
+leaves the box to its bound and out of F, and adds to F the bounded row
+that violates its KKT condition most, each step an O(f^2) update of one
+inverse of F's bordered KKT matrix. The finish ends the solve only if the
+full dual feasibility gap, over every row, is then within tolerance;
+otherwise SMO goes on from the state before it, and tries again once F has
+changed and settled.
 
 A converged machine whose every alpha lies below C has the same free set,
 bounded set, gap and bias at any C' above its largest alpha, as C enters
@@ -42,9 +45,10 @@ from .data import DataError, Dataset, Standardizer, _read_text, fit_standardizer
 
 _CACHE_BYTES = 32 << 20  # kernel rows a solve keeps: every row of a problem of up to 2048 rows
 _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
-_FINISH_AFTER = 128  # updates with an unchanged free set before a solve tries to finish on it
-_FINISH_ROWS = 256  # the largest free set a finish solves: two buffers of at most 0.5 MB
-_FINISH_ROUNDS = 10  # systems a finish solves, each with one row fewer, before it gives up
+_FINISH_AFTER = 32  # updates with an unchanged free set before a solve tries to finish from it
+_FINISH_ROWS = 256  # the largest free set, and the most steps, of a finish: two buffers of at most 0.5 MB
+_SINGULAR = 1e-10  # a finish's Schur complement pivot at or below this share of its kernel diagonal is singular
+_BORDER_ROWS = 32  # rows of the free set a finish's first KKT inverse is bordered with at a time
 EPSILON = 1e-12  # alpha moves, and a finished sum(a y) relative to sum(a), below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of a prediction's kernel values and of its decisions (256 KiB)
 MODEL_MAGIC = "ctgsvm-model"
@@ -318,94 +322,199 @@ def _kkt(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float):
     return g, b_est, b_est[np.where(pos, a < C, a > 0.0)].max(), b_est[np.where(pos, a > 0.0, a < C)].min()
 
 
-def _eliminate(M: np.ndarray, rhs: np.ndarray, scratch: np.ndarray) -> np.ndarray | None:
-    """The solution of M x = rhs by Gaussian elimination in row order
-    without pivoting, overwriting M and rhs (scratch holds at least M.size
-    values), or None when a pivot is 0 or the solution is not finite.
+def _sweep(S: np.ndarray, floor: np.ndarray) -> bool:
+    """Invert the small symmetric matrix S in place by Gauss-Jordan sweeps
+    without pivoting, or return False when a pivot is not above its floor
+    or not finite."""
+    for k in range(len(S)):
+        d = S[k, k]
+        if not floor[k] < d < math.inf:
+            return False
+        row, col = S[k] / d, S[:, k].copy()
+        S -= np.multiply.outer(col, row)
+        S[k], S[:, k] = row, col / d
+        S[k, k] = -1.0 / d
+    np.negative(S, out=S)  # a sweep over every pivot leaves -S^-1
+    return True
 
-    Every operation is elementwise, with no BLAS or LAPACK call, so the
-    solution does not depend on the BLAS library or its thread count (with
-    OpenBLAS 0.3.31, a LAPACK solve of 128 rows differs in its last bits
-    between 1 and 2 threads). A KKT system needs no pivoting while Q_FF is
-    positive definite, and two equal rows of it, up to sign, leave an exact
-    0 pivot.
-    """
-    n = len(rhs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            if M[k, k] == 0.0:
-                return None
-            col = M[k + 1:, k] / M[k, k]
-            m = n - k - 1
-            outer = scratch[:m * m].reshape(m, m)
-            np.multiply.outer(col, M[k, k + 1:], out=outer)
-            M[k + 1:, k + 1:] -= outer
-            rhs[k + 1:] -= col * rhs[k]
-        for k in range(n - 1, -1, -1):
-            rhs[k] /= M[k, k]
-            rhs[:k] -= M[:k, k] * rhs[k]
-    return rhs if np.isfinite(rhs).all() else None
+
+class _KktInverse:
+    """The inverse R of the bordered KKT matrix [[0, y_F'], [y_F, Q_FF]] of
+    a free set F, Q = yy' o K, with the bias at position 0 and the rows of F
+    in the order they joined, starting from one row i: [[-Q_ii, y_i], [y_i,
+    0]]. R lives in one of two buffers of cap^2 values, contiguous at its
+    size; an update writes the new R into the other one.
+
+    No operation calls BLAS or LAPACK, whose results can depend on the
+    thread count (with OpenBLAS 0.3.31, a LAPACK solve of 128 rows differs
+    in its last bits between 1 and 2 threads): matrix products are numpy's
+    own `einsum` loops (not optimized, so no BLAS), which give the same
+    bits whatever the layout of their operands."""
+
+    def __init__(self, y_i: float, q_ii: float, cap: int):
+        self.bufs = np.empty((2, cap * cap))
+        self.cur, self.m = 0, 2
+        self.R[...] = [[-q_ii, y_i], [y_i, 0.0]]
+
+    def _buf(self, which: int, m: int) -> np.ndarray:
+        return self.bufs[which, :m * m].reshape(m, m)
+
+    @property
+    def R(self) -> np.ndarray:
+        return self._buf(self.cur, self.m)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,j->i", self.R, rhs)
+
+    def add(self, B: np.ndarray) -> bool:
+        """Border the matrix by the b rows B (b, m + b): the new rows over
+        the current rows, then over themselves. With U' = B[:, :m], D =
+        B[:, m:] and the Schur complement S = D - U' R U, the new R is
+        [[R + R U S^-1 U' R, -R U S^-1], [-S^-1 U' R, S^-1]], in O(m^2 b)
+        operations. R U and U' R are both computed, as an R that is not
+        exactly symmetric would otherwise grow its asymmetry from one
+        update to the next. False, and R unchanged, when a pivot of S is
+        not finite or not above _SINGULAR times its entry of D: S is
+        positive definite while Q is on the rows, so such a pivot says
+        that a new row depends on the others."""
+        m, b, R = self.m, len(B), self.R
+        Ut = B[:, :m]
+        W = np.einsum("ij,kj->ik", R, Ut)
+        Z = np.einsum("ij,jk->ik", Ut, R)
+        S = B[:, m:] - np.einsum("ij,jk->ik", Ut, W)
+        if not _sweep(S, _SINGULAR * np.diag(B[:, m:])):
+            return False
+        V = np.einsum("ij,jk->ik", W, S)
+        N = self._buf(1 - self.cur, m + b)
+        np.einsum("ik,kj->ij", V, Z, out=N[:m, :m])
+        N[:m, :m] += R
+        N[:m, m:] = -V
+        N[m:, :m] = -np.einsum("ij,jk->ik", S, Z)
+        N[m:, m:] = S
+        self.cur, self.m = 1 - self.cur, m + b
+        return True
+
+    def drop(self, p: int) -> None:
+        """Remove row and column p of the matrix, in O(m^2) operations; the
+        others keep their order."""
+        m, R = self.m - 1, self.R
+        c = np.delete(R[:, p], p) / R[p, p]
+        r = np.delete(R[p], p)
+        N = self._buf(1 - self.cur, m)
+        N[:p, :p], N[:p, p:] = R[:p, :p], R[:p, p + 1:]
+        N[p:, :p], N[p:, p:] = R[p + 1:, :p], R[p + 1:, p + 1:]
+        N -= np.multiply.outer(c, r, out=self._buf(self.cur, m))
+        self.cur, self.m = 1 - self.cur, m
+
+
+def _bordered_rows(K: _KernelSource, y: np.ndarray, rows: list[int], new: list[int]) -> np.ndarray:
+    """The rows of the bordered KKT matrix of the free set rows + new that
+    belong to new, over the bias, rows and new: [y_new, Q_new,rows,
+    Q_new,new]."""
+    cols = np.array(rows + new)
+    B = np.empty((len(new), len(cols) + 1))
+    for r, i in enumerate(new):
+        np.take(K.row(i), cols, out=B[r, 1:])
+    B[:, 1:] *= y[cols]
+    B *= y[new, None]
+    B[:, 0] = y[new]
+    return B
 
 
 def _finish(K: _KernelSource, y: np.ndarray, a: np.ndarray, C: float, tol: float):
-    """The exact optimum on the free set F of the alphas a (0 < a < C), with
-    the bounded alphas B held fixed: the active-set step of SimpleSVM
-    (Vishwanathan, Smola & Murty, ICML 2003). Returns the finished alphas,
-    or None when there is no finish.
+    """The optimum reached from the alphas a by active-set steps that add or
+    drop one row of the free set F at a time: SimpleSVM (Vishwanathan,
+    Smola & Murty, ICML 2003) and incremental SVM (Cauwenberghs & Poggio,
+    NIPS 2000). Returns the finished alphas, or None when there is no
+    finish.
 
-    Each round solves the KKT system of the rows of F,
-    [Q_FF y_F; y_F' 0] [a_F; b] = [1 - Q_FB a_B; -y_B' a_B], Q = yy' o K,
-    by `_eliminate`, in buffers sized for the first F. A solution outside
-    the box steps from a to the first bound it meets, moves that row to B
-    and solves again, at most _FINISH_ROUNDS times. The finished alphas are
-    kept only if the full dual feasibility gap, over every row, is within
-    tol and sum(a y) is 0 within EPSILON of sum(a), which elimination
-    without pivoting can miss on a nearly singular system. An F of more than
-    _FINISH_ROWS rows or of none, a singular system and a solution still
-    outside the box after the last round give None.
+    F starts as the rows with 0 < a < C, and every other alpha is held at 0
+    or C. h = K @ (C y) over the rows at C carries those to the right-hand
+    side, so that R @ [-C sum(y over the rows at C); 1 - y_F h_F], with R
+    the `_KktInverse` of F, gives the bias b and a_F. R is built by
+    bordering it with _BORDER_ROWS rows of F at a time. Each step then does
+    one of two things:
+    - a solution outside the box steps from a to the first bound it meets,
+      and that row leaves F: R drops its row;
+    - a solution inside the box is taken. If the full dual feasibility gap,
+      over every row, is still above tol, the bounded row that violates its
+      KKT condition most at the bias b joins F: R is bordered by its row.
+    Either update costs O(f^2) operations, the first R O(f^3).
+
+    The finished alphas are kept when the gap is within tol and sum(a y) is
+    0 within EPSILON of sum(a), which a nearly singular system can break.
+    These give None: an F of none or of more than _FINISH_ROWS rows, a row
+    that depends on the rows of F (see `_KktInverse.add`), a row that
+    joined F and leaves the box at once on the side it came from (it would
+    be dropped and added again), and _FINISH_ROWS steps without a finish.
     """
-    free = np.flatnonzero((a > 0.0) & (a < C))
-    if not 0 < len(free) <= _FINISH_ROWS:
+    rows = np.flatnonzero((a > 0.0) & (a < C)).tolist()
+    if not 0 < len(rows) <= _FINISH_ROWS:
         return None
     a = a.copy()
-    buf, scratch = np.empty((2, (len(free) + 1) ** 2))
-    for _ in range(_FINISH_ROUNDS):
-        f = len(free)
-        yf = y[free]
-        M = buf[:(f + 1) ** 2].reshape(f + 1, f + 1)
-        for r, i in enumerate(free.tolist()):
-            np.take(K.row(i), free, out=M[r, :f])
-        M[:f, :f] *= yf[:, None]
-        M[:f, :f] *= yf
-        M[:f, f] = M[f, :f] = yf
-        M[f, f] = 0.0
-        coef = a * y
-        coef[free] = 0.0
-        rhs = np.append(1.0 - yf * K.full_g(coef)[free], -coef.sum())
-        new = _eliminate(M, rhs, scratch)
-        if new is None:  # singular, as with two free copies of one row
-            return None
-        new = new[:f]
-        below, above = new < 0.0, new > C
-        if not (below | above).any():
-            a[free] = new
-            break
-        # the share of the way from a to the solution at which each row
-        # leaving the box meets its bound; a_F lies in the box and each
-        # leaving row strictly outside it, so no denominator is 0
-        old = a[free]
-        t = np.full(f, np.inf)
-        t[below] = old[below] / (old[below] - new[below])
-        t[above] = (C - old[above]) / (new[above] - old[above])
-        k = int(t.argmin())
-        a[free] = np.clip(old + t[k] * (new - old), 0.0, C)
-        a[free[k]] = 0.0 if below[k] else C
-        free = np.delete(free, k)
-    else:
-        return None
-    _, _, m_up, m_low = _kkt(K, y, a, C)
-    balanced = abs(math.fsum((a * y).tolist())) <= EPSILON * math.fsum(a.tolist())
-    return a if balanced and m_up - m_low <= tol else None
+    net = float(y[a == C].sum())  # a small integer, exact
+    h = K.full_g(np.where(a == C, C * y, 0.0))
+    i = rows[0]
+    inv = _KktInverse(y[i], K.row(i)[i], min(_FINISH_ROWS, len(a)) + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(1, len(rows), _BORDER_ROWS):
+            if not inv.add(_bordered_rows(K, y, rows[:lo], rows[lo:lo + _BORDER_ROWS])):
+                return None
+        added = None
+        for _ in range(_FINISH_ROWS):
+            idx = np.array(rows)
+            yf = y[idx]
+            x = inv.solve(np.append(-C * net, 1.0 - yf * h[idx]))
+            if not np.isfinite(x).all():
+                return None
+            b, new = x[0], x[1:]
+            below, above = new < 0.0, new > C
+            if added is not None and (below[-1] if a[added] == 0.0 else above[-1]):
+                return None
+            added = None
+            if (below | above).any():
+                # the share of the way from a to the solution at which each
+                # row leaving the box meets its bound; a_F lies in the box,
+                # so no denominator is 0
+                old = a[idx]
+                t = np.full(len(rows), np.inf)
+                t[below] = old[below] / (old[below] - new[below])
+                t[above] = (C - old[above]) / (new[above] - old[above])
+                k = int(t.argmin())
+                a[idx] = np.clip(old + t[k] * (new - old), 0.0, C)
+                i = rows.pop(k)
+                a[i] = 0.0 if below[k] else C
+                if above[k]:
+                    h += (C * y[i]) * K.row(i)
+                    net += y[i]
+                if not rows:
+                    return None
+                inv.drop(k + 1)
+            else:
+                a[idx] = new
+                # R's bias column moves sum(a y) alone: fold the rounding
+                # left in it back, unless that leaves the box
+                r0 = -math.fsum((a * y).tolist())
+                fixed = new + r0 * inv.R[1:, 0]
+                if ((fixed >= 0.0) & (fixed <= C)).all():
+                    a[idx], b = fixed, b + r0 * inv.R[0, 0]
+                _, b_est, m_up, m_low = _kkt(K, y, a, C)
+                if m_up - m_low <= tol:
+                    balanced = abs(math.fsum((a * y).tolist())) <= EPSILON * math.fsum(a.tolist())
+                    return a if balanced else None
+                # each bounded row's violation of its KKT condition at the
+                # bias b: positive when it should leave its bound
+                v = np.where(a == 0.0, y, -y) * (b_est - b)
+                v[idx] = -np.inf
+                s = int(v.argmax())
+                if not v[s] > 0.0 or len(rows) == _FINISH_ROWS or not inv.add(_bordered_rows(K, y, rows, [s])):
+                    return None
+                if a[s] == C:
+                    h -= (C * y[s]) * K.row(s)
+                    net -= y[s]
+                rows.append(s)
+                added = s
+    return None
 
 
 def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
@@ -417,7 +526,8 @@ def smo_train(X, y, cfg: SvmConfig) -> BinarySvm:
 
     Kernel rows are built when the solve first reads them (`_KernelSource`).
     Once the free set has stayed the same for _FINISH_AFTER updates, the
-    solve tries to end exactly on it (`_finish`); a finish that fails leaves
+    solve tries to end exactly by active-set steps from it, adding and
+    dropping rows of the free set (`_finish`); a finish that fails leaves
     the state as it was.
 
     The error cache holds E = g - y with no bias, which cancels out of every
@@ -611,7 +721,8 @@ def pairwise_problems(
     """The training matrices of each class pair of `train`, built once for
     every `train_from_problems` call on them. Features are standardized by
     `standardizer`, by default the one fitted on the masked columns of
-    `train`."""
+    `train`. A mask column outside the table, or a standardizer fitted on
+    columns of other names than the masked ones, is a DataError."""
     k = len(train.class_labels)
     if k < 2:
         raise DataError("need at least 2 classes")
@@ -620,10 +731,17 @@ def pairwise_problems(
     if (counts == 0).any():
         missing = train.class_labels[int(np.flatnonzero(counts == 0)[0])]
         raise DataError(f"class {missing!r} absent from training data")
+    names = train.feature_names
+    mask = tuple(sorted(feature_mask)) if feature_mask is not None else None
+    if mask and not 0 <= mask[0] <= mask[-1] < len(names):
+        raise DataError(f"feature mask {list(mask)} reads outside the table's {len(names)} features")
     if standardizer is None:
         standardizer = fit_standardizer(train, feature_mask)
+    fitted = tuple(spec.name for spec in standardizer.feature_schema)
+    masked = names if mask is None else tuple(names[i] for i in mask)
+    if fitted != masked:
+        raise DataError(f"standardizer fitted on {list(fitted)}, not on the masked columns {list(masked)}")
     feats = train.feature_matrix()
-    mask = tuple(sorted(feature_mask)) if feature_mask is not None else None
     if mask is not None:
         feats = feats[:, list(mask)]
     feats = standardizer.transform_features(feats)

@@ -290,6 +290,26 @@ class TestTrainPredict:
         assert code == 3
         assert "prediction column 1 is 'AC'; the model expects 'LB'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (("@attribute LB numeric", "@attribute 'LB numeric"),
+         "attribute name without its closing quote: \"@attribute 'LB numeric\""),
+        (("{Normal, Suspect, Pathologic}", "{Normal, Suspect, Normal, Pathologic}"),
+         "nominal spec for 'NSP' repeats the value 'Normal'"),
+    ], ids=["unclosed-quote", "repeated-value"])
+    def test_malformed_arff_header_is_data_error(self, small_csv, tmp_path, capsys, edit, message):
+        """An ARFF header line that cannot be read exits 3, names what is
+        wrong, and writes no model."""
+        lines = Path(small_csv).read_text(encoding="utf-8").splitlines()
+        header = "@relation ctg\n" + "".join(
+            "@attribute NSP {Normal, Suspect, Pathologic}\n" if name == "NSP" else f"@attribute {name} numeric\n"
+            for name in lines[0].split(",")
+        )
+        data = tmp_path / "bad.arff"
+        data.write_text(header.replace(*edit) + "@data\n" + "\n".join(lines[1:]) + "\n", encoding="utf-8")
+        out = tmp_path / "m.txt"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err and not out.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_data_error(self, small_csv, tmp_path, cell, capsys):
         lines = open(small_csv, encoding="utf-8").read().splitlines()
@@ -535,6 +555,10 @@ class TestExperimentCommand:
         ("all", "cutoff=threshold:inf", "malformed cutoff 'threshold:inf'"),
         ("all", "relieff_m=5000", "relieff_m: sample count m=5000 out of range 1.."),
         ("exp1", "ga_population=3", "ga_population: population must be even and >= 2, not 3"),
+        ("exp1", "ga_generations=-1", "ga_generations: generations must be >= 0, not -1"),
+        ("exp1", "ga_crossover=1.5", "ga_crossover: crossover_prob must lie in [0, 1], not 1.5"),
+        ("exp1", "ga_mutation=2", "ga_mutation: mutation_prob must lie in [0, 1], not 2.0"),
+        ("exp1", "ga_mutation=nan", "ga_mutation: mutation_prob must lie in [0, 1], not nan"),
         ("exp1", "bf_stale_limit=0", "bf_stale_limit: stale_limit must be >= 1, not 0"),
         ("exp1", "vote=bogus", "unknown config key 'vote'"),
         ("exp1", "quick=ture", "'ture'"),

@@ -120,6 +120,20 @@ class TestArffLoading:
         with pytest.raises(DataError, match="missing value at row 3"):
             load_dataset(write(tmp_path, "t.arff", bad), class_column="cls")
 
+    def test_unclosed_quoted_name_rejected(self, tmp_path):
+        bad = ARFF.replace("@attribute a numeric", "@attribute 'LB numeric")
+        with pytest.raises(DataError, match="attribute name without its closing quote: \"@attribute 'LB numeric\""):
+            load_dataset(write(tmp_path, "t.arff", bad), class_column="cls")
+
+    def test_quoted_name_read(self, tmp_path):
+        ds = load_dataset(write(tmp_path, "t.arff", ARFF.replace("@attribute a ", "@attribute 'a b' ")), class_column="cls")
+        assert ds.feature_names == ("a b", "color")
+
+    def test_repeated_nominal_value_rejected(self, tmp_path):
+        bad = ARFF.replace("@attribute cls {yes, no}", "@attribute cls {yes, no, yes}")
+        with pytest.raises(DataError, match="nominal spec for 'cls' repeats the value 'yes'"):
+            load_dataset(write(tmp_path, "t.arff", bad), class_column="cls")
+
 
 @pytest.mark.parametrize("name, text", [("t.csv", "a,b,cls\n"), ("t.arff", ARFF[:ARFF.index("1.5")])])
 def test_header_without_rows_rejected(tmp_path, name, text):

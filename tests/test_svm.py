@@ -1,6 +1,7 @@
 """Solver correctness against the QP reference, kernel math, multiclass
 voting, and model persistence."""
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -449,6 +450,33 @@ def full_alphas(X, m):
     return a
 
 
+def drawn_problem(seed):
+    """A random problem drawn from seed: 10-49 rows of 1-3 features, labels
+    from the first feature and noise, C from 0.05 to 10, degree 1-4 and
+    coef0 0 or 1, and a cap of 20 000 updates."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 50))
+    X = rng.normal(0, 1, (n, int(rng.integers(1, 4))))
+    y = np.where(X[:, 0] + rng.normal(0, 1.0, n) > 0, 1.0, -1.0)
+    if np.all(y == y[0]):
+        y[0] = -y[0]
+    C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
+    return X, y, cfgp(C, int(rng.integers(1, 5)), float(rng.choice([0.0, 1.0])), max_iter=20_000)
+
+
+def assert_certified(X, y, cfg, m):
+    """m converged, and its alphas alone certify it (oracles.certificate):
+    in the box, sum(a y) 0 within a relative 1e-12, the gap within
+    tolerance, and the dual objective no worse than that of 1000
+    qp_reference steps, less 1e-6 and tolerance * sum(a), as in
+    test_properties.test_every_machine_is_certified."""
+    a = row_alphas(X, y, m)
+    cert = certificate(X, y, a, cfg.C, cfg.kernel)
+    assert m.converged and cert["box"] and cert["balance"] <= 1e-12 and cert["gap"] <= cfg.tolerance
+    _, ref = qp_reference(np.array(cert["K"]), y, cfg.C, max_iter=1000)
+    assert cert["objective"] >= ref - 1e-6 - cfg.tolerance * math.fsum(a.tolist())
+
+
 def assert_matches_qp_reference(X, y, cfg, m):
     K = kernel_matrix(X, X, cfg.kernel)
     a_ref, obj_ref = qp_reference(K, y, cfg.C)
@@ -458,7 +486,8 @@ def assert_matches_qp_reference(X, y, cfg, m):
 
 
 class TestFinish:
-    """svm._finish, the exact solve on a stable free set that ends a solve."""
+    """svm._finish, the active-set steps from a stable free set that end a
+    solve exactly."""
 
     def test_stalled_pair_subsample_matches_qp_reference(self, finishes):
         """The class pair 1-2 of `train --features LB,AC,FM,UC,ASTV` on the
@@ -483,11 +512,12 @@ class TestFinish:
         assert_matches_qp_reference(X, y, cfg, m)
 
     def test_two_free_copies_fall_back_to_smo(self):
-        """A finish whose free set holds two copies of one row meets an
-        exact 0 pivot and is refused, so SMO goes on from where it was. The
-        state is the optimum of a problem whose first six rows copy the next
-        six, with a free row's alpha split evenly between it and its copy:
-        the same decisions and objective, and a singular system."""
+        """A finish whose free set holds two copies of one row meets a Schur
+        complement of 0, up to rounding, and is refused, so SMO goes on from
+        where it was. The state is the optimum of a problem whose first six
+        rows copy the next six, with a free row's alpha split evenly between
+        it and its copy: the same decisions and objective, and a singular
+        system."""
         rng = np.random.default_rng(12)
         X = rng.normal(0, 1, (24, 2))
         y = np.where(X[:, 0] + rng.normal(0, 1.0, 24) > 0, 1.0, -1.0)
@@ -502,40 +532,129 @@ class TestFinish:
         assert 0.0 < a[i] < cfg.C
         assert svm._finish(svm._KernelSource(X, cfg.kernel), y, a, cfg.C, cfg.tolerance) is None
 
-    def test_never_kept_with_the_equality_broken(self, finishes):
-        """Two copies of a row with coef0 = 0 give a nearly singular KKT
-        system, which elimination without pivoting solves inexactly: here
-        every finish's sum(a y) is far from 0 (0.9% of sum(a) for one whose
-        gap is within tolerance), so each is refused, and the machine is
-        certified from its alphas alone."""
-        rng = np.random.default_rng(6)
-        X = rng.normal(0, 1, (22, 2))
-        X[rng.integers(0, 22, 8)] = X[rng.integers(0, 22, 8)]
-        y = np.where(X @ rng.normal(0, 1, 2) > 0, 1.0, -1.0)
-        cfg = cfgp(10.0, 4, 0.0)
-        m = smo_train(X, y, cfg)
-        assert finishes and all(done is None for _, done in finishes)
-        cert = certificate(X, y, row_alphas(X, y, m), cfg.C, cfg.kernel)
-        assert m.converged and cert["balance"] <= 1e-12 and cert["gap"] <= cfg.tolerance
+    def test_never_kept_with_the_equality_broken(self, monkeypatch):
+        """A finish is kept only if sum(a y) is 0 within EPSILON of sum(a).
+        From a converged solve's alphas on this drawn problem the finish is
+        kept with sum(a y) a few ulps from 0 (the rounding of its solve,
+        folded back along the inverse's bias column); with EPSILON below
+        that share of sum(a), the same try is refused."""
+        X, y, cfg = drawn_problem(216)
+        a = row_alphas(X, y, smo_train(X, y, cfg))
+        K = svm._KernelSource(X, cfg.kernel)
+        done = svm._finish(K, y, a, cfg.C, cfg.tolerance)
+        off = abs(math.fsum(done * y)) / math.fsum(done)
+        assert 0.0 < off <= 1e-15
+        monkeypatch.setattr(svm, "EPSILON", off / 2)
+        assert svm._finish(K, y, a, cfg.C, cfg.tolerance) is None
 
-    def test_never_kept_while_a_zero_alpha_row_violates_kkt(self):
-        """From a converged solve's alphas the finish is kept. With free row
-        s moved to 0, the finish solves the same system as on the table
-        without row s, where it is kept; with s present at 0 it is refused,
-        as s then violates its KKT condition."""
+    def test_adds_back_a_zero_alpha_row_that_violates_kkt(self):
+        """From a converged solve's alphas with free row s moved to 0, s
+        violates its KKT condition: the finish adds it back to the free set
+        and reaches qp_reference's objective."""
         rng = np.random.default_rng(7)
         X = rng.normal(0, 1, (30, 2))
         y = np.where(X[:, 0] + rng.normal(0, 1.0, 30) > 0, 1.0, -1.0)
-        cfg = cfgp(10.0, 2)
+        cfg = cfgp(1.0, 2)
         a = full_alphas(X, smo_train(X, y, cfg))
-        K = svm._KernelSource(X, cfg.kernel)
-        assert svm._finish(K, y, a, cfg.C, cfg.tolerance) is not None
         s = np.flatnonzero((a > 0) & (a < cfg.C))[2]
         a[s] = 0.0
-        keep = np.arange(len(X)) != s
-        without_s = svm._finish(svm._KernelSource(X[keep], cfg.kernel), y[keep], a[keep], cfg.C, cfg.tolerance)
-        assert without_s is not None
-        assert svm._finish(K, y, a, cfg.C, cfg.tolerance) is None
+        done = svm._finish(svm._KernelSource(X, cfg.kernel), y, a, cfg.C, cfg.tolerance)
+        assert done is not None and done[s] > 0.0
+        cert = certificate(X, y, done, cfg.C, cfg.kernel)
+        assert cert["box"] and cert["balance"] <= 1e-12 and cert["gap"] <= cfg.tolerance
+        _, ref = qp_reference(np.array(cert["K"]), y, cfg.C)
+        assert cert["objective"] == pytest.approx(ref, abs=1e-6)
+
+    def test_row_leaving_c_updates_h(self, finishes):
+        """On this drawn problem with a small C (0.05, degree 3, coef0 = 0)
+        the kept finish moves a row off C, so h, the kernel sum over the
+        rows at C on the right-hand side, loses that row. The finished
+        alphas reach qp_reference's objective, with the gap computed
+        afresh."""
+        X, y, cfg = drawn_problem(216)
+        m = smo_train(X, y, cfg)
+        [(start, done)] = [(s, d) for s, d in finishes if d is not None]
+        assert ((start == cfg.C) & (done < cfg.C)).any()
+        assert np.array_equal(row_alphas(X, y, m), done)
+        assert_certified(X, y, cfg, m)
+        cert = certificate(X, y, done, cfg.C, cfg.kernel)
+        _, ref = qp_reference(np.array(cert["K"]), y, cfg.C)
+        assert cert["objective"] == pytest.approx(ref, abs=1e-6)
+
+    def test_wrong_way_refusal_ends_certified(self, monkeypatch):
+        """The kernel of this drawn problem (one feature, degree 3) has rank
+        4, so a free set of more rows is singular. With the singularity
+        floor taken away, an add whose Schur complement is rounding noise
+        goes through, and at the next solve the added row leaves the box on
+        the side it came from. The try is refused there, rather than
+        dropping the row and adding it again, and SMO ends the solve,
+        certified."""
+        monkeypatch.setattr(svm, "_SINGULAR", -np.inf)
+        X, y, cfg = drawn_problem(3)
+        assert (X.shape[1], cfg.kernel.degree) == (1, 3)
+        events = []
+        real_add, real_solve, finish = svm._KktInverse.add, svm._KktInverse.solve, svm._finish
+
+        def add(self, B):
+            ok = real_add(self, B)
+            events.append(("add", ok))
+            return ok
+
+        def solve(self, rhs):
+            x = real_solve(self, rhs)
+            events.append(("solve", x))
+            return x
+
+        def recording(*args):
+            done = finish(*args)
+            events.append(("end", done))
+            return done
+
+        monkeypatch.setattr(svm._KktInverse, "add", add)
+        monkeypatch.setattr(svm._KktInverse, "solve", solve)
+        monkeypatch.setattr(svm, "_finish", recording)
+        m = smo_train(X, y, cfg)
+        # a refused try that ended at the solve after an add, with the added
+        # (last) row outside the box: the wrong-way refusal, as a finite
+        # solution outside the box otherwise drops a row
+        wrong_way = [
+            x for (e1, ok), (e2, x), (e3, done) in zip(events, events[1:], events[2:])
+            if (e1, ok, e2, e3) == ("add", True, "solve", "end") and done is None
+            and np.isfinite(x).all() and not 0.0 <= x[-1] <= cfg.C
+        ]
+        assert wrong_way
+        assert_certified(X, y, cfg, m)
+
+    def test_updated_inverse_solves_as_fresh_elimination(self):
+        """A seeded sequence of bordering by blocks and by single rows, and
+        of drops at any position, leaves an inverse that solves the bordered
+        KKT system of the rows it holds to 1e-9 of a fresh LAPACK solve."""
+        rng = np.random.default_rng(31)
+        X = rng.normal(0, 1, (120, 10))  # a kernel of rank 286: every set of rows is regular
+        y = np.where(rng.random(120) < 0.5, 1.0, -1.0)
+        Q = np.outer(y, y) * kernel_matrix(X, X, KernelSpec(degree=3))
+        held, free = [0], list(range(1, 120))
+        inv = svm._KktInverse(y[0], Q[0, 0], 121)
+
+        def bordered(rows):
+            M = np.zeros((len(rows) + 1,) * 2)
+            M[1:, 1:] = Q[np.ix_(rows, rows)]
+            M[0, 1:] = M[1:, 0] = y[rows]
+            return M
+
+        for step in range(80):
+            if step % 20 == 0 or len(held) < 3 or rng.random() < 0.5:
+                new = [free.pop(int(rng.integers(len(free)))) for _ in range(1 if step % 20 else 13)]
+                assert inv.add(bordered(held + new)[-len(new):])
+                held += new
+            else:
+                p = int(rng.integers(1, len(held) + 1))
+                inv.drop(p)
+                free.append(held.pop(p - 1))
+            rhs = rng.normal(0, 1, len(held) + 1)
+            want = np.linalg.solve(bordered(held), rhs)
+            assert np.abs(inv.solve(rhs) - want).max() <= 1e-9 * np.abs(want).max(), step
+        assert len(held) > 30
 
     def test_certified_finished_solve_serves_a_larger_c(self, quick_table, finishes, tmp_path):
         """A finished solve whose alphas all lie below C serves a larger C,
@@ -619,6 +738,30 @@ class TestMulticlass:
         # a model trained with no standardizer given fits one, which records the names
         with pytest.raises(DataError, match="prediction column 2 is 'f2'; the model expects 'f1'"):
             train_multiclass(noisy, cfgp(10.0, 2)).predict_dataset(renamed)
+
+    def test_mask_outside_the_table_rejected(self):
+        from ctgsvm.data import fit_standardizer
+
+        ds = sep3()
+        std = fit_standardizer(ds, [0, 1])
+        for mask in ([0, 99], [-1, 0]):
+            with pytest.raises(DataError, match=r"feature mask \[.*\] reads outside the table's 2 features"):
+                train_multiclass(ds, cfgp(10.0, 2), mask, std)
+
+    def test_standardizer_of_other_columns_rejected(self):
+        """A standardizer must have been fitted on the masked columns, by
+        name: one fitted on the table with two columns swapped would scale
+        each column by the other's mean and sigma."""
+        from ctgsvm.data import fit_standardizer
+
+        ds = sep3()
+        swapped = numeric_dataset(ds.feature_matrix()[:, ::-1], [ds.class_labels[c] for c in ds.class_codes()],
+                                  names=["f1", "f0"])
+        with pytest.raises(DataError, match=r"standardizer fitted on \['f1', 'f0'\], not on the masked columns "
+                                            r"\['f0', 'f1'\]"):
+            train_multiclass(ds, cfgp(10.0, 2), None, fit_standardizer(swapped))
+        with pytest.raises(DataError, match=r"not on the masked columns \['f1'\]"):
+            train_multiclass(ds, cfgp(10.0, 2), [1], fit_standardizer(ds, [0]))
 
 
 @pytest.fixture(scope="module")
@@ -942,7 +1085,7 @@ class TestCertifiedReuse:
         assert served == (tmp_path / "fresh.txt").read_bytes()
         # train_multiclass's file for C=1000, degree 3, solved alone (numpy
         # 2.4.6; the same at one and two BLAS threads)
-        assert hashlib.sha256(served).hexdigest() == "85322a5aa71bdd4c329f3634dd26850bceb1c7a973e4d4003691bf462e7b39cd"
+        assert hashlib.sha256(served).hexdigest() == "0cc56ad70d1d1b5316ba0a38ad7db3d3d30238955c3ad49532a37a735fbd29fe"
 
 
 class TestSingleSvmMemo:
