@@ -75,8 +75,8 @@ class EnsembleModel:
 
     def __post_init__(self):
         """Members must agree on everything one stacked evaluation shares:
-        the classes (and so the one-vs-one pairs), the kernel, the feature
-        mask and the standardizer."""
+        the classes (and so the one-vs-one pairs), the kernel, the width and
+        feature mask, and the standardizer."""
         if not self.members:
             raise DataError("an ensemble needs at least one member")
         first = self.members[0][0]
@@ -87,7 +87,7 @@ class EnsembleModel:
                 )
             for what, got, want in (
                 ("kernel", m.machines[0].kernel, first.machines[0].kernel),
-                ("feature mask", m.feature_mask, first.feature_mask),
+                ("feature mask", (m.width, m.feature_mask), (first.width, first.feature_mask)),
                 ("standardizer", _standardizer_key(m.standardizer), _standardizer_key(first.standardizer)),
             ):
                 if got != want:

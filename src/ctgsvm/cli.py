@@ -122,9 +122,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_train(args) -> int:
     _, work = _load_work(args)
-    mask = None
-    if args.features:
-        mask = mask_by_names(work, keep=[n.strip() for n in args.features.split(",")])
+    mask = mask_by_names(work, keep=[n.strip() for n in args.features.split(",")]) if args.features else None
     cfg = SvmConfig(C=args.c, kernel=KernelSpec(degree=args.degree, coef0=args.coef0))
     ens_cfg = EnsembleConfig(members=args.members, base=cfg, master_seed=args.seed)
     if ens_cfg.members > 1:

@@ -301,22 +301,29 @@ def export_csv(ds: Dataset, path) -> None:
 # Column selection
 
 
+def feature_columns(ds: Dataset, mask=None) -> tuple[int, ...]:
+    """The feature columns of `mask` in increasing order, every feature of
+    `ds` when mask is None: the one place where None means every column. An
+    empty mask, a repeated column or one outside the table is a DataError."""
+    if mask is None:
+        return tuple(range(ds.n_features))
+    cols = tuple(sorted(mask))
+    if not cols:
+        raise DataError("empty feature mask")
+    if len(set(cols)) != len(cols):
+        raise DataError(f"feature mask {list(cols)} repeats a column")
+    if not 0 <= cols[0] <= cols[-1] < ds.n_features:
+        raise DataError(f"feature mask {list(cols)} reads outside the table's {ds.n_features} features")
+    return cols
+
+
 def select_features(ds: Dataset, mask) -> Dataset:
     """Keep only the given feature indexes (plus the class column).
 
     Selected features keep their relative order; the class column moves to
     the last position. Row order is unchanged.
     """
-    mask = list(mask)
-    if not mask:
-        raise DataError("empty feature mask")
-    if len(set(mask)) != len(mask):
-        raise DataError("duplicate index in feature mask")
-    for f in mask:
-        if not 0 <= f < ds.n_features:
-            raise DataError(f"feature index {f} out of range")
-    ordered = sorted(mask)
-    schema_idx = [ds.feature_schema_indices[f] for f in ordered]
+    schema_idx = [ds.feature_schema_indices[f] for f in feature_columns(ds, mask)]
     new_schema = [ds.schema[i] for i in schema_idx] + [ds.schema[ds.class_column]]
     new_rows = ds.rows[:, schema_idx + [ds.class_column]]
     return Dataset(new_schema, new_rows, len(schema_idx))
@@ -440,8 +447,7 @@ class Standardizer:
 def fit_standardizer(train: Dataset, columns=None) -> Standardizer:
     """The standardizer of the feature columns `columns` of `train` (every
     feature when None), fitted on its rows."""
-    if columns is not None:
-        train = select_features(train, columns)
+    train = select_features(train, columns)
     if train.n_rows == 0:
         raise DataError("cannot fit standardizer on an empty dataset")
     feats = train.feature_matrix()
@@ -449,10 +455,8 @@ def fit_standardizer(train: Dataset, columns=None) -> Standardizer:
     sigmas = np.sqrt(np.mean((feats - means) ** 2, axis=0))
     sigmas = np.where(sigmas < SIGMA_FLOOR, 1.0, sigmas)
     fschema = tuple(train.schema[i] for i in train.feature_schema_indices)
-    for pos, spec in enumerate(fschema):
-        if spec.kind == NOMINAL:
-            means[pos] = 0.0
-            sigmas[pos] = 1.0
+    nominal = [spec.kind == NOMINAL for spec in fschema]
+    means[nominal], sigmas[nominal] = 0.0, 1.0
     means.setflags(write=False)
     sigmas.setflags(write=False)
     return Standardizer(means, sigmas, fschema)

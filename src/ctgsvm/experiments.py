@@ -8,7 +8,7 @@ sidecar files and never contaminate the deterministic outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from .data import (
     Dataset,
     SplitSpec,
     _read_text,
+    feature_columns,
     fit_discretization,
     load_dataset,
     mask_by_names,
@@ -182,49 +183,55 @@ def _parse_cutoff(text: str) -> tuple[str, float | None]:
     raise DataError(f"malformed cutoff {text!r} (keep_all | top_k:K | threshold:T, T finite)")
 
 
-def _parse_cells(text: str) -> tuple[tuple[float, int], ...]:
-    cells = []
-    for part in text.split(";"):
-        c, d = part.split(":")
-        cells.append((float(c), int(d)))
-    return tuple(cells)
+def _items(text: str, sep: str = ",") -> list[str]:
+    return [item.strip() for item in text.split(sep)]
+
+
+def _cell(text: str) -> tuple[float, int]:
+    C, degree = _items(text, ":")
+    return float(C), int(degree)
+
+
+# the parser of a config value, by the annotation of its ExperimentConfig field
+_PARSERS = {
+    "str": str, "float": float, "int": int,
+    "bool": lambda v: _BOOLEANS[v.lower()],
+    "int | None": lambda v: int(v) if v else None,  # an empty value is None
+    "tuple[str, ...]": lambda v: tuple(x for x in _items(v) if x),
+    "tuple[float, ...]": lambda v: tuple(map(float, _items(v))),
+    "tuple[int, ...]": lambda v: tuple(map(int, _items(v))),
+    "tuple[tuple[float, int], ...]": lambda v: tuple(map(_cell, _items(v, ";"))),
+}
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file; '#' starts a comment. A key given twice is a
+    DataError naming both lines."""
     values: dict[str, str] = {}
+    where: dict[str, int] = {}
     for i, ln in enumerate(_read_text(path).splitlines(), start=1):
         ln = ln.split("#", 1)[0].strip()
         if not ln:
             continue
         if "=" not in ln:
             raise DataError(f"config line {i}: expected key=value")
-        key, value = ln.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in ln.split("=", 1))
+        if key in where:
+            raise DataError(f"config line {i}: key {key!r} already set at line {where[key]}")
+        values[key], where[key] = value, i
     return values
 
 
 def config_from_sources(file_values: dict, **overrides) -> ExperimentConfig:
-    """Merge config-file values with CLI overrides (overrides win)."""
+    """Merge config-file values with CLI overrides (overrides win). Each
+    key's value is parsed by the type of its ExperimentConfig field."""
     kw: dict = {}
-    conv = {
-        "data": str, "class_column": str, "out_dir": str, "fmt": str,
-        "train_fraction": float, "seed": int, "quick": lambda v: _BOOLEANS[v.lower()],
-        "highlight_threshold": float, "exp4_c": float, "exp4_degree": int,
-        "exp4_members": int, "exp5_members": int, "coef0": float,
-        "tolerance": float, "max_iter": int, "ga_population": int,
-        "ga_generations": int, "ga_crossover": float, "ga_mutation": float,
-        "bf_stale_limit": int, "relieff_k": int, "relieff_m": int, "cutoff": str,
-        "exclude_features": lambda v: tuple(x for x in v.split(",") if x),
-        "c_grid": lambda v: tuple(float(x) for x in v.split(",")),
-        "degree_grid": lambda v: tuple(int(x) for x in v.split(",")),
-        "exp2_cells": _parse_cells, "exp3_cells": _parse_cells,
-    }
+    parsers = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
     for key, raw in file_values.items():
-        if key not in conv:
+        if key not in parsers:
             raise DataError(f"unknown config key {key!r}")
         try:
-            kw[key] = conv[key](raw)
+            kw[key] = parsers[key](raw)
         except (KeyError, ValueError):
             raise DataError(f"config key {key!r}: malformed value {raw!r}") from None
     for key, value in overrides.items():
@@ -290,14 +297,11 @@ class Pipeline:
         cms["combined"] = ConfusionMatrix(train.labels, train.counts + test.counts)
         return cms
 
-    def _columns(self, mask) -> tuple[int, ...] | None:
-        """The sorted columns of a feature mask, None for a mask of every feature."""
-        return None if mask is None or len(mask) == self.train.n_features else tuple(sorted(mask))
-
     def models(self, mask, cells) -> list[SvmModel]:
-        """The single SVM of each (C, degree) cell on `mask`, trained on the
-        one problem of its columns, which keeps every machine solved on it."""
-        cols = self._columns(mask)
+        """The single SVM of each (C, degree) cell on `mask` (every feature
+        when None), trained on the one problem of its columns, which keeps
+        every machine solved on it."""
+        cols = feature_columns(self.train, mask)
         if cols not in self._problems:
             self._problems[cols] = pairwise_problems(self.train, cols)
         return train_from_problems(self._problems[cols], [self.cfg.svm(C, degree) for C, degree in cells])
@@ -310,7 +314,7 @@ class Pipeline:
         ensemble trained per (columns, C, degree) and answers any request up
         to its size with a prefix of it.
         """
-        cols = self._columns(mask)
+        cols = feature_columns(self.train, mask)
         key = (cols, C, degree)
         if key not in self._ensembles or len(self._ensembles[key].members) < members:
             ens_cfg = EnsembleConfig(members=members, base=self.cfg.svm(C, degree), master_seed=self.cfg.seed)

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, Standardizer, _read_text, fit_standardizer
+from .data import DataError, Dataset, Standardizer, _read_text, feature_columns, fit_standardizer
 
 _CACHE_BYTES = 32 << 20  # kernel rows a solve keeps: every row of a problem of up to 2048 rows
 _ETA_ROWS = 128  # eta rows a solve memoizes: at most 1.4 MB at 1400 rows
@@ -51,8 +51,9 @@ _SINGULAR = 1e-10  # a finish's Schur complement pivot at or below this share of
 _BORDER_ROWS = 32  # rows of the free set a finish's first KKT inverse is bordered with at a time
 EPSILON = 1e-12  # alpha moves, and a finished sum(a y) relative to sum(a), below this scale count as zero
 _BLOCK = 1 << 15  # elements per block of a prediction's kernel values and of its decisions (256 KiB)
+_LOG_KERNEL_MAX = math.log(np.finfo(float).max)  # the log of the largest finite kernel value
 MODEL_MAGIC = "ctgsvm-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,12 @@ class _KernelSource:
         self.columns[:, :n] = X.T
         self.rows: dict[int, np.ndarray] = {}  # oldest first
         self.keep = max(1, _CACHE_BYTES // (8 * n))
-        self.diag = _polynomial(np.einsum("ij,ij->i", X, X), spec)
+        squares = np.einsum("ij,ij->i", X, X)
+        # every |K[i, j]| is at most (max |x|^2 + |coef0|) ** degree (Cauchy-Schwarz)
+        base = float(squares.max()) + abs(spec.coef0)
+        if base > 1.0 and spec.degree * math.log(base) > _LOG_KERNEL_MAX:
+            raise DataError(f"kernel values overflow at degree {spec.degree}, coef0 {spec.coef0!r}")
+        self.diag = _polynomial(squares, spec)
 
     def row(self, i: int) -> np.ndarray:
         got = self.rows.get(i)
@@ -708,7 +714,8 @@ class MulticlassProblem:
     classes: tuple[str, ...]
     class_counts: np.ndarray
     problems: list[PairProblem]
-    feature_mask: tuple[int, ...] | None
+    width: int
+    feature_mask: tuple[int, ...]
     standardizer: Standardizer
     models: dict[tuple[int, ...], SvmModel] = field(default_factory=dict, init=False, repr=False)
 
@@ -731,37 +738,33 @@ def pairwise_problems(
     if (counts == 0).any():
         missing = train.class_labels[int(np.flatnonzero(counts == 0)[0])]
         raise DataError(f"class {missing!r} absent from training data")
-    names = train.feature_names
-    mask = tuple(sorted(feature_mask)) if feature_mask is not None else None
-    if mask and not 0 <= mask[0] <= mask[-1] < len(names):
-        raise DataError(f"feature mask {list(mask)} reads outside the table's {len(names)} features")
+    mask = feature_columns(train, feature_mask)
     if standardizer is None:
-        standardizer = fit_standardizer(train, feature_mask)
+        standardizer = fit_standardizer(train, mask)
     fitted = tuple(spec.name for spec in standardizer.feature_schema)
-    masked = names if mask is None else tuple(names[i] for i in mask)
+    masked = tuple(train.feature_names[i] for i in mask)
     if fitted != masked:
         raise DataError(f"standardizer fitted on {list(fitted)}, not on the masked columns {list(masked)}")
-    feats = train.feature_matrix()
-    if mask is not None:
-        feats = feats[:, list(mask)]
-    feats = standardizer.transform_features(feats)
+    feats = standardizer.transform_features(train.feature_matrix()[:, list(mask)])
     problems = []
     for ci, cj in _pairs(k):
         idx = np.flatnonzero((codes == ci) | (codes == cj))
         X = np.ascontiguousarray(feats[idx])
         yb = np.where(codes[idx] == ci, 1.0, -1.0)
         problems.append(PairProblem(ci, cj, X, yb))
-    return MulticlassProblem(train.class_labels, counts, problems, mask, standardizer)
+    return MulticlassProblem(train.class_labels, counts, problems, train.n_features, mask, standardizer)
 
 
 @dataclass
 class SvmModel:
-    """One binary machine per unordered class pair, in `pairs` order, voting for predictions."""
+    """One binary machine per unordered class pair, in `pairs` order, voting
+    for predictions on the columns `feature_mask` of a table of `width` features."""
 
     classes: tuple[str, ...]
     class_counts: np.ndarray
     machines: list[BinarySvm]
-    feature_mask: tuple[int, ...] | None
+    width: int
+    feature_mask: tuple[int, ...]
     standardizer: Standardizer
 
     @property
@@ -773,18 +776,15 @@ class SvmModel:
         return all(m.converged for m in self.machines)
 
     def _prepare(self, feats: np.ndarray) -> np.ndarray:
-        """feats masked and standardized. A row too narrow for the mask, or of
-        another width than the standardizer's, is a DataError, and so is a
-        NaN or infinite value in a column the model reads; a wider row under
-        a mask passes, as model files do not record the table's width."""
-        cols = self.feature_mask
-        if cols is not None:
-            if feats.shape[1] <= cols[-1]:  # the mask is increasing
-                raise DataError(f"feature width {feats.shape[1]}: the model reads column {cols[-1] + 1}")
-            feats = feats[:, list(cols)]
+        """The columns of feats that the model reads, standardized. Rows must
+        have the width of the training table, and a NaN or infinite value in
+        a column the model reads is a DataError naming that column."""
+        if feats.shape[1] != self.width:
+            raise DataError(f"feature width {feats.shape[1]}: the model was trained on {self.width} features")
+        feats = feats[:, list(self.feature_mask)]
         if not np.isfinite(feats).all():
             j = int(np.flatnonzero(~np.isfinite(feats).all(axis=0))[0])
-            raise DataError(f"prediction column {(j if cols is None else cols[j]) + 1} holds a non-finite value")
+            raise DataError(f"prediction column {self.feature_mask[j] + 1} holds a non-finite value")
         return self.standardizer.transform_features(feats)
 
     @cached_property
@@ -799,18 +799,14 @@ class SvmModel:
         return [self.classes[w] for w in winners[:, 0]], {"vote_ties": int(tied.sum())}
 
     def _check_columns(self, names: tuple[str, ...]) -> None:
-        """Prediction columns must be the training columns: the mask must fit
-        the table, and each column the model reads must have the name its
-        standardizer records, so a reordered table fails here, not silently."""
-        if self.feature_mask is not None and self.feature_mask[-1] >= len(names):
-            raise DataError(f"feature width {len(names)}: the model reads column {self.feature_mask[-1] + 1}")
-        cols = self.feature_mask if self.feature_mask is not None else range(len(names))
-        want = [spec.name for spec in self.standardizer.feature_schema]
-        if len(cols) != len(want):
-            raise DataError("feature width does not match standardizer")
-        for i, name in zip(cols, want):
-            if names[i] != name:
-                raise DataError(f"prediction column {i + 1} is {names[i]!r}; the model expects {name!r}")
+        """The prediction table's feature names must be the training table's:
+        as many as the model's width, and at each column the model reads the
+        name its standardizer records, so a wider or reordered table fails."""
+        if len(names) != self.width:
+            raise DataError(f"feature width {len(names)}: the model was trained on {self.width} features")
+        for i, spec in zip(self.feature_mask, self.standardizer.feature_schema):
+            if names[i] != spec.name:
+                raise DataError(f"prediction column {i + 1} is {names[i]!r}; the model expects {spec.name!r}")
 
     def predict_dataset(self, ds: Dataset) -> tuple[list[str], dict]:
         self._check_columns(ds.feature_names)
@@ -859,8 +855,8 @@ def train_from_problems(mp: MulticlassProblem, cfgs: Sequence[SvmConfig]) -> lis
     for machines in zip(*[_pair_machines(p, cfgs) for p in mp.problems]):
         key = tuple(map(id, machines))
         if key not in mp.models:
-            mp.models[key] = SvmModel(mp.classes, mp.class_counts.copy(), list(machines), mp.feature_mask,
-                                      mp.standardizer)
+            mp.models[key] = SvmModel(mp.classes, mp.class_counts.copy(), list(machines), mp.width,
+                                      mp.feature_mask, mp.standardizer)
         models.append(mp.models[key])
     return models
 
@@ -897,10 +893,7 @@ def model_to_lines(model: SvmModel) -> list[str]:
     lines.append("counts\t" + "\t".join(str(int(c)) for c in model.class_counts))
     km = model.machines[0].kernel
     lines.append(f"kernel\tpolynomial\t{km.degree}\t{_hex(km.coef0)}")
-    if model.feature_mask is None:
-        lines.append("mask\tall")
-    else:
-        lines.append("mask\t" + "\t".join(str(i) for i in model.feature_mask))
+    lines.append("mask\t" + "\t".join(str(i) for i in (model.width, *model.feature_mask)))
     s = model.standardizer
     lines.append(f"standardizer\t{len(s.means)}")
     for mu, sg, spec in zip(s.means, s.sigmas, s.feature_schema):
@@ -980,16 +973,14 @@ def _parse_model(cur: _Lines) -> SvmModel:
         kernel = KernelSpec(int(kparts[1]), float.fromhex(kparts[2]))
     except DataError as exc:  # the rule training enforces, given a line number
         raise DataError(f"malformed model file: {exc} at line {cur.pos}") from None
-    mparts = cur.fields("mask")
-    mask = None if mparts == ["all"] else tuple(int(i) for i in mparts)
-    ok = mask is None or (list(mask) == sorted(set(mask)) and min(mask, default=-1) >= 0)
+    width, *mask = (int(i) for i in cur.fields("mask"))
+    ok = mask == sorted(set(mask)) and min(mask, default=-1) >= 0
     cur.require(ok, "mask not strictly increasing column indexes from 0")  # as pairwise_problems writes it
+    cur.require(mask[-1] < width, f"mask reads column {mask[-1]} of a table of width {width}")
     (swidth,) = cur.fields("standardizer", 1)
     cur.require(swidth != "none", "model has no standardizer")
     dim = int(swidth)
-    cur.require(dim >= 1, "standardizer without features")
-    if mask is not None:
-        cur.require(dim == len(mask), f"standardizer width {dim} differs from the mask's {len(mask)}")
+    cur.require(dim == len(mask), f"standardizer width {dim} differs from the mask's {len(mask)}")
     means, sigmas, fschema = [], [], []
     for _ in range(dim):
         fp = cur.fields("feat", 4)
@@ -1024,7 +1015,7 @@ def _parse_model(cur: _Lines) -> SvmModel:
             BinarySvm(np.array(rows), np.array(alphas), np.array(labels), bias, kernel, conv)
         )
     cur.fields("end", 0)
-    return SvmModel(classes, counts, machines, mask, standardizer)
+    return SvmModel(classes, counts, machines, width, tuple(mask), standardizer)
 
 
 def load_model(path) -> SvmModel:

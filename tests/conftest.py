@@ -66,7 +66,8 @@ def decision_model(decisions, classes, counts=None) -> SvmModel:
     eye = np.eye(D.shape[0])
     machines = [BinarySvm(eye, np.abs(d), np.where(d < 0, -1.0, 1.0), 0.0, kernel) for d in D.T]
     counts = np.ones(len(classes), dtype=int) if counts is None else np.asarray(counts)
-    return SvmModel(tuple(classes), counts, machines, None, identity_standardizer(D.shape[0]))
+    width = D.shape[0]
+    return SvmModel(tuple(classes), counts, machines, width, tuple(range(width)), identity_standardizer(width))
 
 
 def identity_standardizer(width: int) -> Standardizer:

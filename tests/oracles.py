@@ -395,9 +395,7 @@ def ovo_predict(model, feats) -> tuple[list[str], int]:
     """One-vs-one labels of a model on raw feature rows, one machine at a
     time with a sorted tie-break, and the number of tied rows: the
     reference for the vectorized vote."""
-    feats = np.asarray(feats, dtype=float)
-    if model.feature_mask is not None:
-        feats = feats[:, list(model.feature_mask)]
+    feats = np.asarray(feats, dtype=float)[:, list(model.feature_mask)]
     feats = (feats - model.standardizer.means) / model.standardizer.sigmas
     n, k = feats.shape[0], len(model.classes)
     votes = [[0] * k for _ in range(n)]

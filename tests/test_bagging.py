@@ -275,18 +275,38 @@ class TestStackedPrediction:
                              ["lo"] * 12 + ["hi"] * 12)
         ens = bagging_train(ds, EnsembleConfig(members=3, base=base_cfg(), master_seed=3), feature_mask=[2, 3])
         for predict in (ens.predict_values, ens.members[0][0].predict_values):
-            with pytest.raises(DataError, match="feature width 2: the model reads column 4"):
+            with pytest.raises(DataError, match="feature width 2: the model was trained on 4 features"):
                 predict([1.0, 2.0])
             assert predict([0.0, 0.0, 5.0, 5.0]) == "hi"
-            assert predict([0.0, 0.0, 5.0, 5.0, 9.0]) == "hi"  # a wider row cannot be told apart
+            # a wider row is refused by the width the model records
+            with pytest.raises(DataError, match="feature width 5: the model was trained on 4 features"):
+                predict([0.0, 0.0, 5.0, 5.0, 9.0])
 
     def test_one_row_of_the_wrong_width_without_a_mask_is_data_error(self):
         ds = blobs()
         ens = bagging_train(ds, EnsembleConfig(members=2, base=base_cfg(), master_seed=3),
                             standardizer=fit_standardizer(ds))
         for row in ([1.0], [1.0, 2.0, 3.0]):
-            with pytest.raises(DataError, match="feature width"):
+            with pytest.raises(DataError, match=f"feature width {len(row)}: the model was trained on 2 features"):
                 ens.predict_values(row)
+
+    @pytest.mark.parametrize("mask", [None, [2, 3]], ids=["keep-all", "masked"])
+    def test_extra_trailing_column_is_data_error(self, mask):
+        """One more column than the training table is refused, one row or a
+        table at a time, by a model and by an ensemble, whether or not the
+        model reads every column."""
+        rng = np.random.default_rng(2)
+        labels = ["lo"] * 12 + ["hi"] * 12
+        feats = np.column_stack([rng.normal(size=(24, 2)), blobs().feature_matrix()])
+        ds = numeric_dataset(feats, labels)
+        wider = numeric_dataset(np.column_stack([feats, np.zeros(24)]), labels)
+        ens = bagging_train(ds, EnsembleConfig(members=3, base=base_cfg(), master_seed=3), feature_mask=mask)
+        for model in (ens, ens.members[0][0]):
+            assert model.predict_dataset(ds)[0] == [model.predict_values(row) for row in feats]
+            with pytest.raises(DataError, match="feature width 5: the model was trained on 4 features"):
+                model.predict_values(wider.feature_matrix()[0])
+            with pytest.raises(DataError, match="feature width 5: the model was trained on 4 features"):
+                model.predict_dataset(wider)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_is_data_error(self, ctg_table, value):
@@ -336,6 +356,13 @@ class TestStackedPrediction:
         priors = np.array([0.5, 0.5])
         with pytest.raises(DataError, match="ensemble member 2: kernel"):
             EnsembleModel([a, b], ds.class_labels, priors, 1)
+        # members that read the same columns of tables of two widths, or
+        # other columns of one width
+        model, seed = a
+        wide = replace(model, width=3)
+        for first, second in ((model, wide), (wide, replace(wide, feature_mask=(1, 2)))):
+            with pytest.raises(DataError, match="ensemble member 2: feature mask differs from member 1's"):
+                EnsembleModel([(first, seed), (second, seed)], ds.class_labels, priors, 1)
         with pytest.raises(DataError, match="at least one member"):
             EnsembleModel([], ds.class_labels, priors, 1)
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, and round trips."""
 import hashlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ctgsvm.cli import main
 from ctgsvm.data import DataError, load_dataset
-from ctgsvm.experiments import ExperimentConfig
+from ctgsvm.experiments import ExperimentConfig, config_from_sources, load_config_file
 from ctgsvm.svm import load_model
 
 
@@ -151,11 +152,45 @@ class TestTrainPredict:
     def test_version_mismatch_is_data_error(self, small_csv, tmp_path):
         model_path = tmp_path / "model.txt"
         assert main(["train", "--data", small_csv, "--out", str(model_path)]) == 0
-        text = model_path.read_text().replace("ctgsvm-model 1", "ctgsvm-model 9", 1)
+        text = model_path.read_text().replace("ctgsvm-model 2", "ctgsvm-model 9", 1)
         model_path.write_text(text)
         code = main(["predict", "--model", str(model_path), "--data", small_csv,
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("members", [1, 2], ids=["model", "ensemble"])
+    def test_version_1_model_is_data_error(self, small_csv, tmp_path, capsys, members):
+        """A model section of the format that wrote a keep-all mask as `all`
+        and recorded no table width is refused by its version line, alone or
+        inside an ensemble file."""
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--data", small_csv, "--members", str(members), "--out", str(model_path)]) == 0
+        lines = model_path.read_text().splitlines()
+        i = lines.index("ctgsvm-model 2")
+        lines[i] = "ctgsvm-model 1"
+        model_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model_path), "--data", small_csv, "--out", str(out)])
+        assert code == 3
+        assert f"unsupported model version '1' at line {i + 1}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [[], ["--features", "LB,AC"], ["--members", "2"],
+                                      ["--members", "2", "--features", "LB,AC"]],
+                             ids=["model", "masked-model", "ensemble", "masked-ensemble"])
+    def test_extra_trailing_column_is_data_error(self, small_csv, tmp_path, capsys, args):
+        """A table with one more column than the training table is refused
+        by its width, whether or not the model reads every column."""
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--data", small_csv, *args, "--out", str(model_path)]) == 0
+        lines = Path(small_csv).read_text(encoding="utf-8").splitlines()
+        wider = tmp_path / "wider.csv"
+        wider.write_text("".join(f"{ln},{'EXTRA' if i == 0 else i}\n" for i, ln in enumerate(lines)))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model_path), "--data", str(wider), "--out", str(out)])
+        assert code == 3
+        assert "feature width 22: the model was trained on 21 features" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_alpha_and_bad_label_is_data_error(self, small_csv, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
@@ -251,7 +286,8 @@ class TestTrainPredict:
         [
             ("classes\t", lambda f: [f[0], f[2], f[1], *f[3:]], "classes"),
             ("kernel\t", lambda f: [f[0], f[1], "3", f[3]], "kernel"),
-            ("mask\t", lambda f: [f[0], *map(str, range(21))], "feature mask"),
+            # another width and other columns: each alone is refused too (test_bagging.py)
+            ("mask\t", lambda f: [f[0], str(int(f[1]) + 1), *map(str, range(1, len(f) - 1))], "feature mask"),
             ("feat\t", lambda f: [*f[:3], (2.0 * float.fromhex(f[3])).hex(), f[4]], "standardizer"),
             ("feat\t", lambda f: [*f[:4], (2.0 * float.fromhex(f[4])).hex()], "standardizer"),
             ("feat\t", lambda f: [f[0], "renamed", *f[2:]], "standardizer"),
@@ -365,28 +401,35 @@ class TestTrainPredict:
         assert not out.exists()
 
     BAD_HEADERS = [
-        ("mask\t0\t99", "width 21: the model reads column 100"),
-        ("mask\t-1\t2", "mask not strictly increasing column indexes from 0 at line 5"),
-        ("mask\t2\t1", "mask not strictly increasing column indexes from 0 at line 5"),
-        ("mask\t1\t1", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\t21\t0\t99", "mask reads column 99 of a table of width 21 at line 5"),
+        ("mask\t21\t-1\t2", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\t21\t2\t1", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\t21\t1\t1", "mask not strictly increasing column indexes from 0 at line 5"),
         ("mask\t", "malformed model file"),
-        ("mask\t0\t1\t2", "standardizer width 2 differs from the mask's 3 at line 6"),
+        ("mask\t21\t0\t1\t2", "standardizer width 2 differs from the mask's 3 at line 6"),
         ("standardizer\tnone", "model has no standardizer at line 6"),
+        ("mask\t1\t0\t1", "mask reads column 1 of a table of width 1 at line 5"),
+        ("mask\t0\t1", "mask reads column 1 of a table of width 0 at line 5"),
+        ("mask\t21", "mask not strictly increasing column indexes from 0 at line 5"),
+        ("mask\tall", "malformed model file"),
+        ("mask\t99\t0\t1", "feature width 21: the model was trained on 99 features"),
     ]
 
     @pytest.mark.parametrize("line, message", BAD_HEADERS,
-                             ids=["0\t99", "-1\t2", "2\t1", "1\t1", "", "0\t1\t2", "standardizer-none"])
+                             ids=["0\t99", "-1\t2", "2\t1", "1\t1", "", "0\t1\t2", "standardizer-none",
+                                  "width-at-last-column", "width-below-last-column", "no-columns", "all",
+                                  "width-of-another-table"])
     def test_bad_mask_is_data_error(self, small_csv, tmp_path, line, message, capsys):
-        """A hand-edited `--features LB,AC` model whose mask reads past the
-        table, is not strictly increasing from 0 or is not the
-        standardizer's width, or whose standardizer line says `none`,
-        exits 3."""
+        """A hand-edited `--features LB,AC` model whose mask reads past its
+        width, is not strictly increasing from 0 or is not the
+        standardizer's width, whose width is not the table's, or whose
+        standardizer line says `none`, exits 3."""
         model_path = tmp_path / "model.txt"
         assert main(["train", "--data", small_csv, "--features", "LB,AC", "--out", str(model_path)]) == 0
         args = ["predict", "--model", str(model_path), "--data", small_csv, "--out", str(tmp_path / "p.csv")]
         assert main(args) == 0
         lines = model_path.read_text().splitlines()
-        assert lines[4:6] == ["mask\t0\t1", "standardizer\t2"]
+        assert lines[4:6] == ["mask\t21\t0\t1", "standardizer\t2"]
         lines[4 if line.startswith("mask") else 5] = line
         model_path.write_text("\n".join(lines) + "\n")
         assert main(args) == 3
@@ -542,6 +585,48 @@ class TestExperimentCommand:
         code = main(args + extra + ["--data", small_csv, "--out", str(tmp_path / "out")])
         assert code == 3
         assert bad in capsys.readouterr().err
+
+    def test_repeated_config_key_is_data_error(self, small_csv, tmp_path, capsys):
+        """A key set twice names both lines, instead of the second value
+        winning in silence; the run writes nothing."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed=1\n# a comment\nquick=true\n seed = 2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^config line 4: key 'seed' already set at line 1$"):
+            load_config_file(cfgfile)
+        out = tmp_path / "out"
+        code = main(["experiment", "--id", "exp1", "--config", str(cfgfile), "--data", small_csv, "--out", str(out)])
+        assert code == 3
+        assert "key 'seed' already set at line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_excluded_feature_names_are_stripped(self, small_csv, tmp_path):
+        """`exclude_features=CLASS, DS` drops DS too: each item of a list
+        value is stripped, as CSV header names are."""
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("exclude_features=CLASS, DS\nc_grid=10, 100\nexp2_cells=10 : 3; 100:4\n", encoding="utf-8")
+        cfg = config_from_sources(load_config_file(cfgfile), data=small_csv)
+        assert cfg.exclude_features == ("CLASS", "DS")
+        assert (cfg.c_grid, cfg.exp2_cells) == ((10.0, 100.0), ((10.0, 3), (100.0, 4)))
+        names = cfg.load_work().feature_names
+        assert len(names) == 20 and "DS" not in names and "CLASS" not in names
+
+    def test_every_field_round_trips_through_a_config_file(self, small_csv, tmp_path):
+        """Each ExperimentConfig field written as key=<its default> reads
+        back as that default, so a field added without a parser for its
+        type fails here."""
+        def text(value) -> str:
+            if value is None:
+                return ""
+            if isinstance(value, tuple) and isinstance(value[0], tuple):
+                return ";".join(f"{C}:{degree}" for C, degree in value)
+            return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        want = ExperimentConfig(data=small_csv)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{f.name}={text(getattr(want, f.name))}\n" for f in fields(want)), encoding="utf-8")
+        values = load_config_file(cfgfile)
+        assert sorted(values) == sorted(f.name for f in fields(want))
+        assert config_from_sources(values) == want
 
     MALFORMED = [
         ("exp5", "fmt=html", "'html'"),

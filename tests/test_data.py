@@ -12,6 +12,7 @@ from ctgsvm.data import (
     SplitSpec,
     discretize_mdl,
     export_csv,
+    feature_columns,
     fit_discretization,
     fit_standardizer,
     load_dataset,
@@ -157,16 +158,43 @@ class TestSelectFeatures:
         assert out.feature_matrix().ravel().tolist() == [1.0, 4.0]
 
     def test_duplicate_index_rejected(self):
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match=r"feature mask \[0, 0\] repeats a column"):
             select_features(self.ds, [0, 0])
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(DataError, match="empty feature mask"):
             select_features(self.ds, [])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DataError, match="out of range"):
-            select_features(self.ds, [3])
+        for mask in ([3], [-1, 0]):
+            with pytest.raises(DataError, match=r"feature mask \[.*\] reads outside the table's 3 features"):
+                select_features(self.ds, mask)
+
+
+class TestFeatureColumns:
+    """The one reading of a feature mask: None is every column, any other
+    mask its columns in increasing order, and a bad mask gets one message
+    from every function that takes one."""
+
+    def setup_method(self):
+        self.ds = numeric_dataset([[1, 2, 3], [4, 5, 6]], ["a", "b"])
+
+    def test_none_is_every_column_and_a_mask_is_sorted(self):
+        assert feature_columns(self.ds) == (0, 1, 2)
+        assert feature_columns(self.ds, frozenset({2, 0})) == (0, 2)
+
+    @pytest.mark.parametrize("mask, message", [
+        ([], "empty feature mask"),
+        ([1, 1], r"feature mask \[1, 1\] repeats a column"),
+        ([3, 0], r"feature mask \[0, 3\] reads outside the table's 3 features"),
+        ([0, -1], r"feature mask \[-1, 0\] reads outside the table's 3 features"),
+    ], ids=["empty", "repeated", "past-the-end", "negative"])
+    def test_every_caller_refuses_a_bad_mask_alike(self, mask, message):
+        from ctgsvm.svm import pairwise_problems
+
+        for call in (feature_columns, select_features, fit_standardizer, pairwise_problems):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                call(self.ds, mask)
 
 
 class TestSplit:

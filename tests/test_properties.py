@@ -1,9 +1,11 @@
 """Property tests (hypothesis) of model persistence: a saved model or
 ensemble reloads to the same lines, and a truncated or corrupted file fails
-only with DataError. Also of the seeded row samplers: the stratified split
-and the stratified subsample; of the ensemble vote against its label-based
-reference; of the bits of the solver's kernel rows; and of every machine
-the solver returns, certified from its alphas alone.
+only with DataError. Also of the command line: a corrupted table or config
+file exits 0, 3 or 4, never with a traceback. Also of the seeded row
+samplers: the stratified split and the stratified subsample; of the
+ensemble vote against its label-based reference; of the bits of the
+solver's kernel rows; and of every machine the solver returns, certified
+from its alphas alone.
 
 Every test runs a fixed, derandomized set of examples without an example
 database, so the suite does the same work on every run."""
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ctgsvm.bagging import EnsembleConfig, EnsembleModel, bagging_train, load_ensemble, save_ensemble
 from ctgsvm.data import DataError, SplitSpec, stratified_split, stratified_subsample
 from ctgsvm import svm
+from ctgsvm.cli import main
 from ctgsvm.svm import KernelSpec, SvmConfig, load_model, model_from_lines, model_to_lines, train_multiclass
 from conftest import labelling_model, numeric_dataset
 from oracles import certificate, ensemble_vote, qp_reference, row_alphas
@@ -105,7 +108,9 @@ def corruptions(draw, n_lines):
     return kind, at, None
 
 
-def corrupt(lines, edit):
+def corrupt(lines, edit, sep="\t"):
+    """The lines with one edit made; a field is a part of a line between
+    two `sep`s."""
     kind, at, arg = edit
     lines = list(lines)
     if kind == "truncate":
@@ -117,10 +122,10 @@ def corrupt(lines, edit):
     elif kind == "swap":
         lines[at], lines[arg] = lines[arg], lines[at]
     else:
-        parts = lines[at].split("\t")
+        parts = lines[at].split(sep)
         field, text = arg
         parts[min(field, len(parts) - 1)] = text
-        lines[at] = "\t".join(parts)
+        lines[at] = sep.join(parts)
     return lines
 
 
@@ -146,6 +151,43 @@ def test_corrupt_ensemble_fails_only_with_data_error(tmp_path, saved_files, data
         load_ensemble(path)
     except DataError:
         pass
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """The path of a 24-row synthetic table, and the lines of that table as
+    CSV and as ARFF and of a config file for a quick exp1 run."""
+    path = tmp_path_factory.mktemp("inputs") / "table.csv"
+    assert main(["synth", "--out", str(path), "--rows", "24"]) == 0
+    csv = path.read_text(encoding="utf-8").splitlines()
+    arff = ["@relation ctg"] + [
+        "@attribute NSP {Normal, Suspect, Pathologic}" if name == "NSP" else f"@attribute {name} numeric"
+        for name in csv[0].split(",")
+    ] + ["@data"] + csv[1:]
+    config = ["c_grid=10,100", "degree_grid=1,2", "max_iter=2000", "tolerance=0.001", "coef0=1",
+              "train_fraction=0.7", "seed=3", "exclude_features=CLASS,DS"]
+    return str(path), {"csv": csv, "arff": arff, "cfg": config}
+
+
+SEPARATORS = {"csv": ",", "arff": ",", "cfg": "="}
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(sorted(SEPARATORS)), st.data())
+def test_corrupt_input_exits_0_3_or_4(tmp_path, input_files, kind, data):
+    """A table (CSV or ARFF) given to `train`, or a config file given to a
+    quick exp1 run, with one edit: the command exits 0, 3 or 4, and raises
+    nothing."""
+    table, files = input_files
+    lines = corrupt(files[kind], data.draw(corruptions(len(files[kind]))), SEPARATORS[kind])
+    path = tmp_path / f"input.{kind}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if kind == "cfg":
+        args = ["experiment", "--id", "exp1", "--quick", "--config", str(path), "--data", table,
+                "--out", str(tmp_path / "out")]
+    else:
+        args = ["train", "--data", str(path), "--out", str(tmp_path / "model.txt")]
+    assert main(args) in (0, 3, 4)
 
 
 @st.composite
